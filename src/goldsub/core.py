@@ -15,6 +15,11 @@ the gradient wherever the function is differentiable and some fixed
 deterministic subgradient on the measure-zero kink set.  A directional
 subgradient oracle F(x, v) additionally satisfies <F(x, v), v> equal to the
 one-sided directional derivative of f at x along v.
+
+Both flavours may also come batch-first: ``values`` / ``grads`` take an
+(N, n) array of points and return one row per point.  Oracles without them
+are evaluated row by row through the pointwise callables, so the batch
+methods of ReducedConstraint and Subproblem accept every oracle.
 """
 
 from __future__ import annotations
@@ -72,11 +77,17 @@ class Oracle:
     dir_grad  : (x, v) -> vector F with <F, v> equal to the one-sided
                 directional derivative at x along v; None when the problem is
                 only used with the randomized inner search
+    values    : Z -> (N,) array, ``value`` of every row of an (N, n) array;
+                None to evaluate row by row
+    grads     : Z -> (N, n) array, ``grad`` of every row; None to evaluate
+                row by row
     """
 
     value: Callable[[Vector], float]
     grad: Callable[[Vector], Vector]
     dir_grad: Callable[[Vector, Vector], Vector] | None = None
+    values: Callable[[np.ndarray], np.ndarray] | None = None
+    grads: Callable[[np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,16 @@ def _as_vector(x, dim: int | None = None) -> Vector:
     return v
 
 
+def _as_points(z, dim: int) -> np.ndarray:
+    pts = np.asarray(z, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != dim:
+        raise UsageError("expected an (N, %d) array of points, got shape %r"
+                         % (dim, pts.shape))
+    if not np.all(np.isfinite(pts)):
+        raise UsageError("non-finite entries in input points")
+    return pts
+
+
 def _finite_value(val, what: str) -> float:
     val = float(val)
     if not np.isfinite(val):
@@ -157,6 +178,34 @@ def _finite_vector(vec, dim: int, what: str) -> Vector:
     if not np.all(np.isfinite(vec)):
         raise OracleError("non-finite entries from %s" % what)
     return vec
+
+
+def _finite_values(oracle: Oracle, z: np.ndarray, what: str) -> np.ndarray:
+    """Checked ``value`` of every row of z, batched when the oracle allows."""
+    if oracle.values is None:
+        return np.array([_finite_value(oracle.value(row), what) for row in z],
+                        dtype=float)
+    vals = np.asarray(oracle.values(z), dtype=float)
+    if vals.shape != (len(z),):
+        raise OracleError("%s returned shape %r, expected (%d,)"
+                          % (what, vals.shape, len(z)))
+    if not np.all(np.isfinite(vals)):
+        raise OracleError("non-finite value from %s" % what)
+    return vals
+
+
+def _finite_grads(oracle: Oracle, z: np.ndarray, dim: int, what: str) -> np.ndarray:
+    """Checked ``grad`` of every row of z, batched when the oracle allows."""
+    if oracle.grads is None:
+        return np.array([_finite_vector(oracle.grad(row), dim, what) for row in z],
+                        dtype=float).reshape(len(z), dim)
+    vecs = np.asarray(oracle.grads(z), dtype=float)
+    if vecs.shape != (len(z), dim):
+        raise OracleError("%s returned shape %r, expected (%d, %d)"
+                          % (what, vecs.shape, len(z), dim))
+    if not np.all(np.isfinite(vecs)):
+        raise OracleError("non-finite entries from %s" % what)
+    return vecs
 
 
 class ReducedConstraint:
@@ -188,6 +237,34 @@ class ReducedConstraint:
             self._oracles[idx - 1].grad(z), self._problem.dim, "constraint %d grad" % idx
         )
         return val, vec, idx
+
+    def values(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Batch ``value``: (g of every row of z, attaining 1-based indices)."""
+        z = _as_points(z, self._problem.dim)
+        best = np.full(len(z), -np.inf)
+        best_i = np.zeros(len(z), dtype=int)
+        for i, oracle in enumerate(self._oracles, start=1):
+            vi = _finite_values(oracle, z, "constraint %d value" % i)
+            wins = vi > best
+            best[wins] = vi[wins]
+            best_i[wins] = i
+        return best, best_i
+
+    def grads(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Batch ``grad``: (g values, attaining-constraint gradients, indices)."""
+        z = _as_points(z, self._problem.dim)
+        vals, idx = self.values(z)
+        return vals, self._grads_at(z, idx), idx
+
+    def _grads_at(self, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Gradient of constraint idx[k] at row k of z."""
+        vecs = np.empty((len(z), self._problem.dim))
+        for i, oracle in enumerate(self._oracles, start=1):
+            rows = idx == i
+            if rows.any():
+                vecs[rows] = _finite_grads(oracle, z[rows], self._problem.dim,
+                                           "constraint %d grad" % i)
+        return vecs
 
     def dir_grad(self, z: Vector, v: Vector) -> tuple[float, Vector, float, int]:
         """Return (g(z), directional subgradient, directional derivative, index)."""
@@ -262,6 +339,14 @@ class Subproblem:
     def value(self, z: Vector) -> float:
         return self.value_full(z)[0]
 
+    def values(self, z) -> np.ndarray:
+        """Batch ``value``: h at every row of z; one value call per row."""
+        z = _as_points(z, self.problem.dim)
+        fz = _finite_values(self.problem.objective, z, "objective value")
+        gz, _ = self._g.values(z)
+        self.value_calls += len(z)
+        return np.maximum(fz - self.f_anchor, gz)
+
     # -- subgradient events --------------------------------------------------
 
     def grad(self, z: Vector) -> tuple[Vector, Branch]:
@@ -276,6 +361,25 @@ class Subproblem:
             branch = Branch.constraint(idx)
         self.subgrad_calls += 1
         return vec, branch
+
+    def grads(self, z) -> tuple[np.ndarray, np.ndarray]:
+        """Batch ``grad``: (N, n) a.e.-gradients of h at the rows of z and
+        their branches as indices, 0 for the objective and i for constraint i.
+
+        Same rules as ``grad``: ties go to the objective, constraint ties to
+        the lowest index; one subgradient call per row.
+        """
+        z = _as_points(z, self.problem.dim)
+        fz = _finite_values(self.problem.objective, z, "objective value")
+        gz, idx = self._g.values(z)
+        obj = fz - self.f_anchor >= gz
+        idx[obj] = 0
+        vecs = self._g._grads_at(z, idx)
+        if obj.any():
+            vecs[obj] = _finite_grads(self.problem.objective, z[obj],
+                                      self.problem.dim, "objective grad")
+        self.subgrad_calls += len(z)
+        return vecs, idx
 
     def dir_grad(self, z: Vector, v: Vector) -> tuple[Vector, Branch, float, float]:
         """Directional subgradient of h at z along v.
@@ -347,13 +451,35 @@ def min_norm_on_segment(a: Vector, b: Vector) -> Vector:
     return (1.0 - t) * a + t * b
 
 
-def sample_ball(center: Vector, radius: float, rng: np.random.Generator) -> Vector:
+# rows per batch draw in the sampling loops; bounds their working memory
+SAMPLE_BLOCK = 4096
+
+
+def sample_blocks(total: int) -> list[int]:
+    """Row counts of the blocks that draw ``total`` samples, in order."""
+    full, rest = divmod(total, SAMPLE_BLOCK)
+    return [SAMPLE_BLOCK] * full + ([rest] if rest else [])
+
+
+def sample_ball(center: Vector, radius: float, rng: np.random.Generator,
+                size: int | None = None) -> Vector:
     """Uniform sample from the closed Euclidean ball B(center, radius).
 
-    Draw order is fixed so runs replay bit-for-bit: n standard normals for
-    the direction, then one uniform whose (1/n)-th power scales the radius.
+    Draw order is fixed so runs replay bit-for-bit.  A single point
+    (``size=None``) takes n standard normals for the direction, then one
+    uniform whose (1/n)-th power scales the radius.  With ``size`` the result
+    is a (size, n) array whose row i is the first n coordinates of a uniform
+    point on the unit sphere of R^(n+2), which is uniform in the unit ball:
+    it uses only its own n+2 normals, so a draw of size a followed by one of
+    size b gives the same rows as one draw of size a + b.
     """
     n = center.size
+    if size is not None:
+        normals = rng.standard_normal((size, n + 2))
+        norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+        # a zero row has probability zero; map it to the center
+        scale = np.divide(radius, norms, out=np.zeros(size), where=norms > 0.0)
+        return center + scale[:, None] * normals[:, :n]
     u = rng.standard_normal(n)
     norm = float(np.linalg.norm(u))
     while norm == 0.0:  # probability zero, but keep the draw order clean

@@ -6,7 +6,8 @@ the optimal value and a minimizer, so descent lemmas, call budgets, and
 certificates are all checkable against ground truth.  Kink conventions are
 fixed so almost-everywhere gradient oracles are deterministic: sign(0) is
 taken as +1, the subgradient of the Euclidean norm at 0 is the first basis
-vector, and argmax ties resolve to the lowest index.
+vector, and argmax ties resolve to the lowest index.  Every oracle also has
+batch callables that apply the same rules to each row of an (N, n) array.
 
 ``gcq_params`` on each record is an (a, b, c) triple for the empirical
 constraint-qualification check: constraints with g_i(x) >= -c are near-active,
@@ -85,6 +86,15 @@ def _linf_grad(x: Vector) -> Vector:
     return e
 
 
+def _linf_grads(z: np.ndarray) -> np.ndarray:
+    """``_linf_grad`` of every row; argmax takes the lowest index on ties."""
+    rows = np.arange(len(z))
+    j = np.argmax(np.abs(z), axis=1)
+    e = np.zeros(z.shape)
+    e[rows, j] = np.where(z[rows, j] >= 0.0, 1.0, -1.0)
+    return e
+
+
 def _linf_dir_vector(x: Vector, v: Vector) -> Vector:
     """Subgradient of the max-norm at x matching its directional derivative."""
     a = np.abs(x)
@@ -117,7 +127,9 @@ def constant_constraint(dim: int, level: float = -1.0) -> Oracle:
     zero = np.zeros(dim)
     return Oracle(value=lambda x: level,
                   grad=lambda x: zero.copy(),
-                  dir_grad=lambda x, v: zero.copy())
+                  dir_grad=lambda x, v: zero.copy(),
+                  values=lambda z: np.full(len(z), float(level)),
+                  grads=lambda z: np.zeros((len(z), dim)))
 
 
 def ball_linear_sigma(delta: float, m: float = 1.0) -> float:
@@ -156,10 +168,23 @@ def _ball_linear(dim: int = 2) -> ProblemRecord:
         nv = float(np.linalg.norm(v))
         return v / nv if nv > 0.0 else e1.copy()
 
+    def g_values(z):
+        return np.sqrt(np.einsum("ij,ij->i", z, z)) - 1.0
+
+    def g_grads(z):
+        norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+        out = np.tile(e1, (len(z), 1))
+        inside = norms > 0.0
+        out[inside] = z[inside] / norms[inside, None]
+        return out
+
     objective = Oracle(value=lambda x: float(x[0]),
                        grad=lambda x: e1.copy(),
-                       dir_grad=lambda x, v: e1.copy())
-    constraint = Oracle(value=g_value, grad=g_grad, dir_grad=g_dir)
+                       dir_grad=lambda x, v: e1.copy(),
+                       values=lambda z: z[:, 0].copy(),
+                       grads=lambda z: np.tile(e1, (len(z), 1)))
+    constraint = Oracle(value=g_value, grad=g_grad, dir_grad=g_dir,
+                        values=g_values, grads=g_grads)
     pad = 0.5
     opt = np.zeros(dim)
     opt[0] = -1.0
@@ -188,10 +213,14 @@ def _l1_ball(dim: int = 2) -> ProblemRecord:
 
     objective = Oracle(value=lambda x: float(np.abs(x).sum()),
                        grad=lambda x: _sign_plus(x),
-                       dir_grad=lambda x, v: _l1_dir_vector(x, v))
+                       dir_grad=lambda x, v: _l1_dir_vector(x, v),
+                       values=lambda z: np.abs(z).sum(axis=1),
+                       grads=_sign_plus)
     constraint = Oracle(value=lambda x: float(x @ x) - 1.0,
                         grad=lambda x: 2.0 * x,
-                        dir_grad=lambda x, v: 2.0 * x)
+                        dir_grad=lambda x, v: 2.0 * x,
+                        values=lambda z: np.einsum("ij,ij->i", z, z) - 1.0,
+                        grads=lambda z: 2.0 * z)
     spec = ProblemSpec(dim=dim, objective=objective, constraints=(constraint,),
                        lipschitz_m=max(math.sqrt(dim), 2.0 * (1.0 + pad)),
                        neighborhood_delta=pad,
@@ -219,13 +248,17 @@ def _poly_1d_objective() -> Oracle:
     one = np.ones(1)
     return Oracle(value=lambda x: float(x[0]),
                   grad=lambda x: one.copy(),
-                  dir_grad=lambda x, v: one.copy())
+                  dir_grad=lambda x, v: one.copy(),
+                  values=lambda z: z[:, 0].copy(),
+                  grads=lambda z: np.ones((len(z), 1)))
 
 
 def _square_constraint() -> Oracle:
     return Oracle(value=lambda x: float(x[0]) ** 2 - 1.0,
                   grad=lambda x: 2.0 * x,
-                  dir_grad=lambda x, v: 2.0 * x)
+                  dir_grad=lambda x, v: 2.0 * x,
+                  values=lambda z: z[:, 0] ** 2 - 1.0,
+                  grads=lambda z: 2.0 * z)
 
 
 def _footnote_1d() -> ProblemRecord:
@@ -270,7 +303,15 @@ def _footnote_2c() -> ProblemRecord:
                 return np.zeros(1)
         return _l1_dir_vector(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
 
-    g2 = Oracle(value=g2_value, grad=g2_grad, dir_grad=g2_dir)
+    def g2_values(z):
+        a = np.abs(z[:, 0])
+        return np.where(a <= 1.5, a - 1.0, 0.5)
+
+    def g2_grads(z):
+        return np.where(np.abs(z) > 1.5, 0.0, _sign_plus(z))
+
+    g2 = Oracle(value=g2_value, grad=g2_grad, dir_grad=g2_dir,
+                values=g2_values, grads=g2_grads)
     spec = ProblemSpec(dim=1, objective=_poly_1d_objective(),
                        constraints=(_square_constraint(), g2),
                        lipschitz_m=3.0, neighborhood_delta=0.4,
@@ -313,11 +354,21 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
         v = np.asarray(v, dtype=float)
         return _linf_dir_vector(x, v) - alpha * _l1_dir_vector(x, v)
 
-    objective = Oracle(value=f_value, grad=f_grad, dir_grad=f_dir)
+    def f_values(z):
+        a = np.abs(z)
+        return a.max(axis=1) - alpha * a.sum(axis=1)
+
+    def f_grads(z):
+        return _linf_grads(z) - alpha * _sign_plus(z)
+
+    objective = Oracle(value=f_value, grad=f_grad, dir_grad=f_dir,
+                       values=f_values, grads=f_grads)
     constraint = Oracle(value=lambda x: float(np.abs(x).max()) - 1.0,
                         grad=_linf_grad,
                         dir_grad=lambda x, v: _linf_dir_vector(
-                            np.asarray(x, dtype=float), np.asarray(v, dtype=float)))
+                            np.asarray(x, dtype=float), np.asarray(v, dtype=float)),
+                        values=lambda z: np.abs(z).max(axis=1) - 1.0,
+                        grads=_linf_grads)
     interior = alpha * dim <= 1.0
     opt = np.zeros(dim) if interior else -np.ones(dim)
     spec = ProblemSpec(dim=dim, objective=objective, constraints=(constraint,),

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ProblemSpec, Vector, WeightedSubgradient, _as_vector,
-                   reduce_constraints, sample_ball)
+                   reduce_constraints, sample_ball, sample_blocks)
 from .errors import (BudgetExceededError, CertificationError,
                      InfeasibleStartError, UsageError)
 from .inner_bisect import C_BISECT, bisect_call_budget, bisect_search
@@ -74,6 +74,8 @@ class SolverConfig:
         if self.inner == RAND and not 0.0 < self.tau < 1.0:
             # tau = 0 would make the confidence budget infinite
             raise UsageError("tau must lie in (0, 1) for the randomized inner search")
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
         if self.outer_cap < 1:
             raise UsageError("outer_cap must be at least 1")
         if self.inner_call_cap is not None and self.inner_call_cap < 1:
@@ -235,10 +237,9 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     if gamma > 0.0 and slack_n > 0:
         if rng is None:
             rng = np.random.default_rng(config.seed)
-        for _ in range(slack_n):
-            z = sample_ball(anchor, delta, rng)
-            gval, _ = reduced.value(z)
-            slack_max = max(slack_max, abs(gamma * gval))
+        for rows in sample_blocks(slack_n):
+            gvals, _ = reduced.values(sample_ball(anchor, delta, rng, size=rows))
+            slack_max = max(slack_max, float(np.max(np.abs(gamma * gvals))))
         if slack_max > slack_bound:
             raise CertificationError(
                 "sampled |gamma*g| = %.17g exceeds 3*M*delta bound %.17g: "

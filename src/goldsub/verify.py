@@ -10,12 +10,14 @@ approximate stationarity, a large one only fails to prove it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (ProblemSpec, Subproblem, Vector, _as_vector,
-                   reduce_constraints, sample_ball)
+                   _finite_grads, _finite_value, reduce_constraints,
+                   sample_ball, sample_blocks)
 from .errors import UsageError
 from .solver import GoldsteinCertificate
 
@@ -141,9 +143,10 @@ def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
                        n_samples: int, seed: int) -> HullEstimate:
     """Sampled upper bound on dist(0, Goldstein subdifferential of h_anchor).
 
-    Samples are drawn one at a time from a single generator, so the first
-    n points of a larger run coincide with a smaller run's points and the
-    estimate can only shrink as n_samples grows.
+    Samples are drawn in blocks from a single generator, and each ball
+    sample uses only its own draws, so the first n points of a larger run
+    coincide with a smaller run's points and the estimate can only shrink as
+    n_samples grows.
     """
     if n_samples < 1:
         raise UsageError("n_samples must be >= 1")
@@ -151,9 +154,11 @@ def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
     rng = np.random.default_rng(seed)
     sub = Subproblem(problem, anchor)
     grads = np.empty((n_samples, problem.dim))
-    for i in range(n_samples):
-        z = sample_ball(anchor, delta, rng)
-        grads[i], _ = sub.grad(z)
+    start = 0
+    for rows in sample_blocks(n_samples):
+        grads[start:start + rows], _ = sub.grads(
+            sample_ball(anchor, delta, rng, size=rows))
+        start += rows
     return min_norm_over_hull(grads)
 
 
@@ -182,7 +187,7 @@ def check_gcq(anchor, problem: ProblemSpec, a: float, b: float, c: float,
     anchor = _as_vector(anchor, problem.dim)
     near_active = [
         i for i, oracle in enumerate(problem.constraints, start=1)
-        if float(oracle.value(anchor)) >= -c
+        if _finite_value(oracle.value(anchor), "constraint %d value" % i) >= -c
     ]
     if not near_active:
         return GcqReport(outcome=HOLDS, near_active=[], bound=b, estimate=None)
@@ -191,10 +196,11 @@ def check_gcq(anchor, problem: ProblemSpec, a: float, b: float, c: float,
     row = 0
     for i in near_active:
         oracle = problem.constraints[i - 1]
-        for _ in range(n_samples):
-            z = sample_ball(anchor, a, rng)
-            grads[row] = np.asarray(oracle.grad(z), dtype=float)
-            row += 1
+        for rows in sample_blocks(n_samples):
+            grads[row:row + rows] = _finite_grads(
+                oracle, sample_ball(anchor, a, rng, size=rows), problem.dim,
+                "constraint %d grad" % i)
+            row += rows
     estimate = min_norm_over_hull(grads)
     outcome = VIOLATED if estimate.min_norm < b else HOLDS
     return GcqReport(outcome=outcome, near_active=near_active, bound=b,
@@ -243,6 +249,10 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     stop_at_first_failure the remaining (possibly expensive) checks are
     skipped once the headline reason is known.
     """
+    if seed < 0:
+        raise UsageError("seed must be nonnegative")
+    if slackness_samples < 0 or estimate_samples < 0:
+        raise UsageError("sample counts must be nonnegative")
     report = CertificateReport()
     m = problem.lipschitz_m
     delta = cert.delta
@@ -271,7 +281,7 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
         return report
 
     sub = Subproblem(problem, anchor)
-    worst = 0.0
+    mismatches = []
     for w in combo:
         point = _as_vector(w.point, problem.dim)
         if w.direction is None:
@@ -279,7 +289,11 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
         else:
             expected, _, _, _ = sub.dir_grad(
                 point, _as_vector(w.direction, problem.dim))
-        worst = max(worst, float(np.linalg.norm(expected - np.asarray(w.vector))))
+        mismatches.append(float(np.linalg.norm(expected - np.asarray(w.vector))))
+    # max() skips a NaN mismatch; a NaN must fail the check instead
+    worst = max(mismatches, default=0.0)
+    if any(math.isnan(d) for d in mismatches):
+        worst = math.nan
     if add("vector-recompute", worst <= VECTOR_MATCH_REL * m,
            "worst oracle mismatch %.3g (allowed %.3g)"
            % (worst, VECTOR_MATCH_REL * m)):
@@ -322,10 +336,9 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     slack_max = 0.0
     if cert.gamma > 0.0 and slackness_samples > 0:
         rng = np.random.default_rng(seed)
-        for _ in range(slackness_samples):
-            z = sample_ball(anchor, delta, rng)
-            gval, _ = reduced.value(z)
-            slack_max = max(slack_max, abs(cert.gamma * gval))
+        for rows in sample_blocks(slackness_samples):
+            gvals, _ = reduced.values(sample_ball(anchor, delta, rng, size=rows))
+            slack_max = max(slack_max, float(np.max(np.abs(cert.gamma * gvals))))
     if add("complementary-slackness", slack_max <= slack_bound,
            "max |gamma*g| = %.17g vs bound %.17g" % (slack_max, slack_bound)):
         return report

@@ -194,6 +194,23 @@ def test_verify_fast_stops_at_first_failure(solved, tmp_path, capsys):
     assert out.count("FAIL") == 1
 
 
+def test_solve_negative_seed_is_usage_error(tmp_path, capsys):
+    args = SOLVE[:-1] + ["-1", "--out-dir", str(tmp_path)]
+    assert main(args) == EXIT_USAGE
+    assert "seed" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--slack-samples", "-5"],
+                                   ["--estimate-samples", "-1"]])
+def test_verify_negative_seed_or_samples_is_usage_error(solved, flags, capsys):
+    rc = main(["verify", str(solved / "run.cert.json")] + flags)
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "certificate OK" not in out
+    assert "must be nonnegative" in err
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     assert main(["verify", "/no/such/cert.json"]) == EXIT_USAGE
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from goldsub.core import (
     min_norm_on_segment,
     reduce_constraints,
     sample_ball,
+    sample_blocks,
     segment_projection_coefficient,
 )
 from goldsub.errors import OracleError, UsageError
@@ -377,3 +379,142 @@ def test_sample_ball_zero_radius_returns_center():
     rng = np.random.default_rng(0)
     center = np.array([2.0, 3.0])
     assert np.array_equal(sample_ball(center, 0.0, rng), center)
+
+
+def test_sample_ball_batch_rows_are_uniform_in_the_ball():
+    rng = np.random.default_rng(8)
+    center = np.array([1.0, -2.0, 0.5])
+    rows = sample_ball(center, 0.7, rng, size=20_000)
+    assert rows.shape == (20_000, 3)
+    radii = np.linalg.norm(rows - center, axis=1) / 0.7
+    assert radii.max() <= 1.0 + 1e-12
+    # uniform in the ball: (|z - c| / r)^n is uniform on [0, 1]
+    scaled = radii ** 3
+    assert abs(scaled.mean() - 0.5) < 0.01
+    assert abs(float(np.mean(scaled < 0.25)) - 0.25) < 0.01
+
+
+def test_sample_ball_batch_blocks_equal_one_draw():
+    center = np.array([0.3, 0.4])
+    one = sample_ball(center, 0.2, np.random.default_rng(5), size=30)
+    rng = np.random.default_rng(5)
+    blocks = [sample_ball(center, 0.2, rng, size=k) for k in (7, 0, 16, 7)]
+    assert np.array_equal(np.concatenate(blocks), one)
+    assert np.array_equal(sample_ball(center, 0.0, np.random.default_rng(5),
+                                      size=4), np.tile(center, (4, 1)))
+
+
+def test_sample_blocks_cover_the_total(monkeypatch):
+    monkeypatch.setattr("goldsub.core.SAMPLE_BLOCK", 4)
+    assert sample_blocks(0) == []
+    assert sample_blocks(8) == [4, 4]
+    assert sample_blocks(10) == [4, 4, 2]
+
+
+# ------------------------------------------------------- batch oracles
+
+
+# the acceptance members: registry defaults plus the ten-dimensional ones
+MEMBERS = (
+    ("ball-linear", {}),
+    ("l1-ball", {}),
+    ("footnote-1d", {}),
+    ("footnote-2c", {}),
+    ("pl-nonconvex", {}),
+    ("ball-linear", {"dim": 10}),
+    ("pl-nonconvex", {"dim": 10}),
+)
+
+
+def branch_code(branch: Branch) -> int:
+    return 0 if branch.is_objective else branch.index
+
+
+@pytest.mark.parametrize("name, params", MEMBERS)
+def test_batch_oracles_agree_with_pointwise(name, params):
+    record = get_problem(name, **params)
+    prob = record.spec
+    rng = np.random.default_rng(17)
+    z = np.array([record.domain_sampler(rng) for _ in range(3000)])
+    # kinks and exact ties: the origin, and -e1/2, +-e1 (an objective /
+    # constraint tie on ball-linear, a constraint tie on footnote-2c)
+    e1 = np.eye(prob.dim)[0]
+    z = np.vstack([np.zeros(prob.dim), -0.5 * e1, e1, -e1, z])
+    tol = 1e-12 * prob.lipschitz_m
+    reduced = reduce_constraints(prob)
+    sub = Subproblem(prob, record.start)
+    point_g = [reduced.grad(row) for row in z]
+    point_h = [sub.grad(row) for row in z]
+
+    g_vals, g_vecs, g_idx = reduced.grads(z)
+    assert np.max(np.abs(g_vals - [p[0] for p in point_g])) <= tol
+    assert np.max(np.abs(g_vecs - [p[1] for p in point_g])) <= tol
+    assert g_idx.tolist() == [p[2] for p in point_g]
+    vals, idx = reduced.values(z)
+    assert np.array_equal(vals, g_vals) and np.array_equal(idx, g_idx)
+
+    h_vecs, codes = sub.grads(z)
+    assert np.max(np.abs(h_vecs - [p[0] for p in point_h])) <= tol
+    assert codes.tolist() == [branch_code(p[1]) for p in point_h]
+    h_vals = sub.values(z)
+    assert np.max(np.abs(h_vals - [sub.value(row) for row in z])) <= tol
+    assert (sub.subgrad_calls, sub.value_calls) == (2 * len(z), 1 + 2 * len(z))
+
+
+def pointwise_only(prob: ProblemSpec) -> ProblemSpec:
+    def strip(oracle):
+        return dataclasses.replace(oracle, values=None, grads=None)
+    return dataclasses.replace(prob, objective=strip(prob.objective),
+                               constraints=tuple(strip(c) for c in prob.constraints))
+
+
+@pytest.mark.parametrize("name", ["footnote-2c", "pl-nonconvex"])
+def test_batch_fallback_loops_over_pointwise_oracles(name):
+    record = get_problem(name)
+    prob = pointwise_only(record.spec)
+    rng = np.random.default_rng(3)
+    z = np.array([record.domain_sampler(rng) for _ in range(500)])
+    reduced = reduce_constraints(prob)
+    vals, vecs, idx = reduced.grads(z)
+    loop = [reduced.grad(row) for row in z]
+    assert np.array_equal(vals, [p[0] for p in loop])
+    assert np.array_equal(vecs, [p[1] for p in loop])
+    assert idx.tolist() == [p[2] for p in loop]
+    sub = Subproblem(prob, record.start)
+    h_vecs, codes = sub.grads(z)
+    loop = [sub.grad(row) for row in z]
+    assert np.array_equal(h_vecs, [p[0] for p in loop])
+    assert codes.tolist() == [branch_code(p[1]) for p in loop]
+    assert np.array_equal(sub.values(z), [sub.value(row) for row in z])
+
+
+def test_batch_on_empty_and_malformed_point_arrays():
+    record = get_problem("ball-linear")
+    sub = Subproblem(record.spec, record.start)
+    vecs, codes = sub.grads(np.empty((0, 2)))
+    assert vecs.shape == (0, 2) and codes.shape == (0,)
+    for bad in (np.zeros(2), np.zeros((3, 3)), np.full((2, 2), np.nan)):
+        with pytest.raises(UsageError):
+            sub.grads(bad)
+
+
+@pytest.mark.parametrize("field, broken", [
+    ("values", lambda z: np.zeros((len(z), 1))),
+    ("values", lambda z: np.full(len(z), np.nan)),
+    ("grads", lambda z: np.zeros((len(z), 3))),
+    ("grads", lambda z: np.full((len(z), 2), np.inf)),
+])
+@pytest.mark.parametrize("side", ["objective", "constraint"])
+def test_malformed_batch_oracle_output_raises_oracle_error(field, broken, side):
+    prob = get_problem("ball-linear").spec
+    if side == "objective":
+        prob = dataclasses.replace(prob, objective=dataclasses.replace(
+            prob.objective, **{field: broken}))
+    else:
+        prob = dataclasses.replace(prob, constraints=(dataclasses.replace(
+            prob.constraints[0], **{field: broken}),))
+    # the first point takes the objective branch, the second the constraint
+    sub = Subproblem(prob, np.array([0.9, 0.0]))
+    z = np.array([[0.95, 0.0], [-0.9, 0.0]])
+    with pytest.raises(OracleError):
+        sub.grads(z)

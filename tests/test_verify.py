@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldsub.core import Oracle, ProblemSpec
-from goldsub.errors import UsageError
+from goldsub.core import (Oracle, ProblemSpec, Subproblem, reduce_constraints,
+                          sample_ball)
+from goldsub.errors import OracleError, UsageError
 from goldsub.problems import constant_constraint, get_problem
-from goldsub.solver import SolverConfig, solve
+from goldsub.solver import SolverConfig, certify, solve
 from goldsub.verify import (
     CHECK_ORDER,
     CORRUPT_CHECKS,
@@ -168,6 +169,27 @@ def test_gcq_rejects_nonpositive_parameters():
         check_gcq(np.zeros(2), BALL.spec, 0.0, 0.9, 0.2)
 
 
+def one_constraint(value, grad) -> ProblemSpec:
+    f = Oracle(value=lambda x: 0.0, grad=lambda x: np.zeros(1))
+    return ProblemSpec(dim=1, objective=f,
+                       constraints=(Oracle(value=value, grad=grad),),
+                       lipschitz_m=1.0, neighborhood_delta=1.0)
+
+
+def test_gcq_rejects_non_finite_anchor_value():
+    prob = one_constraint(lambda x: float("nan"), lambda x: np.ones(1))
+    with pytest.raises(OracleError):
+        check_gcq(np.zeros(1), prob, 0.1, 0.5, 0.5, n_samples=10)
+
+
+@pytest.mark.parametrize("grad", [lambda x: np.ones(2),
+                                  lambda x: np.array([np.nan])])
+def test_gcq_rejects_malformed_gradients(grad):
+    prob = one_constraint(lambda x: float(x[0]), grad)
+    with pytest.raises(OracleError):
+        check_gcq(np.zeros(1), prob, 0.1, 0.5, 0.5, n_samples=10)
+
+
 # ------------------------------------------------------------ certificates
 
 
@@ -262,6 +284,56 @@ def test_multiplier_fault_is_rejected():
                                estimate_samples=10)
     assert not report.passed
     assert report.reason == "multiplier-split"
+
+
+def test_nan_vector_fails_the_recompute_check():
+    record, cert = fresh_cert(seed=3)
+    bad = copy.deepcopy(cert)
+    bad.combination[0].vector[:] = np.nan
+    report = check_certificate(bad, record.spec, slackness_samples=10,
+                               estimate_samples=10)
+    assert report.reason == "vector-recompute"
+    assert report.corrupt
+    assert "nan" in report.checks[CHECK_ORDER.index("vector-recompute")].detail
+
+
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"slackness_samples": -5},
+                                    {"estimate_samples": -1}])
+def test_negative_seed_or_sample_count_is_usage_error(kwargs):
+    record, cert = fresh_cert(seed=0)
+    with pytest.raises(UsageError):
+        check_certificate(cert, record.spec, **kwargs)
+
+
+def slack_prefix_max(cert, spec, rng, n):
+    """max |gamma * g| over the first n rows of one large ball draw."""
+    rows = sample_ball(cert.anchor, cert.delta, rng, size=3 * n)
+    gvals, _ = reduce_constraints(spec).values(rows[:n])
+    return float(np.max(np.abs(cert.gamma * gvals)))
+
+
+def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
+    # small blocks, so both loops draw their samples in several of them
+    monkeypatch.setattr("goldsub.core.SAMPLE_BLOCK", 7)
+    record, cert = fresh_cert(seed=0)
+    assert cert.gamma > 0.0
+    report = check_certificate(cert, record.spec, slackness_samples=100,
+                               estimate_samples=10, seed=4)
+    detail = report.checks[CHECK_ORDER.index("complementary-slackness")].detail
+    measured = float(detail.split()[3])
+    assert measured == slack_prefix_max(cert, record.spec,
+                                        np.random.default_rng(4), 100)
+
+    config = SolverConfig(delta=0.05, target_eps=0.05, slackness_samples=100)
+    again = certify(cert.anchor, cert.combination, record.spec, config,
+                    zeta=cert.zeta, rng=np.random.default_rng(9))
+    assert again.slack_max == slack_prefix_max(cert, record.spec,
+                                               np.random.default_rng(9), 100)
+
+    est = goldstein_estimate(cert.anchor, record.spec, cert.delta, 50, seed=2)
+    rows = sample_ball(cert.anchor, cert.delta, np.random.default_rng(2), size=150)
+    grads, _ = Subproblem(record.spec, cert.anchor).grads(rows[:50])
+    assert np.array_equal(est.points, grads)
 
 
 def test_stop_at_first_failure_skips_the_rest():
