@@ -10,10 +10,9 @@ ball subgradients, certifying approximate stationarity, or a descent step
 that provably lowers f while keeping the iterate strictly feasible.
 """
 
-from .core import (OBJECTIVE, Branch, Oracle, OracleMode, ProblemSpec,
-                   Subproblem, Vector, WeightedSubgradient, eval_h,
-                   h_subgradient, min_norm_on_segment, reduce_constraints,
-                   sample_ball, segment_projection_coefficient)
+from .core import (OBJECTIVE, Branch, Oracle, ProblemSpec, ReducedConstraint,
+                   Subproblem, Vector, WeightedSubgradient, sample_ball,
+                   segment_projection_coefficient)
 from .errors import (BudgetExceededError, CertificationError, GoldsubError,
                      InfeasibleStartError, ModulusError, OracleError,
                      UsageError)
@@ -27,19 +26,18 @@ from .problems import (ProblemRecord, ball_linear_sigma, constant_constraint,
 from .serialize import (certificate_data, certificate_from_data,
                         config_from_data, dumps, manifest_data, read_json,
                         trace_data, trace_from_data, write_json)
-from .solver import (BISECT, RAND, GoldsteinCertificate, SolveTrace,
-                     SolverConfig, certify, extract_multiplier, solve)
+from .solver import (BISECT, RAND, SolveTrace, SolverConfig, certify,
+                     extract_multiplier, solve)
 from .verify import (CHECK_ORDER, CORRUPT_CHECKS, HOLDS, VIOLATED,
-                     CertificateReport, CheckResult, GcqReport, HullEstimate,
-                     check_certificate, check_gcq, goldstein_estimate,
-                     min_norm_over_hull)
+                     CertificateReport, CheckResult, GcqReport,
+                     GoldsteinCertificate, HullEstimate, check_certificate,
+                     check_gcq, goldstein_estimate, min_norm_over_hull)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "OBJECTIVE", "Branch", "Oracle", "OracleMode", "ProblemSpec", "Subproblem",
-    "Vector", "WeightedSubgradient", "eval_h", "h_subgradient",
-    "min_norm_on_segment", "reduce_constraints", "sample_ball",
+    "OBJECTIVE", "Branch", "Oracle", "ProblemSpec", "ReducedConstraint",
+    "Subproblem", "Vector", "WeightedSubgradient", "sample_ball",
     "segment_projection_coefficient",
     "BudgetExceededError", "CertificationError", "GoldsubError",
     "InfeasibleStartError", "ModulusError", "OracleError", "UsageError",
@@ -51,10 +49,11 @@ __all__ = [
     "list_problems",
     "certificate_data", "certificate_from_data", "config_from_data", "dumps",
     "manifest_data", "read_json", "trace_data", "trace_from_data", "write_json",
-    "BISECT", "RAND", "GoldsteinCertificate", "SolveTrace", "SolverConfig",
-    "certify", "extract_multiplier", "solve",
+    "BISECT", "RAND", "SolveTrace", "SolverConfig", "certify",
+    "extract_multiplier", "solve",
     "CHECK_ORDER", "CORRUPT_CHECKS", "HOLDS", "VIOLATED", "CertificateReport",
-    "CheckResult", "GcqReport", "HullEstimate", "check_certificate",
+    "CheckResult", "GcqReport", "GoldsteinCertificate", "HullEstimate",
+    "check_certificate",
     "check_gcq", "goldstein_estimate", "min_norm_over_hull",
     "__version__",
 ]

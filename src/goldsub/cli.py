@@ -28,12 +28,10 @@ import numpy as np
 from . import __version__
 from .errors import (BudgetExceededError, GoldsubError, InfeasibleStartError,
                      ModulusError, OracleError, UsageError)
-from .inner_bisect import bisect_call_budget
-from .inner_rand import rand_call_budget
 from .problems import get_problem, list_problems
 from .serialize import (certificate_data, certificate_from_data,
                         config_from_data, manifest_data, read_json,
-                        trace_data, write_json)
+                        trace_data, write_json, write_text)
 from .solver import BISECT, RAND, solve
 from .verify import check_certificate
 
@@ -51,15 +49,18 @@ def _out_dir(arg: str | None) -> str:
     return arg or os.environ.get("GOLDSUB_OUT_DIR") or "."
 
 
-def _parse_param(text: str):
-    key, sep, raw = text.partition("=")
-    if not sep:
-        raise UsageError("--param expects KEY=VALUE, got %r" % text)
-    try:
-        value = json.loads(raw)
-    except json.JSONDecodeError:
-        value = raw
-    return key, value
+def _parse_params(texts) -> dict:
+    """--param KEY=VALUE pairs; a value is JSON where it parses as JSON."""
+    params = {}
+    for text in texts or ():
+        key, sep, raw = text.partition("=")
+        if not sep:
+            raise UsageError("--param expects KEY=VALUE, got %r" % text)
+        try:
+            params[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            params[key] = raw
+    return params
 
 
 def _parse_x0(text: str) -> list[float]:
@@ -69,34 +70,23 @@ def _parse_x0(text: str) -> list[float]:
         raise UsageError("--x0 expects comma-separated reals, got %r" % text) from None
 
 
-def _load_json(path: str):
-    try:
-        return read_json(path)
-    except FileNotFoundError:
-        raise UsageError("no such file: %s" % path) from None
-    except json.JSONDecodeError as exc:
-        raise UsageError("%s does not parse as JSON: %s" % (path, exc)) from None
-
-
 def _problem_from_spec(entry) -> tuple[str, dict]:
     if isinstance(entry, str):
         return entry, {}
-    if isinstance(entry, dict) and "name" in entry:
+    if isinstance(entry, dict) and "name" in entry \
+            and isinstance(entry.get("params", {}), dict):
         return str(entry["name"]), dict(entry.get("params", {}))
     raise UsageError("problem entries must be a name or {name, params}")
 
 
 def _resolve_solve_inputs(args):
-    file_data = _load_json(args.config) if args.config else {}
+    file_data = read_json(args.config) if args.config else {}
     name, params = None, {}
     if "problem" in file_data:
         name, params = _problem_from_spec(file_data["problem"])
     if args.problem:
         name = args.problem
-    if args.param:
-        for text in args.param:
-            key, value = _parse_param(text)
-            params[key] = value
+    params.update(_parse_params(args.param))
     if name is None:
         raise UsageError("no problem given; use --problem or a config file "
                          "(registered: %s)" % ", ".join(list_problems()))
@@ -145,8 +135,7 @@ def cmd_solve(args) -> int:
             write_json(path, trace_data(partial["trace"], manifest))
             print("budget exhausted; partial trace written to %s" % path,
                   file=sys.stderr)
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_BUDGET
+        raise
 
     cert_path = os.path.join(out, tag + ".cert.json")
     trace_path = os.path.join(out, tag + ".trace.json")
@@ -173,14 +162,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    data = _load_json(args.certificate)
+    data = read_json(args.certificate)
     cert, manifest = certificate_from_data(data)
     if args.problem:
-        name, params = args.problem, {}
-        if args.param:
-            for text in args.param:
-                key, value = _parse_param(text)
-                params[key] = value
+        name, params = args.problem, _parse_params(args.param)
     elif manifest and "problem" in manifest:
         name, params = _problem_from_spec(manifest["problem"])
     else:
@@ -203,28 +188,8 @@ def cmd_verify(args) -> int:
     return EXIT_CORRUPT if report.corrupt else EXIT_VERIFY_FAILED
 
 
-def _bench_budget(trace, spec):
-    """Per-invocation inner budget for a finished cell, None when unknown."""
-    if trace.inner == RAND:
-        if trace.tau_prime is None:
-            return None
-        return rand_call_budget(spec.lipschitz_m, trace.eps_effective,
-                                trace.tau_prime)
-    if spec.nonconvexity_f is None or spec.nonconvexity_g is None:
-        return None
-    return bisect_call_budget(spec.lipschitz_m, trace.eps_effective,
-                              spec.nonconvexity_f + spec.nonconvexity_g)
-
-
-def _write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, path)
-
-
 def cmd_bench(args) -> int:
-    suite = _load_json(args.suite)
+    suite = read_json(args.suite)
     problems = suite.get("problems")
     if not problems:
         raise UsageError("suite needs a nonempty 'problems' list")
@@ -268,7 +233,7 @@ def cmd_bench(args) -> int:
                         row.update(status=type(err).__name__, error=str(err))
                         rows.append(row)
                         continue
-                    budget = _bench_budget(trace, record.spec)
+                    budget = trace.inner_budget
                     max_inner = max(r["inner_oracle_calls"] for r in trace.records)
                     row.update(
                         status="ok",
@@ -290,8 +255,8 @@ def cmd_bench(args) -> int:
                     lines += ["%d,%.17g,%.17g,%.17g"
                               % (r["k"], r["f"], r["g"], r["zeta_norm"])
                               for r in trace.records]
-                    _write_text(os.path.join(series_dir, cell_id + ".csv"),
-                                "\n".join(lines) + "\n")
+                    write_text(os.path.join(series_dir, cell_id + ".csv"),
+                               "\n".join(lines) + "\n")
 
     write_json(os.path.join(out, "bench-summary.json"),
                {"schema": "goldsub.bench/1", "rows": rows})
@@ -370,26 +335,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exit code of each error reported without a traceback, subclasses first
+_EXIT_CODES = ((InfeasibleStartError, EXIT_INFEASIBLE), (ModulusError, EXIT_MODULUS),
+               (BudgetExceededError, EXIT_BUDGET), (OracleError, EXIT_ORACLE),
+               (UsageError, EXIT_USAGE))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleStartError as err:
+    except tuple(cls for cls, _ in _EXIT_CODES) as err:
         print("error: %s" % err, file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ModulusError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_MODULUS
-    except BudgetExceededError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_BUDGET
-    except OracleError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_ORACLE
-    except UsageError as err:
-        print("error: %s" % err, file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for cls, code in _EXIT_CODES if isinstance(err, cls))
 
 
 if __name__ == "__main__":

@@ -24,8 +24,7 @@ methods of ReducedConstraint and Subproblem accept every oracle.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -33,13 +32,6 @@ import numpy as np
 from .errors import OracleError, UsageError
 
 Vector = np.ndarray
-
-
-class OracleMode(enum.Enum):
-    """Which first-order information a subgradient query uses."""
-
-    AE_GRADIENT = "almost-everywhere-gradient"
-    DIRECTIONAL = "directional-subgradient"
 
 
 @dataclass(frozen=True)
@@ -143,13 +135,15 @@ class WeightedSubgradient:
     direction: Vector | None = None
 
 
-def _as_vector(x, dim: int | None = None) -> Vector:
+def _as_vector(x, dim: int, finite: bool = True) -> Vector:
+    """x as a 1-D array of length dim; finite=False admits NaN/inf entries,
+    as in stored vectors that the verifier compares rather than evaluates."""
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise UsageError("expected a 1-D point, got shape %r" % (v.shape,))
-    if dim is not None and v.size != dim:
+    if v.size != dim:
         raise UsageError("expected dimension %d, got %d" % (dim, v.size))
-    if not np.all(np.isfinite(v)):
+    if finite and not np.isfinite(v).all():
         raise UsageError("non-finite entries in input point")
     return v
 
@@ -288,11 +282,6 @@ class ReducedConstraint:
         return top, best[0], best[1], best[2]
 
 
-def reduce_constraints(problem: ProblemSpec) -> ReducedConstraint:
-    """Collapse the constraint list into the single max-form constraint."""
-    return ReducedConstraint(problem)
-
-
 class Subproblem:
     """Anchored subproblem h_x with joint-evaluation call accounting.
 
@@ -408,30 +397,6 @@ class Subproblem:
         return g_vec, Branch.constraint(idx), gz, g_dd
 
 
-def eval_h(anchor: Vector, z: Vector, problem: ProblemSpec) -> float:
-    """Evaluate the anchored subproblem h_anchor(z) = max{f(z) - f(anchor), g(z)}."""
-    sub = Subproblem(problem, anchor)
-    return sub.value(_as_vector(z, problem.dim))
-
-
-def h_subgradient(anchor: Vector, z: Vector, problem: ProblemSpec,
-                  mode: OracleMode = OracleMode.AE_GRADIENT,
-                  direction: Vector | None = None) -> tuple[Vector, Branch]:
-    """Subgradient of h_anchor at z with the branch that produced it.
-
-    In directional mode ``direction`` is required and the returned vector F
-    satisfies <F, direction> equal to the directional derivative of h.
-    """
-    sub = Subproblem(problem, anchor)
-    z = _as_vector(z, problem.dim)
-    if mode is OracleMode.AE_GRADIENT:
-        return sub.grad(z)
-    if direction is None:
-        raise UsageError("directional mode requires a direction")
-    vec, branch, _, _ = sub.dir_grad(z, _as_vector(direction, problem.dim))
-    return vec, branch
-
-
 def segment_projection_coefficient(a: Vector, b: Vector) -> float:
     """t* in [0, 1] minimizing ||(1 - t) a + t b|| (projection of 0 on [a, b])."""
     d = a - b
@@ -439,16 +404,6 @@ def segment_projection_coefficient(a: Vector, b: Vector) -> float:
     if denom == 0.0:
         return 0.0
     return min(1.0, max(0.0, float(a @ d) / denom))
-
-
-def min_norm_on_segment(a: Vector, b: Vector) -> Vector:
-    """Minimal-norm point of the segment [a, b]."""
-    a = _as_vector(a)
-    b = _as_vector(b)
-    if a.size != b.size:
-        raise UsageError("endpoints must share a dimension")
-    t = segment_projection_coefficient(a, b)
-    return (1.0 - t) * a + t * b
 
 
 # rows per batch draw in the sampling loops; bounds their working memory

@@ -11,6 +11,10 @@ subgradient there shrinks ||zeta|| via the usual segment projection.
 Requires directional oracles (<F(x, v), v> equal to the one-sided directional
 derivative) and, for the call budget to be checkable, finite nonconvexity
 moduli.
+
+The round loop is ``inner_rand._search``; this module supplies the opening
+directional subgradient along ``v0``, the descent test
+h(anchor) - h(trial) >= delta * eps / 3, and the ray bisection.
 """
 
 from __future__ import annotations
@@ -20,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ProblemSpec, Subproblem, Vector, _as_vector,
-                   segment_projection_coefficient)
-from .errors import BudgetExceededError, ModulusError, UsageError
-from .inner_rand import DESCENT, STATIONARY, InnerResult, _Combination
+from .core import ProblemSpec, Subproblem, Vector, _as_vector
+from .errors import ModulusError, UsageError
+from .inner_rand import InnerResult, _search
 
 # descent fraction certified by the deterministic search: h drops by at
 # least delta * eps / 3 on every returned step
@@ -131,76 +134,28 @@ def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float
     previous step direction; the default is the first basis vector).  The
     routine is seed-free: equal inputs give bit-identical results.
     """
-    if not (delta > 0 and eps > 0):
-        raise UsageError("delta and eps must be positive")
-    anchor = _as_vector(anchor, problem.dim)
-    sub = Subproblem(problem, anchor, anchor_values)
-    if sub.g_anchor > 0.0:
-        raise UsageError("infeasible anchor: g(anchor) = %g > 0" % sub.g_anchor)
-    if v0 is None:
-        v0 = np.zeros(problem.dim)
-        v0[0] = 1.0
-    else:
-        v0 = _as_vector(v0, problem.dim)
-        norm0 = float(np.linalg.norm(v0))
-        if norm0 == 0.0:
-            raise UsageError("v0 must be nonzero")
-        v0 = v0 / norm0
+    def first(sub):
+        if v0 is None:
+            v = np.zeros(problem.dim)
+            v[0] = 1.0
+        else:
+            v = _as_vector(v0, problem.dim)
+            norm0 = float(np.linalg.norm(v))
+            if norm0 == 0.0:
+                raise UsageError("v0 must be nonzero")
+            v = v / norm0
+        vec, branch, _, _ = sub.dir_grad(sub.anchor, v)
+        return sub.anchor, vec, branch, v
 
-    zeta, branch, _, _ = sub.dir_grad(anchor, v0)
-    combo = _Combination(anchor, zeta, branch, direction=v0)
-    iterations = 0
-    ties_total = 0
-    trajectory: list[dict] = []
-
-    def snapshot():
-        resid = float(np.linalg.norm(combo.recombine() - zeta))
-        weights = combo.weights()
-        trajectory.append({
-            "zeta_norm": float(np.linalg.norm(zeta)),
-            "recombine_residual": resid,
-            "weight_sum": float(sum(weights)),
-            "min_weight": float(min(weights)),
-        })
-
-    if collect_trajectory:
-        snapshot()
-
-    third = delta * eps / 3.0
-    while True:
-        norm = float(np.linalg.norm(zeta))
-        if norm <= eps:
-            return InnerResult(STATIONARY, zeta, combo.export(),
-                               sub.subgrad_calls, sub.value_calls, iterations,
-                               probe_ties=ties_total, trajectory=trajectory)
-        direction = zeta / norm
-        trial = anchor - delta * direction
-        h_trial, f_trial, g_trial = sub.value_full(trial)
-        descent = sub.h_anchor - h_trial
-        if descent >= third:
-            return InnerResult(DESCENT, zeta, combo.export(),
-                               sub.subgrad_calls, sub.value_calls, iterations,
-                               descent_amount=descent, descent_point=trial,
-                               descent_f=f_trial, descent_g=g_trial,
-                               probe_ties=ties_total, trajectory=trajectory)
-        if sub.subgrad_calls >= call_cap:
-            raise BudgetExceededError(
-                "inner call cap %d exhausted at ||zeta|| = %.3g" % (call_cap, norm),
-                partial={"zeta": zeta, "combination": combo.export(),
-                         "oracle_calls": sub.subgrad_calls,
-                         "value_calls": sub.value_calls,
-                         "iterations": iterations})
-
-        ray = RayRestriction(anchor=anchor, direction=direction,
+    def step(sub, zeta, norm, direction, h_trial):
+        ray = RayRestriction(anchor=sub.anchor, direction=direction,
                              delta=delta, eps=eps)
         l_far = h_trial  # l(0) = h(trial) - eps*0/2
         l_anchor = sub.h_anchor - eps * delta / 2.0
         r, vec, branch, _, _, ties = bisect_negative_slope(
             ray, sub, l_far, l_anchor, max_steps=max_steps)
-        ties_total += ties
-        t = segment_projection_coefficient(zeta, vec)
-        zeta = (1.0 - t) * zeta + t * vec
-        combo.segment_update(t, ray.point_at(r), vec, branch, direction=direction)
-        iterations += 1
-        if collect_trajectory:
-            snapshot()
+        return (ray.point_at(r), vec, branch, direction), ties
+
+    return _search(anchor, problem, delta, eps, call_cap, anchor_values,
+                   collect_trajectory, first,
+                   lambda descent, norm: descent >= delta * eps / 3.0, step)

@@ -6,7 +6,11 @@ taken at points of B(x, delta).  Each round either certifies descent
 (h drops by more than delta * ||zeta|| / 4 along -zeta) or shrinks ||zeta||
 by projecting 0 onto the segment between zeta and a fresh subgradient sampled
 on the would-be descent ray.  It stops when ||zeta|| <= eps (Stationary) or
-when the descent test fails, i.e. succeeds as a step (Descent).
+when the descent test succeeds as a step (Descent).
+
+The round loop itself, ``_search``, is shared with ``inner_bisect``: the two
+searches differ only in the opening subgradient, the descent test and how
+the next subgradient is found.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import numpy as np
 from .core import (ProblemSpec, Subproblem, Vector, WeightedSubgradient,
                    _as_vector, sample_ball, segment_projection_coefficient)
 from .errors import BudgetExceededError, UsageError
+from .verify import recombine
 
 DESCENT = "descent"
 STATIONARY = "stationary"
@@ -65,57 +70,40 @@ class InnerResult:
 class _Combination:
     """Convex combination bookkeeping.
 
-    A segment update with coefficient t rescales every existing weight by
-    (1 - t) and appends the new term with weight t, so the weights stay on
-    the simplex by construction.  The common (1 - t) products are kept in a
-    single ``scale`` factor instead of touching every entry per round; the
-    effective weight of entry i is ``raw[i] * scale``.  Zero-weight terms are
-    dropped at export.
+    Each term is (point, vector, branch, direction).  A segment update with
+    coefficient t rescales every existing weight by (1 - t) and appends the
+    new term with weight t, so the weights stay on the simplex by
+    construction.  The common (1 - t) products are kept in a single
+    ``scale`` factor instead of touching every entry per round; the
+    effective weight of entry i is ``raw[i] * scale``.  Zero-weight terms
+    are dropped at export.
     """
 
-    def __init__(self, point, vector, branch, direction=None):
-        self.points = [point]
-        self.vectors = [vector]
-        self.branches = [branch]
-        self.directions = [direction]
+    def __init__(self, term):
+        self.terms = [term]
         self.raw = [1.0]
         self.scale = 1.0
 
-    def segment_update(self, t: float, point, vector, branch, direction=None):
+    def segment_update(self, t: float, term):
         if t == 1.0:
             # every previous weight becomes exactly 0
-            self.points, self.vectors = [point], [vector]
-            self.branches, self.directions = [branch], [direction]
-            self.raw, self.scale = [1.0], 1.0
+            self.terms, self.raw, self.scale = [term], [1.0], 1.0
             return
         self.scale *= 1.0 - t
         if self.scale < 1e-250:  # fold before the shared factor underflows
             self.raw = [r * self.scale for r in self.raw]
             self.scale = 1.0
-        self.points.append(point)
-        self.vectors.append(vector)
-        self.branches.append(branch)
-        self.directions.append(direction)
+        self.terms.append(term)
         self.raw.append(t / self.scale)
 
     def weights(self) -> list[float]:
         return [r * self.scale for r in self.raw]
 
     def export(self) -> list[WeightedSubgradient]:
-        out = []
-        for p, v, b, d, w in zip(self.points, self.vectors, self.branches,
-                                 self.directions, self.weights()):
-            if w != 0.0:
-                out.append(WeightedSubgradient(point=p, vector=v, branch=b,
-                                               weight=w, direction=d))
-        return out
-
-    def recombine(self) -> Vector:
-        acc = np.zeros_like(self.vectors[0])
-        for w, v in zip(self.weights(), self.vectors):
-            if w != 0.0:
-                acc = acc + w * v
-        return acc
+        return [WeightedSubgradient(point=p, vector=v, branch=b, weight=w,
+                                    direction=d)
+                for (p, v, b, d), w in zip(self.terms, self.weights())
+                if w != 0.0]
 
 
 def rand_call_budget(m_lipschitz: float, eps: float, tau: float) -> int:
@@ -123,6 +111,75 @@ def rand_call_budget(m_lipschitz: float, eps: float, tau: float) -> int:
     if not 0.0 < tau < 1.0:
         raise UsageError("tau must lie in (0, 1)")
     return math.ceil(64.0 * m_lipschitz ** 2 / eps ** 2) * math.ceil(2.0 * math.log(1.0 / tau))
+
+
+def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
+            call_cap: int, anchor_values: tuple[float, float] | None,
+            collect_trajectory: bool, first, descends, step) -> InnerResult:
+    """The round loop of both searches.  A term is the (point, vector,
+    branch, direction) of one subgradient; first(sub) gives the opening term,
+    descends(descent, norm) tests a trial step, and step(sub, zeta, norm,
+    direction, h_trial) gives (term, probe ties) after a rejected one."""
+    if not (delta > 0 and eps > 0):
+        raise UsageError("delta and eps must be positive")
+    anchor = _as_vector(anchor, problem.dim)
+    sub = Subproblem(problem, anchor, anchor_values)
+    if sub.g_anchor > 0.0:
+        raise UsageError("infeasible anchor: g(anchor) = %g > 0" % sub.g_anchor)
+
+    term = first(sub)
+    zeta = term[1]
+    combo = _Combination(term)
+    iterations = 0
+    ties_total = 0
+    trajectory: list[dict] = []
+
+    def snapshot():
+        resid = float(np.linalg.norm(recombine(combo.export(), zeta.size) - zeta))
+        weights = combo.weights()
+        trajectory.append({
+            "zeta_norm": float(np.linalg.norm(zeta)),
+            "recombine_residual": resid,
+            "weight_sum": float(sum(weights)),
+            "min_weight": float(min(weights)),
+        })
+
+    if collect_trajectory:
+        snapshot()
+
+    while True:
+        norm = float(np.linalg.norm(zeta))
+        if norm <= eps:
+            return InnerResult(STATIONARY, zeta, combo.export(),
+                               sub.subgrad_calls, sub.value_calls, iterations,
+                               probe_ties=ties_total, trajectory=trajectory)
+        direction = zeta / norm
+        trial = anchor - delta * direction
+        h_trial, f_trial, g_trial = sub.value_full(trial)
+        descent = sub.h_anchor - h_trial
+        if descends(descent, norm):
+            return InnerResult(DESCENT, zeta, combo.export(),
+                               sub.subgrad_calls, sub.value_calls, iterations,
+                               descent_amount=descent, descent_point=trial,
+                               descent_f=f_trial, descent_g=g_trial,
+                               probe_ties=ties_total, trajectory=trajectory)
+        if sub.subgrad_calls >= call_cap:
+            raise BudgetExceededError(
+                "inner call cap %d exhausted at ||zeta|| = %.3g" % (call_cap, norm),
+                partial={"zeta": zeta, "combination": combo.export(),
+                         "oracle_calls": sub.subgrad_calls,
+                         "value_calls": sub.value_calls,
+                         "iterations": iterations})
+
+        term, ties = step(sub, zeta, norm, direction, h_trial)
+        ties_total += ties
+        vec = term[1]
+        t = segment_projection_coefficient(zeta, vec)
+        zeta = (1.0 - t) * zeta + t * vec
+        combo.segment_update(t, term)
+        iterations += 1
+        if collect_trajectory:
+            snapshot()
 
 
 def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
@@ -145,57 +202,13 @@ def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
     collect_trajectory : record per-round diagnostics (norms, residuals) for
         invariant tests.
     """
-    if not (delta > 0 and eps > 0):
-        raise UsageError("delta and eps must be positive")
-    anchor = _as_vector(anchor, problem.dim)
-    sub = Subproblem(problem, anchor, anchor_values)
-    if sub.g_anchor > 0.0:
-        raise UsageError("infeasible anchor: g(anchor) = %g > 0" % sub.g_anchor)
     m = problem.lipschitz_m
 
-    y0 = sample_ball(anchor, delta, rng)
-    zeta, branch = sub.grad(y0)
-    combo = _Combination(y0, zeta, branch)
-    iterations = 0
-    trajectory: list[dict] = []
+    def first(sub):
+        y0 = sample_ball(sub.anchor, delta, rng)
+        return (y0, *sub.grad(y0), None)
 
-    def snapshot():
-        resid = float(np.linalg.norm(combo.recombine() - zeta))
-        weights = combo.weights()
-        trajectory.append({
-            "zeta_norm": float(np.linalg.norm(zeta)),
-            "recombine_residual": resid,
-            "weight_sum": float(sum(weights)),
-            "min_weight": float(min(weights)),
-        })
-
-    if collect_trajectory:
-        snapshot()
-
-    while True:
-        norm = float(np.linalg.norm(zeta))
-        if norm <= eps:
-            return InnerResult(STATIONARY, zeta, combo.export(),
-                               sub.subgrad_calls, sub.value_calls, iterations,
-                               trajectory=trajectory)
-        direction = zeta / norm
-        trial = anchor - delta * direction
-        h_trial, f_trial, g_trial = sub.value_full(trial)
-        descent = sub.h_anchor - h_trial
-        if descent > delta * norm / 4.0:
-            return InnerResult(DESCENT, zeta, combo.export(),
-                               sub.subgrad_calls, sub.value_calls, iterations,
-                               descent_amount=descent, descent_point=trial,
-                               descent_f=f_trial, descent_g=g_trial,
-                               trajectory=trajectory)
-        if sub.subgrad_calls >= call_cap:
-            raise BudgetExceededError(
-                "inner call cap %d exhausted at ||zeta|| = %.3g" % (call_cap, norm),
-                partial={"zeta": zeta, "combination": combo.export(),
-                         "oracle_calls": sub.subgrad_calls,
-                         "value_calls": sub.value_calls,
-                         "iterations": iterations})
-
+    def step(sub, zeta, norm, direction, h_trial):
         # perturb the descent direction inside a gradient-space ball whose
         # radius keeps the sampled ray aligned with zeta; half the admissible
         # upper bound
@@ -203,11 +216,9 @@ def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         r = 0.5 * norm * math.sqrt(max(0.0, 1.0 - (1.0 - u) ** 2))
         y = sample_ball(zeta, r, rng)
         y_norm = float(np.linalg.norm(y))
-        s = anchor - (delta * rng.random() / y_norm) * y
-        vec, branch = sub.grad(s)
-        t = segment_projection_coefficient(zeta, vec)
-        zeta = (1.0 - t) * zeta + t * vec
-        combo.segment_update(t, s, vec, branch)
-        iterations += 1
-        if collect_trajectory:
-            snapshot()
+        s = sub.anchor - (delta * rng.random() / y_norm) * y
+        return (s, *sub.grad(s), None), 0
+
+    return _search(anchor, problem, delta, eps, call_cap, anchor_values,
+                   collect_trajectory, first,
+                   lambda descent, norm: descent > delta * norm / 4.0, step)

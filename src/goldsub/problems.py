@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Oracle, ProblemSpec, Vector, reduce_constraints
+from .core import Oracle, ProblemSpec, ReducedConstraint, Vector
 from .errors import UsageError
 
 
@@ -49,12 +49,12 @@ def _validate_record(record: ProblemRecord) -> ProblemRecord:
             raise UsageError(
                 "corpus metadata inconsistent for %s: f(optimum) = %.12g "
                 "but p_star = %.12g" % (record.name, f_opt, spec.p_star))
-        g_opt, _ = reduce_constraints(spec).value(opt)
+        g_opt, _ = ReducedConstraint(spec).value(opt)
         if g_opt > 1e-9:
             raise UsageError(
                 "corpus metadata inconsistent for %s: optimum infeasible, "
                 "g = %.12g" % (record.name, g_opt))
-    g_start, _ = reduce_constraints(spec).value(np.asarray(record.start, dtype=float))
+    g_start, _ = ReducedConstraint(spec).value(np.asarray(record.start, dtype=float))
     if g_start > 0.0:
         raise UsageError("corpus start for %s is infeasible" % record.name)
     return record

@@ -1,12 +1,15 @@
 """Deterministic JSON encoding for certificates, traces, and manifests.
 
-One schema per document kind, field names frozen here.  Reals are emitted
-with Python's shortest round-trip repr, keys are sorted, and NaN/inf are
-rejected, so equal in-memory objects serialize to identical bytes.  Wall
-time never enters a trace document: replaying the same manifest must give a
-byte-identical file.  The run manifest has an optional ``created`` stamp
-that is only written to the standalone manifest file, never to the copies
-embedded in traces and certificates.
+One schema per document kind.  Certificate and trace documents are built
+from the fields of their dataclasses: a field's key is its name, except for
+the renames and the ``totals`` nesting frozen here, and its converter
+follows its type annotation.  Reals are emitted with Python's shortest
+round-trip repr, keys are sorted, and NaN/inf are rejected, so equal
+in-memory objects serialize to identical bytes.  Wall time never enters a
+trace document: replaying the same manifest must give a byte-identical
+file.  The run manifest has an optional ``created`` stamp that is only
+written to the standalone manifest file, never to the copies embedded in
+traces and certificates.
 """
 
 from __future__ import annotations
@@ -15,13 +18,15 @@ import dataclasses
 import json
 import os
 import tempfile
+import typing
 from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import Branch, Vector, WeightedSubgradient
+from .core import OBJECTIVE, Branch, Vector
 from .errors import UsageError
-from .solver import GoldsteinCertificate, SolverConfig, SolveTrace
+from .solver import SolverConfig, SolveTrace
+from .verify import GoldsteinCertificate
 
 CERTIFICATE_SCHEMA = "goldsub.certificate/1"
 TRACE_SCHEMA = "goldsub.trace/1"
@@ -51,9 +56,8 @@ def dumps(data) -> str:
                       allow_nan=False) + "\n"
 
 
-def write_json(path: str, data) -> None:
-    """Serialize atomically: no partially written documents on disk."""
-    text = dumps(data)
+def write_text(path: str, text: str) -> None:
+    """Write atomically: no partially written files on disk."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
@@ -67,9 +71,19 @@ def write_json(path: str, data) -> None:
         raise
 
 
+def write_json(path: str, data) -> None:
+    write_text(path, dumps(data))
+
+
 def read_json(path: str):
-    with open(path) as handle:
-        return json.load(handle)
+    """Parse a JSON file; a missing or unreadable file is a UsageError."""
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as exc:
+        raise UsageError("cannot read %s: %s" % (path, exc.strerror)) from None
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise UsageError("%s does not parse as JSON: %s" % (path, exc)) from None
 
 
 def manifest_data(problem_name: str, problem_params: dict,
@@ -96,7 +110,7 @@ def _branch_data(branch: Branch) -> dict:
 
 def _branch_from(data: dict) -> Branch:
     if data.get("kind") == "objective":
-        return Branch("objective")
+        return OBJECTIVE
     return Branch.constraint(int(data["index"]))
 
 
@@ -104,127 +118,104 @@ def _vec(value) -> Vector:
     return np.asarray(value, dtype=float)
 
 
+def _same(value):
+    return value
+
+
+# document key of a renamed field; "lambda" is a Python keyword
+_RENAMED = {"lam": "lambda"}
+# trace counters, stored under one "totals" key
+_TOTALS = ("outer_steps", "oracle_calls", "value_calls")
+# in-memory trace fields: wall time differs between replays, and the inner
+# budget follows from the manifest and the problem
+_MEMORY_ONLY = frozenset({"wall_time_s", "inner_budget"})
+# keys a document may omit; the field then takes its default
+_OPTIONAL = frozenset({"direction", "warnings"})
+
+# (encode, decode) by field name, then by annotated type
+_NAMED_CODECS = {
+    "lam": (lambda v: UNDEFINED if v is None else v,
+            lambda v: None if v == UNDEFINED else float(v)),
+}
+_TYPE_CODECS = {
+    float: (_same, float), int: (_same, int), str: (_same, str),
+    dict: (_same, dict), np.ndarray: (_same, _vec),
+    Branch: (_branch_data, _branch_from),
+}
+
+
+def _codec(tp):
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None: None passes through both ways
+        (enc, dec), = [_codec(a) for a in args if a is not type(None)]
+        return (lambda v: None if v is None else enc(v),
+                lambda v: None if v is None else dec(v))
+    if typing.get_origin(tp) is list:
+        enc, dec = _codec(args[0])
+        return (lambda v: list(map(enc, v)), lambda v: list(map(dec, v)))
+    return _TYPE_CODECS[tp] if tp in _TYPE_CODECS else _record_codec(tp)
+
+
+def _record_codec(cls):
+    """(encode, decode) between a dataclass and its document object, from
+    its fields; resolved once, since type hints cost more than a decode."""
+    hints = typing.get_type_hints(cls)
+    kinds = [2 if f.name in _MEMORY_ONLY else f.name in _OPTIONAL
+             for f in dataclasses.fields(cls)]
+    if kinds != sorted(kinds):  # decoded by position: omissible fields last
+        raise TypeError("%s: optional, then in-memory fields must come last"
+                        % cls.__name__)
+    fields = [(f.name, _RENAMED.get(f.name, f.name),
+               *(_NAMED_CODECS.get(f.name) or _codec(hints[f.name])))
+              for f in dataclasses.fields(cls) if f.name not in _MEMORY_ONLY]
+    decoders = [(key, dec, key in _OPTIONAL) for _, key, _, dec in fields]
+
+    def encode(obj) -> dict:
+        return {key: enc(getattr(obj, name)) for name, key, enc, _ in fields}
+
+    def decode(data: dict):
+        return cls(*[dec(data[key]) for key, dec, opt in decoders
+                     if not opt or key in data])
+
+    return encode, decode
+
+
+_encode_cert, _decode_cert = _record_codec(GoldsteinCertificate)
+_encode_trace, _decode_trace = _record_codec(SolveTrace)
+
+
+def _from_data(decode, data, schema: str, kind: str, nested: str | None = None):
+    """(object, embedded manifest) from a parsed document; fields under the
+    ``nested`` key count as top-level ones.  A malformed document is a
+    UsageError here and nowhere else."""
+    found = data.get("schema") if isinstance(data, dict) else None
+    if found != schema:
+        raise UsageError("not a %s document (schema %r)" % (kind, found))
+    try:
+        flat = {**data, **data[nested]} if nested else data
+        manifest = data.get("manifest")
+        return decode(flat), None if manifest is None else dict(manifest)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError("malformed %s document (%s: %s)"
+                         % (kind, type(exc).__name__, exc)) from None
+
+
 def certificate_data(cert: GoldsteinCertificate, manifest: dict | None = None) -> dict:
-    return {
-        "schema": CERTIFICATE_SCHEMA,
-        "anchor": cert.anchor,
-        "zeta": cert.zeta,
-        "zeta_norm": cert.zeta_norm,
-        "combination": [
-            {
-                "point": w.point,
-                "vector": w.vector,
-                "branch": _branch_data(w.branch),
-                "weight": w.weight,
-                "direction": w.direction,
-            }
-            for w in cert.combination
-        ],
-        "gamma0": cert.gamma0,
-        "gamma": cert.gamma,
-        "lambda": UNDEFINED if cert.lam is None else cert.lam,
-        "eps_effective": cert.eps_effective,
-        "fj_eta_bound": cert.fj_eta_bound,
-        "delta": cert.delta,
-        "lipschitz_m": cert.lipschitz_m,
-        "f_anchor": cert.f_anchor,
-        "g_anchor": cert.g_anchor,
-        "per_constraint_g": cert.per_constraint_g,
-        "kkt_eps": cert.kkt_eps,
-        "kkt_eta": cert.kkt_eta,
-        "kkt_lambda_bound": cert.kkt_lambda_bound,
-        "gcq_sigma": cert.gcq_sigma,
-        "slack_samples": cert.slack_samples,
-        "slack_max": cert.slack_max,
-        "slack_bound": cert.slack_bound,
-        "warnings": list(cert.warnings),
-        "manifest": manifest,
-    }
+    return {"schema": CERTIFICATE_SCHEMA, **_encode_cert(cert), "manifest": manifest}
 
 
 def certificate_from_data(data: dict) -> tuple[GoldsteinCertificate, dict | None]:
-    if data.get("schema") != CERTIFICATE_SCHEMA:
-        raise UsageError("not a certificate document (schema %r)"
-                         % data.get("schema"))
-    lam = data["lambda"]
-    combination = [
-        WeightedSubgradient(
-            point=_vec(entry["point"]),
-            vector=_vec(entry["vector"]),
-            branch=_branch_from(entry["branch"]),
-            weight=float(entry["weight"]),
-            direction=None if entry.get("direction") is None
-            else _vec(entry["direction"]),
-        )
-        for entry in data["combination"]
-    ]
-    cert = GoldsteinCertificate(
-        anchor=_vec(data["anchor"]),
-        zeta=_vec(data["zeta"]),
-        zeta_norm=float(data["zeta_norm"]),
-        combination=combination,
-        gamma0=float(data["gamma0"]),
-        gamma=float(data["gamma"]),
-        lam=None if lam == UNDEFINED else float(lam),
-        eps_effective=float(data["eps_effective"]),
-        fj_eta_bound=float(data["fj_eta_bound"]),
-        delta=float(data["delta"]),
-        lipschitz_m=float(data["lipschitz_m"]),
-        f_anchor=float(data["f_anchor"]),
-        g_anchor=float(data["g_anchor"]),
-        per_constraint_g=[float(v) for v in data["per_constraint_g"]],
-        kkt_eps=None if data["kkt_eps"] is None else float(data["kkt_eps"]),
-        kkt_eta=None if data["kkt_eta"] is None else float(data["kkt_eta"]),
-        kkt_lambda_bound=None if data["kkt_lambda_bound"] is None
-        else float(data["kkt_lambda_bound"]),
-        gcq_sigma=None if data["gcq_sigma"] is None else float(data["gcq_sigma"]),
-        slack_samples=int(data["slack_samples"]),
-        slack_max=float(data["slack_max"]),
-        slack_bound=float(data["slack_bound"]),
-        warnings=[str(w) for w in data.get("warnings", [])],
-    )
-    return cert, data.get("manifest")
+    return _from_data(_decode_cert, data, CERTIFICATE_SCHEMA, "certificate")
 
 
 def trace_data(trace: SolveTrace, manifest: dict | None = None) -> dict:
-    # wall_time_s deliberately left out: byte-identical replays
-    return {
-        "schema": TRACE_SCHEMA,
-        "records": trace.records,
-        "totals": {
-            "outer_steps": trace.outer_steps,
-            "oracle_calls": trace.oracle_calls,
-            "value_calls": trace.value_calls,
-        },
-        "eps_effective": trace.eps_effective,
-        "delta": trace.delta,
-        "inner": trace.inner,
-        "descent_fraction": trace.descent_fraction,
-        "lemma_bound": trace.lemma_bound,
-        "tau_prime": trace.tau_prime,
-        "call_cap": trace.call_cap,
-        "manifest": manifest,
-    }
+    data = _encode_trace(trace)
+    data["totals"] = {key: data.pop(key) for key in _TOTALS}
+    return {"schema": TRACE_SCHEMA, **data, "manifest": manifest}
 
 
 def trace_from_data(data: dict) -> tuple[SolveTrace, dict | None]:
-    if data.get("schema") != TRACE_SCHEMA:
-        raise UsageError("not a trace document (schema %r)" % data.get("schema"))
-    trace = SolveTrace(
-        records=list(data["records"]),
-        outer_steps=int(data["totals"]["outer_steps"]),
-        oracle_calls=int(data["totals"]["oracle_calls"]),
-        value_calls=int(data["totals"]["value_calls"]),
-        eps_effective=float(data["eps_effective"]),
-        delta=float(data["delta"]),
-        inner=str(data["inner"]),
-        descent_fraction=float(data["descent_fraction"]),
-        lemma_bound=None if data["lemma_bound"] is None else int(data["lemma_bound"]),
-        tau_prime=None if data["tau_prime"] is None else float(data["tau_prime"]),
-        call_cap=int(data["call_cap"]),
-        wall_time_s=0.0,
-    )
-    return trace, data.get("manifest")
+    return _from_data(_decode_trace, data, TRACE_SCHEMA, "trace", nested="totals")
 
 
 def config_from_data(data: dict) -> SolverConfig:

@@ -20,16 +20,21 @@ from __future__ import annotations
 import math
 import time
 import warnings as _pywarn
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ProblemSpec, Vector, WeightedSubgradient, _as_vector,
-                   reduce_constraints, sample_ball, sample_blocks)
+from .core import (ProblemSpec, ReducedConstraint, Vector, WeightedSubgradient,
+                   _as_vector, _finite_value, sample_ball, sample_blocks)
 from .errors import (BudgetExceededError, CertificationError,
                      InfeasibleStartError, UsageError)
 from .inner_bisect import C_BISECT, bisect_call_budget, bisect_search
 from .inner_rand import C_RAND, STATIONARY, rand_call_budget, rand_search
+from .verify import (CheckResult, GoldsteinCertificate, check_anchor_feasible,
+                     check_points_in_ball, check_slackness,
+                     check_weights_nonnegative, check_weights_sum,
+                     check_zeta_norm, check_zeta_recompute, recombine,
+                     slack_bound)
 
 RAND = "rand"
 BISECT = "bisect"
@@ -94,52 +99,15 @@ class SolverConfig:
 
 
 @dataclass
-class GoldsteinCertificate:
-    """Checkable witness that the anchor is approximately stationary.
-
-    ``combination`` reproduces zeta as sum(w_i * vector_i); every point lies
-    in the closed delta-ball around the anchor, and objective/constraint
-    branch tags split the unit weight mass into gamma0 and gamma.  ``lam``
-    is gamma/gamma0, or None when gamma0 = 0 (Fritz-John only).  The kkt_*
-    fields are present exactly when the solve ran in KKT mode with
-    gamma0 > 0.  slack_max is the sampled maximum of |gamma * g(z)| over the
-    ball, which the analytic bound slack_bound = 3*M*delta (+ tolerance)
-    must dominate.
-    """
-
-    anchor: Vector
-    zeta: Vector
-    zeta_norm: float
-    combination: list[WeightedSubgradient]
-    gamma0: float
-    gamma: float
-    lam: float | None
-    eps_effective: float
-    fj_eta_bound: float
-    delta: float
-    lipschitz_m: float
-    f_anchor: float
-    g_anchor: float
-    per_constraint_g: list[float]
-    kkt_eps: float | None = None
-    kkt_eta: float | None = None
-    kkt_lambda_bound: float | None = None
-    gcq_sigma: float | None = None
-    slack_samples: int = 0
-    slack_max: float = 0.0
-    slack_bound: float = 0.0
-    warnings: list[str] = field(default_factory=list)
-
-
-@dataclass
 class SolveTrace:
     """Per-iteration descent record plus run totals.
 
     ``records[k]`` describes iterate x_k and the inner run performed there.
     Oracle calls count joint (value + subgradient) evaluations; value_calls
     count value-only evaluations (descent tests and the initial feasibility
-    check).  wall_time_s is informational and excluded from serialized
-    traces so that equal manifests produce byte-identical files.
+    check).  wall_time_s is informational; inner_budget is the inner
+    search's per-invocation call budget (None when unknown).  Both are left
+    out of serialized traces so equal manifests give byte-identical files.
     """
 
     records: list[dict]
@@ -153,7 +121,8 @@ class SolveTrace:
     lemma_bound: int | None
     tau_prime: float | None
     call_cap: int
-    wall_time_s: float
+    wall_time_s: float = 0.0
+    inner_budget: int | None = None
 
 
 def extract_multiplier(combination: list[WeightedSubgradient]):
@@ -175,75 +144,57 @@ def extract_multiplier(combination: list[WeightedSubgradient]):
     return gamma0, gamma, gamma / gamma0
 
 
+def _require(check: CheckResult) -> None:
+    if not check.passed:
+        raise CertificationError("check %s failed: %s" % (check.name, check.detail))
+
+
 def certify(anchor: Vector, combination: list[WeightedSubgradient],
             problem: ProblemSpec, config: SolverConfig,
             zeta: Vector | None = None, rng: np.random.Generator | None = None,
-            anchor_values: tuple[float, float] | None = None,
-            eps_tilde: float | None = None) -> GoldsteinCertificate:
+            anchor_values: tuple[float, float] | None = None) -> GoldsteinCertificate:
     """Assemble and self-check the certificate for a stationary anchor.
 
-    Any failed internal check raises CertificationError: these conditions
-    are guaranteed by the inner-loop contract, so a violation means a bug or
-    broken metadata, never a user error.  ``zeta`` defaults to the
-    recombined sum; passing the solver's own accumulated zeta keeps the
-    recombination residual an honest measurement.
+    Runs the verifier's structural checks in its order; the first failure
+    raises CertificationError.  The inner-loop contract guarantees them, so
+    a failure means a bug or broken metadata, never a user error.  ``zeta``
+    defaults to the recombined sum; passing the solver's own accumulated
+    zeta keeps the recombination residual an honest measurement.
     """
     anchor = _as_vector(anchor, problem.dim)
-    if not combination:
-        raise CertificationError("empty subgradient combination")
     m = problem.lipschitz_m
     delta = config.delta
-    eps_t = eps_tilde if eps_tilde is not None else config.eps_effective(m)
+    eps_t = config.eps_effective(m)
 
-    weights = np.array([w.weight for w in combination])
-    if np.any(weights < 0.0):
-        raise CertificationError("negative combination weight")
-    if abs(float(weights.sum()) - 1.0) > 1e-12:
-        raise CertificationError("combination weights sum to %.17g, not 1"
-                                 % float(weights.sum()))
-    recombined = np.zeros(problem.dim)
-    for w in combination:
-        recombined += w.weight * w.vector
-    if zeta is None:
-        zeta = recombined
-    zeta = _as_vector(zeta, problem.dim)
-    if float(np.linalg.norm(recombined - zeta)) > 1e-9 * m:
-        raise CertificationError("stored zeta does not match its combination")
+    weights = np.array([w.weight for w in combination], dtype=float)
+    _require(check_weights_nonnegative(weights))
+    _require(check_weights_sum(weights))
+    _require(check_points_in_ball(combination, anchor, delta, problem.dim))
+    zeta = _as_vector(recombine(combination, problem.dim) if zeta is None
+                      else zeta, problem.dim)
+    _require(check_zeta_recompute(combination, zeta, m))
     zeta_norm = float(np.linalg.norm(zeta))
-    if zeta_norm > eps_t:
-        raise CertificationError(
-            "zeta norm %.17g exceeds tolerance %.17g: inner loop contract broken"
-            % (zeta_norm, eps_t))
-    for w in combination:
-        dist = float(np.linalg.norm(w.point - anchor))
-        if dist > delta * (1.0 + 1e-12):
-            raise CertificationError(
-                "combination point at distance %.17g > delta = %g" % (dist, delta))
+    _require(check_zeta_norm(zeta_norm, eps_t))
 
-    reduced = reduce_constraints(problem)
+    reduced = ReducedConstraint(problem)
     if anchor_values is not None:
         f_anchor, g_anchor = anchor_values
     else:
-        f_anchor = problem.objective.value(anchor)
+        f_anchor = _finite_value(problem.objective.value(anchor), "objective value")
         g_anchor, _ = reduced.value(anchor)
-    if g_anchor > 0.0:
-        raise CertificationError("anchor infeasible: g = %.17g" % g_anchor)
+    _require(check_anchor_feasible(g_anchor))
 
     gamma0, gamma, lam = extract_multiplier(combination)
 
     slack_n = config.slackness_samples
     slack_max = 0.0
-    slack_bound = 3.0 * m * delta + 1e-9
     if gamma > 0.0 and slack_n > 0:
         if rng is None:
             rng = np.random.default_rng(config.seed)
         for rows in sample_blocks(slack_n):
             gvals, _ = reduced.values(sample_ball(anchor, delta, rng, size=rows))
             slack_max = max(slack_max, float(np.max(np.abs(gamma * gvals))))
-        if slack_max > slack_bound:
-            raise CertificationError(
-                "sampled |gamma*g| = %.17g exceeds 3*M*delta bound %.17g: "
-                "Lipschitz metadata understated" % (slack_max, slack_bound))
+        _require(check_slackness(slack_max, m, delta))
 
     warnings: list[str] = []
     kkt_eps = kkt_eta = kkt_lambda_bound = None
@@ -266,11 +217,13 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
         combination=list(combination), gamma0=gamma0, gamma=gamma, lam=lam,
         eps_effective=eps_t, fj_eta_bound=3.0 * m * delta, delta=delta,
         lipschitz_m=m, f_anchor=float(f_anchor), g_anchor=float(g_anchor),
-        per_constraint_g=[float(c.value(anchor)) for c in problem.constraints],
+        per_constraint_g=[_finite_value(c.value(anchor), "constraint %d value" % i)
+                          for i, c in enumerate(problem.constraints, start=1)],
         kkt_eps=kkt_eps, kkt_eta=kkt_eta, kkt_lambda_bound=kkt_lambda_bound,
         gcq_sigma=config.gcq_sigma if config.kkt_mode else None,
         slack_samples=slack_n if gamma > 0.0 else 0,
-        slack_max=slack_max, slack_bound=slack_bound, warnings=warnings)
+        slack_max=slack_max, slack_bound=slack_bound(m, delta),
+        warnings=warnings)
 
 
 def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCertificate, SolveTrace]:
@@ -289,10 +242,8 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
     m = problem.lipschitz_m
     eps_t = config.eps_effective(m)
     c_frac = config.descent_fraction()
-    reduced = reduce_constraints(problem)
-
-    f_x = float(problem.objective.value(x))
-    g_x, _ = reduced.value(x)
+    f_x = _finite_value(problem.objective.value(x), "objective value")
+    g_x, _ = ReducedConstraint(problem).value(x)
     value_calls = 1  # initial feasibility check
     if g_x > 0.0:
         raise InfeasibleStartError("g(x0) = %.17g > 0: start must be feasible" % g_x)
@@ -310,16 +261,15 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
             outer_guess = config.outer_cap
         tau_prime = config.tau / outer_guess
 
-    if config.inner_call_cap is not None:
-        call_cap = config.inner_call_cap
-    elif config.inner == RAND:
-        call_cap = 4 * rand_call_budget(m, eps_t, tau_prime)
+    if config.inner == RAND:
+        budget = rand_call_budget(m, eps_t, tau_prime)
+    elif problem.nonconvexity_f is None or problem.nonconvexity_g is None:
+        budget = None
     else:
-        if problem.nonconvexity_f is None or problem.nonconvexity_g is None:
-            call_cap = _UNBOUNDED_CAP
-        else:
-            call_cap = 4 * bisect_call_budget(
-                m, eps_t, problem.nonconvexity_f + problem.nonconvexity_g)
+        budget = bisect_call_budget(
+            m, eps_t, problem.nonconvexity_f + problem.nonconvexity_g)
+    call_cap = config.inner_call_cap or (
+        _UNBOUNDED_CAP if budget is None else 4 * budget)
 
     rng = np.random.default_rng(config.seed)
     records: list[dict] = []
@@ -334,7 +284,8 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
                           inner=config.inner, descent_fraction=c_frac,
                           lemma_bound=lemma_bound, tau_prime=tau_prime,
                           call_cap=call_cap,
-                          wall_time_s=time.perf_counter() - started)
+                          wall_time_s=time.perf_counter() - started,
+                          inner_budget=budget)
 
     k = 0
     while True:
@@ -380,5 +331,5 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
 
     trace = partial_trace()
     cert = certify(x, res.combination, problem, config, zeta=res.zeta,
-                   rng=rng, anchor_values=(f_x, g_x), eps_tilde=eps_t)
+                   rng=rng, anchor_values=(f_x, g_x))
     return cert, trace

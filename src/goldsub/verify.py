@@ -6,6 +6,10 @@ constraint-qualification checkers that re-run every oracle themselves.  The
 sampled hull is always a subset of the true Goldstein subdifferential, so
 the estimate is a valid upper bound on dist(0, set): a small value proves
 approximate stationarity, a large one only fails to prove it.
+
+The certificate type and its structural checks live here; ``solver.certify``
+runs the same check functions, so their tolerances are defined once.
+Nothing here imports the solver.
 """
 
 from __future__ import annotations
@@ -15,11 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ProblemSpec, Subproblem, Vector, _as_vector,
-                   _finite_grads, _finite_value, reduce_constraints,
-                   sample_ball, sample_blocks)
+from .core import (ProblemSpec, ReducedConstraint, Subproblem, Vector,
+                   WeightedSubgradient, _as_vector, _finite_grads,
+                   _finite_value, sample_ball, sample_blocks)
 from .errors import UsageError
-from .solver import GoldsteinCertificate
 
 HULL_TOL = 1e-8
 WEIGHT_SUM_TOL = 1e-12
@@ -45,6 +48,44 @@ CHECK_ORDER = (
     "stationarity-estimate",
 )
 CORRUPT_CHECKS = frozenset({"vector-recompute", "zeta-recompute"})
+
+
+@dataclass
+class GoldsteinCertificate:
+    """Checkable witness that the anchor is approximately stationary.
+
+    ``combination`` reproduces zeta as sum(w_i * vector_i); every point lies
+    in the closed delta-ball around the anchor, and objective/constraint
+    branch tags split the unit weight mass into gamma0 and gamma.  ``lam``
+    is gamma/gamma0, or None when gamma0 = 0 (Fritz-John only).  The kkt_*
+    fields are present exactly when the solve ran in KKT mode with
+    gamma0 > 0.  slack_max is the sampled maximum of |gamma * g(z)| over the
+    ball, which the analytic bound slack_bound = 3*M*delta (+ tolerance)
+    must dominate.
+    """
+
+    anchor: Vector
+    zeta: Vector
+    zeta_norm: float
+    combination: list[WeightedSubgradient]
+    gamma0: float
+    gamma: float
+    lam: float | None
+    eps_effective: float
+    fj_eta_bound: float
+    delta: float
+    lipschitz_m: float
+    f_anchor: float
+    g_anchor: float
+    per_constraint_g: list[float]
+    kkt_eps: float | None = None
+    kkt_eta: float | None = None
+    kkt_lambda_bound: float | None = None
+    gcq_sigma: float | None = None
+    slack_samples: int = 0
+    slack_max: float = 0.0
+    slack_bound: float = 0.0
+    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass
@@ -236,6 +277,62 @@ class CertificateReport:
         return self.reason in CORRUPT_CHECKS
 
 
+def check_weights_nonnegative(weights: np.ndarray) -> CheckResult:
+    min_w = float(weights.min()) if weights.size else 0.0
+    return CheckResult("weights-nonnegative", weights.size > 0 and min_w >= -1e-12,
+                       "min weight %.3g" % min_w)
+
+
+def check_weights_sum(weights: np.ndarray) -> CheckResult:
+    total = float(weights.sum())
+    return CheckResult("weights-sum", abs(total - 1.0) <= WEIGHT_SUM_TOL,
+                       "sum %.17g" % total)
+
+
+def check_points_in_ball(combination: list[WeightedSubgradient], anchor: Vector,
+                         delta: float, dim: int) -> CheckResult:
+    far = max((float(np.linalg.norm(_as_vector(w.point, dim) - anchor))
+               for w in combination), default=0.0)
+    return CheckResult("points-in-ball", far <= delta + 1e-12,
+                       "max distance %.17g vs delta %.17g" % (far, delta))
+
+
+def recombine(combination: list[WeightedSubgradient], dim: int) -> Vector:
+    """sum(w_i * vector_i) over a combination."""
+    out = np.zeros(dim)
+    for w in combination:
+        out += w.weight * _as_vector(w.vector, dim, finite=False)
+    return out
+
+
+def check_zeta_recompute(combination: list[WeightedSubgradient], zeta: Vector,
+                         m: float) -> CheckResult:
+    resid = float(np.linalg.norm(recombine(combination, zeta.size) - zeta))
+    return CheckResult("zeta-recompute", resid <= VECTOR_MATCH_REL * m,
+                       "residual %.3g (allowed %.3g)" % (resid, VECTOR_MATCH_REL * m))
+
+
+def check_zeta_norm(zeta_norm: float, eps: float) -> CheckResult:
+    return CheckResult("zeta-norm-bound", zeta_norm <= eps * (1.0 + 1e-12),
+                       "||zeta|| = %.17g vs eps = %.17g" % (zeta_norm, eps))
+
+
+def check_anchor_feasible(g_anchor: float) -> CheckResult:
+    return CheckResult("anchor-feasible", g_anchor <= 1e-12,
+                       "g(anchor) = %.17g" % g_anchor)
+
+
+def slack_bound(m: float, delta: float) -> float:
+    """Analytic bound 3*M*delta on |gamma * g| over the ball, plus tolerance."""
+    return 3.0 * m * delta + SLACK_TOL
+
+
+def check_slackness(slack_max: float, m: float, delta: float) -> CheckResult:
+    bound = slack_bound(m, delta)
+    return CheckResult("complementary-slackness", slack_max <= bound,
+                       "max |gamma*g| = %.17g vs bound %.17g" % (slack_max, bound))
+
+
 def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
                       slackness_samples: int = 10_000,
                       estimate_samples: int = 10_000, seed: int = 0,
@@ -256,61 +353,42 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     report = CertificateReport()
     m = problem.lipschitz_m
     delta = cert.delta
-    anchor = _as_vector(cert.anchor, problem.dim)
+    dim = problem.dim
+    anchor = _as_vector(cert.anchor, dim)
     combo = cert.combination
     weights = np.array([w.weight for w in combo], dtype=float)
 
-    def add(name: str, passed: bool, detail: str) -> bool:
-        report.checks.append(CheckResult(name, bool(passed), detail))
-        return stop_at_first_failure and not passed
+    def add(check: CheckResult) -> bool:
+        check.passed = bool(check.passed)  # numpy comparisons give np.bool_
+        report.checks.append(check)
+        return stop_at_first_failure and not check.passed
 
-    min_w = float(weights.min()) if weights.size else 0.0
-    if add("weights-nonnegative", weights.size > 0 and min_w >= -1e-12,
-           "min weight %.3g" % min_w):
-        return report
-
-    total = float(weights.sum())
-    if add("weights-sum", abs(total - 1.0) <= WEIGHT_SUM_TOL,
-           "sum %.17g" % total):
-        return report
-
-    far = max((float(np.linalg.norm(_as_vector(w.point, problem.dim) - anchor))
-               for w in combo), default=0.0)
-    if add("points-in-ball", far <= delta + 1e-12,
-           "max distance %.17g vs delta %.17g" % (far, delta)):
+    if add(check_weights_nonnegative(weights)) or add(check_weights_sum(weights)) \
+            or add(check_points_in_ball(combo, anchor, delta, dim)):
         return report
 
     sub = Subproblem(problem, anchor)
     mismatches = []
     for w in combo:
-        point = _as_vector(w.point, problem.dim)
+        point = _as_vector(w.point, dim)
         if w.direction is None:
             expected, _ = sub.grad(point)
         else:
-            expected, _, _, _ = sub.dir_grad(
-                point, _as_vector(w.direction, problem.dim))
-        mismatches.append(float(np.linalg.norm(expected - np.asarray(w.vector))))
+            expected, _, _, _ = sub.dir_grad(point, _as_vector(w.direction, dim))
+        stored = _as_vector(w.vector, dim, finite=False)
+        mismatches.append(float(np.linalg.norm(expected - stored)))
     # max() skips a NaN mismatch; a NaN must fail the check instead
     worst = max(mismatches, default=0.0)
     if any(math.isnan(d) for d in mismatches):
         worst = math.nan
-    if add("vector-recompute", worst <= VECTOR_MATCH_REL * m,
-           "worst oracle mismatch %.3g (allowed %.3g)"
-           % (worst, VECTOR_MATCH_REL * m)):
+    if add(CheckResult("vector-recompute", worst <= VECTOR_MATCH_REL * m,
+                       "worst oracle mismatch %.3g (allowed %.3g)"
+                       % (worst, VECTOR_MATCH_REL * m))):
         return report
 
-    recombined = np.zeros(problem.dim)
-    for w in combo:
-        recombined += w.weight * np.asarray(w.vector, dtype=float)
-    zeta = _as_vector(cert.zeta, problem.dim)
-    resid = float(np.linalg.norm(recombined - zeta))
-    if add("zeta-recompute", resid <= VECTOR_MATCH_REL * m,
-           "residual %.3g (allowed %.3g)" % (resid, VECTOR_MATCH_REL * m)):
-        return report
-
-    znorm = float(np.linalg.norm(zeta))
-    if add("zeta-norm-bound", znorm <= cert.eps_effective * (1.0 + 1e-12),
-           "||zeta|| = %.17g vs eps = %.17g" % (znorm, cert.eps_effective)):
+    zeta = _as_vector(cert.zeta, dim)
+    if add(check_zeta_recompute(combo, zeta, m)) \
+            or add(check_zeta_norm(float(np.linalg.norm(zeta)), cert.eps_effective)):
         return report
 
     gamma0 = float(sum(w.weight for w in combo if w.branch.is_objective))
@@ -323,29 +401,27 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
             abs(cert.lam - lam) <= 1e-9 * max(1.0, abs(lam)))
     else:
         split_ok = split_ok and cert.lam is None
-    if add("multiplier-split", split_ok,
-           "gamma0 %.17g vs stored %.17g" % (gamma0, cert.gamma0)):
+    if add(CheckResult("multiplier-split", split_ok,
+                       "gamma0 %.17g vs stored %.17g" % (gamma0, cert.gamma0))):
         return report
 
-    reduced = reduce_constraints(problem)
-    g_anchor, _ = reduced.value(anchor)
-    if add("anchor-feasible", g_anchor <= 1e-12, "g(anchor) = %.17g" % g_anchor):
+    reduced = ReducedConstraint(problem)
+    if add(check_anchor_feasible(reduced.value(anchor)[0])):
         return report
 
-    slack_bound = 3.0 * m * delta + SLACK_TOL
     slack_max = 0.0
     if cert.gamma > 0.0 and slackness_samples > 0:
         rng = np.random.default_rng(seed)
         for rows in sample_blocks(slackness_samples):
             gvals, _ = reduced.values(sample_ball(anchor, delta, rng, size=rows))
             slack_max = max(slack_max, float(np.max(np.abs(cert.gamma * gvals))))
-    if add("complementary-slackness", slack_max <= slack_bound,
-           "max |gamma*g| = %.17g vs bound %.17g" % (slack_max, slack_bound)):
+    if add(check_slackness(slack_max, m, delta)):
         return report
 
     estimate = goldstein_estimate(anchor, problem, delta, estimate_samples,
                                   seed=seed + 1)
     limit = ESTIMATE_FACTOR * cert.eps_effective
-    add("stationarity-estimate", estimate.min_norm <= limit,
-        "sampled estimate %.17g vs limit %.17g" % (estimate.min_norm, limit))
+    add(CheckResult("stationarity-estimate", estimate.min_norm <= limit,
+                    "sampled estimate %.17g vs limit %.17g"
+                    % (estimate.min_norm, limit)))
     return report

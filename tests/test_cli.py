@@ -215,6 +215,42 @@ def test_verify_missing_file_is_usage_error(capsys):
     assert main(["verify", "/no/such/cert.json"]) == EXIT_USAGE
 
 
+def _drop_index(data):
+    data["combination"][0]["branch"] = {"kind": "constraint"}
+
+
+def _set_weight(data):
+    data["combination"][0]["weight"] = "x"
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda data: [data],
+    lambda data: data.pop("gamma0"),
+    _set_weight,
+    _drop_index,
+], ids=["top-level-list", "missing-gamma0", "string-weight", "branch-without-index"])
+def test_verify_malformed_document_is_usage_error(solved, tmp_path, mutate, capsys):
+    data = read_json(str(solved / "run.cert.json"))
+    out = mutate(data)
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(out if isinstance(out, list) else data))
+    assert main(["verify", str(doc)] + FAST_VERIFY) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("vector", [1.0, 0.0, 0.0]),
+                                       ("vector", [1.0]),
+                                       ("direction", [1.0, 0.0, 0.0])])
+def test_verify_wrong_length_stored_vector_is_usage_error(solved, tmp_path,
+                                                          key, value, capsys):
+    def resize(data):
+        data["combination"][0][key] = value
+
+    path = rewrite(solved / "run.cert.json", tmp_path / "resized.json", resize)
+    assert main(["verify", path] + FAST_VERIFY) == EXIT_USAGE
+    assert "dimension 2" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- bench
 
 
@@ -250,6 +286,21 @@ def test_bench_suite_runs_and_summarizes(tmp_path, capsys):
 
     table = capsys.readouterr().out
     assert "4 cells, 0 failed" in table
+
+    # a configured inner call cap does not hide the budget it caps
+    suite.write_text(json.dumps({
+        "problems": ["ball-linear"],
+        "inners": ["rand", "bisect"],
+        "grid": [{"delta": 0.1, "eps": 0.1}],
+        "config": {"inner_call_cap": 10_000},
+    }))
+    capped = tmp_path / "capped"
+    rc = main(["bench", "--suite", str(suite), "--out-dir", str(capped)])
+    assert rc == EXIT_OK
+    capped_rows = read_json(str(capped / "bench-summary.json"))["rows"]
+    assert [row["inner_budget"] for row in capped_rows] == \
+        [row["inner_budget"] for row in rows if row["seed"] == 0]
+    assert all(0.0 < row["budget_ratio"] <= 1.0 for row in capped_rows)
 
 
 def test_bench_requires_problems(tmp_path, capsys):

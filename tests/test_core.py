@@ -14,13 +14,9 @@ from goldsub.core import (
     OBJECTIVE,
     Branch,
     Oracle,
-    OracleMode,
     ProblemSpec,
+    ReducedConstraint,
     Subproblem,
-    eval_h,
-    h_subgradient,
-    min_norm_on_segment,
-    reduce_constraints,
     sample_ball,
     sample_blocks,
     segment_projection_coefficient,
@@ -43,6 +39,12 @@ def linear_1d(slope_f: float, slope_g: float) -> ProblemSpec:
 
 
 # ---------------------------------------------------------------- segments
+
+
+def min_norm_on_segment(a, b):
+    """The segment point the inner searches move zeta to."""
+    t = segment_projection_coefficient(a, b)
+    return (1.0 - t) * a + t * b
 
 
 def test_min_norm_on_segment_degenerate_endpoint():
@@ -71,8 +73,9 @@ def test_min_norm_on_segment_interior_projection():
 
 
 def test_min_norm_on_segment_dimension_mismatch():
-    with pytest.raises(UsageError):
-        min_norm_on_segment(np.array([1.0]), np.array([1.0, 2.0]))
+    # mismatched endpoints must not broadcast into a coefficient
+    with pytest.raises(ValueError):
+        segment_projection_coefficient(np.array([1.0]), np.array([1.0, 2.0]))
 
 
 finite_vecs = st.integers(1, 5).flatmap(
@@ -104,18 +107,18 @@ def test_min_norm_on_segment_properties(pair):
 def test_eval_h_zero_at_feasible_anchor():
     prob = get_problem("ball-linear").spec
     anchor = np.array([0.3, -0.4])
-    assert eval_h(anchor, anchor, prob) == 0.0
+    assert Subproblem(prob, anchor).value(anchor) == 0.0
 
 
 def test_eval_h_objective_side():
     prob = get_problem("ball-linear").spec
-    val = eval_h(np.zeros(2), np.array([0.5, -1.0]), prob)
+    val = Subproblem(prob, np.zeros(2)).value(np.array([0.5, -1.0]))
     assert abs(val - 0.5) < 1e-15
 
 
 def test_eval_h_constraint_side_negative():
     prob = get_problem("ball-linear").spec
-    val = eval_h(np.zeros(2), np.array([-0.1, 0.0]), prob)
+    val = Subproblem(prob, np.zeros(2)).value(np.array([-0.1, 0.0]))
     assert abs(val - (-0.1)) < 1e-15
 
 
@@ -125,11 +128,12 @@ def test_eval_h_matches_direct_max_on_random_points():
     rng = np.random.default_rng(11)
     anchor = record.start
     f0 = prob.objective.value(anchor)
+    sub = Subproblem(prob, anchor)
     for _ in range(1000):
         z = record.domain_sampler(rng)
         direct = max(prob.objective.value(z) - f0,
                      max(c.value(z) for c in prob.constraints))
-        assert eval_h(anchor, z, prob) == direct
+        assert sub.value(z) == direct
 
 
 def test_subproblem_call_accounting():
@@ -153,14 +157,14 @@ def test_subproblem_call_accounting():
 
 def test_h_subgradient_strict_objective():
     prob = get_problem("ball-linear").spec
-    vec, branch = h_subgradient(np.zeros(2), np.array([0.5, -1.0]), prob)
+    vec, branch = Subproblem(prob, np.zeros(2)).grad(np.array([0.5, -1.0]))
     assert branch.is_objective
     assert np.array_equal(vec, [1.0, 0.0])
 
 
 def test_h_subgradient_strict_constraint():
     prob = get_problem("ball-linear").spec
-    vec, branch = h_subgradient(np.zeros(2), np.array([0.0, 1.2]), prob)
+    vec, branch = Subproblem(prob, np.zeros(2)).grad(np.array([0.0, 1.2]))
     assert branch == Branch.constraint(1)
     assert np.allclose(vec, [0.0, 1.0], atol=1e-15)
 
@@ -168,34 +172,40 @@ def test_h_subgradient_strict_constraint():
 def test_h_subgradient_tie_gradient_mode_takes_objective():
     prob = linear_1d(0.2, -0.4)
     # at z = anchor = 0 both sides of the max are exactly 0
-    vec, branch = h_subgradient(np.zeros(1), np.zeros(1), prob,
-                                mode=OracleMode.AE_GRADIENT)
+    vec, branch = Subproblem(prob, np.zeros(1)).grad(np.zeros(1))
     assert branch.is_objective
     assert np.array_equal(vec, [0.2])
 
 
 def test_h_subgradient_tie_directional_mode_compares_slopes():
     v = np.array([1.0])
+
+    def dir_grad(prob):
+        vec, branch, _, _ = Subproblem(prob, np.zeros(1)).dir_grad(np.zeros(1), v)
+        return vec, branch
+
     # objective slope 0.2 beats constraint slope -0.4
-    vec, branch = h_subgradient(np.zeros(1), np.zeros(1), linear_1d(0.2, -0.4),
-                                mode=OracleMode.DIRECTIONAL, direction=v)
+    vec, branch = dir_grad(linear_1d(0.2, -0.4))
     assert branch.is_objective
     assert np.array_equal(vec, [0.2])
     # constraint slope 0.2 beats objective slope -0.4
-    vec, branch = h_subgradient(np.zeros(1), np.zeros(1), linear_1d(-0.4, 0.2),
-                                mode=OracleMode.DIRECTIONAL, direction=v)
+    vec, branch = dir_grad(linear_1d(-0.4, 0.2))
     assert branch == Branch.constraint(1)
     assert np.array_equal(vec, [0.2])
     # equal slopes stay with the objective
-    vec, branch = h_subgradient(np.zeros(1), np.zeros(1), linear_1d(0.3, 0.3),
-                                mode=OracleMode.DIRECTIONAL, direction=v)
+    vec, branch = dir_grad(linear_1d(0.3, 0.3))
     assert branch.is_objective
 
 
 def test_h_subgradient_directional_requires_direction():
-    prob = get_problem("ball-linear").spec
-    with pytest.raises(UsageError):
-        h_subgradient(np.zeros(2), np.zeros(2), prob, mode=OracleMode.DIRECTIONAL)
+    # a directional query needs directional oracles on both branches
+    plain = Oracle(value=lambda x: 0.0, grad=lambda x: np.zeros(1))
+    directional = linear_1d(0.2, -0.4).objective
+    for objective, constraint in ((plain, directional), (directional, plain)):
+        prob = ProblemSpec(dim=1, objective=objective, constraints=(constraint,),
+                           lipschitz_m=1.0, neighborhood_delta=1.0)
+        with pytest.raises(UsageError):
+            Subproblem(prob, np.zeros(1)).dir_grad(np.zeros(1), np.ones(1))
 
 
 def recording(oracle: Oracle, log: list, label: str) -> Oracle:
@@ -226,8 +236,9 @@ def test_h_subgradient_is_one_underlying_oracle_call():
     anchor = base.start
     for _ in range(200):
         z = sample_ball(anchor, 0.3, rng)
+        sub = Subproblem(prob, anchor)
         log.clear()
-        vec, branch = h_subgradient(anchor, z, prob)
+        vec, branch = sub.grad(z)
         assert len(log) == 1
         label, raw = log[0]
         assert label == ("objective" if branch.is_objective else "constraint")
@@ -241,7 +252,7 @@ def test_h_subgradient_norms_within_lipschitz_bound():
                  "pl-nonconvex"):
         record = get_problem(name)
         prob = record.spec
-        reduced = reduce_constraints(prob)
+        reduced = ReducedConstraint(prob)
         rng = np.random.default_rng(7)
         done = 0
         while done < 300:
@@ -249,7 +260,7 @@ def test_h_subgradient_norms_within_lipschitz_bound():
             if reduced.value(anchor)[0] > 0.0:
                 continue
             z = sample_ball(anchor, prob.neighborhood_delta * 0.99, rng)
-            vec, _ = h_subgradient(anchor, z, prob)
+            vec, _ = Subproblem(prob, anchor).grad(z)
             assert float(np.linalg.norm(vec)) <= prob.lipschitz_m + 1e-9
             done += 1
 
@@ -259,7 +270,7 @@ def test_h_subgradient_norms_within_lipschitz_bound():
 
 def test_reduce_single_constraint_is_identity():
     prob = get_problem("ball-linear").spec
-    reduced = reduce_constraints(prob)
+    reduced = ReducedConstraint(prob)
     val, idx = reduced.value(np.zeros(2))
     assert (val, idx) == (-1.0, 1)
     val, vec, idx = reduced.grad(np.zeros(2))
@@ -280,21 +291,21 @@ def two_linear_constraints() -> ProblemSpec:
 
 
 def test_reduce_tie_breaks_to_lowest_index():
-    reduced = reduce_constraints(two_linear_constraints())
+    reduced = ReducedConstraint(two_linear_constraints())
     val, vec, idx = reduced.grad(np.array([3.0, 3.0]))
     assert (val, idx) == (3.0, 1)
     assert np.array_equal(vec, [1.0, 0.0])
 
 
 def test_reduce_picks_strict_maximizer():
-    reduced = reduce_constraints(two_linear_constraints())
+    reduced = ReducedConstraint(two_linear_constraints())
     val, vec, idx = reduced.grad(np.array([1.0, 2.0]))
     assert (val, idx) == (2.0, 2)
     assert np.array_equal(vec, [0.0, 1.0])
 
 
 def test_reduce_directional_tie_takes_largest_slope():
-    reduced = reduce_constraints(two_linear_constraints())
+    reduced = ReducedConstraint(two_linear_constraints())
     # at (3, 3) both constraints attain the max; along v the second grows
     val, vec, dd, idx = reduced.dir_grad(np.array([3.0, 3.0]),
                                          np.array([0.0, 1.0]))
@@ -305,7 +316,7 @@ def test_reduce_directional_tie_takes_largest_slope():
 
 def test_reduce_value_equals_max_on_random_points():
     prob = get_problem("footnote-2c").spec
-    reduced = reduce_constraints(prob)
+    reduced = ReducedConstraint(prob)
     rng = np.random.default_rng(3)
     for _ in range(1000):
         z = np.array([rng.uniform(-2.0, 2.0)])
@@ -347,15 +358,18 @@ def test_non_finite_oracle_output_raises_oracle_error():
         constraints=(Oracle(value=lambda x: -1.0, grad=lambda x: np.zeros(1)),),
         lipschitz_m=1.0, neighborhood_delta=1.0)
     with pytest.raises(OracleError):
-        eval_h(np.zeros(1), np.zeros(1), bad)
+        Subproblem(bad, np.zeros(1))
+    good = Subproblem(bad, np.zeros(1), anchor_values=(0.0, -1.0))
+    with pytest.raises(OracleError):
+        good.value(np.zeros(1))
 
 
 def test_eval_h_rejects_wrong_shape():
     prob = get_problem("ball-linear").spec
     with pytest.raises(UsageError):
-        eval_h(np.zeros(3), np.zeros(3), prob)
+        Subproblem(prob, np.zeros(3))
     with pytest.raises(UsageError):
-        eval_h(np.zeros(2), np.array([[0.0, 0.0]]), prob)
+        Subproblem(prob, np.array([[0.0, 0.0]]))
 
 
 # -------------------------------------------------------------- sampling
@@ -441,7 +455,7 @@ def test_batch_oracles_agree_with_pointwise(name, params):
     e1 = np.eye(prob.dim)[0]
     z = np.vstack([np.zeros(prob.dim), -0.5 * e1, e1, -e1, z])
     tol = 1e-12 * prob.lipschitz_m
-    reduced = reduce_constraints(prob)
+    reduced = ReducedConstraint(prob)
     sub = Subproblem(prob, record.start)
     point_g = [reduced.grad(row) for row in z]
     point_h = [sub.grad(row) for row in z]
@@ -474,7 +488,7 @@ def test_batch_fallback_loops_over_pointwise_oracles(name):
     prob = pointwise_only(record.spec)
     rng = np.random.default_rng(3)
     z = np.array([record.domain_sampler(rng) for _ in range(500)])
-    reduced = reduce_constraints(prob)
+    reduced = ReducedConstraint(prob)
     vals, vecs, idx = reduced.grads(z)
     loop = [reduced.grad(row) for row in z]
     assert np.array_equal(vals, [p[0] for p in loop])

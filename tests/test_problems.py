@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from goldsub.core import reduce_constraints
+from goldsub.core import ReducedConstraint
 from goldsub.errors import UsageError
 from goldsub.problems import (
     ball_linear_sigma,
@@ -42,7 +42,7 @@ def test_get_problem_bad_parameters():
 def test_metadata_consistency(name):
     record = get_problem(name)
     spec = record.spec
-    reduced = reduce_constraints(spec)
+    reduced = ReducedConstraint(spec)
     assert record.name == name
     assert spec.p_star is not None and spec.known_optimum is not None
     opt = np.asarray(spec.known_optimum, dtype=float)

@@ -115,6 +115,20 @@ def test_certificate_lambda_undefined_round_trip(run):
     assert decoded.lam is None
 
 
+def test_certificate_optional_keys_default_and_required_keys_do_not(run):
+    _, _, cert, _ = run
+    data = read_json_text(dumps(certificate_data(cert)))
+    del data["warnings"]
+    for entry in data["combination"]:
+        del entry["direction"]
+    decoded, _ = certificate_from_data(data)
+    assert decoded.warnings == []
+    assert all(w.direction is None for w in decoded.combination)
+    del data["slack_bound"]
+    with pytest.raises(UsageError, match="slack_bound"):
+        certificate_from_data(data)
+
+
 def test_certificate_schema_is_checked(run):
     record, config, _, trace = run
     with pytest.raises(UsageError):

@@ -12,8 +12,10 @@ from goldsub.errors import (
     BudgetExceededError,
     CertificationError,
     InfeasibleStartError,
+    OracleError,
     UsageError,
 )
+from goldsub.inner_rand import rand_call_budget
 from goldsub.problems import ball_linear_sigma, constant_constraint, get_problem
 from goldsub.solver import (
     BISECT,
@@ -141,7 +143,7 @@ def test_certify_kkt_without_objective_mass_warns():
 
 def test_certify_rejects_broken_combinations():
     config = SolverConfig(delta=0.1, target_eps=1.5)
-    with pytest.raises(CertificationError, match="empty"):
+    with pytest.raises(CertificationError, match="weights-nonnegative"):
         certify(np.zeros(2), [], BALL.spec, config)
     bad_weight = unit_combo([1.0, 0.0])
     bad_weight[0] = WeightedSubgradient(np.zeros(2), np.array([1.0, 0.0]),
@@ -153,16 +155,16 @@ def test_certify_rejects_broken_combinations():
                                          OBJECTIVE, 0.9)
     with pytest.raises(CertificationError, match="sum"):
         certify(np.zeros(2), off_simplex, BALL.spec, config)
-    with pytest.raises(CertificationError, match="match"):
+    with pytest.raises(CertificationError, match="zeta-recompute"):
         certify(np.zeros(2), unit_combo([1.0, 0.0]), BALL.spec, config,
                 zeta=np.array([0.5, 0.0]))
-    with pytest.raises(CertificationError, match="exceeds tolerance"):
+    with pytest.raises(CertificationError, match="zeta-norm-bound"):
         certify(np.zeros(2), unit_combo([1.0, 0.0]), BALL.spec,
                 SolverConfig(delta=0.1, target_eps=0.5))
     far = unit_combo([1.0, 0.0], point=[0.5, 0.0])
     with pytest.raises(CertificationError, match="distance"):
         certify(np.zeros(2), far, BALL.spec, config)
-    with pytest.raises(CertificationError, match="infeasible"):
+    with pytest.raises(CertificationError, match="anchor-feasible"):
         certify(np.array([1.5, 0.0]), unit_combo([1.0, 0.0], point=[1.5, 0.0]),
                 BALL.spec, config)
 
@@ -290,3 +292,47 @@ def test_tau_prime_splits_the_failure_budget():
 def test_trace_wall_time_positive():
     _, trace = solve_ball(seed=4)
     assert trace.wall_time_s > 0.0
+
+
+def test_trace_carries_the_inner_budget_the_cap_derives_from():
+    _, trace = solve_ball(seed=0)
+    budget = rand_call_budget(1.0, 0.05, trace.tau_prime)
+    assert trace.inner_budget == budget
+    assert trace.call_cap == 4 * budget
+    config = SolverConfig(delta=0.05, target_eps=0.05, inner_call_cap=10**6)
+    _, capped = solve(BALL.spec, config, BALL.start)
+    assert (capped.inner_budget, capped.call_cap) == (budget, 10**6)
+
+
+def nan_at_origin(oracle: Oracle) -> Oracle:
+    """The oracle, except that its value at the origin is NaN."""
+    def value(x):
+        return math.nan if not np.any(x) else oracle.value(x)
+    return Oracle(value=value, grad=oracle.grad, dir_grad=oracle.dir_grad)
+
+
+@pytest.mark.parametrize("broken", ["objective", "constraint"])
+def test_non_finite_anchor_reads_raise_oracle_error(broken):
+    spec = BALL.spec
+    objective, constraint = spec.objective, spec.constraints[0]
+    if broken == "objective":
+        objective = nan_at_origin(objective)
+    else:
+        constraint = nan_at_origin(constraint)
+    bad = ProblemSpec(dim=2, objective=objective, constraints=(constraint,),
+                      lipschitz_m=spec.lipschitz_m,
+                      neighborhood_delta=spec.neighborhood_delta,
+                      p_star=spec.p_star)
+    config = SolverConfig(delta=0.05, target_eps=1.5)
+    # solve reads f(x0) and g(x0) at the start
+    with pytest.raises(OracleError):
+        solve(bad, config, np.zeros(2))
+    # certify reads f(anchor) and every g_i(anchor); the combination itself
+    # passes every structural check, and caller-supplied anchor values skip
+    # only the first reads
+    with pytest.raises(OracleError):
+        certify(np.zeros(2), unit_combo([1.0, 0.0]), bad, config)
+    if broken == "constraint":
+        with pytest.raises(OracleError):
+            certify(np.zeros(2), unit_combo([1.0, 0.0]), bad, config,
+                    anchor_values=(0.0, -1.0))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldsub.core import (Oracle, ProblemSpec, Subproblem, reduce_constraints,
+from goldsub.core import (Oracle, ProblemSpec, ReducedConstraint, Subproblem,
                           sample_ball)
 from goldsub.errors import OracleError, UsageError
 from goldsub.problems import constant_constraint, get_problem
@@ -297,6 +297,16 @@ def test_nan_vector_fails_the_recompute_check():
     assert "nan" in report.checks[CHECK_ORDER.index("vector-recompute")].detail
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_wrong_length_stored_vector_is_usage_error(length):
+    record, cert = fresh_cert(seed=3)
+    bad = copy.deepcopy(cert)
+    bad.combination[0].__dict__["vector"] = np.ones(length)
+    with pytest.raises(UsageError, match="dimension 2"):
+        check_certificate(bad, record.spec, slackness_samples=10,
+                          estimate_samples=10)
+
+
 @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"slackness_samples": -5},
                                     {"estimate_samples": -1}])
 def test_negative_seed_or_sample_count_is_usage_error(kwargs):
@@ -308,7 +318,7 @@ def test_negative_seed_or_sample_count_is_usage_error(kwargs):
 def slack_prefix_max(cert, spec, rng, n):
     """max |gamma * g| over the first n rows of one large ball draw."""
     rows = sample_ball(cert.anchor, cert.delta, rng, size=3 * n)
-    gvals, _ = reduce_constraints(spec).values(rows[:n])
+    gvals, _ = ReducedConstraint(spec).values(rows[:n])
     return float(np.max(np.abs(cert.gamma * gvals)))
 
 
