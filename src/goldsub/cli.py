@@ -7,7 +7,7 @@ Documents are JSON (see serialize).  Exit codes are stable:
     3  call budget or iteration cap exhausted
     4  infeasible starting point
     5  oracle returned non-finite or malformed output
-    6  certificate failed verification
+    6  certificate failed verification (by verify, or by certify in solve)
     7  certificate corrupt (stored vectors disagree with recomputation)
     8  bisection step cap exhausted (nonconvexity metadata understated)
 
@@ -26,8 +26,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import (BudgetExceededError, GoldsubError, InfeasibleStartError,
-                     ModulusError, OracleError, UsageError)
+from .errors import (BudgetExceededError, CertificationError, GoldsubError,
+                     InfeasibleStartError, ModulusError, OracleError,
+                     UsageError)
 from .problems import get_problem, list_problems
 from .serialize import (certificate_data, certificate_from_data,
                         config_from_data, manifest_data, read_json,
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 # exit code of each error reported without a traceback, subclasses first
 _EXIT_CODES = ((InfeasibleStartError, EXIT_INFEASIBLE), (ModulusError, EXIT_MODULUS),
                (BudgetExceededError, EXIT_BUDGET), (OracleError, EXIT_ORACLE),
-               (UsageError, EXIT_USAGE))
+               (UsageError, EXIT_USAGE), (CertificationError, EXIT_VERIFY_FAILED))
 
 
 def main(argv=None) -> int:

@@ -24,6 +24,7 @@ methods of ReducedConstraint and Subproblem accept every oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -165,13 +166,13 @@ def _finite_value(val, what: str) -> float:
     return val
 
 
-def _finite_vector(vec, dim: int, what: str) -> Vector:
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (dim,):
-        raise OracleError("%s returned shape %r, expected (%d,)" % (what, vec.shape, dim))
-    if not np.all(np.isfinite(vec)):
+def _finite_array(arr, shape: tuple, what: str) -> np.ndarray:
+    arr = np.asarray(arr, dtype=float)
+    if arr.shape != shape:
+        raise OracleError("%s returned shape %r, expected %r" % (what, arr.shape, shape))
+    if not np.all(np.isfinite(arr)):
         raise OracleError("non-finite entries from %s" % what)
-    return vec
+    return arr
 
 
 def _finite_values(oracle: Oracle, z: np.ndarray, what: str) -> np.ndarray:
@@ -179,27 +180,15 @@ def _finite_values(oracle: Oracle, z: np.ndarray, what: str) -> np.ndarray:
     if oracle.values is None:
         return np.array([_finite_value(oracle.value(row), what) for row in z],
                         dtype=float)
-    vals = np.asarray(oracle.values(z), dtype=float)
-    if vals.shape != (len(z),):
-        raise OracleError("%s returned shape %r, expected (%d,)"
-                          % (what, vals.shape, len(z)))
-    if not np.all(np.isfinite(vals)):
-        raise OracleError("non-finite value from %s" % what)
-    return vals
+    return _finite_array(oracle.values(z), (len(z),), what)
 
 
 def _finite_grads(oracle: Oracle, z: np.ndarray, dim: int, what: str) -> np.ndarray:
     """Checked ``grad`` of every row of z, batched when the oracle allows."""
     if oracle.grads is None:
-        return np.array([_finite_vector(oracle.grad(row), dim, what) for row in z],
+        return np.array([_finite_array(oracle.grad(row), (dim,), what) for row in z],
                         dtype=float).reshape(len(z), dim)
-    vecs = np.asarray(oracle.grads(z), dtype=float)
-    if vecs.shape != (len(z), dim):
-        raise OracleError("%s returned shape %r, expected (%d, %d)"
-                          % (what, vecs.shape, len(z), dim))
-    if not np.all(np.isfinite(vecs)):
-        raise OracleError("non-finite entries from %s" % what)
-    return vecs
+    return _finite_array(oracle.grads(z), (len(z), dim), what)
 
 
 class ReducedConstraint:
@@ -227,9 +216,8 @@ class ReducedConstraint:
     def grad(self, z: Vector) -> tuple[float, Vector, int]:
         """Return (g(z), a.e. gradient of the attaining constraint, index)."""
         val, idx = self.value(z)
-        vec = _finite_vector(
-            self._oracles[idx - 1].grad(z), self._problem.dim, "constraint %d grad" % idx
-        )
+        vec = _finite_array(self._oracles[idx - 1].grad(z), (self._problem.dim,),
+                            "constraint %d grad" % idx)
         return val, vec, idx
 
     def values(self, z) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +261,8 @@ class ReducedConstraint:
                 continue
             if oracle.dir_grad is None:
                 raise UsageError("constraint %d has no directional oracle" % i)
-            vec = _finite_vector(oracle.dir_grad(z, v), self._problem.dim,
-                                 "constraint %d dir_grad" % i)
+            vec = _finite_array(oracle.dir_grad(z, v), (self._problem.dim,),
+                                "constraint %d dir_grad" % i)
             dd = float(vec @ v)
             if best is None or dd > best[1]:
                 best = (vec, dd, i)
@@ -342,8 +330,8 @@ class Subproblem:
         """A.e.-gradient of h at z; ties go to the objective branch."""
         fz = _finite_value(self.problem.objective.value(z), "objective value")
         if fz - self.f_anchor >= self._g.value(z)[0]:
-            vec = _finite_vector(self.problem.objective.grad(z), self.problem.dim,
-                                 "objective grad")
+            vec = _finite_array(self.problem.objective.grad(z), (self.problem.dim,),
+                                "objective grad")
             branch = OBJECTIVE
         else:
             _, vec, idx = self._g.grad(z)
@@ -384,13 +372,13 @@ class Subproblem:
         gz, g_vec, g_dd, idx = self._g.dir_grad(z, v)
         self.subgrad_calls += 1
         if fdiff > gz:
-            vec = _finite_vector(self.problem.objective.dir_grad(z, v),
-                                 self.problem.dim, "objective dir_grad")
+            vec = _finite_array(self.problem.objective.dir_grad(z, v),
+                                (self.problem.dim,), "objective dir_grad")
             return vec, OBJECTIVE, fdiff, float(vec @ v)
         if fdiff < gz:
             return g_vec, Branch.constraint(idx), gz, g_dd
-        vec = _finite_vector(self.problem.objective.dir_grad(z, v),
-                             self.problem.dim, "objective dir_grad")
+        vec = _finite_array(self.problem.objective.dir_grad(z, v),
+                            (self.problem.dim,), "objective dir_grad")
         f_dd = float(vec @ v)
         if f_dd >= g_dd:
             return vec, OBJECTIVE, fdiff, f_dd
@@ -436,9 +424,9 @@ def sample_ball(center: Vector, radius: float, rng: np.random.Generator,
         scale = np.divide(radius, norms, out=np.zeros(size), where=norms > 0.0)
         return center + scale[:, None] * normals[:, :n]
     u = rng.standard_normal(n)
-    norm = float(np.linalg.norm(u))
+    norm = math.sqrt(u.dot(u))
     while norm == 0.0:  # probability zero, but keep the draw order clean
         u = rng.standard_normal(n)
-        norm = float(np.linalg.norm(u))
+        norm = math.sqrt(u.dot(u))
     r = radius * rng.random() ** (1.0 / n)
     return center + (r / norm) * u

@@ -49,7 +49,7 @@ class RayRestriction:
     def __post_init__(self):
         if not (self.delta > 0 and self.eps > 0):
             raise UsageError("delta and eps must be positive")
-        norm = float(np.linalg.norm(self.direction))
+        norm = math.sqrt(self.direction.dot(self.direction))
         if abs(norm - 1.0) > 1e-12:
             raise UsageError("ray direction must be unit norm (got %.17g)" % norm)
 
@@ -140,7 +140,7 @@ def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float
             v[0] = 1.0
         else:
             v = _as_vector(v0, problem.dim)
-            norm0 = float(np.linalg.norm(v))
+            norm0 = math.sqrt(v.dot(v))
             if norm0 == 0.0:
                 raise UsageError("v0 must be nonzero")
             v = v / norm0

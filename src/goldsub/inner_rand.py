@@ -64,7 +64,7 @@ class InnerResult:
 
     @property
     def zeta_norm(self) -> float:
-        return float(np.linalg.norm(self.zeta))
+        return math.sqrt(self.zeta.dot(self.zeta))
 
 
 class _Combination:
@@ -135,11 +135,11 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
     trajectory: list[dict] = []
 
     def snapshot():
-        resid = float(np.linalg.norm(recombine(combo.export(), zeta.size) - zeta))
+        resid = recombine(combo.export(), zeta.size) - zeta
         weights = combo.weights()
         trajectory.append({
-            "zeta_norm": float(np.linalg.norm(zeta)),
-            "recombine_residual": resid,
+            "zeta_norm": math.sqrt(zeta.dot(zeta)),
+            "recombine_residual": math.sqrt(resid.dot(resid)),
             "weight_sum": float(sum(weights)),
             "min_weight": float(min(weights)),
         })
@@ -148,7 +148,7 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         snapshot()
 
     while True:
-        norm = float(np.linalg.norm(zeta))
+        norm = math.sqrt(zeta.dot(zeta))
         if norm <= eps:
             return InnerResult(STATIONARY, zeta, combo.export(),
                                sub.subgrad_calls, sub.value_calls, iterations,
@@ -215,7 +215,7 @@ def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         u = norm ** 2 / (128.0 * m ** 2)
         r = 0.5 * norm * math.sqrt(max(0.0, 1.0 - (1.0 - u) ** 2))
         y = sample_ball(zeta, r, rng)
-        y_norm = float(np.linalg.norm(y))
+        y_norm = math.sqrt(y.dot(y))
         s = sub.anchor - (delta * rng.random() / y_norm) * y
         return (s, *sub.grad(s), None), 0
 

@@ -34,26 +34,53 @@ MANIFEST_SCHEMA = "goldsub.manifest/1"
 UNDEFINED = "undefined"
 
 
-def to_jsonable(value):
-    """Recursively convert numpy scalars/arrays so json can emit them."""
-    if isinstance(value, np.ndarray):
-        return [to_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
+def _finite(text: str) -> str:
+    """Joined float reprs; NaN and inf raise, the only reprs with an "n"."""
+    if "n" in text:
+        raise ValueError("Out of range float values are not JSON compliant")
+    return text
+
+
+_quote = json.encoder.encode_basestring_ascii
+# JSON text of a leaf by exact type, from C-level formatters
+_LEAF = {str: _quote, float: lambda v: _finite(float.__repr__(v)),
+         int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__,
+         type(None): lambda _: "null"}
+# the value json sees: numpy arrays and scalars as Python ones, subclasses
+# of str, int and float as their base type
+_CONVERT = ((np.ndarray, np.ndarray.tolist), (np.floating, float),
+            (np.integer, int), (np.bool_, bool), (str, str.__str__),
+            (int, int.__int__), (float, float.__float__))
+
+
+def _emit(value, newline: str) -> str:
+    """JSON text of ``value`` whose closing bracket follows ``newline``."""
+    leaf = _LEAF.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = newline + "  "
     if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
+        if set(map(type, value)) != {str}:
+            value = dict(zip(map(str, value), value.values()))
+        text = ("," + inner).join([_quote(k) + ": " + _emit(v, inner)
+                                   for k, v in sorted(value.items())])
+        return "{" + inner + text + newline + "}" if value else "{}"
     if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    return value
+        try:  # a list of floats, such as a point: one C-level join
+            text = _finite(("," + inner).join(map(float.__repr__, value)))
+        except TypeError:
+            text = ("," + inner).join([_emit(v, inner) for v in value])
+        return "[" + inner + text + newline + "]" if value else "[]"
+    for kind, convert in _CONVERT:
+        if isinstance(value, kind):
+            return _emit(convert(value), newline)
+    raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
 def dumps(data) -> str:
-    return json.dumps(to_jsonable(data), sort_keys=True, indent=2,
-                      allow_nan=False) + "\n"
+    """``json.dumps(data, sort_keys=True, indent=2, allow_nan=False) + "\\n"``
+    in one pass, numpy values as Python ones, dict keys as ``str(key)``."""
+    return _emit(data, "\n") + "\n"
 
 
 def write_text(path: str, text: str) -> None:

@@ -173,7 +173,7 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     zeta = _as_vector(recombine(combination, problem.dim) if zeta is None
                       else zeta, problem.dim)
     _require(check_zeta_recompute(combination, zeta, m))
-    zeta_norm = float(np.linalg.norm(zeta))
+    zeta_norm = math.sqrt(zeta.dot(zeta))
     _require(check_zeta_norm(zeta_norm, eps_t))
 
     reduced = ReducedConstraint(problem)

@@ -372,11 +372,13 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     for w in combo:
         point = _as_vector(w.point, dim)
         if w.direction is None:
-            expected, _ = sub.grad(point)
+            expected, branch = sub.grad(point)
         else:
-            expected, _, _, _ = sub.dir_grad(point, _as_vector(w.direction, dim))
+            expected, branch, _, _ = sub.dir_grad(point, _as_vector(w.direction, dim))
         stored = _as_vector(w.vector, dim, finite=False)
-        mismatches.append(float(np.linalg.norm(expected - stored)))
+        # a relabelled branch is as wrong as a wrong vector
+        mismatches.append(float(np.linalg.norm(expected - stored))
+                          if branch == w.branch else math.inf)
     # max() skips a NaN mismatch; a NaN must fail the check instead
     worst = max(mismatches, default=0.0)
     if any(math.isnan(d) for d in mismatches):

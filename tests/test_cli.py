@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from goldsub import solver
 from goldsub.cli import (
     EXIT_BUDGET,
     EXIT_CORRUPT,
@@ -16,6 +17,7 @@ from goldsub.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from goldsub.errors import CertificationError
 from goldsub.serialize import read_json
 
 SOLVE = ["solve", "--problem", "ball-linear", "--delta", "0.05",
@@ -180,6 +182,37 @@ def test_verify_flags_vector_corruption(solved, tmp_path, capsys):
     rc = main(["verify", path] + FAST_VERIFY)
     assert rc == EXIT_CORRUPT
     assert "vector-recompute" in capsys.readouterr().err
+
+
+def _swap_objective_and_constraint(combination):
+    kinds = [entry["branch"]["kind"] for entry in combination]
+    obj, con = kinds.index("objective"), kinds.index("constraint")
+    combination[obj]["branch"], combination[con]["branch"] = (
+        combination[con]["branch"], combination[obj]["branch"])
+
+
+@pytest.mark.parametrize("relabel", [
+    pytest.param(lambda combination: combination[-1].update(
+        branch={"kind": "constraint", "index": 7}), id="constraint-index-7"),
+    pytest.param(_swap_objective_and_constraint, id="objective-constraint-swap"),
+])
+def test_verify_rejects_relabelled_branch(solved, tmp_path, capsys, relabel):
+    path = rewrite(solved / "run.cert.json", tmp_path / "branch.json",
+                   lambda data: relabel(data["combination"]))
+    rc = main(["verify", path] + FAST_VERIFY)
+    assert rc == EXIT_CORRUPT
+    assert "REJECTED: vector-recompute" in capsys.readouterr().err
+
+
+def test_solve_certification_failure_exits_6(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise CertificationError("check zeta-norm-bound failed: forced")
+
+    monkeypatch.setattr(solver, "certify", broken)
+    rc = main(SOLVE + ["--out-dir", str(tmp_path)])
+    assert rc == EXIT_VERIFY_FAILED
+    assert "check zeta-norm-bound failed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_fast_stops_at_first_failure(solved, tmp_path, capsys):

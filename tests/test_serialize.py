@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldsub.errors import UsageError
 from goldsub.problems import get_problem
@@ -21,7 +25,6 @@ from goldsub.serialize import (
     dumps,
     manifest_data,
     read_json,
-    to_jsonable,
     trace_data,
     trace_from_data,
     write_json,
@@ -30,8 +33,6 @@ from goldsub.solver import SolverConfig, solve
 
 
 def read_json_text(text):
-    import json
-
     return json.loads(text)
 
 
@@ -44,13 +45,14 @@ def run():
 
 
 def test_to_jsonable_handles_numpy():
-    data = to_jsonable({
+    text = dumps({
         "arr": np.array([1.0, 2.5]),
         "scalar": np.float64(0.25),
         "count": np.int64(3),
         "flag": np.bool_(True),
         "pair": (1, 2),
     })
+    data = json.loads(text)
     assert data == {"arr": [1.0, 2.5], "scalar": 0.25, "count": 3,
                     "flag": True, "pair": [1, 2]}
     assert all(type(v) is float for v in data["arr"])
@@ -68,6 +70,53 @@ def test_dumps_rejects_nan():
         dumps({"x": math.nan})
     with pytest.raises(ValueError):
         dumps({"x": math.inf})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 np.float64(math.nan), np.float64(-math.inf),
+                                 np.float32(math.nan), np.float32(math.inf)],
+                         ids=repr)
+@pytest.mark.parametrize("wrap", [
+    pytest.param(lambda x: x, id="top-level"),
+    pytest.param(lambda x: [1.0, x, 2.0], id="float-list"),
+    pytest.param(lambda x: ["s", 1, x], id="mixed-list"),
+    pytest.param(lambda x: (0.5, x), id="tuple"),
+    pytest.param(lambda x: {"a": {"b": [{"c": x}]}}, id="nested-dict"),
+    pytest.param(lambda x: {"a": [[0.0, x]]}, id="nested-list"),
+    pytest.param(lambda x: {"a": np.array([[0.0, 1.0], [2.0, x]])}, id="array"),
+    pytest.param(lambda x: [np.float64(1.0), x], id="numpy-list"),
+])
+def test_dumps_rejects_non_finite_anywhere(bad, wrap):
+    with pytest.raises(ValueError):
+        dumps(wrap(bad))
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 0.0, 1e16, -1e16, 5e-324, 0.1, 1e-7, 1.7976931348623157e308])
+_TEXT = st.text() | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x1f\x7f", "caf\u00e9", "\u2603\U0001f600", 'a"b'])
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70)
+           | _FLOATS | _TEXT
+           | _FLOATS.map(np.float64)
+           | st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32)
+           | st.integers(-2**63, 2**63 - 1).map(np.int64)
+           | st.booleans().map(np.bool_)
+           | hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2,
+                                                      min_side=0, max_side=3),
+                        elements=_FLOATS))
+_KEYS = _TEXT | st.integers() | st.booleans() | st.none() | _FLOATS
+_DOCUMENTS = st.recursive(
+    _LEAVES,
+    lambda children: (st.lists(children, max_size=5)
+                      | st.lists(children, max_size=5).map(tuple)
+                      | st.dictionaries(_KEYS, children, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, derandomize=True)
+@given(_DOCUMENTS)
+def test_dumps_matches_the_stdlib_encoder(stdlib_dumps, data):
+    assert dumps(data) == stdlib_dumps(data)
 
 
 def test_write_and_read_round_trip(tmp_path):
@@ -145,7 +194,7 @@ def test_trace_round_trip_drops_wall_time(run):
     decoded, _ = trace_from_data(read_json_text(dumps(data)))
     assert decoded.wall_time_s == 0.0
     assert decoded.outer_steps == trace.outer_steps
-    assert decoded.records == to_jsonable(trace.records)
+    assert decoded.records == trace.records
     assert dumps(trace_data(decoded)) == dumps(data)
 
 
