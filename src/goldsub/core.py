@@ -154,41 +154,46 @@ def _as_points(z, dim: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise UsageError("expected an (N, %d) array of points, got shape %r"
                          % (dim, pts.shape))
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise UsageError("non-finite entries in input points")
     return pts
 
 
-def _finite_value(val, what: str) -> float:
+# The output checks below run once per oracle call on the hot paths.  The
+# oracle they name is ``what % args``, formatted only when a check fails.
+
+def _finite_value(val, what: str, *args) -> float:
     val = float(val)
-    if not np.isfinite(val):
-        raise OracleError("non-finite value from %s" % what)
+    if not math.isfinite(val):
+        raise OracleError("non-finite value from %s" % (what % args))
     return val
 
 
-def _finite_array(arr, shape: tuple, what: str) -> np.ndarray:
+def _finite_array(arr, shape: tuple, what: str, *args) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.shape != shape:
-        raise OracleError("%s returned shape %r, expected %r" % (what, arr.shape, shape))
-    if not np.all(np.isfinite(arr)):
-        raise OracleError("non-finite entries from %s" % what)
+        raise OracleError("%s returned shape %r, expected %r"
+                          % (what % args, arr.shape, shape))
+    if not np.isfinite(arr).all():
+        raise OracleError("non-finite entries from %s" % (what % args))
     return arr
 
 
-def _finite_values(oracle: Oracle, z: np.ndarray, what: str) -> np.ndarray:
+def _finite_values(oracle: Oracle, z: np.ndarray, what: str, *args) -> np.ndarray:
     """Checked ``value`` of every row of z, batched when the oracle allows."""
     if oracle.values is None:
-        return np.array([_finite_value(oracle.value(row), what) for row in z],
-                        dtype=float)
-    return _finite_array(oracle.values(z), (len(z),), what)
+        return np.array([_finite_value(oracle.value(row), what, *args)
+                         for row in z], dtype=float)
+    return _finite_array(oracle.values(z), (len(z),), what, *args)
 
 
-def _finite_grads(oracle: Oracle, z: np.ndarray, dim: int, what: str) -> np.ndarray:
+def _finite_grads(oracle: Oracle, z: np.ndarray, dim: int, what: str,
+                  *args) -> np.ndarray:
     """Checked ``grad`` of every row of z, batched when the oracle allows."""
     if oracle.grads is None:
-        return np.array([_finite_array(oracle.grad(row), (dim,), what) for row in z],
-                        dtype=float).reshape(len(z), dim)
-    return _finite_array(oracle.grads(z), (len(z), dim), what)
+        return np.array([_finite_array(oracle.grad(row), (dim,), what, *args)
+                         for row in z], dtype=float).reshape(len(z), dim)
+    return _finite_array(oracle.grads(z), (len(z), dim), what, *args)
 
 
 class ReducedConstraint:
@@ -206,9 +211,9 @@ class ReducedConstraint:
 
     def value(self, z: Vector) -> tuple[float, int]:
         """Return (g(z), attaining 1-based index)."""
-        best, best_i = -np.inf, 0
+        best, best_i = -math.inf, 0
         for i, oracle in enumerate(self._oracles, start=1):
-            vi = _finite_value(oracle.value(z), "constraint %d value" % i)
+            vi = _finite_value(oracle.value(z), "constraint %d value", i)
             if vi > best:
                 best, best_i = vi, i
         return best, best_i
@@ -216,9 +221,12 @@ class ReducedConstraint:
     def grad(self, z: Vector) -> tuple[float, Vector, int]:
         """Return (g(z), a.e. gradient of the attaining constraint, index)."""
         val, idx = self.value(z)
-        vec = _finite_array(self._oracles[idx - 1].grad(z), (self._problem.dim,),
-                            "constraint %d grad" % idx)
-        return val, vec, idx
+        return val, self.grad_at(z, idx), idx
+
+    def grad_at(self, z: Vector, idx: int) -> Vector:
+        """Gradient of constraint idx at z."""
+        return _finite_array(self._oracles[idx - 1].grad(z), (self._problem.dim,),
+                             "constraint %d grad", idx)
 
     def values(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``value``: (g of every row of z, attaining 1-based indices)."""
@@ -226,7 +234,7 @@ class ReducedConstraint:
         best = np.full(len(z), -np.inf)
         best_i = np.zeros(len(z), dtype=int)
         for i, oracle in enumerate(self._oracles, start=1):
-            vi = _finite_values(oracle, z, "constraint %d value" % i)
+            vi = _finite_values(oracle, z, "constraint %d value", i)
             wins = vi > best
             best[wins] = vi[wins]
             best_i[wins] = i
@@ -236,24 +244,23 @@ class ReducedConstraint:
         """Batch ``grad``: (g values, attaining-constraint gradients, indices)."""
         z = _as_points(z, self._problem.dim)
         vals, idx = self.values(z)
-        return vals, self._grads_at(z, idx), idx
+        return vals, self.grads_at(z, idx), idx
 
-    def _grads_at(self, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Gradient of constraint idx[k] at row k of z."""
+    def grads_at(self, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Gradient of constraint idx[k] at row k of z; rows with idx[k] == 0
+        are left unset for the caller to fill."""
         vecs = np.empty((len(z), self._problem.dim))
         for i, oracle in enumerate(self._oracles, start=1):
             rows = idx == i
             if rows.any():
                 vecs[rows] = _finite_grads(oracle, z[rows], self._problem.dim,
-                                           "constraint %d grad" % i)
+                                           "constraint %d grad", i)
         return vecs
 
     def dir_grad(self, z: Vector, v: Vector) -> tuple[float, Vector, float, int]:
         """Return (g(z), directional subgradient, directional derivative, index)."""
-        values = [
-            _finite_value(o.value(z), "constraint %d value" % i)
-            for i, o in enumerate(self._oracles, start=1)
-        ]
+        values = [_finite_value(o.value(z), "constraint %d value", i)
+                  for i, o in enumerate(self._oracles, start=1)]
         top = max(values)
         best = None
         for i, (vi, oracle) in enumerate(zip(values, self._oracles), start=1):
@@ -262,7 +269,7 @@ class ReducedConstraint:
             if oracle.dir_grad is None:
                 raise UsageError("constraint %d has no directional oracle" % i)
             vec = _finite_array(oracle.dir_grad(z, v), (self._problem.dim,),
-                                "constraint %d dir_grad" % i)
+                                "constraint %d dir_grad", i)
             dd = float(vec @ v)
             if best is None or dd > best[1]:
                 best = (vec, dd, i)
@@ -329,12 +336,13 @@ class Subproblem:
     def grad(self, z: Vector) -> tuple[Vector, Branch]:
         """A.e.-gradient of h at z; ties go to the objective branch."""
         fz = _finite_value(self.problem.objective.value(z), "objective value")
-        if fz - self.f_anchor >= self._g.value(z)[0]:
+        gz, idx = self._g.value(z)
+        if fz - self.f_anchor >= gz:
             vec = _finite_array(self.problem.objective.grad(z), (self.problem.dim,),
                                 "objective grad")
             branch = OBJECTIVE
         else:
-            _, vec, idx = self._g.grad(z)
+            vec = self._g.grad_at(z, idx)
             branch = Branch.constraint(idx)
         self.subgrad_calls += 1
         return vec, branch
@@ -351,7 +359,7 @@ class Subproblem:
         gz, idx = self._g.values(z)
         obj = fz - self.f_anchor >= gz
         idx[obj] = 0
-        vecs = self._g._grads_at(z, idx)
+        vecs = self._g.grads_at(z, idx)
         if obj.any():
             vecs[obj] = _finite_grads(self.problem.objective, z[obj],
                                       self.problem.dim, "objective grad")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ProblemSpec, Subproblem, Vector, WeightedSubgradient,
-                   _as_vector, sample_ball, segment_projection_coefficient)
+                   sample_ball, segment_projection_coefficient)
 from .errors import BudgetExceededError, UsageError
 from .verify import recombine
 
@@ -122,8 +122,8 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
     direction, h_trial) gives (term, probe ties) after a rejected one."""
     if not (delta > 0 and eps > 0):
         raise UsageError("delta and eps must be positive")
-    anchor = _as_vector(anchor, problem.dim)
     sub = Subproblem(problem, anchor, anchor_values)
+    anchor = sub.anchor
     if sub.g_anchor > 0.0:
         raise UsageError("infeasible anchor: g(anchor) = %g > 0" % sub.g_anchor)
 

@@ -135,10 +135,21 @@ def _branch_data(branch: Branch) -> dict:
     return data
 
 
+_OBJECTIVE_DATA = _branch_data(OBJECTIVE)
+
+
 def _branch_from(data: dict) -> Branch:
-    if data.get("kind") == "objective":
+    """Exactly ``{"kind": "objective"}`` or ``{"kind": "constraint", "index":
+    i}`` with an integer i >= 1; anything else is malformed."""
+    if data == _OBJECTIVE_DATA:
         return OBJECTIVE
-    return Branch.constraint(int(data["index"]))
+    index = data.get("index") if type(data) is dict else None
+    if type(index) is int and index >= 1 and len(data) == 2 \
+            and data.get("kind") == "constraint":
+        return Branch("constraint", index)
+    raise ValueError("branch must be {\"kind\": \"objective\"} or "
+                     "{\"kind\": \"constraint\", \"index\": i >= 1}, got %s"
+                     % json.dumps(data))
 
 
 def _vec(value) -> Vector:

@@ -217,7 +217,7 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
         combination=list(combination), gamma0=gamma0, gamma=gamma, lam=lam,
         eps_effective=eps_t, fj_eta_bound=3.0 * m * delta, delta=delta,
         lipschitz_m=m, f_anchor=float(f_anchor), g_anchor=float(g_anchor),
-        per_constraint_g=[_finite_value(c.value(anchor), "constraint %d value" % i)
+        per_constraint_g=[_finite_value(c.value(anchor), "constraint %d value", i)
                           for i, c in enumerate(problem.constraints, start=1)],
         kkt_eps=kkt_eps, kkt_eta=kkt_eta, kkt_lambda_bound=kkt_lambda_bound,
         gcq_sigma=config.gcq_sigma if config.kkt_mode else None,
@@ -305,7 +305,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         oracle_calls += res.oracle_calls
         value_calls += res.value_calls
         records.append({
-            "k": k, "x": [float(v) for v in x], "f": f_x, "g": g_x,
+            "k": k, "x": x.tolist(), "f": f_x, "g": g_x,
             "zeta_norm": res.zeta_norm, "inner_outcome": res.outcome,
             "inner_oracle_calls": res.oracle_calls,
             "inner_value_calls": res.value_calls,
@@ -315,7 +315,8 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         })
         if res.outcome == STATIONARY:
             break
-        prev_direction = res.zeta / res.zeta_norm
+        if config.inner == BISECT:
+            prev_direction = res.zeta / res.zeta_norm
         x = res.descent_point.copy()
         f_x, g_x = res.descent_f, res.descent_g
         k += 1

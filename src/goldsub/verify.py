@@ -114,7 +114,7 @@ def min_norm_over_hull(points, tol: float = HULL_TOL) -> HullEstimate:
         pts = pts.reshape(1, -1)
     if pts.size == 0:
         raise UsageError("empty point list")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise UsageError("non-finite points")
     k, n = pts.shape
 
@@ -228,7 +228,7 @@ def check_gcq(anchor, problem: ProblemSpec, a: float, b: float, c: float,
     anchor = _as_vector(anchor, problem.dim)
     near_active = [
         i for i, oracle in enumerate(problem.constraints, start=1)
-        if _finite_value(oracle.value(anchor), "constraint %d value" % i) >= -c
+        if _finite_value(oracle.value(anchor), "constraint %d value", i) >= -c
     ]
     if not near_active:
         return GcqReport(outcome=HOLDS, near_active=[], bound=b, estimate=None)
@@ -240,7 +240,7 @@ def check_gcq(anchor, problem: ProblemSpec, a: float, b: float, c: float,
         for rows in sample_blocks(n_samples):
             grads[row:row + rows] = _finite_grads(
                 oracle, sample_ball(anchor, a, rng, size=rows), problem.dim,
-                "constraint %d grad" % i)
+                "constraint %d grad", i)
             row += rows
     estimate = min_norm_over_hull(grads)
     outcome = VIOLATED if estimate.min_norm < b else HOLDS

@@ -204,6 +204,31 @@ def test_verify_rejects_relabelled_branch(solved, tmp_path, capsys, relabel):
     assert "REJECTED: vector-recompute" in capsys.readouterr().err
 
 
+def _set_branch(kind, branch):
+    def mutate(data):
+        entry = next(e for e in data["combination"] if e["branch"]["kind"] == kind)
+        entry["branch"] = branch
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    _set_branch("constraint", {"kind": "bogus", "index": 1}),
+    _set_branch("objective", {"kind": "objective", "index": 1}),
+    _set_branch("constraint", {"kind": "constraint", "index": "1"}),
+    _set_branch("constraint", {"kind": "constraint", "index": True}),
+    _set_branch("constraint", {"kind": "constraint", "index": 0}),
+    _set_branch("constraint", {"kind": "constraint", "index": 1, "note": 0}),
+    _set_branch("objective", "objective"),
+], ids=["bogus-kind", "objective-with-index", "string-index", "bool-index",
+        "index-0", "extra-key", "not-an-object"])
+def test_verify_rejects_malformed_branch(solved, tmp_path, capsys, mutate):
+    path = rewrite(solved / "run.cert.json", tmp_path / "branch.json", mutate)
+    assert main(["verify", path] + FAST_VERIFY) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "certificate OK" not in out
+    assert "malformed certificate document" in err and "branch must be" in err
+
+
 def test_solve_certification_failure_exits_6(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise CertificationError("check zeta-norm-bound failed: forced")

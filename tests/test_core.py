@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
 
@@ -245,6 +246,54 @@ def test_h_subgradient_is_one_underlying_oracle_call():
         assert np.array_equal(vec, raw)
 
 
+def counting(oracle: Oracle, counts: collections.Counter, label: str) -> Oracle:
+    def value(x):
+        counts[label] += 1
+        return oracle.value(x)
+
+    return dataclasses.replace(oracle, value=value)
+
+
+def test_each_value_callable_runs_once_per_point():
+    # footnote-2c has two constraints: g2 attains the max on (-1, 1), g1
+    # outside it; from the anchor 0.5 the objective wins above about -0.25
+    base = get_problem("footnote-2c").spec
+    counts: collections.Counter = collections.Counter()
+    prob = dataclasses.replace(
+        base, objective=counting(base.objective, counts, "f"),
+        constraints=tuple(counting(c, counts, "g%d" % i)
+                          for i, c in enumerate(base.constraints, start=1)))
+    reduced = ReducedConstraint(base)
+    sub = Subproblem(prob, np.array([0.5]))
+    once = {"f": 1, "g1": 1, "g2": 1}
+    seen = set()
+    for z in np.linspace(-1.35, 1.35, 55)[:, None]:
+        g, g_idx = reduced.value(z)
+        counts.clear()
+        vec, branch = sub.grad(z)
+        assert counts == once
+        seen.add(branch_code(branch))
+        if not branch.is_objective:
+            _, g_vec, idx = reduced.grad(z)
+            assert branch == Branch.constraint(idx)
+            assert np.array_equal(vec, g_vec)
+
+        counts.clear()
+        h, fz, gz = sub.value_full(z)
+        assert counts == once
+        assert (gz, h) == (g, max(fz - 0.5, g))
+
+        v = np.array([-1.0])
+        counts.clear()
+        vec, branch, h_z, dd = sub.dir_grad(z, v)
+        assert counts == once
+        if not branch.is_objective:
+            g_dir, g_vec, g_dd, idx = reduced.dir_grad(z, v)
+            assert (branch, h_z, dd) == (Branch.constraint(idx), g_dir, g_dd)
+            assert np.array_equal(vec, g_vec)
+    assert seen == {0, 1, 2}
+
+
 def test_h_subgradient_norms_within_lipschitz_bound():
     # the bound is promised on the neighborhood_delta fattening of the
     # feasible region, so anchors must be feasible before stepping out
@@ -362,6 +411,98 @@ def test_non_finite_oracle_output_raises_oracle_error():
     good = Subproblem(bad, np.zeros(1), anchor_values=(0.0, -1.0))
     with pytest.raises(OracleError):
         good.value(np.zeros(1))
+
+
+# footnote-2c points from the anchor 0.5 and the oracle whose output the
+# call there returns: the objective, constraint 2 and constraint 1
+OBJECTIVE_POINT, G2_POINT, G1_POINT = 0.9, -0.75, -1.2
+
+
+def replaced(spec: ProblemSpec, which: str, field: str, fn) -> ProblemSpec:
+    if which == "objective":
+        return dataclasses.replace(spec, objective=dataclasses.replace(
+            spec.objective, **{field: fn}))
+    i = int(which[-1]) - 1
+    constraints = list(spec.constraints)
+    constraints[i] = dataclasses.replace(constraints[i], **{field: fn})
+    return dataclasses.replace(spec, constraints=tuple(constraints))
+
+
+def h_call(spec: ProblemSpec, method: str, point: float):
+    sub = Subproblem(spec, np.array([0.5]), anchor_values=(0.5, -0.75))
+    z = np.array([point])
+    if method == "grad":
+        return sub.grad(z)[0]
+    if method == "value_full":
+        return sub.value_full(z)[0]
+    return sub.dir_grad(z, np.array([-1.0]))[0]
+
+
+@pytest.mark.parametrize("which, field, method, point", [
+    ("objective", "grad", "grad", OBJECTIVE_POINT),
+    ("g2", "grad", "grad", G2_POINT),
+    ("g1", "dir_grad", "dir_grad", G1_POINT),
+])
+@pytest.mark.parametrize("out", [[0.25], np.array([0.25], dtype=np.float32),
+                                 np.array([3]), np.array([[2.0]])[0], [1e200]],
+                         ids=["list", "float32", "int", "view", "huge"])
+def test_oracle_output_is_converted_as_before(which, field, method, point, out):
+    spec = replaced(get_problem("footnote-2c").spec, which, field,
+                    lambda *args: out)
+    vec = h_call(spec, method, point)
+    assert vec.dtype == np.float64
+    assert np.array_equal(vec, np.asarray(out, dtype=float))
+
+
+def test_finite_vector_whose_sum_overflows_is_accepted():
+    out = np.array([1e308, 1e308])
+    spec = replaced(get_problem("ball-linear").spec, "objective", "grad",
+                    lambda x: out)
+    vec, branch = Subproblem(spec, np.zeros(2)).grad(np.array([0.1, 0.0]))
+    assert branch == OBJECTIVE and np.array_equal(vec, out)
+
+
+@pytest.mark.parametrize("method", ["grad", "value_full", "dir_grad"])
+@pytest.mark.parametrize("out", [np.float32(-0.5), np.int64(-2), -2, True])
+def test_oracle_values_are_converted_as_before(method, out):
+    spec = replaced(get_problem("footnote-2c").spec, "g2", "value",
+                    lambda x: out)
+    sub = Subproblem(spec, np.array([0.5]), anchor_values=(0.5, -0.75))
+    _, _, g = sub.value_full(np.array([-0.9]))
+    assert type(g) is float and g == max(float(out), 0.81 - 1.0)
+    h_call(spec, method, -0.9)
+
+
+@pytest.mark.parametrize("method", ["grad", "value_full", "dir_grad"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_names_the_oracle(method, bad):
+    spec = replaced(get_problem("footnote-2c").spec, "g2", "value",
+                    lambda x: np.float64(bad))
+    with pytest.raises(OracleError) as err:
+        h_call(spec, method, OBJECTIVE_POINT)
+    assert str(err.value) == "non-finite value from constraint 2 value"
+
+
+@pytest.mark.parametrize("which, field, method, point, name", [
+    ("objective", "grad", "grad", OBJECTIVE_POINT, "objective grad"),
+    ("g2", "grad", "grad", G2_POINT, "constraint 2 grad"),
+    ("g1", "dir_grad", "dir_grad", G1_POINT, "constraint 1 dir_grad"),
+])
+@pytest.mark.parametrize("bad", [[0.0, 0.0], 0.0, [math.nan], [math.inf],
+                                 [-math.inf]],
+                         ids=["long", "scalar", "nan", "inf", "-inf"])
+def test_malformed_oracle_output_names_the_oracle(which, field, method, point,
+                                                  name, bad):
+    out = np.array(bad)
+    spec = replaced(get_problem("footnote-2c").spec, which, field,
+                    lambda *args: out)
+    with pytest.raises(OracleError) as err:
+        h_call(spec, method, point)
+    if out.shape == (1,):
+        assert str(err.value) == "non-finite entries from %s" % name
+    else:
+        assert str(err.value) == "%s returned shape %r, expected (1,)" % (
+            name, out.shape)
 
 
 def test_eval_h_rejects_wrong_shape():

@@ -1,21 +1,27 @@
-"""Byte identity of certificate and trace documents.
+"""Byte identity of certificate and trace documents, and of verify reports.
 
-Each digest is the SHA-256 of the document bytes `goldsub solve` writes for
-one acceptance member at seed 0.  Refactors must keep them: a change that
-moves a byte on purpose says which bytes and why, and updates the digest.
-The bytes also equal the standard library encoder's (``stdlib_dumps``).
+Each document digest is the SHA-256 of the document bytes `goldsub solve`
+writes for one acceptance member at seed 0.  Each report digest is the
+SHA-256 of what `goldsub verify` checks in that certificate at its
+defaults: per check its name, verdict and detail string.  Refactors must
+keep them: a change that moves a byte on purpose says which bytes and why,
+and updates the digest.  The document bytes also equal the standard
+library encoder's (``stdlib_dumps``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from goldsub import __version__
 from goldsub.problems import ball_linear_sigma, get_problem
-from goldsub.serialize import certificate_data, dumps, manifest_data, trace_data
+from goldsub.serialize import (certificate_data, certificate_from_data, dumps,
+                               manifest_data, trace_data)
 from goldsub.solver import BISECT, RAND, SolverConfig, solve
+from goldsub.verify import check_certificate
 
 DELTA = 0.05
 EPS = 0.05
@@ -70,6 +76,41 @@ GOLDEN = {
 }
 
 
+# same cells -> digest of the verify report on the decoded certificate
+REPORTS = {
+    "ball-linear-rand":
+        "5377b870fbed381470bf1fee4e8854844e8b312ea0aff018e1f952bfb51cfc79",
+    "ball-linear-bisect":
+        "c6efa2468e727f64553edded2af284ad98055fad490885cffe8bc06739bb298e",
+    "l1-ball-rand":
+        "332a28aa6faba92edc9ace87c4b5ec8fe40221af99a9c856566edd3de4e2bb4a",
+    "l1-ball-bisect":
+        "ae04df893e34bf3452fb15f0a9a584911664514befc9d574c8875761dfffb9a7",
+    "footnote-1d-rand":
+        "a0190069d991f2b5d4cd50ea61cf4ba68087ac5c68b857e3d64b6e3b2dfe2118",
+    "footnote-1d-bisect":
+        "266e7c871059fa0158c9a0b9936a35163a0e46ed2b773f27c59ab3726111d2a5",
+    "footnote-2c-rand":
+        "83d27610f2da79052422f17af9ed8ca573dccdbf6bf76a9fe7ebbd94e822074a",
+    "footnote-2c-bisect":
+        "98d92ae62546e6ca1ecda136b3e797fc8757e0f822adab81b0697e9488417227",
+    "pl-nonconvex-rand":
+        "ddbcfa3158c058d55c61e71b0b1928f7a97de47f4e5f413d88225d8e85eaf675",
+    "pl-nonconvex-bisect":
+        "330b1d802f60d3493dae935450677053c851c9002f8ecf677d7a4cb62f9d60d4",
+    "ball-linear-n10-rand":
+        "1f65e026b43aa24a9fc025910d7cfbdb191d28757d8792a8b2a4d4fdf2832466",
+    "ball-linear-n10-bisect":
+        "d24cf0d29a720265b9d7349fc4b31816fdf841ccab4a818d707ceb6d6335e141",
+    "pl-nonconvex-n10-rand":
+        "106b5d7f7f2cd6c9682b16e75cf55db7c3fe9c7e9d8f0a2e271364dbbb99459b",
+    "pl-nonconvex-n10-bisect":
+        "4d59b837e56dea3eace8027a51b74860b53c77403912f199f69e2c608916e339",
+    "ball-linear-rand-kkt":
+        "e3765bc90f79389e1b6d6f6ef3786b9cb15a282e0b1a1e293aa737fabc2ab3a8",
+}
+
+
 def cells():
     for name, params in (("ball-linear", {}), ("l1-ball", {}),
                          ("footnote-1d", {}), ("footnote-2c", {}),
@@ -102,3 +143,14 @@ def test_documents_keep_their_bytes(cell, stdlib_dumps):
                     for doc in docs)
     assert digests == GOLDEN[label(*cell)]
     assert [dumps(doc) for doc in docs] == [stdlib_dumps(doc) for doc in docs]
+
+
+@pytest.mark.parametrize("cell", list(cells()), ids=lambda c: label(*c))
+def test_verify_reports_keep_their_bytes(cell):
+    cert_doc, _ = documents(*cell)
+    cert, _ = certificate_from_data(json.loads(dumps(cert_doc)))
+    report = check_certificate(cert, get_problem(cell[0], **cell[1]).spec)
+    text = "".join("%s\t%s\t%s\n" % (check.name, check.passed, check.detail)
+                   for check in report.checks)
+    assert report.passed and len(report.checks) == 10
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORTS[label(*cell)]
