@@ -30,7 +30,7 @@ from .errors import (BudgetExceededError, CertificationError, GoldsubError,
                      InfeasibleStartError, ModulusError, OracleError,
                      UsageError)
 from .problems import get_problem, list_problems
-from .serialize import (certificate_data, certificate_from_data,
+from .serialize import (_expect, certificate_data, certificate_from_data,
                         config_from_data, manifest_data, read_json,
                         trace_data, write_json, write_text)
 from .solver import BISECT, RAND, solve
@@ -81,7 +81,8 @@ def _problem_from_spec(entry) -> tuple[str, dict]:
 
 
 def _resolve_solve_inputs(args):
-    file_data = read_json(args.config) if args.config else {}
+    file_data = _expect(read_json(args.config), dict, "config file") \
+        if args.config else {}
     name, params = None, {}
     if "problem" in file_data:
         name, params = _problem_from_spec(file_data["problem"])
@@ -94,7 +95,7 @@ def _resolve_solve_inputs(args):
 
     record = get_problem(name, **params)
 
-    config_map = dict(file_data.get("config", {}))
+    config_map = dict(_expect(file_data.get("config", {}), dict, "config"))
     overrides = {
         "delta": args.delta,
         "target_eps": args.eps,
@@ -114,7 +115,8 @@ def _resolve_solve_inputs(args):
     if args.x0 is not None:
         x0 = _parse_x0(args.x0)
     elif "x0" in file_data:
-        x0 = [float(v) for v in file_data["x0"]]
+        x0 = [float(_expect(v, float, "x0 entry"))
+              for v in _expect(file_data["x0"], list, "x0")]
     else:
         x0 = record.start
     return record, config, np.asarray(x0, dtype=float)
@@ -189,17 +191,34 @@ def cmd_verify(args) -> int:
     return EXIT_CORRUPT if report.corrupt else EXIT_VERIFY_FAILED
 
 
+def _grid_cell(cell) -> tuple[float, float]:
+    """(delta, eps) of a suite grid cell."""
+    cell = _expect(cell, dict, "grid cell")
+    return tuple(float(_expect(cell.get(key), float, "grid cell " + key))
+                 for key in ("delta", "eps"))
+
+
 def cmd_bench(args) -> int:
-    suite = read_json(args.suite)
-    problems = suite.get("problems")
+    suite = _expect(read_json(args.suite), dict, "suite")
+    problems = _expect(suite.get("problems", []), list, "suite problems")
     if not problems:
         raise UsageError("suite needs a nonempty 'problems' list")
-    inners = suite.get("inners", [RAND])
-    seeds = suite.get("seeds", [0])
-    if isinstance(seeds, int):
+    inners = _expect(suite.get("inners", [RAND]), list, "suite inners")
+    seeds = _expect(suite.get("seeds", [0]), int | list, "suite seeds")
+    if type(seeds) is int:
+        if seeds < 0:
+            raise UsageError("suite seeds count must be nonnegative")
         seeds = list(range(seeds))
-    grid = suite.get("grid", [{"delta": 0.05, "eps": 0.05}])
-    base_config = dict(suite.get("config", {}))
+    grid = [_grid_cell(cell) for cell in _expect(
+        suite.get("grid", [{"delta": 0.05, "eps": 0.05}]), list, "suite grid")]
+    base_config = _expect(suite.get("config", {}), dict, "suite config")
+    # every input is checked before the first cell runs
+    records = [(name, params, get_problem(name, **params))
+               for name, params in map(_problem_from_spec, problems)]
+    configs = [config_from_data({**base_config, "delta": delta,
+                                 "target_eps": eps, "inner": inner,
+                                 "seed": seed})
+               for inner in inners for delta, eps in grid for seed in seeds]
 
     out = _out_dir(args.out_dir)
     series_dir = os.path.join(out, "series")
@@ -207,57 +226,45 @@ def cmd_bench(args) -> int:
 
     rows = []
     failures = 0
-    for entry in problems:
-        name, params = _problem_from_spec(entry)
-        record = get_problem(name, **params)
-        for inner in inners:
-            for cell in grid:
-                for seed in seeds:
-                    config_map = dict(base_config)
-                    config_map.update({
-                        "delta": float(cell["delta"]),
-                        "target_eps": float(cell["eps"]),
-                        "inner": inner,
-                        "seed": int(seed),
-                    })
-                    config = config_from_data(config_map)
-                    cell_id = "%s-%s-d%g-e%g-s%d" % (
-                        name, inner, config.delta, config.target_eps, seed)
-                    row = {"problem": name, "params": params, "inner": inner,
-                           "seed": seed, "delta": config.delta,
-                           "eps": config.target_eps, "cell": cell_id}
-                    started = time.perf_counter()
-                    try:
-                        cert, trace = solve(record.spec, config, record.start)
-                    except GoldsubError as err:
-                        failures += 1
-                        row.update(status=type(err).__name__, error=str(err))
-                        rows.append(row)
-                        continue
-                    budget = trace.inner_budget
-                    max_inner = max(r["inner_oracle_calls"] for r in trace.records)
-                    row.update(
-                        status="ok",
-                        outer_steps=trace.outer_steps,
-                        lemma_bound=trace.lemma_bound,
-                        lemma_ratio=(None if trace.lemma_bound is None
-                                     else trace.outer_steps / trace.lemma_bound),
-                        oracle_calls=trace.oracle_calls,
-                        value_calls=trace.value_calls,
-                        inner_budget=budget,
-                        max_inner_calls=max_inner,
-                        budget_ratio=None if budget is None else max_inner / budget,
-                        f_final=cert.f_anchor, g_final=cert.g_anchor,
-                        zeta_norm=cert.zeta_norm, gamma0=cert.gamma0,
-                        wall_s=time.perf_counter() - started,
-                    )
-                    rows.append(row)
-                    lines = ["k,f,g,zeta_norm"]
-                    lines += ["%d,%.17g,%.17g,%.17g"
-                              % (r["k"], r["f"], r["g"], r["zeta_norm"])
-                              for r in trace.records]
-                    write_text(os.path.join(series_dir, cell_id + ".csv"),
-                               "\n".join(lines) + "\n")
+    for name, params, record in records:
+        for config in configs:
+            cell_id = "%s-%s-d%g-e%g-s%d" % (
+                name, config.inner, config.delta, config.target_eps, config.seed)
+            row = {"problem": name, "params": params, "inner": config.inner,
+                   "seed": config.seed, "delta": config.delta,
+                   "eps": config.target_eps, "cell": cell_id}
+            started = time.perf_counter()
+            try:
+                cert, trace = solve(record.spec, config, record.start)
+            except GoldsubError as err:
+                failures += 1
+                row.update(status=type(err).__name__, error=str(err))
+                rows.append(row)
+                continue
+            budget = trace.inner_budget
+            max_inner = max(r["inner_oracle_calls"] for r in trace.records)
+            row.update(
+                status="ok",
+                outer_steps=trace.outer_steps,
+                lemma_bound=trace.lemma_bound,
+                lemma_ratio=(None if trace.lemma_bound is None
+                             else trace.outer_steps / trace.lemma_bound),
+                oracle_calls=trace.oracle_calls,
+                value_calls=trace.value_calls,
+                inner_budget=budget,
+                max_inner_calls=max_inner,
+                budget_ratio=None if budget is None else max_inner / budget,
+                f_final=cert.f_anchor, g_final=cert.g_anchor,
+                zeta_norm=cert.zeta_norm, gamma0=cert.gamma0,
+                wall_s=time.perf_counter() - started,
+            )
+            rows.append(row)
+            lines = ["k,f,g,zeta_norm"]
+            lines += ["%d,%.17g,%.17g,%.17g"
+                      % (r["k"], r["f"], r["g"], r["zeta_norm"])
+                      for r in trace.records]
+            write_text(os.path.join(series_dir, cell_id + ".csv"),
+                       "\n".join(lines) + "\n")
 
     write_json(os.path.join(out, "bench-summary.json"),
                {"schema": "goldsub.bench/1", "rows": rows})

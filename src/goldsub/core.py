@@ -240,12 +240,6 @@ class ReducedConstraint:
             best_i[wins] = i
         return best, best_i
 
-    def grads(self, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Batch ``grad``: (g values, attaining-constraint gradients, indices)."""
-        z = _as_points(z, self._problem.dim)
-        vals, idx = self.values(z)
-        return vals, self.grads_at(z, idx), idx
-
     def grads_at(self, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Gradient of constraint idx[k] at row k of z; rows with idx[k] == 0
         are left unset for the caller to fill."""
@@ -319,17 +313,6 @@ class Subproblem:
         gz, _ = self._g.value(z)
         self.value_calls += 1
         return max(fz - self.f_anchor, gz), fz, gz
-
-    def value(self, z: Vector) -> float:
-        return self.value_full(z)[0]
-
-    def values(self, z) -> np.ndarray:
-        """Batch ``value``: h at every row of z; one value call per row."""
-        z = _as_points(z, self.problem.dim)
-        fz = _finite_values(self.problem.objective, z, "objective value")
-        gz, _ = self._g.values(z)
-        self.value_calls += len(z)
-        return np.maximum(fz - self.f_anchor, gz)
 
     # -- subgradient events --------------------------------------------------
 

@@ -125,14 +125,14 @@ def bisect_call_budget(m_lipschitz: float, eps: float,
 
 def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
                   call_cap: int, v0: Vector | None = None,
-                  anchor_values: tuple[float, float] | None = None,
-                  max_steps: int | None = None,
-                  collect_trajectory: bool = False) -> InnerResult:
+                  anchor_values: tuple[float, float] | None = None) -> InnerResult:
     """Run the deterministic search at a feasible anchor.
 
-    ``v0`` seeds the first directional query (callers that iterate pass the
-    previous step direction; the default is the first basis vector).  The
-    routine is seed-free: equal inputs give bit-identical results.
+    Arguments as in ``rand_search``.  ``v0`` seeds the first directional
+    query (callers that iterate pass the previous step direction; the
+    default is the first basis vector); each ray bisection stops after
+    ``default_max_steps(delta)`` probes.  Equal inputs give bit-identical
+    results.
     """
     def first(sub):
         if v0 is None:
@@ -153,9 +153,8 @@ def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float
         l_far = h_trial  # l(0) = h(trial) - eps*0/2
         l_anchor = sub.h_anchor - eps * delta / 2.0
         r, vec, branch, _, _, ties = bisect_negative_slope(
-            ray, sub, l_far, l_anchor, max_steps=max_steps)
+            ray, sub, l_far, l_anchor)
         return (ray.point_at(r), vec, branch, direction), ties
 
-    return _search(anchor, problem, delta, eps, call_cap, anchor_values,
-                   collect_trajectory, first,
+    return _search(anchor, problem, delta, eps, call_cap, anchor_values, first,
                    lambda descent, norm: descent >= delta * eps / 3.0, step)

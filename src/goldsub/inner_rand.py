@@ -16,14 +16,13 @@ the next subgradient is found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ProblemSpec, Subproblem, Vector, WeightedSubgradient,
                    sample_ball, segment_projection_coefficient)
 from .errors import BudgetExceededError, UsageError
-from .verify import recombine
 
 DESCENT = "descent"
 STATIONARY = "stationary"
@@ -60,7 +59,6 @@ class InnerResult:
     descent_f: float | None = None
     descent_g: float | None = None
     probe_ties: int = 0
-    trajectory: list[dict] = field(default_factory=list)
 
     @property
     def zeta_norm(self) -> float:
@@ -115,7 +113,7 @@ def rand_call_budget(m_lipschitz: float, eps: float, tau: float) -> int:
 
 def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
             call_cap: int, anchor_values: tuple[float, float] | None,
-            collect_trajectory: bool, first, descends, step) -> InnerResult:
+            first, descends, step) -> InnerResult:
     """The round loop of both searches.  A term is the (point, vector,
     branch, direction) of one subgradient; first(sub) gives the opening term,
     descends(descent, norm) tests a trial step, and step(sub, zeta, norm,
@@ -132,27 +130,13 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
     combo = _Combination(term)
     iterations = 0
     ties_total = 0
-    trajectory: list[dict] = []
-
-    def snapshot():
-        resid = recombine(combo.export(), zeta.size) - zeta
-        weights = combo.weights()
-        trajectory.append({
-            "zeta_norm": math.sqrt(zeta.dot(zeta)),
-            "recombine_residual": math.sqrt(resid.dot(resid)),
-            "weight_sum": float(sum(weights)),
-            "min_weight": float(min(weights)),
-        })
-
-    if collect_trajectory:
-        snapshot()
 
     while True:
         norm = math.sqrt(zeta.dot(zeta))
         if norm <= eps:
             return InnerResult(STATIONARY, zeta, combo.export(),
                                sub.subgrad_calls, sub.value_calls, iterations,
-                               probe_ties=ties_total, trajectory=trajectory)
+                               probe_ties=ties_total)
         direction = zeta / norm
         trial = anchor - delta * direction
         h_trial, f_trial, g_trial = sub.value_full(trial)
@@ -162,7 +146,7 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
                                sub.subgrad_calls, sub.value_calls, iterations,
                                descent_amount=descent, descent_point=trial,
                                descent_f=f_trial, descent_g=g_trial,
-                               probe_ties=ties_total, trajectory=trajectory)
+                               probe_ties=ties_total)
         if sub.subgrad_calls >= call_cap:
             raise BudgetExceededError(
                 "inner call cap %d exhausted at ||zeta|| = %.3g" % (call_cap, norm),
@@ -178,14 +162,11 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         zeta = (1.0 - t) * zeta + t * vec
         combo.segment_update(t, term)
         iterations += 1
-        if collect_trajectory:
-            snapshot()
 
 
 def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
                 rng: np.random.Generator, call_cap: int,
-                anchor_values: tuple[float, float] | None = None,
-                collect_trajectory: bool = False) -> InnerResult:
+                anchor_values: tuple[float, float] | None = None) -> InnerResult:
     """Run the randomized search at a feasible anchor.
 
     Parameters
@@ -199,8 +180,6 @@ def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
     call_cap : hard cap on subgradient calls; BudgetExceededError beyond it.
     anchor_values : (f(anchor), g(anchor)) if the caller already paid for
         them; otherwise one value call is spent here.
-    collect_trajectory : record per-round diagnostics (norms, residuals) for
-        invariant tests.
     """
     m = problem.lipschitz_m
 
@@ -219,6 +198,5 @@ def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         s = sub.anchor - (delta * rng.random() / y_norm) * y
         return (s, *sub.grad(s), None), 0
 
-    return _search(anchor, problem, delta, eps, call_cap, anchor_values,
-                   collect_trajectory, first,
+    return _search(anchor, problem, delta, eps, call_cap, anchor_values, first,
                    lambda descent, norm: descent > delta * norm / 4.0, step)

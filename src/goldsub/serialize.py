@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import sys
 import tempfile
 import typing
 from datetime import datetime, timezone
@@ -256,13 +257,41 @@ def trace_from_data(data: dict) -> tuple[SolveTrace, dict | None]:
     return _from_data(_decode_trace, data, TRACE_SCHEMA, "trace", nested="totals")
 
 
+_JSON_NAMES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", float: "a number", bool: "true or false",
+               type(None): "null"}
+
+
+def _expect(value, kind, what: str):
+    """``value`` when its parsed JSON type is ``kind``, a type or a union
+    such as ``int | None``; a number may be an integer in the float range,
+    but not true or false.  Anything else is a UsageError."""
+    kinds = typing.get_args(kind) or (kind,)
+    found = type(value)
+    if found in kinds or (found is int and float in kinds
+                          and abs(value) <= sys.float_info.max):
+        return value
+    raise UsageError("%s must be %s, got %s"
+                     % (what, " or ".join(_JSON_NAMES[k] for k in kinds),
+                        _JSON_NAMES.get(found, found.__name__)))
+
+
+_CONFIG_TYPES = typing.get_type_hints(SolverConfig)
+# keys of earlier config versions: accepted with any value and ignored
+_RETIRED_CONFIG_KEYS = frozenset({"collect_trajectory"})
+
+
 def config_from_data(data: dict) -> SolverConfig:
-    """Build a SolverConfig from a parsed config mapping; unknown keys fail."""
-    known = {f.name for f in dataclasses.fields(SolverConfig)}
-    extra = set(data) - known
+    """Build a SolverConfig from a parsed config object.  Unknown keys and
+    values of the wrong JSON type fail; retired keys are ignored."""
+    data = {key: value for key, value in _expect(data, dict, "config").items()
+            if key not in _RETIRED_CONFIG_KEYS}
+    extra = set(data) - set(_CONFIG_TYPES)
     if extra:
         raise UsageError("unknown config keys: %s" % ", ".join(sorted(extra)))
+    for key, value in data.items():
+        _expect(value, _CONFIG_TYPES[key], "config " + key)
     try:
         return SolverConfig(**data)
-    except TypeError as exc:
+    except TypeError as exc:  # a required key is missing
         raise UsageError("bad config: %s" % exc) from None

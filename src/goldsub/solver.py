@@ -65,7 +65,6 @@ class SolverConfig:
     outer_cap: int = 1_000_000
     inner_call_cap: int | None = None
     slackness_samples: int = 1000
-    collect_trajectory: bool = False
 
     def __post_init__(self):
         if not (self.delta > 0 and self.target_eps > 0):
@@ -292,12 +291,10 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         try:
             if config.inner == RAND:
                 res = rand_search(x, problem, config.delta, eps_t, rng,
-                                  call_cap, anchor_values=(f_x, g_x),
-                                  collect_trajectory=config.collect_trajectory)
+                                  call_cap, anchor_values=(f_x, g_x))
             else:
                 res = bisect_search(x, problem, config.delta, eps_t, call_cap,
-                                    v0=prev_direction, anchor_values=(f_x, g_x),
-                                    collect_trajectory=config.collect_trajectory)
+                                    v0=prev_direction, anchor_values=(f_x, g_x))
         except BudgetExceededError as err:
             err.partial = dict(err.partial or {})
             err.partial["trace"] = partial_trace()

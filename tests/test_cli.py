@@ -130,6 +130,50 @@ def test_solve_requires_a_problem(capsys):
     assert "registered" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [False, True])
+def test_solve_accepts_a_manifest_with_the_retired_trajectory_key(
+        solved, tmp_path, value):
+    # manifests written before the key was retired carry it in their config
+    def add_key(data):
+        data["config"]["collect_trajectory"] = value
+
+    path = rewrite(solved / "run.manifest.json", tmp_path / "old.json", add_key)
+    rc = main(["solve", "--config", path, "--out-dir", str(tmp_path),
+               "--tag", "run"])
+    assert rc == EXIT_OK
+    assert (tmp_path / "run.cert.json").read_bytes() == \
+        (solved / "run.cert.json").read_bytes()
+
+
+JOB = {"problem": {"name": "ball-linear"}}
+
+
+@pytest.mark.parametrize("job", [
+    {**JOB, "config": [1]},
+    {**JOB, "x0": "ab"},
+    {**JOB, "x0": 5},
+    {**JOB, "x0": [True, False]},
+    {**JOB, "x0": [10 ** 400, 0]},
+    {**JOB, "config": {"seed": 1.5}},
+    {**JOB, "config": {"seed": True}},
+    {**JOB, "config": {"slackness_samples": 2.5}},
+    {**JOB, "config": {"inner_call_cap": 2.5}},
+    {**JOB, "config": {"outer_cap": 2.5}},
+    [JOB],
+], ids=["config-list", "x0-string", "x0-number", "x0-bools", "x0-overflow",
+        "seed-float", "seed-bool", "slackness-samples-float",
+        "inner-call-cap-float", "outer-cap-float", "top-level-list"])
+def test_solve_config_of_the_wrong_type_is_usage_error(tmp_path, job, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(path), "--delta", "0.05",
+               "--eps", "0.05", "--out-dir", str(out)])
+    assert rc == EXIT_USAGE
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ verify
 
 
@@ -365,3 +409,32 @@ def test_bench_requires_problems(tmp_path, capsys):
     suite = tmp_path / "empty.json"
     suite.write_text(json.dumps({"problems": []}))
     assert main(["bench", "--suite", str(suite)]) == EXIT_USAGE
+
+
+CELL = {"delta": 0.1, "eps": 0.1}
+
+
+@pytest.mark.parametrize("suite", [
+    [{"problems": ["ball-linear"]}],
+    {"problems": ["ball-linear"], "grid": [{"eps": 0.1}]},
+    {"problems": ["ball-linear"], "grid": [{"delta": "x", "eps": 0.1}]},
+    {"problems": ["ball-linear"], "grid": [{"delta": 10 ** 400, "eps": 0.1}]},
+    {"problems": ["ball-linear"], "grid": [CELL], "seeds": "ab"},
+    {"problems": ["ball-linear"], "grid": CELL},
+    {"problems": "ball-linear", "grid": [CELL]},
+    {"problems": ["ball-linear"], "grid": [CELL], "seeds": -2},
+    {"problems": ["ball-linear"], "grid": [CELL], "seeds": [1.5]},
+    {"problems": ["ball-linear"], "grid": [CELL], "config": [1]},
+    {"problems": ["ball-linear"], "grid": [CELL], "inners": ["rand", "nope"]},
+    {"problems": ["ball-linear", "nope"], "grid": [CELL]},
+], ids=["top-level-list", "cell-without-delta", "string-delta",
+        "overflowing-delta", "string-seeds", "grid-object", "problems-string",
+        "negative-seed-count", "float-seed", "config-list", "second-inner-unknown",
+        "second-problem-unknown"])
+def test_bench_malformed_suite_is_usage_error(tmp_path, suite, capsys):
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite))
+    out = tmp_path / "out"
+    assert main(["bench", "--suite", str(path), "--out-dir", str(out)]) == EXIT_USAGE
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()  # no cell ran

@@ -108,18 +108,18 @@ def test_min_norm_on_segment_properties(pair):
 def test_eval_h_zero_at_feasible_anchor():
     prob = get_problem("ball-linear").spec
     anchor = np.array([0.3, -0.4])
-    assert Subproblem(prob, anchor).value(anchor) == 0.0
+    assert Subproblem(prob, anchor).value_full(anchor)[0] == 0.0
 
 
 def test_eval_h_objective_side():
     prob = get_problem("ball-linear").spec
-    val = Subproblem(prob, np.zeros(2)).value(np.array([0.5, -1.0]))
+    val = Subproblem(prob, np.zeros(2)).value_full(np.array([0.5, -1.0]))[0]
     assert abs(val - 0.5) < 1e-15
 
 
 def test_eval_h_constraint_side_negative():
     prob = get_problem("ball-linear").spec
-    val = Subproblem(prob, np.zeros(2)).value(np.array([-0.1, 0.0]))
+    val = Subproblem(prob, np.zeros(2)).value_full(np.array([-0.1, 0.0]))[0]
     assert abs(val - (-0.1)) < 1e-15
 
 
@@ -134,14 +134,14 @@ def test_eval_h_matches_direct_max_on_random_points():
         z = record.domain_sampler(rng)
         direct = max(prob.objective.value(z) - f0,
                      max(c.value(z) for c in prob.constraints))
-        assert sub.value(z) == direct
+        assert sub.value_full(z)[0] == direct
 
 
 def test_subproblem_call_accounting():
     prob = get_problem("ball-linear").spec
     sub = Subproblem(prob, np.zeros(2))
     assert (sub.subgrad_calls, sub.value_calls) == (0, 1)
-    sub.value(np.array([0.1, 0.0]))
+    sub.value_full(np.array([0.1, 0.0]))
     assert (sub.subgrad_calls, sub.value_calls) == (0, 2)
     sub.grad(np.array([0.1, 0.0]))
     assert (sub.subgrad_calls, sub.value_calls) == (1, 2)
@@ -410,7 +410,7 @@ def test_non_finite_oracle_output_raises_oracle_error():
         Subproblem(bad, np.zeros(1))
     good = Subproblem(bad, np.zeros(1), anchor_values=(0.0, -1.0))
     with pytest.raises(OracleError):
-        good.value(np.zeros(1))
+        good.value_full(np.zeros(1))
 
 
 # footnote-2c points from the anchor 0.5 and the oracle whose output the
@@ -601,19 +601,16 @@ def test_batch_oracles_agree_with_pointwise(name, params):
     point_g = [reduced.grad(row) for row in z]
     point_h = [sub.grad(row) for row in z]
 
-    g_vals, g_vecs, g_idx = reduced.grads(z)
+    g_vals, g_idx = reduced.values(z)
+    g_vecs = reduced.grads_at(z, g_idx)
     assert np.max(np.abs(g_vals - [p[0] for p in point_g])) <= tol
     assert np.max(np.abs(g_vecs - [p[1] for p in point_g])) <= tol
     assert g_idx.tolist() == [p[2] for p in point_g]
-    vals, idx = reduced.values(z)
-    assert np.array_equal(vals, g_vals) and np.array_equal(idx, g_idx)
 
     h_vecs, codes = sub.grads(z)
     assert np.max(np.abs(h_vecs - [p[0] for p in point_h])) <= tol
     assert codes.tolist() == [branch_code(p[1]) for p in point_h]
-    h_vals = sub.values(z)
-    assert np.max(np.abs(h_vals - [sub.value(row) for row in z])) <= tol
-    assert (sub.subgrad_calls, sub.value_calls) == (2 * len(z), 1 + 2 * len(z))
+    assert (sub.subgrad_calls, sub.value_calls) == (2 * len(z), 1)
 
 
 def pointwise_only(prob: ProblemSpec) -> ProblemSpec:
@@ -630,7 +627,8 @@ def test_batch_fallback_loops_over_pointwise_oracles(name):
     rng = np.random.default_rng(3)
     z = np.array([record.domain_sampler(rng) for _ in range(500)])
     reduced = ReducedConstraint(prob)
-    vals, vecs, idx = reduced.grads(z)
+    vals, idx = reduced.values(z)
+    vecs = reduced.grads_at(z, idx)
     loop = [reduced.grad(row) for row in z]
     assert np.array_equal(vals, [p[0] for p in loop])
     assert np.array_equal(vecs, [p[1] for p in loop])
@@ -640,7 +638,6 @@ def test_batch_fallback_loops_over_pointwise_oracles(name):
     loop = [sub.grad(row) for row in z]
     assert np.array_equal(h_vecs, [p[0] for p in loop])
     assert codes.tolist() == [branch_code(p[1]) for p in loop]
-    assert np.array_equal(sub.values(z), [sub.value(row) for row in z])
 
 
 def test_batch_on_empty_and_malformed_point_arrays():

@@ -29,50 +29,50 @@ EPS = 0.05
 # (member, params, inner, kkt) -> (certificate digest, trace digest)
 GOLDEN = {
     "ball-linear-rand": (
-        "48a4b1aa54d514b1a3bbfcef4c390aeff21bb404e05cb91865a5d77ec82fb3f4",
-        "bb135aea363aa229f525f301e9e6cd69cad1823f6a152d03cdf08e6af80651cd"),
+        "4002669184a8c716575323cf1c717399b899a09ed74ae0ca4392a8eb094e3f17",
+        "c90d13aefb46eef0e01444f3f3559a08150e9b43613a19a984fb95a06cc66ef0"),
     "ball-linear-bisect": (
-        "0a5af0d449cb1f29944b45cb37fb106cd004a8c71f2c5f10e7092ada6a771fac",
-        "93858e25fb8e17fba6706a8700105f000cd897d7e5116b67d370b8021ff3bc4c"),
+        "ef713e8f6b91b0fa62848acff45b96f9ec6349861cc1e1c8cd880b82ff228b98",
+        "1439f6de0951daa84a3902445fbbfb762eb07de9eb9f49cad1bcfccb98efe677"),
     "l1-ball-rand": (
-        "026d6b1a8788a7b2bc7b8019dbe842af3daba949796d9d2a24373aed530717b3",
-        "0ec33793643959bbf338daa254bbb583ade5ca3ae298a568bb4c6d43af75c328"),
+        "7f431a31b09c8f033d81b8e65d0f5ebbd38abf1f021feb5792830ddecfc30156",
+        "e908796aab688db048c850bbbf85eb654cc155f465ef709d7a53ec84dc6007a8"),
     "l1-ball-bisect": (
-        "eb918ecd89188aaf1580d3891642f70397b964f9047f936d6d0916e588d2843e",
-        "b9451ab5c3d1e50308026dcc78d0b4fea65da9dc913c0e137965632e8888bec3"),
+        "cb19c6d8acdef696fc8643cd0ede08df27ada328a8812c08caeb4bc08f7d28f1",
+        "fd5f583032f4c0caf5781e31f096ea61730b3da951fbfeddc74ee8032ab1daf3"),
     "footnote-1d-rand": (
-        "2c8123ea9bed0f596ed341575273fe85229b0eefb4596ff6f3d04859be530b91",
-        "0389c2d38087b58e69b6ad1124cc362a7c1543eea9a4f9d7f6c1d7dc50f15a18"),
+        "4eac40c5e96a8f055230fe7d3e59f72cfc5c662d2aac742613a60c0687ef1949",
+        "737767497c25857625b83ca3a470e9315eeffcdb8002f76747b450939f8c2933"),
     "footnote-1d-bisect": (
-        "048946137b4ef68b10a250de3b7842657ec19f89a7b48c9392acd29866a3f790",
-        "6e0bf3b7a24769dffa63ab21c5d4708d4ce08f3d8e4aa3c6232bce49af5fd0f7"),
+        "ad852f854e158ea752783e8a3dd3613c6590ec917025e235f7548adafd0b456f",
+        "334c571647b3ebb4e5e752919a4e34acf33da3fb06992db31a7b0e4eb091be1e"),
     "footnote-2c-rand": (
-        "5bb1844c02a3787dec3303c079d1a8cb1590b9f7e2b2a7cae9df74ba7d11eb9d",
-        "7abaa8191a5b5fe12c787e0d003a6826b45213623db9b759b4d47ff63c84302a"),
+        "03fcd6fe02ae5c7caba978733be3a04ca6b069f591a5ba79e3fa05afed0c856d",
+        "d7c97d5a5979d5fd33cc31b4cde03fb3c2b43818863495e0fee66d2224306c5e"),
     "footnote-2c-bisect": (
-        "c66ed7c769e87edbe782f8a062f1f91c4548ee292bd4d46a60d0fcb225705ba4",
-        "f889811d971520c01bdf9b7086c47578015f021c57aa098c44962a7e8a4b13c7"),
+        "6ec7ff3f937f3f7c6980e2e68c87e1fbfbb0c3816b118a53a2ee15bd73422219",
+        "221f739e51746da7648a1dafcdb9a622219c6089cbd201d34a2547a8389a1a67"),
     "pl-nonconvex-rand": (
-        "c0b00860ad77a5c0e1d912080e06d60d8ca4173b3bb2eae19400ce62161b0710",
-        "07a97c59aab85da6be585b293a2b44b06045b9d6706110f794502b12ecef5c7e"),
+        "046612a7cc8e10cd0eaab32a10ede515bfd08de370116149a77e3f1cebf87c45",
+        "3d39a98fee1f75e0fdf6be5df8c1d9e5ec04c612c6d5452abc86b577c78bde30"),
     "pl-nonconvex-bisect": (
-        "63ff31223942f505fc024908d8c68a3d8f6f81ea04397b4f271329ece3f59773",
-        "1fb66bdbeaeb868a26225f59535e0b3996d57e50a922fac5f6c5b07fbd1f180b"),
+        "193fb882d34b57ec1ceef2ee826307618bc4101d8af4c4b962cad4c66317ed9c",
+        "666cdb948c8a425725d12e4fa9e1e32b3cb142790dfbf9f180a1f7a6316cc1d6"),
     "ball-linear-n10-rand": (
-        "619a752261c42f2c9371048ece08eba4c7cfc07cb4c134725c2dff1d14f01e24",
-        "c4a44adca73a7eba9c1ad572512da51ad5d58bd5cebd225d6e2e17d9f9580a47"),
+        "7cea581ac088a4cbb03689da1489a2bee8a8cd59c26a6c8a32177c787b4a531b",
+        "fb7b4a192580c8e2e176ec5cfbf328d28f28f362a8066f4f04fddfad6de2a57f"),
     "ball-linear-n10-bisect": (
-        "886493ab5c706b29bd95d292b690aa9bb53514e608e25033f4b2e8e958e9a4c2",
-        "ec3305f1158fc0a1297ae402c9d9064e4f60942065f558c12e6cf893e81b3414"),
+        "9d4642323fd2675e223dd05ab20fc865c3c2d6689e2764a4ef5e4b44c1300d94",
+        "4d03cc2687e9855b8c67d1d341983406de08dc722bcc747cbdc0e46bbdf20af6"),
     "pl-nonconvex-n10-rand": (
-        "71f83445be418fe66a26009ea3d934e9c8ebe5d10aec4db65f4fccbf2819a946",
-        "f935cbb87ce8305e3eef33df5077a359aed05aa518c8b9b4a6fd9ba05067e6f3"),
+        "ad815123585a26fd8b57517666147b3329f0f076136f0113e9a65c4a7ba7a39c",
+        "5906e7f2b23ba6eaf8cda6d54126dfbd20da24928210f8e6c016c784f1e9d852"),
     "pl-nonconvex-n10-bisect": (
-        "ecaa55d9bb26eddfbf16ae4d9d5199dcc8706a76df3c440ed677c80f36194f6a",
-        "7b5f05daae1b27d9b642f2407e687420594149e73ab65de017246184b6b7aa40"),
+        "b1354953601fe3394bd6f5a853d643432cae502d61d5034e6aa9bf5c214d6575",
+        "0bfd2f0ea4778ffe0a6bdb5e40faaa441ac331013d47391c6dcd43f4b1a9755e"),
     "ball-linear-rand-kkt": (
-        "ff233e313b3e687baa37e425619ef4a8355ef80ff8bb9f12facc811cb27a139e",
-        "7544c466406df32f9d7b1ce561cc7fe61843078fbaededdae41e56fe301670b3"),
+        "980e3737ba9daf7ac3a1d01532d430fc281b0f956a21de89a39ef40b23c5c1e7",
+        "d6761fbd4736d0e5a246d76eaa639222fd81c5f29058a81cc3e6f58518a65508"),
 }
 
 

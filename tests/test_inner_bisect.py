@@ -173,7 +173,7 @@ def test_convex_restrictions_return_probe_satisfying_points(seed):
     sub = Subproblem(prob, anchor)
     delta, eps = 1.0, 1.0
     ray = ray_at(1.0, delta, eps)
-    l_far = sub.value(ray.point_at(0.0))
+    l_far = sub.value_full(ray.point_at(0.0))[0]
     l_anchor = sub.h_anchor - eps * delta / 2.0
     assert l_far > l_anchor
     r, vec, branch, h_m, probes, ties = bisect_negative_slope(
@@ -256,17 +256,15 @@ def test_infeasible_anchor_is_rejected():
         bisect_search(np.array([1.2, 0.0]), record.spec, 0.1, 0.1, 100_000)
 
 
-def test_multi_round_run_is_deterministic_and_within_budget():
+def test_multi_round_run_is_deterministic_and_within_budget(watch_rounds):
     record = get_problem("pl-nonconvex")
     spec = record.spec
     anchor = np.array([0.02, -0.01])
     eps = 0.05
     budget = bisect_call_budget(spec.lipschitz_m, eps,
                                 spec.nonconvexity_f + spec.nonconvexity_g)
-    a = bisect_search(anchor, spec, 0.05, eps, budget,
-                      collect_trajectory=True)
-    b = bisect_search(anchor, spec, 0.05, eps, budget,
-                      collect_trajectory=True)
+    a = bisect_search(anchor, spec, 0.05, eps, budget)
+    b = bisect_search(anchor, spec, 0.05, eps, budget)
     assert a.outcome == STATIONARY
     assert a.iterations >= 1
     assert a.oracle_calls <= budget
@@ -274,9 +272,17 @@ def test_multi_round_run_is_deterministic_and_within_budget():
     assert a.oracle_calls == b.oracle_calls
     assert a.value_calls == b.value_calls
     assert a.iterations == b.iterations
-    norms = [snap["zeta_norm"] for snap in a.trajectory]
+    trajectory, replay = watch_rounds
+    assert trajectory == replay
+    assert len(trajectory) == a.iterations + 1
+    assert trajectory[-1]["zeta_norm"] == a.zeta_norm
+    norms = [snap["zeta_norm"] for snap in trajectory]
     for x, y in zip(norms, norms[1:]):
         assert y <= x + 1e-12
+    for snap in trajectory:
+        assert snap["recombine_residual"] <= 1e-9 * 3.0
+        assert abs(snap["weight_sum"] - 1.0) <= 1e-12
+        assert snap["min_weight"] >= 0.0
     weights = [w.weight for w in a.combination]
     assert abs(sum(weights) - 1.0) <= 1e-12
     for w in a.combination:

@@ -79,16 +79,18 @@ def test_descent_amount_is_reused_from_the_paid_evaluation():
 # --------------------------------------------------------- loop invariants
 
 
-def test_zeta_norm_is_non_increasing_along_the_run():
+def test_zeta_norm_is_non_increasing_along_the_run(watch_rounds):
     # near the interior optimum no descent step exists, so the search has to
     # iterate the segment projection until ||zeta|| <= eps
-    result = run("l1-ball", [0.02, -0.01], 0.05, 0.05, seed=11,
-                 collect_trajectory=True)
-    norms = [snap["zeta_norm"] for snap in result.trajectory]
+    result = run("l1-ball", [0.02, -0.01], 0.05, 0.05, seed=11)
+    [trajectory] = watch_rounds
+    assert len(trajectory) == result.iterations + 1
+    assert trajectory[-1]["zeta_norm"] == result.zeta_norm
+    norms = [snap["zeta_norm"] for snap in trajectory]
     assert len(norms) >= 2
     for a, b in zip(norms, norms[1:]):
         assert b <= a + 1e-12
-    for snap in result.trajectory:
+    for snap in trajectory:
         assert snap["recombine_residual"] <= 1e-9 * 3.0
         assert abs(snap["weight_sum"] - 1.0) <= 1e-12
         assert snap["min_weight"] >= 0.0

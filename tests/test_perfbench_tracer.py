@@ -1,0 +1,54 @@
+"""The benchmark tracer's patch names exist in the package.
+
+``perfbench/tracer.py`` wraps package names found by ``vars(owner)[attr]``;
+a refactor that drops or moves one of them must fail here, not only in a
+traced benchmark run.
+"""
+
+from __future__ import annotations
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import goldsub.inner_rand as inner_rand
+import goldsub.solver as solver
+from goldsub.problems import get_problem
+from goldsub.solver import BISECT, RAND, SolverConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture
+def tracer_module(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    try:
+        yield importlib.import_module("tracer")
+    finally:
+        for name in ("tracer", "workloads"):
+            sys.modules.pop(name, None)
+
+
+def test_tracer_installs_and_restores_its_names(tracer_module):
+    tracer = tracer_module.Tracer()
+    names = [(owner, attr) for owner, attr, _ in tracer_module.HOT] + [
+        (solver, "rand_search"), (solver, "bisect_search"), (solver, "certify")]
+    before = [vars(owner)[attr] for owner, attr in names]
+    workloads = sys.modules["workloads"]
+    record = get_problem("ball-linear")
+    with tracer.installed():
+        assert all(vars(owner)[attr] is not fn
+                   for (owner, attr), fn in zip(names, before))
+        for inner in (RAND, BISECT):
+            workloads.solve(record.spec, SolverConfig(
+                delta=0.05, target_eps=0.05, inner=inner), record.start)
+    assert [vars(owner)[attr] for owner, attr in names] == before
+    assert solver.rand_search is inner_rand.rand_search
+    counts = tracer.snapshot_counts()
+    for name in ("core.grad", "core.value", "core.constraint_value",
+                 "core.sample_ball", "inner_rand.rand_search",
+                 "inner_bisect.bisect_search", "solver.certify",
+                 "solver.solve"):
+        assert counts[name] > 0, name

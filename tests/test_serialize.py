@@ -210,6 +210,13 @@ def test_config_round_trip(run):
     assert rebuilt == config
 
 
+@pytest.mark.parametrize("value", [False, True, "anything"])
+def test_config_ignores_the_retired_trajectory_key(run, value):
+    _, config, _, _ = run
+    data = {**dataclasses.asdict(config), "collect_trajectory": value}
+    assert config_from_data(data) == config
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(UsageError, match="unknown config keys"):
         config_from_data({"delta": 0.1, "target_eps": 0.05, "bogus": 1})
