@@ -17,8 +17,7 @@ from .errors import (BudgetExceededError, CertificationError, GoldsubError,
                      InfeasibleStartError, ModulusError, OracleError,
                      UsageError)
 from .inner_bisect import (C_BISECT, RayRestriction, bisect_call_budget,
-                           bisect_negative_slope, bisect_search,
-                           default_max_steps)
+                           bisect_negative_slope, bisect_search)
 from .inner_rand import (C_RAND, DESCENT, STATIONARY, InnerResult,
                          rand_call_budget, rand_search)
 from .problems import (ProblemRecord, ball_linear_sigma, constant_constraint,
@@ -26,8 +25,7 @@ from .problems import (ProblemRecord, ball_linear_sigma, constant_constraint,
 from .serialize import (certificate_data, certificate_from_data,
                         config_from_data, dumps, manifest_data, read_json,
                         trace_data, trace_from_data, write_json)
-from .solver import (BISECT, RAND, SolveTrace, SolverConfig, certify,
-                     extract_multiplier, solve)
+from .solver import BISECT, RAND, SolveTrace, SolverConfig, certify, solve
 from .verify import (CHECK_ORDER, CORRUPT_CHECKS, HOLDS, VIOLATED,
                      CertificateReport, CheckResult, GcqReport,
                      GoldsteinCertificate, HullEstimate, check_certificate,
@@ -42,15 +40,14 @@ __all__ = [
     "BudgetExceededError", "CertificationError", "GoldsubError",
     "InfeasibleStartError", "ModulusError", "OracleError", "UsageError",
     "C_BISECT", "RayRestriction", "bisect_call_budget", "bisect_negative_slope",
-    "bisect_search", "default_max_steps",
+    "bisect_search",
     "C_RAND", "DESCENT", "STATIONARY", "InnerResult", "rand_call_budget",
     "rand_search",
     "ProblemRecord", "ball_linear_sigma", "constant_constraint", "get_problem",
     "list_problems",
     "certificate_data", "certificate_from_data", "config_from_data", "dumps",
     "manifest_data", "read_json", "trace_data", "trace_from_data", "write_json",
-    "BISECT", "RAND", "SolveTrace", "SolverConfig", "certify",
-    "extract_multiplier", "solve",
+    "BISECT", "RAND", "SolveTrace", "SolverConfig", "certify", "solve",
     "CHECK_ORDER", "CORRUPT_CHECKS", "HOLDS", "VIOLATED", "CertificateReport",
     "CheckResult", "GcqReport", "GoldsteinCertificate", "HullEstimate",
     "check_certificate",

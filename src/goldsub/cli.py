@@ -3,7 +3,7 @@
 Documents are JSON (see serialize).  Exit codes are stable:
 
     0  success
-    2  usage or configuration error
+    2  usage or configuration error, or a request too large to allocate
     3  call budget or iteration cap exhausted
     4  infeasible starting point
     5  oracle returned non-finite or malformed output
@@ -346,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 # exit code of each error reported without a traceback, subclasses first
 _EXIT_CODES = ((InfeasibleStartError, EXIT_INFEASIBLE), (ModulusError, EXIT_MODULUS),
                (BudgetExceededError, EXIT_BUDGET), (OracleError, EXIT_ORACLE),
-               (UsageError, EXIT_USAGE), (CertificationError, EXIT_VERIFY_FAILED))
+               (UsageError, EXIT_USAGE), (CertificationError, EXIT_VERIFY_FAILED),
+               (MemoryError, EXIT_USAGE))
 
 
 def main(argv=None) -> int:
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except tuple(cls for cls, _ in _EXIT_CODES) as err:
-        print("error: %s" % err, file=sys.stderr)
+        print("error: %s" % (str(err) or "out of memory"), file=sys.stderr)
         return next(code for cls, code in _EXIT_CODES if isinstance(err, cls))
 
 

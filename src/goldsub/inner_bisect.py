@@ -65,8 +65,7 @@ def default_max_steps(delta: float) -> int:
 
 
 def bisect_negative_slope(ray: RayRestriction, sub: Subproblem,
-                          l_far: float, l_anchor: float,
-                          max_steps: int | None = None):
+                          l_far: float, l_anchor: float):
     """Find r with directional h-slope below eps/2 at ray.point_at(r).
 
     ``l_far`` and ``l_anchor`` are the endpoint values of
@@ -87,14 +86,12 @@ def bisect_negative_slope(ray: RayRestriction, sub: Subproblem,
         raise UsageError(
             "restriction endpoints do not lose height: l(0) = %.17g <= l(delta) = %.17g"
             % (l_far, l_anchor))
-    if max_steps is None:
-        max_steps = default_max_steps(ray.delta)
     a, b = 0.0, ray.delta
     la, lb = l_far, l_anchor
     half_eps = ray.eps / 2.0
     probes = 0
     ties = 0
-    for _ in range(max_steps):
+    for _ in range(default_max_steps(ray.delta)):
         m = 0.5 * (a + b)
         if not a < m < b:  # float resolution exhausted
             break

@@ -12,7 +12,8 @@ subgradients behind the final small zeta, split into objective mass gamma0
 and constraint mass gamma.  gamma0 > 0 yields the multiplier
 lambda = gamma / gamma0 and, with a constraint-qualification level sigma,
 approximate KKT residuals; gamma0 = 0 still certifies Fritz-John
-stationarity.
+stationarity.  The split, the slackness sampling and the checks are the
+verifier's own functions.
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# sample_ball is unused here, but perfbench/tracer.py patches this module's
 from .core import (ProblemSpec, ReducedConstraint, Vector, WeightedSubgradient,
-                   _as_vector, _finite_value, sample_ball, sample_blocks)
+                   _as_vector, _check_samples, _finite_value, sample_ball)
 from .errors import (BudgetExceededError, CertificationError,
                      InfeasibleStartError, UsageError)
 from .inner_bisect import C_BISECT, bisect_call_budget, bisect_search
@@ -33,8 +35,8 @@ from .inner_rand import C_RAND, STATIONARY, rand_call_budget, rand_search
 from .verify import (CheckResult, GoldsteinCertificate, check_anchor_feasible,
                      check_points_in_ball, check_slackness,
                      check_weights_nonnegative, check_weights_sum,
-                     check_zeta_norm, check_zeta_recompute, recombine,
-                     slack_bound)
+                     check_zeta_norm, check_zeta_recompute, multiplier_split,
+                     recombine, sampled_slack, slack_bound)
 
 RAND = "rand"
 BISECT = "bisect"
@@ -84,17 +86,13 @@ class SolverConfig:
             raise UsageError("outer_cap must be at least 1")
         if self.inner_call_cap is not None and self.inner_call_cap < 1:
             raise UsageError("inner_call_cap must be at least 1")
-        if self.slackness_samples < 0:
-            raise UsageError("slackness_samples must be nonnegative")
+        _check_samples(self.slackness_samples, "slackness_samples")
 
     def eps_effective(self, lipschitz_m: float) -> float:
         if not self.kkt_mode:
             return self.target_eps
         eps, sigma = self.target_eps, self.gcq_sigma
         return sigma * eps / (eps + sigma + lipschitz_m)
-
-    def descent_fraction(self) -> float:
-        return C_RAND if self.inner == RAND else C_BISECT
 
 
 @dataclass
@@ -122,25 +120,6 @@ class SolveTrace:
     call_cap: int
     wall_time_s: float = 0.0
     inner_budget: int | None = None
-
-
-def extract_multiplier(combination: list[WeightedSubgradient]):
-    """Split unit weight mass into (gamma0, gamma, lambda).
-
-    gamma0 is the objective-branch mass, gamma = 1 - gamma0, and
-    lambda = gamma/gamma0 when gamma0 > 0, else None.  Pure single-branch
-    combinations short-circuit to exact 0/1 so downstream code can compare
-    against literal zero.
-    """
-    has_obj = any(w.branch.is_objective for w in combination)
-    has_con = any(not w.branch.is_objective for w in combination)
-    if has_obj and not has_con:
-        return 1.0, 0.0, 0.0
-    if has_con and not has_obj:
-        return 0.0, 1.0, None
-    gamma0 = float(sum(w.weight for w in combination if w.branch.is_objective))
-    gamma = 1.0 - gamma0
-    return gamma0, gamma, gamma / gamma0
 
 
 def _require(check: CheckResult) -> None:
@@ -183,17 +162,12 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
         g_anchor, _ = reduced.value(anchor)
     _require(check_anchor_feasible(g_anchor))
 
-    gamma0, gamma, lam = extract_multiplier(combination)
-
-    slack_n = config.slackness_samples
-    slack_max = 0.0
-    if gamma > 0.0 and slack_n > 0:
-        if rng is None:
-            rng = np.random.default_rng(config.seed)
-        for rows in sample_blocks(slack_n):
-            gvals, _ = reduced.values(sample_ball(anchor, delta, rng, size=rows))
-            slack_max = max(slack_max, float(np.max(np.abs(gamma * gvals))))
-        _require(check_slackness(slack_max, m, delta))
+    gamma0, gamma, lam = multiplier_split(combination)
+    if rng is None:
+        rng = np.random.default_rng(config.seed)
+    slack_max = sampled_slack(reduced, anchor, delta, gamma,
+                              config.slackness_samples, rng)
+    _require(check_slackness(slack_max, m, delta))
 
     warnings: list[str] = []
     kkt_eps = kkt_eta = kkt_lambda_bound = None
@@ -220,7 +194,7 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
                           for i, c in enumerate(problem.constraints, start=1)],
         kkt_eps=kkt_eps, kkt_eta=kkt_eta, kkt_lambda_bound=kkt_lambda_bound,
         gcq_sigma=config.gcq_sigma if config.kkt_mode else None,
-        slack_samples=slack_n if gamma > 0.0 else 0,
+        slack_samples=config.slackness_samples if gamma > 0.0 else 0,
         slack_max=slack_max, slack_bound=slack_bound(m, delta),
         warnings=warnings)
 
@@ -240,7 +214,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
     x = _as_vector(x0, problem.dim).copy()
     m = problem.lipschitz_m
     eps_t = config.eps_effective(m)
-    c_frac = config.descent_fraction()
+    c_frac = C_RAND if config.inner == RAND else C_BISECT
     f_x = _finite_value(problem.objective.value(x), "objective value")
     g_x, _ = ReducedConstraint(problem).value(x)
     value_calls = 1  # initial feasibility check

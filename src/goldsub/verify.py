@@ -7,9 +7,9 @@ sampled hull is always a subset of the true Goldstein subdifferential, so
 the estimate is a valid upper bound on dist(0, set): a small value proves
 approximate stationarity, a large one only fails to prove it.
 
-The certificate type and its structural checks live here; ``solver.certify``
-runs the same check functions, so their tolerances are defined once.
-Nothing here imports the solver.
+The certificate type, its checks, the multiplier split and the ball-sampling
+loop live here; ``solver.certify`` calls them too, so their arithmetic and
+tolerances are defined once.  Nothing here imports the solver.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ProblemSpec, ReducedConstraint, Subproblem, Vector,
-                   WeightedSubgradient, _as_vector, _finite_grads,
-                   _finite_value, sample_ball, sample_blocks)
+                   WeightedSubgradient, _as_vector, _check_samples,
+                   _finite_grads, _finite_value, sample_ball, sample_blocks)
 from .errors import UsageError
 
 HULL_TOL = 1e-8
@@ -180,26 +180,29 @@ def min_norm_over_hull(points, tol: float = HULL_TOL) -> HullEstimate:
                         support_weights=[float(w) for w in weights])
 
 
+def _ball_draws(center: Vector, radius: float, rng: np.random.Generator,
+                total: int):
+    """``total`` uniform points of B(center, radius), drawn block by block."""
+    for rows in sample_blocks(total):
+        yield sample_ball(center, radius, rng, size=rows)
+
+
 def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
                        n_samples: int, seed: int) -> HullEstimate:
     """Sampled upper bound on dist(0, Goldstein subdifferential of h_anchor).
 
-    Samples are drawn in blocks from a single generator, and each ball
-    sample uses only its own draws, so the first n points of a larger run
-    coincide with a smaller run's points and the estimate can only shrink as
-    n_samples grows.
+    Its points come from ``_ball_draws``, so they are a prefix of any larger
+    run's and the estimate can only shrink as n_samples grows.
     """
-    if n_samples < 1:
-        raise UsageError("n_samples must be >= 1")
+    _check_samples(n_samples, "n_samples", least=1)
     anchor = _as_vector(anchor, problem.dim)
     rng = np.random.default_rng(seed)
     sub = Subproblem(problem, anchor)
     grads = np.empty((n_samples, problem.dim))
     start = 0
-    for rows in sample_blocks(n_samples):
-        grads[start:start + rows], _ = sub.grads(
-            sample_ball(anchor, delta, rng, size=rows))
-        start += rows
+    for points in _ball_draws(anchor, delta, rng, n_samples):
+        grads[start:start + len(points)], _ = sub.grads(points)
+        start += len(points)
     return min_norm_over_hull(grads)
 
 
@@ -225,6 +228,7 @@ def check_gcq(anchor, problem: ProblemSpec, a: float, b: float, c: float,
     """
     if not (a > 0 and b > 0 and c > 0):
         raise UsageError("a, b, c must be positive")
+    _check_samples(n_samples, "n_samples", least=1)
     anchor = _as_vector(anchor, problem.dim)
     near_active = [
         i for i, oracle in enumerate(problem.constraints, start=1)
@@ -237,11 +241,10 @@ def check_gcq(anchor, problem: ProblemSpec, a: float, b: float, c: float,
     row = 0
     for i in near_active:
         oracle = problem.constraints[i - 1]
-        for rows in sample_blocks(n_samples):
-            grads[row:row + rows] = _finite_grads(
-                oracle, sample_ball(anchor, a, rng, size=rows), problem.dim,
-                "constraint %d grad", i)
-            row += rows
+        for points in _ball_draws(anchor, a, rng, n_samples):
+            grads[row:row + len(points)] = _finite_grads(
+                oracle, points, problem.dim, "constraint %d grad", i)
+            row += len(points)
     estimate = min_norm_over_hull(grads)
     outcome = VIOLATED if estimate.min_norm < b else HOLDS
     return GcqReport(outcome=outcome, near_active=near_active, bound=b,
@@ -327,6 +330,32 @@ def slack_bound(m: float, delta: float) -> float:
     return 3.0 * m * delta + SLACK_TOL
 
 
+def multiplier_split(combination: list[WeightedSubgradient]):
+    """(gamma0, gamma, lam): objective weight mass, 1 - gamma0, gamma/gamma0.
+
+    lam is None unless gamma0 > 0.  One-branch combinations split exactly,
+    (1, 0, 0) or (0, 1, None), whatever their weights sum to; an empty one
+    counts as constraint-only.
+    """
+    objective = [w.weight for w in combination if w.branch.is_objective]
+    if not objective:
+        return 0.0, 1.0, None
+    if len(objective) == len(combination):
+        return 1.0, 0.0, 0.0
+    gamma0 = float(sum(objective))
+    gamma = 1.0 - gamma0
+    return gamma0, gamma, gamma / gamma0 if gamma0 > 0.0 else None
+
+
+def sampled_slack(reduced: ReducedConstraint, anchor: Vector, delta: float,
+                  gamma: float, n: int, rng: np.random.Generator) -> float:
+    """Largest |gamma * g(z)| over n uniform draws z from B(anchor, delta)."""
+    if not gamma > 0.0:  # no constraint mass: nothing is drawn, no oracle runs
+        return 0.0
+    return max((float(np.max(np.abs(gamma * reduced.values(points)[0])))
+                for points in _ball_draws(anchor, delta, rng, n)), default=0.0)
+
+
 def check_slackness(slack_max: float, m: float, delta: float) -> CheckResult:
     bound = slack_bound(m, delta)
     return CheckResult("complementary-slackness", slack_max <= bound,
@@ -348,8 +377,8 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     """
     if seed < 0:
         raise UsageError("seed must be nonnegative")
-    if slackness_samples < 0 or estimate_samples < 0:
-        raise UsageError("sample counts must be nonnegative")
+    _check_samples(slackness_samples, "slackness_samples")
+    _check_samples(estimate_samples, "estimate_samples")
     report = CertificateReport()
     m = problem.lipschitz_m
     delta = cert.delta
@@ -393,16 +422,11 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
             or add(check_zeta_norm(float(np.linalg.norm(zeta)), cert.eps_effective)):
         return report
 
-    gamma0 = float(sum(w.weight for w in combo if w.branch.is_objective))
-    gamma = 1.0 - gamma0
+    gamma0, gamma, lam = multiplier_split(combo)
     split_ok = (abs(gamma0 - cert.gamma0) <= 1e-12
-                and abs(gamma - cert.gamma) <= 1e-12)
-    if gamma0 > 0.0:
-        lam = gamma / gamma0
-        split_ok = split_ok and cert.lam is not None and (
-            abs(cert.lam - lam) <= 1e-9 * max(1.0, abs(lam)))
-    else:
-        split_ok = split_ok and cert.lam is None
+                and abs(gamma - cert.gamma) <= 1e-12
+                and (lam is None) == (cert.lam is None)
+                and (lam is None or abs(cert.lam - lam) <= 1e-9 * max(1.0, abs(lam))))
     if add(CheckResult("multiplier-split", split_ok,
                        "gamma0 %.17g vs stored %.17g" % (gamma0, cert.gamma0))):
         return report
@@ -411,12 +435,8 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     if add(check_anchor_feasible(reduced.value(anchor)[0])):
         return report
 
-    slack_max = 0.0
-    if cert.gamma > 0.0 and slackness_samples > 0:
-        rng = np.random.default_rng(seed)
-        for rows in sample_blocks(slackness_samples):
-            gvals, _ = reduced.values(sample_ball(anchor, delta, rng, size=rows))
-            slack_max = max(slack_max, float(np.max(np.abs(cert.gamma * gvals))))
+    slack_max = sampled_slack(reduced, anchor, delta, cert.gamma,
+                              slackness_samples, np.random.default_rng(seed))
     if add(check_slackness(slack_max, m, delta)):
         return report
 

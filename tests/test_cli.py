@@ -313,6 +313,34 @@ def test_verify_negative_seed_or_samples_is_usage_error(solved, flags, capsys):
     assert "must be nonnegative" in err
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("solve", ["--slack-samples", "100000000000000000000"]),
+    ("solve", ["--slack-samples", "1000001"]),
+    ("verify", ["--slack-samples", "1000001"]),
+    ("verify", ["--estimate-samples", "100000000000000000000"]),
+])
+def test_oversized_sample_count_is_usage_error(solved, tmp_path, command, flags,
+                                               capsys):
+    args = (SOLVE + ["--out-dir", str(tmp_path)] if command == "solve"
+            else ["verify", str(solved / "run.cert.json")])
+    assert main(args + flags) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert "at most 1000000" in err
+    assert "certificate OK" not in out
+    assert os.listdir(tmp_path) == []
+
+
+def test_solve_unallocatable_problem_is_usage_error(tmp_path, capsys):
+    # 8e17 bytes for one vector: more than any 64-bit address space holds,
+    # so the allocation fails at once on every host
+    rc = main(["solve", "--problem", "ball-linear", "--param",
+               "dim=100000000000000000", "--delta", "0.05", "--eps", "0.05",
+               "--out-dir", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert "Unable to allocate" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     assert main(["verify", "/no/such/cert.json"]) == EXIT_USAGE
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldsub.core import (
+    MAX_SAMPLES,
     OBJECTIVE,
     Branch,
     Oracle,
@@ -564,6 +565,12 @@ def test_sample_blocks_cover_the_total(monkeypatch):
     assert sample_blocks(0) == []
     assert sample_blocks(8) == [4, 4]
     assert sample_blocks(10) == [4, 4, 2]
+
+
+@pytest.mark.parametrize("total", [-5, -1, MAX_SAMPLES + 1, 10**20])
+def test_sample_blocks_reject_counts_out_of_range(total):
+    with pytest.raises(UsageError, match="sample count"):
+        sample_blocks(total)
 
 
 # ------------------------------------------------------- batch oracles

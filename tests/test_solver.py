@@ -1,4 +1,4 @@
-"""Outer descent loop, certificates, and multiplier extraction."""
+"""Outer descent loop and certificates."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from goldsub.core import OBJECTIVE, Branch, Oracle, ProblemSpec, WeightedSubgradient
+from goldsub.core import (MAX_SAMPLES, OBJECTIVE, Branch, Oracle, ProblemSpec,
+                          WeightedSubgradient)
 from goldsub.errors import (
     BudgetExceededError,
     CertificationError,
@@ -23,7 +24,6 @@ from goldsub.solver import (
     SolverConfig,
     SolveTrace,
     certify,
-    extract_multiplier,
     solve,
 )
 
@@ -34,35 +34,6 @@ def unit_combo(vector, branch=OBJECTIVE, point=None):
     point = np.zeros(2) if point is None else np.asarray(point, dtype=float)
     return [WeightedSubgradient(point=point, vector=np.asarray(vector, dtype=float),
                                 branch=branch, weight=1.0)]
-
-
-# -------------------------------------------------------------- multiplier
-
-
-def test_extract_multiplier_even_split():
-    combo = [
-        WeightedSubgradient(np.zeros(2), np.ones(2), OBJECTIVE, 0.5),
-        WeightedSubgradient(np.zeros(2), np.ones(2), Branch.constraint(1), 0.5),
-    ]
-    assert extract_multiplier(combo) == (0.5, 0.5, 1.0)
-
-
-def test_extract_multiplier_constraint_heavy():
-    combo = [
-        WeightedSubgradient(np.zeros(2), np.ones(2), OBJECTIVE, 0.25),
-        WeightedSubgradient(np.zeros(2), np.ones(2), Branch.constraint(1), 0.75),
-    ]
-    gamma0, gamma, lam = extract_multiplier(combo)
-    assert (gamma0, gamma) == (0.25, 0.75)
-    assert lam == pytest.approx(3.0)
-
-
-def test_extract_multiplier_single_branch_is_exact():
-    obj = [WeightedSubgradient(np.zeros(2), np.ones(2), OBJECTIVE, 0.5),
-           WeightedSubgradient(np.zeros(2), np.ones(2), OBJECTIVE, 0.5)]
-    assert extract_multiplier(obj) == (1.0, 0.0, 0.0)
-    con = [WeightedSubgradient(np.zeros(2), np.ones(2), Branch.constraint(1), 1.0)]
-    assert extract_multiplier(con) == (0.0, 1.0, None)
 
 
 # ------------------------------------------------------------------ config
@@ -81,6 +52,9 @@ def test_config_validation():
         SolverConfig(delta=0.1, target_eps=0.1, tau=1.0)
     with pytest.raises(UsageError):
         SolverConfig(delta=0.1, target_eps=0.1, outer_cap=0)
+    with pytest.raises(UsageError, match="at most 1000000"):
+        SolverConfig(delta=0.1, target_eps=0.1, slackness_samples=MAX_SAMPLES + 1)
+    SolverConfig(delta=0.1, target_eps=0.1, slackness_samples=MAX_SAMPLES)
     # the deterministic inner search does not consume tau
     SolverConfig(delta=0.1, target_eps=0.1, inner=BISECT, tau=1.0)
 

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldsub.core import (Oracle, ProblemSpec, ReducedConstraint, Subproblem,
+from goldsub.core import (MAX_SAMPLES, OBJECTIVE, Branch, Oracle, ProblemSpec,
+                          ReducedConstraint, Subproblem, WeightedSubgradient,
                           sample_ball)
 from goldsub.errors import OracleError, UsageError
 from goldsub.problems import constant_constraint, get_problem
@@ -24,6 +25,7 @@ from goldsub.verify import (
     check_gcq,
     goldstein_estimate,
     min_norm_over_hull,
+    multiplier_split,
 )
 
 BALL = get_problem("ball-linear")
@@ -169,6 +171,16 @@ def test_gcq_rejects_nonpositive_parameters():
         check_gcq(np.zeros(2), BALL.spec, 0.0, 0.9, 0.2)
 
 
+@pytest.mark.parametrize("n_samples", [-5, 0, MAX_SAMPLES + 1])
+def test_sampled_estimates_reject_counts_out_of_range(n_samples):
+    # the anchor sits on the constraint, so check_gcq would sample there
+    with pytest.raises(UsageError, match="n_samples"):
+        check_gcq(np.array([1.0, 0.0]), BALL.spec, 0.1, 0.9, 0.2,
+                  n_samples=n_samples)
+    with pytest.raises(UsageError, match="n_samples"):
+        goldstein_estimate(np.zeros(2), BALL.spec, 0.05, n_samples, seed=0)
+
+
 def one_constraint(value, grad) -> ProblemSpec:
     f = Oracle(value=lambda x: 0.0, grad=lambda x: np.zeros(1))
     return ProblemSpec(dim=1, objective=f,
@@ -188,6 +200,64 @@ def test_gcq_rejects_malformed_gradients(grad):
     prob = one_constraint(lambda x: float(x[0]), grad)
     with pytest.raises(OracleError):
         check_gcq(np.zeros(1), prob, 0.1, 0.5, 0.5, n_samples=10)
+
+
+# -------------------------------------------------------- multiplier split
+
+
+def entry(branch, weight, point=(0.0, 0.0), vector=(1.0, 1.0)):
+    return WeightedSubgradient(np.asarray(point, dtype=float),
+                               np.asarray(vector, dtype=float), branch, weight)
+
+
+def test_multiplier_split_even_split():
+    combo = [entry(OBJECTIVE, 0.5), entry(Branch.constraint(1), 0.5)]
+    assert multiplier_split(combo) == (0.5, 0.5, 1.0)
+
+
+def test_multiplier_split_constraint_heavy():
+    combo = [entry(OBJECTIVE, 0.25), entry(Branch.constraint(1), 0.75)]
+    gamma0, gamma, lam = multiplier_split(combo)
+    assert (gamma0, gamma) == (0.25, 0.75)
+    assert lam == pytest.approx(3.0)
+
+
+def test_multiplier_split_single_branch_is_exact():
+    obj = [entry(OBJECTIVE, 0.5), entry(OBJECTIVE, 0.5)]
+    assert multiplier_split(obj) == (1.0, 0.0, 0.0)
+    con = [entry(Branch.constraint(1), 1.0)]
+    assert multiplier_split(con) == (0.0, 1.0, None)
+
+
+def test_multiplier_split_of_an_empty_combination_is_constraint_only():
+    assert multiplier_split([]) == (0.0, 1.0, None)
+
+
+def ten_tenths_certificate():
+    """Objective-only l1-ball certificate whose ten weights of 0.1 sum to
+    0.9999999999999999, not 1."""
+    record = get_problem("l1-ball")
+    combo = [entry(OBJECTIVE, 0.1, point=(s * 0.01, s * 0.01), vector=(s, s))
+             for s in (1.0, -1.0) * 5]
+    config = SolverConfig(delta=0.05, target_eps=0.05)
+    return record, certify(np.zeros(2), combo, record.spec, config)
+
+
+def test_multiplier_split_of_inexact_objective_weights_is_exact():
+    record, cert = ten_tenths_certificate()
+    assert sum(w.weight for w in cert.combination) != 1.0
+    assert multiplier_split(cert.combination) == (1.0, 0.0, 0.0)
+    assert (cert.gamma0, cert.gamma, cert.lam) == (1.0, 0.0, 0.0)
+
+
+def test_verifier_reports_the_exact_split_of_objective_only_weights():
+    # summing the weights would report "gamma0 0.99999999999999989"
+    record, cert = ten_tenths_certificate()
+    report = check_certificate(cert, record.spec, slackness_samples=100,
+                               estimate_samples=100)
+    assert report.passed, report.reason
+    split = report.checks[CHECK_ORDER.index("multiplier-split")]
+    assert split.detail == "gamma0 1 vs stored 1"
 
 
 # ------------------------------------------------------------ certificates
@@ -308,7 +378,9 @@ def test_wrong_length_stored_vector_is_usage_error(length):
 
 
 @pytest.mark.parametrize("kwargs", [{"seed": -1}, {"slackness_samples": -5},
-                                    {"estimate_samples": -1}])
+                                    {"estimate_samples": -1},
+                                    {"slackness_samples": MAX_SAMPLES + 1},
+                                    {"estimate_samples": 10**20}])
 def test_negative_seed_or_sample_count_is_usage_error(kwargs):
     record, cert = fresh_cert(seed=0)
     with pytest.raises(UsageError):
