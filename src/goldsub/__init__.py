@@ -10,47 +10,32 @@ ball subgradients, certifying approximate stationarity, or a descent step
 that provably lowers f while keeping the iterate strictly feasible.
 """
 
-from .core import (OBJECTIVE, Branch, Oracle, ProblemSpec, ReducedConstraint,
-                   Subproblem, Vector, WeightedSubgradient, sample_ball,
-                   segment_projection_coefficient)
+from .core import Branch, Oracle, ProblemSpec, WeightedSubgradient
 from .errors import (BudgetExceededError, CertificationError, GoldsubError,
                      InfeasibleStartError, ModulusError, OracleError,
                      UsageError)
-from .inner_bisect import (C_BISECT, RayRestriction, bisect_call_budget,
-                           bisect_negative_slope, bisect_search)
-from .inner_rand import (C_RAND, DESCENT, STATIONARY, InnerResult,
-                         rand_call_budget, rand_search)
-from .problems import (ProblemRecord, ball_linear_sigma, constant_constraint,
-                       get_problem, list_problems)
+from .problems import ProblemRecord, constant_constraint, get_problem, list_problems
 from .serialize import (certificate_data, certificate_from_data,
                         config_from_data, dumps, manifest_data, read_json,
-                        trace_data, trace_from_data, write_json)
-from .solver import BISECT, RAND, SolveTrace, SolverConfig, certify, solve
-from .verify import (CHECK_ORDER, CORRUPT_CHECKS, HOLDS, VIOLATED,
-                     CertificateReport, CheckResult, GcqReport,
-                     GoldsteinCertificate, HullEstimate, check_certificate,
-                     check_gcq, goldstein_estimate, min_norm_over_hull)
+                        trace_data, write_json)
+from .solver import BISECT, RAND, SolveTrace, SolverConfig, solve
+from .verify import (CertificateReport, CheckResult, GoldsteinCertificate,
+                     check_certificate)
 
 __version__ = "0.1.0"
 
+# the supported surface: what the CLI and the README use, the types they
+# return, and constant_constraint, which ProblemSpec's error message names;
+# lower layers are importable from their modules
 __all__ = [
-    "OBJECTIVE", "Branch", "Oracle", "ProblemSpec", "ReducedConstraint",
-    "Subproblem", "Vector", "WeightedSubgradient", "sample_ball",
-    "segment_projection_coefficient",
+    "Branch", "Oracle", "ProblemSpec", "WeightedSubgradient",
     "BudgetExceededError", "CertificationError", "GoldsubError",
     "InfeasibleStartError", "ModulusError", "OracleError", "UsageError",
-    "C_BISECT", "RayRestriction", "bisect_call_budget", "bisect_negative_slope",
-    "bisect_search",
-    "C_RAND", "DESCENT", "STATIONARY", "InnerResult", "rand_call_budget",
-    "rand_search",
-    "ProblemRecord", "ball_linear_sigma", "constant_constraint", "get_problem",
-    "list_problems",
+    "ProblemRecord", "constant_constraint", "get_problem", "list_problems",
     "certificate_data", "certificate_from_data", "config_from_data", "dumps",
-    "manifest_data", "read_json", "trace_data", "trace_from_data", "write_json",
-    "BISECT", "RAND", "SolveTrace", "SolverConfig", "certify", "solve",
-    "CHECK_ORDER", "CORRUPT_CHECKS", "HOLDS", "VIOLATED", "CertificateReport",
-    "CheckResult", "GcqReport", "GoldsteinCertificate", "HullEstimate",
+    "manifest_data", "read_json", "trace_data", "write_json",
+    "BISECT", "RAND", "SolveTrace", "SolverConfig", "solve",
+    "CertificateReport", "CheckResult", "GoldsteinCertificate",
     "check_certificate",
-    "check_gcq", "goldstein_estimate", "min_norm_over_hull",
     "__version__",
 ]

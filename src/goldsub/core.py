@@ -199,10 +199,7 @@ def _finite_grads(oracle: Oracle, z: np.ndarray, dim: int, what: str,
 class ReducedConstraint:
     """View of ``g(x) = max_i g_i(x)`` over the original constraint list.
 
-    Value ties between constraints are broken toward the lowest index.  In
-    directional mode the attaining constraint with the largest directional
-    derivative wins (lowest index among derivative ties); this is what makes
-    <G(x, v), v> equal the directional derivative of the max.
+    Value ties between constraints are broken toward the lowest index.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -250,25 +247,6 @@ class ReducedConstraint:
                 vecs[rows] = _finite_grads(oracle, z[rows], self._problem.dim,
                                            "constraint %d grad", i)
         return vecs
-
-    def dir_grad(self, z: Vector, v: Vector) -> tuple[float, Vector, float, int]:
-        """Return (g(z), directional subgradient, directional derivative, index)."""
-        values = [_finite_value(o.value(z), "constraint %d value", i)
-                  for i, o in enumerate(self._oracles, start=1)]
-        top = max(values)
-        best = None
-        for i, (vi, oracle) in enumerate(zip(values, self._oracles), start=1):
-            if vi != top:
-                continue
-            if oracle.dir_grad is None:
-                raise UsageError("constraint %d has no directional oracle" % i)
-            vec = _finite_array(oracle.dir_grad(z, v), (self._problem.dim,),
-                                "constraint %d dir_grad", i)
-            dd = float(vec @ v)
-            if best is None or dd > best[1]:
-                best = (vec, dd, i)
-        assert best is not None
-        return top, best[0], best[1], best[2]
 
 
 class Subproblem:
@@ -352,28 +330,38 @@ class Subproblem:
     def dir_grad(self, z: Vector, v: Vector) -> tuple[Vector, Branch, float, float]:
         """Directional subgradient of h at z along v.
 
-        Returns (vector, branch, h(z), directional derivative).  Ties between
-        the branches are split by comparing directional derivatives, the
-        objective winning equalities.
+        Returns (vector, branch, h(z), directional derivative).  Only the
+        branches that attain h(z) run ``dir_grad``: the objective first,
+        then the constraints by index.  The largest <vector, v> wins and
+        equalities stay with the earlier branch, so <vector, v> is the
+        directional derivative of the max.
         """
-        if self.problem.objective.dir_grad is None:
+        problem = self.problem
+        if problem.objective.dir_grad is None:
             raise UsageError("objective has no directional oracle")
-        fz = _finite_value(self.problem.objective.value(z), "objective value")
+        fz = _finite_value(problem.objective.value(z), "objective value")
         fdiff = fz - self.f_anchor
-        gz, g_vec, g_dd, idx = self._g.dir_grad(z, v)
+        g = [_finite_value(o.value(z), "constraint %d value", i)
+             for i, o in enumerate(problem.constraints, start=1)]
+        gz = max(g)
         self.subgrad_calls += 1
-        if fdiff > gz:
-            vec = _finite_array(self.problem.objective.dir_grad(z, v),
-                                (self.problem.dim,), "objective dir_grad")
-            return vec, OBJECTIVE, fdiff, float(vec @ v)
-        if fdiff < gz:
-            return g_vec, Branch.constraint(idx), gz, g_dd
-        vec = _finite_array(self.problem.objective.dir_grad(z, v),
-                            (self.problem.dim,), "objective dir_grad")
-        f_dd = float(vec @ v)
-        if f_dd >= g_dd:
-            return vec, OBJECTIVE, fdiff, f_dd
-        return g_vec, Branch.constraint(idx), gz, g_dd
+        best = None
+        if fdiff >= gz:
+            vec = _finite_array(problem.objective.dir_grad(z, v), (problem.dim,),
+                                "objective dir_grad")
+            best = vec, OBJECTIVE, fdiff, float(vec @ v)
+        if fdiff <= gz:
+            for i, (gi, oracle) in enumerate(zip(g, problem.constraints), start=1):
+                if gi != gz:
+                    continue
+                if oracle.dir_grad is None:
+                    raise UsageError("constraint %d has no directional oracle" % i)
+                vec = _finite_array(oracle.dir_grad(z, v), (problem.dim,),
+                                    "constraint %d dir_grad", i)
+                dd = float(vec @ v)
+                if best is None or dd > best[3]:
+                    best = vec, Branch.constraint(i), gz, dd
+        return best
 
 
 def segment_projection_coefficient(a: Vector, b: Vector) -> float:

@@ -220,23 +220,7 @@ def _record_codec(cls):
 
 
 _encode_cert, _decode_cert = _record_codec(GoldsteinCertificate)
-_encode_trace, _decode_trace = _record_codec(SolveTrace)
-
-
-def _from_data(decode, data, schema: str, kind: str, nested: str | None = None):
-    """(object, embedded manifest) from a parsed document; fields under the
-    ``nested`` key count as top-level ones.  A malformed document is a
-    UsageError here and nowhere else."""
-    found = data.get("schema") if isinstance(data, dict) else None
-    if found != schema:
-        raise UsageError("not a %s document (schema %r)" % (kind, found))
-    try:
-        flat = {**data, **data[nested]} if nested else data
-        manifest = data.get("manifest")
-        return decode(flat), None if manifest is None else dict(manifest)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise UsageError("malformed %s document (%s: %s)"
-                         % (kind, type(exc).__name__, exc)) from None
+_encode_trace, _ = _record_codec(SolveTrace)
 
 
 def certificate_data(cert: GoldsteinCertificate, manifest: dict | None = None) -> dict:
@@ -244,17 +228,23 @@ def certificate_data(cert: GoldsteinCertificate, manifest: dict | None = None) -
 
 
 def certificate_from_data(data: dict) -> tuple[GoldsteinCertificate, dict | None]:
-    return _from_data(_decode_cert, data, CERTIFICATE_SCHEMA, "certificate")
+    """(certificate, embedded manifest) from a parsed document.  A malformed
+    document is a UsageError here and nowhere else."""
+    found = data.get("schema") if isinstance(data, dict) else None
+    if found != CERTIFICATE_SCHEMA:
+        raise UsageError("not a certificate document (schema %r)" % (found,))
+    try:
+        manifest = data.get("manifest")
+        return _decode_cert(data), None if manifest is None else dict(manifest)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise UsageError("malformed certificate document (%s: %s)"
+                         % (type(exc).__name__, exc)) from None
 
 
 def trace_data(trace: SolveTrace, manifest: dict | None = None) -> dict:
     data = _encode_trace(trace)
     data["totals"] = {key: data.pop(key) for key in _TOTALS}
     return {"schema": TRACE_SCHEMA, **data, "manifest": manifest}
-
-
-def trace_from_data(data: dict) -> tuple[SolveTrace, dict | None]:
-    return _from_data(_decode_trace, data, TRACE_SCHEMA, "trace", nested="totals")
 
 
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string",

@@ -71,6 +71,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (self.delta > 0 and self.target_eps > 0):
             raise UsageError("delta and target_eps must be positive")
+        if not all(map(math.isfinite, (self.delta, self.target_eps, self.tau,
+                                       self.gcq_sigma or 0.0))):
+            raise UsageError("delta, target_eps, tau and gcq_sigma must be finite")
         if self.inner not in (RAND, BISECT):
             raise UsageError("inner must be %r or %r, got %r"
                              % (RAND, BISECT, self.inner))
@@ -120,6 +123,16 @@ class SolveTrace:
     call_cap: int
     wall_time_s: float = 0.0
     inner_budget: int | None = None
+
+
+def _bound(what: str, formula, *args) -> int:
+    """``formula(*args)``, a step or call bound; a UsageError naming ``what``
+    when it is not a finite number in floating point."""
+    try:
+        return formula(*args)
+    except (OverflowError, ZeroDivisionError):
+        raise UsageError("%s is not a finite number at these delta, eps, "
+                         "tau and sigma" % what) from None
 
 
 def _require(check: CheckResult) -> None:
@@ -214,6 +227,8 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
     x = _as_vector(x0, problem.dim).copy()
     m = problem.lipschitz_m
     eps_t = config.eps_effective(m)
+    if not 0.0 < eps_t < math.inf:
+        raise UsageError("eps_effective = %g must be positive and finite" % eps_t)
     c_frac = C_RAND if config.inner == RAND else C_BISECT
     f_x = _finite_value(problem.objective.value(x), "objective value")
     g_x, _ = ReducedConstraint(problem).value(x)
@@ -225,22 +240,18 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
     tau_prime = None
     if problem.p_star is not None:
         gap0 = f_x - problem.p_star
-        lemma_bound = max(1, math.ceil(gap0 / (c_frac * config.delta * eps_t)))
+        lemma_bound = _bound("the descent-lemma bound", lambda: max(
+            1, math.ceil(gap0 / (c_frac * config.delta * eps_t))))
     if config.inner == RAND:
-        if problem.p_star is not None:
-            outer_guess = max(1, math.ceil(
-                4.0 * (f_x - problem.p_star) / (config.delta * eps_t)))
-        else:
-            outer_guess = config.outer_cap
-        tau_prime = config.tau / outer_guess
-
-    if config.inner == RAND:
-        budget = rand_call_budget(m, eps_t, tau_prime)
+        tau_prime = config.tau / (config.outer_cap if lemma_bound is None
+                                  else lemma_bound)
+        budget = _bound("the inner call budget", rand_call_budget,
+                        m, eps_t, tau_prime)
     elif problem.nonconvexity_f is None or problem.nonconvexity_g is None:
         budget = None
     else:
-        budget = bisect_call_budget(
-            m, eps_t, problem.nonconvexity_f + problem.nonconvexity_g)
+        budget = _bound("the inner call budget", bisect_call_budget, m, eps_t,
+                        problem.nonconvexity_f + problem.nonconvexity_g)
     call_cap = config.inner_call_cap or (
         _UNBOUNDED_CAP if budget is None else 4 * budget)
 

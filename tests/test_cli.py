@@ -174,6 +174,30 @@ def test_solve_config_of_the_wrong_type_is_usage_error(tmp_path, job, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--eps", "inf"],
+    ["--delta", "1e-320", "--eps", "0.05"],
+    ["--eps", "0.05", "--tau", "1e-320"],
+    ["--eps", "1e308"],
+    ["--eps", "1e-300"],
+    ["--eps", "1e-300", "--inner", "bisect"],
+    ["--kkt", "--sigma", "inf", "--eps", "0.05"],
+    ["--kkt", "--sigma", "1e-320", "--eps", "0.05"],
+    ["--config", '{"config": {"target_eps": Infinity}}'],
+])
+def test_solve_out_of_range_real_is_usage_error(tmp_path, flags, capsys):
+    if flags[0] == "--config":  # json.load accepts Infinity
+        path = tmp_path / "job.json"
+        path.write_text(flags[1])
+        flags = ["--config", str(path)]
+    out = tmp_path / "out"
+    rc = main(["solve", "--problem", "ball-linear", "--delta", "0.05",
+               "--out-dir", str(out)] + flags)
+    assert rc == EXIT_USAGE
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ verify
 
 

@@ -289,10 +289,51 @@ def test_each_value_callable_runs_once_per_point():
         vec, branch, h_z, dd = sub.dir_grad(z, v)
         assert counts == once
         if not branch.is_objective:
-            g_dir, g_vec, g_dd, idx = reduced.dir_grad(z, v)
-            assert (branch, h_z, dd) == (Branch.constraint(idx), g_dir, g_dd)
-            assert np.array_equal(vec, g_vec)
+            own = base.constraints[branch.index - 1].dir_grad(z, v)
+            assert (h_z, dd) == (g, float(own @ v))
+            assert np.array_equal(vec, own)
     assert seen == {0, 1, 2}
+
+
+def test_directional_call_runs_only_the_attaining_branches():
+    # footnote-2c from the anchor 0.5: h(z) = max{z - 0.5, z^2 - 1, |z| - 1}
+    base = get_problem("footnote-2c").spec
+    ran: list = []
+
+    def logged(oracle: Oracle, label: str) -> Oracle:
+        def dir_grad(x, v):
+            out = oracle.dir_grad(x, v)
+            ran.append((label, out))
+            return out
+
+        return dataclasses.replace(oracle, dir_grad=dir_grad)
+
+    prob = dataclasses.replace(
+        base, objective=logged(base.objective, "f"),
+        constraints=tuple(logged(c, "g%d" % i)
+                          for i, c in enumerate(base.constraints, start=1)))
+    sub = Subproblem(prob, np.array([0.5]))
+    branches = {"f": OBJECTIVE, "g1": Branch.constraint(1),
+                "g2": Branch.constraint(2)}
+    for z, v, attaining, winner in [
+        (0.9, -1.0, ["f"], "f"),
+        (-1.2, -1.0, ["g1"], "g1"),
+        (-0.75, -1.0, ["g2"], "g2"),
+        # g1 = g2 = 0 at -1, with slopes 2 and 1 along -1
+        (-1.0, -1.0, ["g1", "g2"], "g1"),
+        (-1.0, 1.0, ["g1", "g2"], "g2"),
+        # f - f(0.5) = g2 = -0.75 at -0.25, with slopes -1 and 1 along -1
+        (-0.25, -1.0, ["f", "g2"], "g2"),
+        (-0.25, 1.0, ["f", "g2"], "f"),
+    ]:
+        point, direction = np.array([z]), np.array([v])
+        ran.clear()
+        vec, branch, h, dd = sub.dir_grad(point, direction)
+        assert [label for label, _ in ran] == attaining
+        assert branch == branches[winner]
+        assert np.array_equal(vec, dict(ran)[winner])
+        assert dd == float(vec @ direction)
+        assert h == max(z - 0.5, z * z - 1.0, abs(z) - 1.0)
 
 
 def test_h_subgradient_norms_within_lipschitz_bound():
@@ -355,11 +396,10 @@ def test_reduce_picks_strict_maximizer():
 
 
 def test_reduce_directional_tie_takes_largest_slope():
-    reduced = ReducedConstraint(two_linear_constraints())
+    sub = Subproblem(two_linear_constraints(), np.zeros(2))
     # at (3, 3) both constraints attain the max; along v the second grows
-    val, vec, dd, idx = reduced.dir_grad(np.array([3.0, 3.0]),
-                                         np.array([0.0, 1.0]))
-    assert (val, idx) == (3.0, 2)
+    vec, branch, h, dd = sub.dir_grad(np.array([3.0, 3.0]), np.array([0.0, 1.0]))
+    assert (h, branch) == (3.0, Branch.constraint(2))
     assert dd == 1.0
     assert np.array_equal(vec, [0.0, 1.0])
 

@@ -26,7 +26,6 @@ from goldsub.serialize import (
     manifest_data,
     read_json,
     trace_data,
-    trace_from_data,
     write_json,
 )
 from goldsub.solver import SolverConfig, solve
@@ -191,17 +190,9 @@ def test_trace_round_trip_drops_wall_time(run):
     data = trace_data(trace)
     assert data["schema"] == TRACE_SCHEMA
     assert "wall_time_s" not in dumps(data)
-    decoded, _ = trace_from_data(read_json_text(dumps(data)))
-    assert decoded.wall_time_s == 0.0
-    assert decoded.outer_steps == trace.outer_steps
-    assert decoded.records == trace.records
-    assert dumps(trace_data(decoded)) == dumps(data)
-
-
-def test_trace_schema_is_checked(run):
-    _, _, cert, _ = run
-    with pytest.raises(UsageError):
-        trace_from_data(certificate_data(cert))
+    parsed = read_json_text(dumps(data))
+    assert parsed["totals"]["outer_steps"] == trace.outer_steps
+    assert parsed["records"] == trace.records
 
 
 def test_config_round_trip(run):
