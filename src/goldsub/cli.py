@@ -3,7 +3,8 @@
 Documents are JSON (see serialize).  Exit codes are stable:
 
     0  success
-    2  usage or configuration error, or a request too large to allocate
+    2  usage or configuration error, an output path that cannot be
+       written, or a request too large to allocate
     3  call budget or iteration cap exhausted
     4  infeasible starting point
     5  oracle returned non-finite or malformed output
@@ -23,16 +24,14 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .errors import (BudgetExceededError, CertificationError, GoldsubError,
                      InfeasibleStartError, ModulusError, OracleError,
                      UsageError)
 from .problems import get_problem, list_problems
-from .serialize import (_expect, certificate_data, certificate_from_data,
-                        config_from_data, manifest_data, read_json,
-                        trace_data, write_json, write_text)
+from .serialize import (_CONFIG_TYPES, _expect, certificate_data,
+                        certificate_from_data, config_from_data, manifest_data,
+                        read_json, trace_data, write_json, write_text)
 from .solver import BISECT, RAND, solve
 from .verify import check_certificate
 
@@ -80,9 +79,18 @@ def _problem_from_spec(entry) -> tuple[str, dict]:
     raise UsageError("problem entries must be a name or {name, params}")
 
 
+# a --config file's keys: a job's, then the rest of a manifest's (unread)
+_JOB_KEYS = frozenset({"problem", "config", "x0",
+                       "schema", "version", "seed", "created"})
+
+
 def _resolve_solve_inputs(args):
+    """(record, config, x0) of a solve; x0 is None for the corpus start."""
     file_data = _expect(read_json(args.config), dict, "config file") \
         if args.config else {}
+    extra = set(file_data) - _JOB_KEYS
+    if extra:
+        raise UsageError("unknown config file keys: %s" % ", ".join(sorted(extra)))
     name, params = None, {}
     if "problem" in file_data:
         name, params = _problem_from_spec(file_data["problem"])
@@ -96,30 +104,17 @@ def _resolve_solve_inputs(args):
     record = get_problem(name, **params)
 
     config_map = dict(_expect(file_data.get("config", {}), dict, "config"))
-    overrides = {
-        "delta": args.delta,
-        "target_eps": args.eps,
-        "inner": args.inner,
-        "seed": args.seed,
-        "tau": args.tau,
-        "gcq_sigma": args.sigma,
-        "kkt_mode": args.kkt,
-        "outer_cap": args.outer_cap,
-        "inner_call_cap": args.call_cap,
-        "slackness_samples": args.slack_samples,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            config_map[key] = value
+    # each solve flag's dest is its SolverConfig field
+    config_map.update((key, value) for key, value in vars(args).items()
+                      if key in _CONFIG_TYPES and value is not None)
     config = config_from_data(config_map)
+    x0 = None
     if args.x0 is not None:
         x0 = _parse_x0(args.x0)
     elif "x0" in file_data:
         x0 = [float(_expect(v, float, "x0 entry"))
               for v in _expect(file_data["x0"], list, "x0")]
-    else:
-        x0 = record.start
-    return record, config, np.asarray(x0, dtype=float)
+    return record, config, x0
 
 
 def cmd_solve(args) -> int:
@@ -127,10 +122,11 @@ def cmd_solve(args) -> int:
     out = _out_dir(args.out_dir)
     tag = args.tag or "%s-%s-d%g-e%g-s%d" % (
         record.name, config.inner, config.delta, config.target_eps, config.seed)
-    manifest = manifest_data(record.name, record.params, config, __version__)
+    manifest = manifest_data(record.name, record.params, config, __version__,
+                             x0=x0)
 
     try:
-        cert, trace = solve(record.spec, config, x0)
+        cert, trace = solve(record.spec, config, record.start if x0 is None else x0)
     except BudgetExceededError as err:
         partial = err.partial or {}
         if "trace" in partial:
@@ -146,7 +142,7 @@ def cmd_solve(args) -> int:
     write_json(cert_path, certificate_data(cert, manifest))
     write_json(trace_path, trace_data(trace, manifest))
     write_json(manifest_path, manifest_data(record.name, record.params, config,
-                                            __version__, created=True))
+                                            __version__, created=True, x0=x0))
 
     lam = "undefined" if cert.lam is None else "%.6g" % cert.lam
     print("problem %s  inner=%s  delta=%g  eps_effective=%.6g"
@@ -222,7 +218,6 @@ def cmd_bench(args) -> int:
 
     out = _out_dir(args.out_dir)
     series_dir = os.path.join(out, "series")
-    os.makedirs(series_dir, exist_ok=True)
 
     rows = []
     failures = 0
@@ -307,18 +302,21 @@ def build_parser() -> argparse.ArgumentParser:
                     help="problem parameter KEY=VALUE (repeatable)")
     ps.add_argument("--x0", help="comma-separated starting point")
     ps.add_argument("--delta", type=float)
-    ps.add_argument("--eps", type=float, help="target stationarity tolerance")
+    ps.add_argument("--eps", type=float, dest="target_eps", metavar="EPS",
+                    help="target stationarity tolerance")
     ps.add_argument("--inner", choices=(RAND, BISECT))
     ps.add_argument("--seed", type=int)
     ps.add_argument("--tau", type=float,
                     help="total failure probability for the randomized search")
     ps.add_argument("--kkt", action="store_const", const=True, default=None,
-                    help="run in KKT mode (requires --sigma)")
-    ps.add_argument("--sigma", type=float,
+                    dest="kkt_mode", help="run in KKT mode (requires --sigma)")
+    ps.add_argument("--sigma", type=float, dest="gcq_sigma", metavar="SIGMA",
                     help="constraint qualification level for KKT mode")
     ps.add_argument("--outer-cap", type=int)
-    ps.add_argument("--call-cap", type=int, help="inner oracle-call cap")
-    ps.add_argument("--slack-samples", type=int,
+    ps.add_argument("--call-cap", type=int, dest="inner_call_cap",
+                    metavar="CALL_CAP", help="inner oracle-call cap")
+    ps.add_argument("--slack-samples", type=int, dest="slackness_samples",
+                    metavar="SLACK_SAMPLES",
                     help="complementary-slackness samples at certification")
     ps.add_argument("--out-dir")
     ps.add_argument("--tag", help="output file basename")

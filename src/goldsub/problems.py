@@ -33,7 +33,6 @@ class ProblemRecord:
 
     name: str
     spec: ProblemSpec
-    tags: dict
     gcq_params: tuple[float, float, float] | None
     start: Vector
     params: dict
@@ -121,6 +120,15 @@ def _linf_dir_vector(x: Vector, v: Vector) -> Vector:
     return e
 
 
+def _ball_sampler(dim: int, radius: float):
+    """Uniform draws from the ball of ``radius`` centred at the origin."""
+    def sampler(rng):
+        u = rng.standard_normal(dim)
+        u /= float(np.linalg.norm(u))
+        return radius * rng.random() ** (1.0 / dim) * u
+    return sampler
+
+
 def constant_constraint(dim: int, level: float = -1.0) -> Oracle:
     """g(x) = level everywhere; with level < 0 it never binds, which embeds
     unconstrained minimization in the solver unchanged."""
@@ -193,17 +201,10 @@ def _ball_linear(dim: int = 2) -> ProblemRecord:
                        nonconvexity_f=0.0, nonconvexity_g=0.0,
                        p_star=-1.0, known_optimum=opt)
 
-    def sampler(rng):
-        u = rng.standard_normal(dim)
-        u /= float(np.linalg.norm(u))
-        return (1.0 + 0.9 * pad) * rng.random() ** (1.0 / dim) * u
-
     return _validate_record(ProblemRecord(
         name="ball-linear", spec=spec,
-        tags={"convex": True, "smooth": False,
-              "active_constraint_at_optimum": True},
         gcq_params=(0.1, 0.9, 0.2), start=np.zeros(dim),
-        params={"dim": dim}, domain_sampler=sampler))
+        params={"dim": dim}, domain_sampler=_ball_sampler(dim, 1.0 + 0.9 * pad)))
 
 
 def _l1_ball(dim: int = 2) -> ProblemRecord:
@@ -231,17 +232,10 @@ def _l1_ball(dim: int = 2) -> ProblemRecord:
     if dim > 1:
         start[1] = -0.3
 
-    def sampler(rng):
-        u = rng.standard_normal(dim)
-        u /= float(np.linalg.norm(u))
-        return (1.0 + 0.9 * pad) * rng.random() ** (1.0 / dim) * u
-
     return _validate_record(ProblemRecord(
         name="l1-ball", spec=spec,
-        tags={"convex": True, "smooth": False,
-              "active_constraint_at_optimum": False},
         gcq_params=(0.1, 1.5, 0.19), start=start,
-        params={"dim": dim}, domain_sampler=sampler))
+        params={"dim": dim}, domain_sampler=_ball_sampler(dim, 1.0 + 0.9 * pad)))
 
 
 def _poly_1d_objective() -> Oracle:
@@ -273,8 +267,6 @@ def _footnote_1d() -> ProblemRecord:
 
     return _validate_record(ProblemRecord(
         name="footnote-1d", spec=spec,
-        tags={"convex": True, "smooth": True,
-              "active_constraint_at_optimum": True},
         gcq_params=(0.25, 0.5, 0.75), start=np.array([0.5]),
         params={}, domain_sampler=sampler))
 
@@ -323,8 +315,6 @@ def _footnote_2c() -> ProblemRecord:
 
     return _validate_record(ProblemRecord(
         name="footnote-2c", spec=spec,
-        tags={"convex": True, "smooth": False,
-              "active_constraint_at_optimum": True},
         gcq_params=(0.125, 0.75, 0.75), start=np.array([0.5]),
         params={}, domain_sampler=sampler))
 
@@ -386,8 +376,6 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
 
     return _validate_record(ProblemRecord(
         name="pl-nonconvex", spec=spec,
-        tags={"convex": False, "smooth": False,
-              "active_constraint_at_optimum": not interior},
         gcq_params=(0.05, 0.85 / math.sqrt(dim), 0.1), start=start,
         params={"dim": dim, "alpha": alpha}, domain_sampler=sampler))
 

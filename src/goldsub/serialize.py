@@ -85,18 +85,22 @@ def dumps(data) -> str:
 
 
 def write_text(path: str, text: str) -> None:
-    """Write atomically: no partially written files on disk."""
+    """Write atomically: no partially written files on disk.  A directory or
+    file that cannot be made or written is a UsageError, as in read_json."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (path, exc.strerror)) from None
 
 
 def write_json(path: str, data) -> None:
@@ -116,7 +120,8 @@ def read_json(path: str):
 
 def manifest_data(problem_name: str, problem_params: dict,
                   config: SolverConfig, version: str,
-                  created: bool = False) -> dict:
+                  created: bool = False, x0: list[float] | None = None) -> dict:
+    """The run manifest; ``x0`` is a start point other than the corpus's."""
     data = {
         "schema": MANIFEST_SCHEMA,
         "problem": {"name": problem_name, "params": dict(problem_params)},
@@ -124,6 +129,8 @@ def manifest_data(problem_name: str, problem_params: dict,
         "version": version,
         "seed": config.seed,
     }
+    if x0 is not None:
+        data["x0"] = list(x0)
     if created:
         data["created"] = datetime.now(timezone.utc).isoformat()
     return data

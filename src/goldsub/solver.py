@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# sample_ball is unused here, but perfbench/tracer.py patches this module's
+# sample_ball is unused here; it exists because perfbench/tracer.py patches
+# solver.sample_ball, and the import goes when that patch does (ROADMAP item 1)
 from .core import (ProblemSpec, ReducedConstraint, Vector, WeightedSubgradient,
                    _as_vector, _check_samples, _finite_value, sample_ball)
 from .errors import (BudgetExceededError, CertificationError,

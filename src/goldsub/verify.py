@@ -373,28 +373,32 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     the sampled complementary-slackness and independent stationarity bounds
     are all recomputed.  Checks run in CHECK_ORDER; with
     stop_at_first_failure the remaining (possibly expensive) checks are
-    skipped once the headline reason is known.
+    never computed once the headline reason is known.
     """
     if seed < 0:
         raise UsageError("seed must be nonnegative")
     _check_samples(slackness_samples, "slackness_samples")
-    _check_samples(estimate_samples, "estimate_samples")
+    _check_samples(estimate_samples, "estimate_samples", least=1)
     report = CertificateReport()
+    for check in _checks(cert, problem, slackness_samples, estimate_samples, seed):
+        check.passed = bool(check.passed)  # numpy comparisons give np.bool_
+        report.checks.append(check)
+        if stop_at_first_failure and not check.passed:
+            break
+    return report
+
+
+def _checks(cert, problem, slackness_samples, estimate_samples, seed):
+    """check_certificate's checks in CHECK_ORDER, each computed on demand."""
     m = problem.lipschitz_m
     delta = cert.delta
     dim = problem.dim
     anchor = _as_vector(cert.anchor, dim)
     combo = cert.combination
     weights = np.array([w.weight for w in combo], dtype=float)
-
-    def add(check: CheckResult) -> bool:
-        check.passed = bool(check.passed)  # numpy comparisons give np.bool_
-        report.checks.append(check)
-        return stop_at_first_failure and not check.passed
-
-    if add(check_weights_nonnegative(weights)) or add(check_weights_sum(weights)) \
-            or add(check_points_in_ball(combo, anchor, delta, dim)):
-        return report
+    yield check_weights_nonnegative(weights)
+    yield check_weights_sum(weights)
+    yield check_points_in_ball(combo, anchor, delta, dim)
 
     sub = Subproblem(problem, anchor)
     mismatches = []
@@ -412,38 +416,30 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     worst = max(mismatches, default=0.0)
     if any(math.isnan(d) for d in mismatches):
         worst = math.nan
-    if add(CheckResult("vector-recompute", worst <= VECTOR_MATCH_REL * m,
-                       "worst oracle mismatch %.3g (allowed %.3g)"
-                       % (worst, VECTOR_MATCH_REL * m))):
-        return report
+    yield CheckResult("vector-recompute", worst <= VECTOR_MATCH_REL * m,
+                      "worst oracle mismatch %.3g (allowed %.3g)"
+                      % (worst, VECTOR_MATCH_REL * m))
 
     zeta = _as_vector(cert.zeta, dim)
-    if add(check_zeta_recompute(combo, zeta, m)) \
-            or add(check_zeta_norm(float(np.linalg.norm(zeta)), cert.eps_effective)):
-        return report
+    yield check_zeta_recompute(combo, zeta, m)
+    yield check_zeta_norm(float(np.linalg.norm(zeta)), cert.eps_effective)
 
     gamma0, gamma, lam = multiplier_split(combo)
     split_ok = (abs(gamma0 - cert.gamma0) <= 1e-12
                 and abs(gamma - cert.gamma) <= 1e-12
                 and (lam is None) == (cert.lam is None)
                 and (lam is None or abs(cert.lam - lam) <= 1e-9 * max(1.0, abs(lam))))
-    if add(CheckResult("multiplier-split", split_ok,
-                       "gamma0 %.17g vs stored %.17g" % (gamma0, cert.gamma0))):
-        return report
+    yield CheckResult("multiplier-split", split_ok,
+                      "gamma0 %.17g vs stored %.17g" % (gamma0, cert.gamma0))
+    yield check_anchor_feasible(sub.g_anchor)
 
-    reduced = ReducedConstraint(problem)
-    if add(check_anchor_feasible(reduced.value(anchor)[0])):
-        return report
-
-    slack_max = sampled_slack(reduced, anchor, delta, cert.gamma,
+    slack_max = sampled_slack(ReducedConstraint(problem), anchor, delta, cert.gamma,
                               slackness_samples, np.random.default_rng(seed))
-    if add(check_slackness(slack_max, m, delta)):
-        return report
+    yield check_slackness(slack_max, m, delta)
 
     estimate = goldstein_estimate(anchor, problem, delta, estimate_samples,
                                   seed=seed + 1)
     limit = ESTIMATE_FACTOR * cert.eps_effective
-    add(CheckResult("stationarity-estimate", estimate.min_norm <= limit,
-                    "sampled estimate %.17g vs limit %.17g"
-                    % (estimate.min_norm, limit)))
-    return report
+    yield CheckResult("stationarity-estimate", estimate.min_norm <= limit,
+                      "sampled estimate %.17g vs limit %.17g"
+                      % (estimate.min_norm, limit))

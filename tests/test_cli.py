@@ -94,6 +94,67 @@ def test_solve_config_file_with_flag_override(tmp_path):
     assert manifest["config"]["delta"] == 0.05
 
 
+# (flag, value, the SolverConfig field it sets, the config file's value)
+RENAMED_FLAGS = [("--eps", "0.04", "target_eps", 0.05),
+                 ("--sigma", "0.5", "gcq_sigma", 0.9),
+                 ("--call-cap", "123456", "inner_call_cap", 654321),
+                 ("--slack-samples", "77", "slackness_samples", 99)]
+
+
+def test_solve_renamed_flags_override_their_config_keys(tmp_path):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({
+        "problem": {"name": "ball-linear"},
+        "config": {"delta": 0.05, "kkt_mode": False,
+                   **{key: value for _, _, key, value in RENAMED_FLAGS}},
+    }))
+    flags = [text for flag, value, _, _ in RENAMED_FLAGS for text in (flag, value)]
+    rc = main(["solve", "--config", str(config), "--kkt", *flags,
+               "--out-dir", str(tmp_path), "--tag", "renamed"])
+    assert rc == EXIT_OK
+    written = read_json(str(tmp_path / "renamed.manifest.json"))["config"]
+    assert written["kkt_mode"] is True
+    for _, value, key, _ in RENAMED_FLAGS:
+        assert written[key] == json.loads(value)
+
+
+def test_replaying_the_manifest_of_an_explicit_start_is_byte_identical(tmp_path):
+    rc = main(["solve", "--problem", "ball-linear", "--delta", "0.05",
+               "--eps", "0.05", "--x0", "0.3,-0.2", "--seed", "3",
+               "--out-dir", str(tmp_path), "--tag", "orig"])
+    assert rc == EXIT_OK
+    assert read_json(str(tmp_path / "orig.manifest.json"))["x0"] == [0.3, -0.2]
+    rc = main(["solve", "--config", str(tmp_path / "orig.manifest.json"),
+               "--out-dir", str(tmp_path), "--tag", "replay"])
+    assert rc == EXIT_OK
+    for doc in ("cert.json", "trace.json"):
+        assert (tmp_path / ("replay." + doc)).read_bytes() == \
+            (tmp_path / ("orig." + doc)).read_bytes()
+
+
+def test_solve_config_file_with_an_unknown_key_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({**JOB, "xo": [0.3, -0.2]}))
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", str(path), "--delta", "0.05",
+               "--eps", "0.05", "--out-dir", str(out)])
+    assert rc == EXIT_USAGE
+    assert "unknown config file keys: xo" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_output_directory_is_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"problems": ["ball-linear"],
+                                 "grid": [{"delta": 0.1, "eps": 0.1}]}))
+    for args in (SOLVE, ["bench", "--suite", str(suite)]):
+        assert main(args + ["--out-dir", str(taken)]) == EXIT_USAGE
+        assert "error: cannot write %s" % taken in capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
 def test_solve_infeasible_start_writes_nothing(tmp_path, capsys):
     rc = main(SOLVE + ["--out-dir", str(tmp_path), "--x0=2,0"])
     assert rc == EXIT_INFEASIBLE
@@ -334,7 +395,9 @@ def test_verify_negative_seed_or_samples_is_usage_error(solved, flags, capsys):
     assert rc == EXIT_USAGE
     out, err = capsys.readouterr()
     assert "certificate OK" not in out
-    assert "must be nonnegative" in err
+    # the estimate needs at least one sample
+    least = "positive" if flags[0] == "--estimate-samples" else "nonnegative"
+    assert "must be %s" % least in err
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goldsub import verify
 from goldsub.core import (MAX_SAMPLES, OBJECTIVE, Branch, Oracle, ProblemSpec,
                           ReducedConstraint, Subproblem, WeightedSubgradient,
                           sample_ball)
@@ -418,11 +419,43 @@ def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
     assert np.array_equal(est.points, grads)
 
 
-def test_stop_at_first_failure_skips_the_rest():
+def never_called(*args, **kwargs):
+    raise AssertionError("ran although the outcome was already known")
+
+
+def test_stop_at_first_failure_skips_the_rest(monkeypatch):
     record, cert = fresh_cert(seed=6)
     bad = copy.deepcopy(cert)
     bad.combination[0].__dict__["weight"] = bad.combination[0].weight + 0.1
+    # no code of a later check runs, the recompute's oracle calls included
+    for name in ("Subproblem", "sampled_slack", "goldstein_estimate"):
+        monkeypatch.setattr(verify, name, never_called)
     report = check_certificate(bad, record.spec, slackness_samples=10,
                                estimate_samples=10, stop_at_first_failure=True)
     assert report.reason == "weights-sum"
     assert [c.name for c in report.checks] == ["weights-nonnegative", "weights-sum"]
+
+
+def test_verification_reads_the_constraints_at_the_anchor_twice(monkeypatch):
+    # once for the recompute and feasibility checks, once in the estimate
+    record, cert = fresh_cert(seed=0)
+    assert all(not np.array_equal(w.point, cert.anchor) for w in cert.combination)
+    value = ReducedConstraint.value
+    at_anchor = []
+
+    def counted(self, z):
+        at_anchor.append(np.array_equal(z, cert.anchor))
+        return value(self, z)
+
+    monkeypatch.setattr(ReducedConstraint, "value", counted)
+    report = check_certificate(cert, record.spec, slackness_samples=100,
+                               estimate_samples=100)
+    assert report.passed, report.reason
+    assert sum(at_anchor) == 2
+
+
+def test_zero_estimate_samples_is_usage_error_before_any_check(monkeypatch):
+    record, cert = fresh_cert(seed=0)
+    monkeypatch.setattr(verify, "sampled_slack", never_called)
+    with pytest.raises(UsageError, match="estimate_samples"):
+        check_certificate(cert, record.spec, estimate_samples=0)
