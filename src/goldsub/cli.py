@@ -49,6 +49,17 @@ def _out_dir(arg: str | None) -> str:
     return arg or os.environ.get("GOLDSUB_OUT_DIR") or "."
 
 
+def _writable_dir(path: str) -> str:
+    """``path``, if its nearest existing ancestor is a directory; checked
+    before any solve, creating nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise UsageError("cannot write %s: %s is not a directory" % (path, probe))
+    return path
+
+
 def _parse_params(texts) -> dict:
     """--param KEY=VALUE pairs; a value is JSON where it parses as JSON."""
     params = {}
@@ -119,7 +130,7 @@ def _resolve_solve_inputs(args):
 
 def cmd_solve(args) -> int:
     record, config, x0 = _resolve_solve_inputs(args)
-    out = _out_dir(args.out_dir)
+    out = _writable_dir(_out_dir(args.out_dir))
     tag = args.tag or "%s-%s-d%g-e%g-s%d" % (
         record.name, config.inner, config.delta, config.target_eps, config.seed)
     manifest = manifest_data(record.name, record.params, config, __version__,
@@ -216,8 +227,8 @@ def cmd_bench(args) -> int:
                                  "seed": seed})
                for inner in inners for delta, eps in grid for seed in seeds]
 
-    out = _out_dir(args.out_dir)
-    series_dir = os.path.join(out, "series")
+    out = _writable_dir(_out_dir(args.out_dir))
+    series_dir = _writable_dir(os.path.join(out, "series"))
 
     rows = []
     failures = 0

@@ -33,11 +33,11 @@ from .errors import (BudgetExceededError, CertificationError,
                      InfeasibleStartError, UsageError)
 from .inner_bisect import C_BISECT, bisect_call_budget, bisect_search
 from .inner_rand import C_RAND, STATIONARY, rand_call_budget, rand_search
-from .verify import (CheckResult, GoldsteinCertificate, check_anchor_feasible,
-                     check_points_in_ball, check_slackness,
-                     check_weights_nonnegative, check_weights_sum,
-                     check_zeta_norm, check_zeta_recompute, multiplier_split,
-                     recombine, sampled_slack, slack_bound)
+from .verify import (CheckResult, GoldsteinCertificate, _ball_draws,
+                     check_anchor_feasible, check_points_in_ball,
+                     check_slackness, check_weights_nonnegative,
+                     check_weights_sum, check_zeta_norm, check_zeta_recompute,
+                     multiplier_split, recombine, sampled_slack, slack_bound)
 
 RAND = "rand"
 BISECT = "bisect"
@@ -179,8 +179,8 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     gamma0, gamma, lam = multiplier_split(combination)
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    slack_max = sampled_slack(reduced, anchor, delta, gamma,
-                              config.slackness_samples, rng)
+    slack_max = sampled_slack(reduced, gamma, _ball_draws(
+        anchor, delta, rng, config.slackness_samples))
     _require(check_slackness(slack_max, m, delta))
 
     warnings: list[str] = []

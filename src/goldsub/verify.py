@@ -14,6 +14,7 @@ tolerances are defined once.  Nothing here imports the solver.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -187,23 +188,43 @@ def _ball_draws(center: Vector, radius: float, rng: np.random.Generator,
         yield sample_ball(center, radius, rng, size=rows)
 
 
+def _row_blocks(rows: np.ndarray):
+    """Views of consecutive blocks of ``rows``, sized as ``_ball_draws`` draws."""
+    start = 0
+    for size in sample_blocks(len(rows)):
+        yield rows[start:start + size]
+        start += size
+
+
+def _ball_rows(center: Vector, radius: float, rng: np.random.Generator,
+               total: int) -> np.ndarray:
+    """The ``_ball_draws`` points as one (total, n) array."""
+    rows = np.empty((total, center.size))
+    for block in _row_blocks(rows):
+        block[...] = sample_ball(center, radius, rng, size=len(block))
+    return rows
+
+
+def _estimate(sub: Subproblem, rows: np.ndarray) -> HullEstimate:
+    """Hull of h's gradients at the rows, written over the rows block by block."""
+    for block in _row_blocks(rows):
+        block[...], _ = sub.grads(block)
+    return min_norm_over_hull(rows)
+
+
 def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
                        n_samples: int, seed: int) -> HullEstimate:
     """Sampled upper bound on dist(0, Goldstein subdifferential of h_anchor).
 
-    Its points come from ``_ball_draws``, so they are a prefix of any larger
-    run's and the estimate can only shrink as n_samples grows.
+    Its points come from ``_ball_rows``, so they are a prefix of any larger
+    run's and the estimate can only shrink as n_samples grows.  The verifier
+    runs the same two steps on the draw it shares with its slackness check.
     """
     _check_samples(n_samples, "n_samples", least=1)
     anchor = _as_vector(anchor, problem.dim)
-    rng = np.random.default_rng(seed)
     sub = Subproblem(problem, anchor)
-    grads = np.empty((n_samples, problem.dim))
-    start = 0
-    for points in _ball_draws(anchor, delta, rng, n_samples):
-        grads[start:start + len(points)], _ = sub.grads(points)
-        start += len(points)
-    return min_norm_over_hull(grads)
+    return _estimate(sub, _ball_rows(anchor, delta, np.random.default_rng(seed),
+                                     n_samples))
 
 
 @dataclass
@@ -347,13 +368,16 @@ def multiplier_split(combination: list[WeightedSubgradient]):
     return gamma0, gamma, gamma / gamma0 if gamma0 > 0.0 else None
 
 
-def sampled_slack(reduced: ReducedConstraint, anchor: Vector, delta: float,
-                  gamma: float, n: int, rng: np.random.Generator) -> float:
-    """Largest |gamma * g(z)| over n uniform draws z from B(anchor, delta)."""
-    if not gamma > 0.0:  # no constraint mass: nothing is drawn, no oracle runs
+def sampled_slack(reduced: ReducedConstraint, gamma: float, blocks) -> float:
+    """Largest |gamma * g(z)| over the rows z of an iterable of point blocks.
+
+    With no constraint mass no block is read, so a lazy iterable draws nothing
+    and no oracle runs.
+    """
+    if not gamma > 0.0:
         return 0.0
     return max((float(np.max(np.abs(gamma * reduced.values(points)[0])))
-                for points in _ball_draws(anchor, delta, rng, n)), default=0.0)
+                for points in blocks), default=0.0)
 
 
 def check_slackness(slack_max: float, m: float, delta: float) -> CheckResult:
@@ -371,8 +395,10 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     Nothing inside the certificate is trusted: weights, ball membership,
     every stored subgradient, the recombined zeta, the multiplier split, and
     the sampled complementary-slackness and independent stationarity bounds
-    are all recomputed.  Checks run in CHECK_ORDER; with
-    stop_at_first_failure the remaining (possibly expensive) checks are
+    are all recomputed.  Both sampled checks read one uniform draw of the
+    delta-ball from stream ``seed + 1``: the first ``slackness_samples`` and
+    the first ``estimate_samples`` rows of it.  Checks run in CHECK_ORDER;
+    with stop_at_first_failure the remaining (possibly expensive) checks are
     never computed once the headline reason is known.
     """
     if seed < 0:
@@ -433,12 +459,18 @@ def _checks(cert, problem, slackness_samples, estimate_samples, seed):
                       "gamma0 %.17g vs stored %.17g" % (gamma0, cert.gamma0))
     yield check_anchor_feasible(sub.g_anchor)
 
-    slack_max = sampled_slack(ReducedConstraint(problem), anchor, delta, cert.gamma,
-                              slackness_samples, np.random.default_rng(seed))
+    # one draw of the ball serves both sampled checks: the slackness check
+    # reads its first rows, and streams on past them if it needs more
+    rng = np.random.default_rng(seed + 1)
+    rows = _ball_rows(anchor, delta, rng, estimate_samples)
+    tail = _ball_draws(anchor, delta, rng,
+                       max(0, slackness_samples - estimate_samples))
+    slack_max = sampled_slack(ReducedConstraint(problem), cert.gamma,
+                              itertools.chain(_row_blocks(rows[:slackness_samples]),
+                                              tail))
     yield check_slackness(slack_max, m, delta)
 
-    estimate = goldstein_estimate(anchor, problem, delta, estimate_samples,
-                                  seed=seed + 1)
+    estimate = _estimate(sub, rows)
     limit = ESTIMATE_FACTOR * cert.eps_effective
     yield CheckResult("stationarity-estimate", estimate.min_norm <= limit,
                       "sampled estimate %.17g vs limit %.17g"

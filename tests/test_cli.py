@@ -155,6 +155,29 @@ def test_unwritable_output_directory_is_usage_error(tmp_path, capsys):
     assert taken.read_text() == ""
 
 
+def test_unwritable_output_directory_fails_before_any_solve(tmp_path, capsys,
+                                                          monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("solved although no output can be written")
+
+    monkeypatch.setattr("goldsub.cli.solve", never)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    blocked = tmp_path / "blocked"
+    blocked.mkdir()
+    (blocked / "series").write_text("")
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"problems": ["ball-linear"]}))
+    bench = ["bench", "--suite", str(suite)]
+    for args, out in ((SOLVE, taken), (SOLVE, taken / "sub"), (bench, taken),
+                      (bench, blocked)):
+        assert main(args + ["--out-dir", str(out)]) == EXIT_USAGE
+        assert "error: cannot write %s" % out in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["blocked", "suite.json",
+                                                          "taken"]
+    assert [p.name for p in blocked.iterdir()] == ["series"]
+
+
 def test_solve_infeasible_start_writes_nothing(tmp_path, capsys):
     rc = main(SOLVE + ["--out-dir", str(tmp_path), "--x0=2,0"])
     assert rc == EXIT_INFEASIBLE

@@ -388,34 +388,48 @@ def test_negative_seed_or_sample_count_is_usage_error(kwargs):
         check_certificate(cert, record.spec, **kwargs)
 
 
-def slack_prefix_max(cert, spec, rng, n):
-    """max |gamma * g| over the first n rows of one large ball draw."""
-    rows = sample_ball(cert.anchor, cert.delta, rng, size=3 * n)
+def slack_prefix_max(cert, spec, rng, n, drawn):
+    """max |gamma * g| over the first n rows of one draw of ``drawn`` rows."""
+    rows = sample_ball(cert.anchor, cert.delta, rng, size=drawn)
     gvals, _ = ReducedConstraint(spec).values(rows[:n])
     return float(np.max(np.abs(cert.gamma * gvals)))
 
 
 def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
-    # small blocks, so both loops draw their samples in several of them
+    # small blocks, so every loop draws its samples in several of them
     monkeypatch.setattr("goldsub.core.SAMPLE_BLOCK", 7)
     record, cert = fresh_cert(seed=0)
     assert cert.gamma > 0.0
-    report = check_certificate(cert, record.spec, slackness_samples=100,
-                               estimate_samples=10, seed=4)
-    detail = report.checks[CHECK_ORDER.index("complementary-slackness")].detail
-    measured = float(detail.split()[3])
-    assert measured == slack_prefix_max(cert, record.spec,
-                                        np.random.default_rng(4), 100)
+    hulls = []
+
+    def kept(points):
+        hulls.append(np.array(points))
+        return min_norm_over_hull(points)
+
+    monkeypatch.setattr(verify, "min_norm_over_hull", kept)
+    est = goldstein_estimate(cert.anchor, record.spec, cert.delta, 30, seed=5)
+    # the slackness check takes fewer, as many and more rows than the
+    # estimate's 30; both read stream seed + 1
+    for slack_n in (10, 30, 100):
+        hulls.clear()
+        report = check_certificate(cert, record.spec, slackness_samples=slack_n,
+                                   estimate_samples=30, seed=4)
+        details = {c.name: c.detail for c in report.checks}
+        measured = float(details["complementary-slackness"].split()[3])
+        assert measured == slack_prefix_max(cert, record.spec,
+                                            np.random.default_rng(5), slack_n,
+                                            max(slack_n, 30)), slack_n
+        assert len(hulls) == 1 and np.array_equal(hulls[0], est.points)
+        assert float(details["stationarity-estimate"].split()[2]) == est.min_norm
 
     config = SolverConfig(delta=0.05, target_eps=0.05, slackness_samples=100)
     again = certify(cert.anchor, cert.combination, record.spec, config,
                     zeta=cert.zeta, rng=np.random.default_rng(9))
     assert again.slack_max == slack_prefix_max(cert, record.spec,
-                                               np.random.default_rng(9), 100)
+                                               np.random.default_rng(9), 100, 300)
 
-    est = goldstein_estimate(cert.anchor, record.spec, cert.delta, 50, seed=2)
-    rows = sample_ball(cert.anchor, cert.delta, np.random.default_rng(2), size=150)
-    grads, _ = Subproblem(record.spec, cert.anchor).grads(rows[:50])
+    rows = sample_ball(cert.anchor, cert.delta, np.random.default_rng(5), size=90)
+    grads, _ = Subproblem(record.spec, cert.anchor).grads(rows[:30])
     assert np.array_equal(est.points, grads)
 
 
@@ -427,8 +441,10 @@ def test_stop_at_first_failure_skips_the_rest(monkeypatch):
     record, cert = fresh_cert(seed=6)
     bad = copy.deepcopy(cert)
     bad.combination[0].__dict__["weight"] = bad.combination[0].weight + 0.1
-    # no code of a later check runs, the recompute's oracle calls included
-    for name in ("Subproblem", "sampled_slack", "goldstein_estimate"):
+    # no code of a later check runs: no oracle call of the recompute, and no
+    # draw of the ball
+    for name in ("Subproblem", "sample_ball", "_ball_draws", "sampled_slack",
+                 "min_norm_over_hull"):
         monkeypatch.setattr(verify, name, never_called)
     report = check_certificate(bad, record.spec, slackness_samples=10,
                                estimate_samples=10, stop_at_first_failure=True)
@@ -436,8 +452,20 @@ def test_stop_at_first_failure_skips_the_rest(monkeypatch):
     assert [c.name for c in report.checks] == ["weights-nonnegative", "weights-sum"]
 
 
-def test_verification_reads_the_constraints_at_the_anchor_twice(monkeypatch):
-    # once for the recompute and feasibility checks, once in the estimate
+def test_stop_at_a_slackness_failure_computes_no_estimate(monkeypatch):
+    record, cert = fresh_cert(seed=0)
+    assert cert.gamma > 0.0
+    monkeypatch.setattr(verify, "slack_bound", lambda m, delta: 0.0)
+    monkeypatch.setattr(Subproblem, "grads", never_called)
+    monkeypatch.setattr(verify, "min_norm_over_hull", never_called)
+    report = check_certificate(cert, record.spec, slackness_samples=100,
+                               estimate_samples=100, stop_at_first_failure=True)
+    assert report.reason == "complementary-slackness"
+    assert tuple(c.name for c in report.checks) == CHECK_ORDER[:-1]
+
+
+def test_verification_reads_the_constraints_at_the_anchor_once(monkeypatch):
+    # the recompute, feasibility and estimate checks share one Subproblem
     record, cert = fresh_cert(seed=0)
     assert all(not np.array_equal(w.point, cert.anchor) for w in cert.combination)
     value = ReducedConstraint.value
@@ -451,7 +479,7 @@ def test_verification_reads_the_constraints_at_the_anchor_twice(monkeypatch):
     report = check_certificate(cert, record.spec, slackness_samples=100,
                                estimate_samples=100)
     assert report.passed, report.reason
-    assert sum(at_anchor) == 2
+    assert sum(at_anchor) == 1
 
 
 def test_zero_estimate_samples_is_usage_error_before_any_check(monkeypatch):
