@@ -338,9 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--problem", help="problem name when no manifest is embedded")
     pv.add_argument("--param", action="append",
                     help="problem parameter KEY=VALUE (repeatable)")
-    pv.add_argument("--slack-samples", type=int, default=10_000)
-    pv.add_argument("--estimate-samples", type=int, default=10_000)
-    pv.add_argument("--seed", type=int, default=0)
+    pv.add_argument("--slack-samples", type=int, default=10_000,
+                    help="ball samples of the complementary-slackness check "
+                         "(default 10000)")
+    pv.add_argument("--estimate-samples", type=int, default=10_000,
+                    help="most ball samples of the stationarity estimate, "
+                         "which stops at the first of 64, 128, 256, ... that "
+                         "passes (default 10000)")
+    pv.add_argument("--seed", type=int, default=0,
+                    help="both sampled checks draw from stream SEED + 1 "
+                         "(default 0)")
     pv.add_argument("--fast", action="store_true",
                     help="stop at the first failed check")
     pv.set_defaults(func=cmd_verify)

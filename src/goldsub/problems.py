@@ -59,6 +59,20 @@ def _validate_record(record: ProblemRecord) -> ProblemRecord:
     return record
 
 
+def _positive_int(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < 1:
+        raise UsageError("%s must be a positive integer, got %r" % (name, value))
+
+
+def _positive_real(value, name: str) -> None:
+    if isinstance(value, bool) \
+            or not isinstance(value, (int, float, np.integer, np.floating)) \
+            or not (math.isfinite(value) and value > 0):
+        raise UsageError("%s must be a positive finite real, got %r"
+                         % (name, value))
+
+
 def _unit_first(dim: int) -> Vector:
     e = np.zeros(dim)
     e[0] = 1.0
@@ -158,8 +172,7 @@ def ball_linear_sigma(delta: float, m: float = 1.0) -> float:
 
 
 def _ball_linear(dim: int = 2) -> ProblemRecord:
-    if dim < 1:
-        raise UsageError("dim must be >= 1")
+    _positive_int(dim, "dim")
     e1 = _unit_first(dim)
 
     def g_value(x):
@@ -208,8 +221,7 @@ def _ball_linear(dim: int = 2) -> ProblemRecord:
 
 
 def _l1_ball(dim: int = 2) -> ProblemRecord:
-    if dim < 1:
-        raise UsageError("dim must be >= 1")
+    _positive_int(dim, "dim")
     pad = 0.5
 
     objective = Oracle(value=lambda x: float(np.abs(x).sum()),
@@ -328,10 +340,8 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
     hyperplanes at once realizes it, so its nonconvexity modulus is exactly
     alpha*sqrt(dim) for every radius.
     """
-    if dim < 1:
-        raise UsageError("dim must be >= 1")
-    if not 0.0 < alpha:
-        raise UsageError("alpha must be positive")
+    _positive_int(dim, "dim")
+    _positive_real(alpha, "alpha")
 
     def f_value(x):
         return float(np.abs(x).max()) - alpha * float(np.abs(x).sum())

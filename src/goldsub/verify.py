@@ -14,7 +14,6 @@ tolerances are defined once.  Nothing here imports the solver.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -101,7 +100,8 @@ class HullEstimate:
     support_weights: list[float]
 
 
-def min_norm_over_hull(points, tol: float = HULL_TOL) -> HullEstimate:
+def min_norm_over_hull(points, tol: float = HULL_TOL,
+                       start: HullEstimate | None = None) -> HullEstimate:
     """Minimal-norm point of the convex hull of a finite point list.
 
     Wolfe-style vertex selection: keep a simplex of input points, project
@@ -109,6 +109,10 @@ def min_norm_over_hull(points, tol: float = HULL_TOL) -> HullEstimate:
     minimizing <x, p> until the duality gap ||x||^2 - min_p <x, p> is at
     most tol.  The iterate norm is non-increasing; a failure to decrease is
     a numerical stall and stops with the current (still valid) point.
+
+    The loop begins at the shortest point.  ``start`` (private use) is an
+    estimate over a prefix of ``points``; the loop then begins at its point,
+    support and weights instead, so the result is no longer than it.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
@@ -119,10 +123,15 @@ def min_norm_over_hull(points, tol: float = HULL_TOL) -> HullEstimate:
         raise UsageError("non-finite points")
     k, n = pts.shape
 
-    start = int(np.argmin(np.einsum("ij,ij->i", pts, pts)))
-    support = [start]
-    weights = np.array([1.0])
-    x = pts[start].copy()
+    if start is None:
+        first = int(np.argmin(np.einsum("ij,ij->i", pts, pts)))
+        support = [first]
+        weights = np.array([1.0])
+        x = pts[first].copy()
+    else:
+        support = list(start.support_indices)
+        weights = np.array(start.support_weights)
+        x = start.min_norm_point.copy()
 
     max_major = 64 * (n + 2) + 2 * k
     for _ in range(max_major):
@@ -196,35 +205,59 @@ def _row_blocks(rows: np.ndarray):
         start += size
 
 
-def _ball_rows(center: Vector, radius: float, rng: np.random.Generator,
-               total: int) -> np.ndarray:
-    """The ``_ball_draws`` points as one (total, n) array."""
-    rows = np.empty((total, center.size))
-    for block in _row_blocks(rows):
-        block[...] = sample_ball(center, radius, rng, size=len(block))
-    return rows
+class _BallDraw:
+    """One uniform draw of ``total`` rows of B(center, radius), drawn only as
+    far as it is read.
+
+    Each read draws the rows it newly reaches, block by block, from one
+    stream; by ``sample_ball``'s row-prefix property they are the rows of a
+    single draw of all ``total``.  ``rows`` is the buffer they are drawn into.
+    """
+
+    def __init__(self, center: Vector, radius: float, rng: np.random.Generator,
+                 total: int):
+        self.center, self.radius, self.rng = center, radius, rng
+        self.rows = np.empty((total, center.size))
+        self.drawn = 0
+
+    def upto(self, count: int) -> np.ndarray:
+        """The first ``count`` rows."""
+        for block in _row_blocks(self.rows[self.drawn:count]):
+            block[...] = sample_ball(self.center, self.radius, self.rng,
+                                     size=len(block))
+        self.drawn = max(self.drawn, count)
+        return self.rows[:count]
+
+    def blocks(self, count: int):
+        """``count`` points block by block: the first rows, then, past all
+        ``total``, the same stream's further points, which are not stored."""
+        total = len(self.rows)
+        yield from _row_blocks(self.upto(min(count, total)))
+        yield from _ball_draws(self.center, self.radius, self.rng,
+                               max(0, count - total))
 
 
-def _estimate(sub: Subproblem, rows: np.ndarray) -> HullEstimate:
-    """Hull of h's gradients at the rows, written over the rows block by block."""
+def _grads_over(sub: Subproblem, rows: np.ndarray) -> None:
+    """Write h's gradients at the rows over the rows, block by block."""
     for block in _row_blocks(rows):
         block[...], _ = sub.grads(block)
-    return min_norm_over_hull(rows)
 
 
 def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
                        n_samples: int, seed: int) -> HullEstimate:
     """Sampled upper bound on dist(0, Goldstein subdifferential of h_anchor).
 
-    Its points come from ``_ball_rows``, so they are a prefix of any larger
-    run's and the estimate can only shrink as n_samples grows.  The verifier
-    runs the same two steps on the draw it shares with its slackness check.
+    Its points are the gradients at one ``_BallDraw`` of the delta-ball, so
+    they are a prefix of any larger run's and the estimate can only shrink
+    as n_samples grows.  The verifier's estimate reads prefixes of the same
+    draw (stream seed + 1 there) and stops at the first that passes.
     """
     _check_samples(n_samples, "n_samples", least=1)
     anchor = _as_vector(anchor, problem.dim)
-    sub = Subproblem(problem, anchor)
-    return _estimate(sub, _ball_rows(anchor, delta, np.random.default_rng(seed),
-                                     n_samples))
+    rows = _BallDraw(anchor, delta, np.random.default_rng(seed),
+                     n_samples).upto(n_samples)
+    _grads_over(Subproblem(problem, anchor), rows)
+    return min_norm_over_hull(rows)
 
 
 @dataclass
@@ -386,6 +419,41 @@ def check_slackness(slack_max: float, m: float, delta: float) -> CheckResult:
                        "max |gamma*g| = %.17g vs bound %.17g" % (slack_max, bound))
 
 
+# rows of the verifier estimate's first hull; each later one has twice as many
+FIRST_CHECKPOINT = 64
+
+
+def _checkpoints(total: int):
+    """64, 128, 256, ... below ``total``, then ``total``."""
+    count = FIRST_CHECKPOINT
+    while count < total:
+        yield count
+        count *= 2
+    yield total
+
+
+def _staged_estimate(sub: Subproblem, draw: _BallDraw,
+                     limit: float) -> CheckResult:
+    """The stationarity-estimate check over growing prefixes of one draw.
+
+    The hull of a prefix lies in the hull of the whole draw, so a prefix
+    whose min-norm point is within ``limit`` already proves the check: it
+    stops at the first checkpoint that passes, and only a failure reads
+    every row.  Each row's gradient is computed once, over the row, and
+    each hull starts from the previous checkpoint's.
+    """
+    estimate, done = None, 0
+    for count in _checkpoints(len(draw.rows)):
+        _grads_over(sub, draw.upto(count)[done:])
+        done = count
+        estimate = min_norm_over_hull(draw.rows[:count], start=estimate)
+        if estimate.min_norm <= limit:
+            break
+    return CheckResult("stationarity-estimate", estimate.min_norm <= limit,
+                       "sampled estimate %.17g vs limit %.17g at %d of %d samples"
+                       % (estimate.min_norm, limit, count, len(draw.rows)))
+
+
 def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
                       slackness_samples: int = 10_000,
                       estimate_samples: int = 10_000, seed: int = 0,
@@ -396,8 +464,10 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     every stored subgradient, the recombined zeta, the multiplier split, and
     the sampled complementary-slackness and independent stationarity bounds
     are all recomputed.  Both sampled checks read one uniform draw of the
-    delta-ball from stream ``seed + 1``: the first ``slackness_samples`` and
-    the first ``estimate_samples`` rows of it.  Checks run in CHECK_ORDER;
+    delta-ball from stream ``seed + 1``, drawn only as far as they read it:
+    the first ``slackness_samples`` rows (none at gamma = 0) and, for the
+    estimate, prefixes of 64, 128, 256, ... rows up to ``estimate_samples``
+    until one passes.  Checks run in CHECK_ORDER;
     with stop_at_first_failure the remaining (possibly expensive) checks are
     never computed once the headline reason is known.
     """
@@ -459,19 +529,12 @@ def _checks(cert, problem, slackness_samples, estimate_samples, seed):
                       "gamma0 %.17g vs stored %.17g" % (gamma0, cert.gamma0))
     yield check_anchor_feasible(sub.g_anchor)
 
-    # one draw of the ball serves both sampled checks: the slackness check
-    # reads its first rows, and streams on past them if it needs more
-    rng = np.random.default_rng(seed + 1)
-    rows = _ball_rows(anchor, delta, rng, estimate_samples)
-    tail = _ball_draws(anchor, delta, rng,
-                       max(0, slackness_samples - estimate_samples))
+    # one lazily drawn ball serves both sampled checks: the slackness check
+    # reads its first rows (none at gamma = 0), and streams on past them if
+    # it needs more; the estimate reads as many as it takes to pass
+    draw = _BallDraw(anchor, delta, np.random.default_rng(seed + 1),
+                     estimate_samples)
     slack_max = sampled_slack(ReducedConstraint(problem), cert.gamma,
-                              itertools.chain(_row_blocks(rows[:slackness_samples]),
-                                              tail))
+                              draw.blocks(slackness_samples))
     yield check_slackness(slack_max, m, delta)
-
-    estimate = _estimate(sub, rows)
-    limit = ESTIMATE_FACTOR * cert.eps_effective
-    yield CheckResult("stationarity-estimate", estimate.min_norm <= limit,
-                      "sampled estimate %.17g vs limit %.17g"
-                      % (estimate.min_norm, limit))
+    yield _staged_estimate(sub, draw, ESTIMATE_FACTOR * cert.eps_effective)

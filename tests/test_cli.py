@@ -208,6 +208,23 @@ def test_solve_bad_param_is_usage_error(capsys):
     assert "KEY=VALUE" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("param,message", [
+    ("dim=[2]", "dim must be a positive integer, got [2]"),
+    ("dim=2.5", "dim must be a positive integer, got 2.5"),
+    ("dim=true", "dim must be a positive integer, got True"),
+    ("dim=0", "dim must be a positive integer, got 0"),
+    ("alpha=nan", "alpha must be a positive finite real, got 'nan'"),
+    ("alpha=NaN", "alpha must be a positive finite real, got nan"),
+    ("alpha=-1", "alpha must be a positive finite real, got -1"),
+])
+def test_solve_mistyped_param_names_it(tmp_path, capsys, param, message):
+    rc = main(["solve", "--problem", "pl-nonconvex", "--param", param,
+               "--out-dir", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert os.listdir(tmp_path) == []
+
+
 def test_solve_requires_a_problem(capsys):
     rc = main(["solve", "--delta", "0.05"])
     assert rc == EXIT_USAGE

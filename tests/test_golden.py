@@ -79,35 +79,35 @@ GOLDEN = {
 # same cells -> digest of the verify report on the decoded certificate
 REPORTS = {
     "ball-linear-rand":
-        "0a744c4bf17581fae88326821324aee28ab1a64e062cb182df0ca14ec46dc890",
+        "b3cc989174f625561d7e17989ad8e6cce0bf5ceb729df04c836b5343875f8d50",
     "ball-linear-bisect":
-        "a28b7e4b0f268001e7027a023032894a714a3183ac640665e506006a47cf3e25",
+        "4591d6065491e9c4b98cd659cac9961cd2230692ed6b8cd80f57c88dfd539011",
     "l1-ball-rand":
-        "332a28aa6faba92edc9ace87c4b5ec8fe40221af99a9c856566edd3de4e2bb4a",
+        "3601c95ab78d168ee766eac1d4a384f7caf5972c7101cd856a5e03501d17f970",
     "l1-ball-bisect":
-        "ae04df893e34bf3452fb15f0a9a584911664514befc9d574c8875761dfffb9a7",
+        "b514db21f0e39ea89daab2dd2de47f4686e035510ebc1dec5723fcc7f73bcc18",
     "footnote-1d-rand":
-        "83b318b3e3ef84741667c886eed9029f15c843ca3765399f570f12bd104c7afa",
+        "949f21e88aa50b093ac9adf5ff2a13882814ec17ef296dd8f09c1d2ccd87e64a",
     "footnote-1d-bisect":
-        "5d4ca7ccad8430f67d38dde0591f32811ed6ff13a3bbf75948c18461bc6451c4",
+        "2f370bdc8a7bae5f8ddf29770bae6ea976515e916bf11acb3b8f98a9ac3dc1c1",
     "footnote-2c-rand":
-        "455e1bfe4d4cfdedc6e70863714afae66ec089723f4aff7ce3a9c43a58fc7522",
+        "73219702dcbfdb99dabe1ba1afadb715642e2be5f369f2e6151a1525ad2734ec",
     "footnote-2c-bisect":
-        "1a84d3ae4d61bcf303c2a7c5940b7f210905b52d2f58d74b8c944e5ef889d50c",
+        "b4cb272dc4ba859a444729161124754d258b1e48f92fb913c485a916602801c7",
     "pl-nonconvex-rand":
-        "ddbcfa3158c058d55c61e71b0b1928f7a97de47f4e5f413d88225d8e85eaf675",
+        "aa4045716997e5b7dd7b73c1f83774dbc2235b3b180ada0b7afc961b3dc14728",
     "pl-nonconvex-bisect":
-        "330b1d802f60d3493dae935450677053c851c9002f8ecf677d7a4cb62f9d60d4",
+        "a8a5b1630d1ef0d1d20688926b03b4e091af44f62f31a91d774bae862905d349",
     "ball-linear-n10-rand":
-        "8acb1d4afd722ffc7b7b9f43d0dd72195bdf833c962d44c99729d63eb353d314",
+        "637d18ccbade7530219459ff7e7a86311f20a127c808f5821d54e30e678068d9",
     "ball-linear-n10-bisect":
-        "c85c3db835d662ad4b93147ac702fd4aae49f8eb3b4f9c903b2de93229771e4c",
+        "1fa4a84cf4495e6f250c40bd319b493e05d34ea7f3f13cbd51b7ce98b78e26f4",
     "pl-nonconvex-n10-rand":
-        "21e34d3b4b4efe99ec8ddf4b46bfa78bb3737446901c61e48f7830de7346ded1",
+        "cd68b5ba0a32e7317fe42864d50b9631c0baee075b05059dfe30378a6357e8e1",
     "pl-nonconvex-n10-bisect":
-        "727bafe3224dd2ae3152b04e6858c0a2e84ef195b5d9c19c65406b8ad2083476",
+        "8d9795a40648f4e08564cf0a3e1c71c552c2403cc745a2fba2e059299818ab2a",
     "ball-linear-rand-kkt":
-        "d931a734f1deb800db8e856546d05d57a0c779b5bd145e7a9a0d2a87b5c868c5",
+        "3e287dac11709f5931ca3ae8c9d22f7fd8628158e51ee504ccff1cf343c51fd7",
 }
 
 

@@ -21,6 +21,7 @@ from goldsub.verify import (
     CHECK_ORDER,
     CORRUPT_CHECKS,
     HOLDS,
+    HULL_TOL,
     VIOLATED,
     check_certificate,
     check_gcq,
@@ -93,6 +94,50 @@ def test_hull_min_norm_properties(rows):
         combo = w @ pts
         assert est.min_norm <= float(np.linalg.norm(combo)) + 1e-7 * (
             1.0 + float(np.linalg.norm(combo)))
+
+
+clouds = st.tuples(st.integers(1, 300), st.integers(1, 12),
+                   st.integers(0, 2**32 - 1), st.sampled_from(["spread", "tight",
+                                                                  "grid"]))
+
+
+def cloud(rows, dim, seed, kind):
+    rng = np.random.default_rng(seed)
+    shift = rng.standard_normal(dim)
+    if kind == "spread":
+        return rng.standard_normal((rows, dim)) + shift
+    if kind == "tight":
+        return 1e-3 * rng.standard_normal((rows, dim)) + shift
+    return np.round(2.0 * rng.standard_normal((rows, dim)))  # repeated rows
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(clouds, st.floats(0.0, 1.0))
+def test_hull_warm_start_from_a_prefix(spec, share):
+    pts = cloud(*spec)
+    prefix = min_norm_over_hull(pts[:max(1, int(share * len(pts)))])
+    est = min_norm_over_hull(pts, start=prefix)
+    # never longer than the start, and stopped by the gap or a stall
+    assert est.min_norm <= prefix.min_norm
+    x = est.min_norm_point
+    gap = float(x @ x) - float(np.min(pts @ x))
+    stalled = int(np.argmin(pts @ x)) in est.support_indices
+    assert gap <= HULL_TOL or stalled
+    weights = np.asarray(est.support_weights)
+    assert np.all(weights >= 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-9
+    scale = 1.0 + float(np.abs(pts).max())
+    assert np.allclose(weights @ pts[est.support_indices], x, atol=1e-9 * scale)
+    # a cold solve is the warm start from the shortest point, bit for bit
+    first = int(np.argmin(np.einsum("ij,ij->i", pts, pts)))
+    shortest = verify.HullEstimate(pts[first:first + 1], pts[first].copy(),
+                                   float(np.linalg.norm(pts[first])), 1,
+                                   [first], [1.0])
+    cold, from_shortest = min_norm_over_hull(pts), min_norm_over_hull(
+        pts, start=shortest)
+    assert np.array_equal(cold.min_norm_point, from_shortest.min_norm_point)
+    assert (cold.min_norm, cold.support_indices, cold.support_weights) == (
+        from_shortest.min_norm, from_shortest.support_indices,
+        from_shortest.support_weights)
 
 
 # ---------------------------------------------------------------- estimate
@@ -396,31 +441,37 @@ def slack_prefix_max(cert, spec, rng, n, drawn):
 
 
 def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
-    # small blocks, so every loop draws its samples in several of them
+    # small blocks, so every loop draws its samples in several of them, and
+    # a zero limit, so the estimate solves a hull at every checkpoint
     monkeypatch.setattr("goldsub.core.SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(verify, "ESTIMATE_FACTOR", 0.0)
     record, cert = fresh_cert(seed=0)
     assert cert.gamma > 0.0
     hulls = []
 
-    def kept(points):
+    def kept(points, **kwargs):
         hulls.append(np.array(points))
-        return min_norm_over_hull(points)
+        return min_norm_over_hull(points, **kwargs)
 
     monkeypatch.setattr(verify, "min_norm_over_hull", kept)
-    est = goldstein_estimate(cert.anchor, record.spec, cert.delta, 30, seed=5)
+    est = goldstein_estimate(cert.anchor, record.spec, cert.delta, 150, seed=5)
     # the slackness check takes fewer, as many and more rows than the
-    # estimate's 30; both read stream seed + 1
-    for slack_n in (10, 30, 100):
+    # estimate's 150; both read stream seed + 1
+    for slack_n in (10, 150, 400):
         hulls.clear()
         report = check_certificate(cert, record.spec, slackness_samples=slack_n,
-                                   estimate_samples=30, seed=4)
+                                   estimate_samples=150, seed=4)
         details = {c.name: c.detail for c in report.checks}
         measured = float(details["complementary-slackness"].split()[3])
         assert measured == slack_prefix_max(cert, record.spec,
                                             np.random.default_rng(5), slack_n,
-                                            max(slack_n, 30)), slack_n
-        assert len(hulls) == 1 and np.array_equal(hulls[0], est.points)
-        assert float(details["stationarity-estimate"].split()[2]) == est.min_norm
+                                            max(slack_n, 150)), slack_n
+        # one hull per checkpoint, over growing prefixes of the one draw
+        assert [len(h) for h in hulls] == [64, 128, 150]
+        assert all(np.array_equal(h, est.points[:len(h)]) for h in hulls)
+        estimate = float(details["stationarity-estimate"].split()[2])
+        assert estimate <= est.min_norm + HULL_TOL
+        assert details["stationarity-estimate"].endswith("at 150 of 150 samples")
 
     config = SolverConfig(delta=0.05, target_eps=0.05, slackness_samples=100)
     again = certify(cert.anchor, cert.combination, record.spec, config,
@@ -428,9 +479,70 @@ def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
     assert again.slack_max == slack_prefix_max(cert, record.spec,
                                                np.random.default_rng(9), 100, 300)
 
-    rows = sample_ball(cert.anchor, cert.delta, np.random.default_rng(5), size=90)
-    grads, _ = Subproblem(record.spec, cert.anchor).grads(rows[:30])
+    rows = sample_ball(cert.anchor, cert.delta, np.random.default_rng(5), size=450)
+    grads, _ = Subproblem(record.spec, cert.anchor).grads(rows[:150])
     assert np.array_equal(est.points, grads)
+
+
+ACCEPTANCE_MEMBERS = {"ball-linear": ("ball-linear", {}),
+                      "l1-ball": ("l1-ball", {}),
+                      "footnote-1d": ("footnote-1d", {}),
+                      "footnote-2c": ("footnote-2c", {}),
+                      "pl-nonconvex": ("pl-nonconvex", {}),
+                      "ball-linear-n10": ("ball-linear", {"dim": 10}),
+                      "pl-nonconvex-n10": ("pl-nonconvex", {"dim": 10})}
+
+
+def counted_grad_rows(monkeypatch) -> list[int]:
+    """Rows handed to ``Subproblem.grads`` from now on, one entry per call."""
+    grads = Subproblem.grads
+    rows = []
+
+    def counted(self, z):
+        rows.append(len(z))
+        return grads(self, z)
+
+    monkeypatch.setattr(Subproblem, "grads", counted)
+    return rows
+
+
+@pytest.mark.parametrize("inner", ["rand", "bisect"])
+@pytest.mark.parametrize("member", ACCEPTANCE_MEMBERS)
+def test_acceptance_certificates_pass_the_estimate_early(monkeypatch, member,
+                                                         inner):
+    name, params = ACCEPTANCE_MEMBERS[member]
+    record = get_problem(name, **params)
+    config = SolverConfig(delta=0.05, target_eps=0.05, inner=inner, seed=0)
+    cert, _ = solve(record.spec, config, record.start)
+    rows = counted_grad_rows(monkeypatch)
+    report = check_certificate(cert, record.spec)
+    estimate = report.checks[-1]
+    assert report.passed, (report.reason, estimate.detail)
+    # the hull of the first 64 or 128 rows already proves the check
+    assert sum(rows) <= 128
+    assert estimate.detail.endswith("at %d of 10000 samples" % sum(rows))
+
+
+def test_a_failing_estimate_reads_every_row_once(monkeypatch):
+    monkeypatch.setattr("goldsub.core.SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(verify, "ESTIMATE_FACTOR", 0.0)
+    record, cert = fresh_cert(seed=0)
+    cold = goldstein_estimate(cert.anchor, record.spec, cert.delta, 300, seed=4)
+    hulls = []
+
+    def kept(points, **kwargs):
+        hulls.append(min_norm_over_hull(points, **kwargs))
+        return hulls[-1]
+
+    monkeypatch.setattr(verify, "min_norm_over_hull", kept)
+    rows = counted_grad_rows(monkeypatch)
+    report = check_certificate(cert, record.spec, slackness_samples=0,
+                               estimate_samples=300, seed=3)
+    assert report.reason == "stationarity-estimate"
+    assert sum(rows) == 300  # every row's gradient, none twice
+    assert [h.sample_count for h in hulls] == [64, 128, 256, 300]
+    assert np.array_equal(hulls[-1].points, cold.points)
+    assert hulls[-1].min_norm <= cold.min_norm + HULL_TOL
 
 
 def never_called(*args, **kwargs):
@@ -452,16 +564,45 @@ def test_stop_at_first_failure_skips_the_rest(monkeypatch):
     assert [c.name for c in report.checks] == ["weights-nonnegative", "weights-sum"]
 
 
+def counted_draw_rows(monkeypatch) -> list[int]:
+    """Ball rows the verifier draws from now on, one entry per draw."""
+    sample_ball = verify.sample_ball
+    rows = []
+
+    def counted(center, radius, rng, size=None):
+        rows.append(size)
+        return sample_ball(center, radius, rng, size=size)
+
+    monkeypatch.setattr(verify, "sample_ball", counted)
+    return rows
+
+
 def test_stop_at_a_slackness_failure_computes_no_estimate(monkeypatch):
     record, cert = fresh_cert(seed=0)
     assert cert.gamma > 0.0
     monkeypatch.setattr(verify, "slack_bound", lambda m, delta: 0.0)
     monkeypatch.setattr(Subproblem, "grads", never_called)
     monkeypatch.setattr(verify, "min_norm_over_hull", never_called)
+    rows = counted_draw_rows(monkeypatch)
     report = check_certificate(cert, record.spec, slackness_samples=100,
-                               estimate_samples=100, stop_at_first_failure=True)
+                               estimate_samples=1000, stop_at_first_failure=True)
     assert report.reason == "complementary-slackness"
     assert tuple(c.name for c in report.checks) == CHECK_ORDER[:-1]
+    assert sum(rows) == 100  # the slackness check's rows, and no more
+
+
+def test_a_constraint_free_combination_draws_64_rows(monkeypatch):
+    # gamma = 0: the slackness check reads no row, and the estimate's first
+    # checkpoint already passes (the defaults of `goldsub verify --fast`)
+    record = get_problem("l1-ball")
+    cert, _ = solve(record.spec, SolverConfig(delta=0.05, target_eps=0.05),
+                    record.start)
+    assert cert.gamma == 0.0
+    rows = counted_draw_rows(monkeypatch)
+    report = check_certificate(cert, record.spec, stop_at_first_failure=True)
+    assert report.passed
+    assert sum(rows) == 64
+    assert report.checks[-1].detail.endswith("at 64 of 10000 samples")
 
 
 def test_verification_reads_the_constraints_at_the_anchor_once(monkeypatch):
