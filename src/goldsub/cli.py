@@ -326,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--outer-cap", type=int)
     ps.add_argument("--call-cap", type=int, dest="inner_call_cap",
                     metavar="CALL_CAP", help="inner oracle-call cap")
-    ps.add_argument("--slack-samples", type=int, dest="slackness_samples",
-                    metavar="SLACK_SAMPLES",
-                    help="complementary-slackness samples at certification")
     ps.add_argument("--out-dir")
     ps.add_argument("--tag", help="output file basename")
     ps.set_defaults(func=cmd_solve)

@@ -275,20 +275,23 @@ def _expect(value, kind, what: str):
 
 _CONFIG_TYPES = typing.get_type_hints(SolverConfig)
 # keys of earlier config versions: accepted with any value and ignored
-_RETIRED_CONFIG_KEYS = frozenset({"collect_trajectory"})
+_RETIRED_CONFIG_KEYS = frozenset({"collect_trajectory", "slackness_samples"})
+# config keys without a default, and the solve flag that sets each
+_REQUIRED_CONFIG_KEYS = {"delta": "--delta", "target_eps": "--eps"}
 
 
 def config_from_data(data: dict) -> SolverConfig:
-    """Build a SolverConfig from a parsed config object.  Unknown keys and
-    values of the wrong JSON type fail; retired keys are ignored."""
+    """Build a SolverConfig from a parsed config object.  Unknown or missing
+    keys and values of the wrong JSON type fail; retired keys are ignored."""
     data = {key: value for key, value in _expect(data, dict, "config").items()
             if key not in _RETIRED_CONFIG_KEYS}
     extra = set(data) - set(_CONFIG_TYPES)
     if extra:
         raise UsageError("unknown config keys: %s" % ", ".join(sorted(extra)))
+    missing = [key for key in _REQUIRED_CONFIG_KEYS if key not in data]
+    if missing:
+        raise UsageError("missing config keys: %s (solve flags %s)" % (
+            ", ".join(missing), ", ".join(map(_REQUIRED_CONFIG_KEYS.get, missing))))
     for key, value in data.items():
         _expect(value, _CONFIG_TYPES[key], "config " + key)
-    try:
-        return SolverConfig(**data)
-    except TypeError as exc:  # a required key is missing
-        raise UsageError("bad config: %s" % exc) from None
+    return SolverConfig(**data)

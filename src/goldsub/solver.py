@@ -12,8 +12,9 @@ subgradients behind the final small zeta, split into objective mass gamma0
 and constraint mass gamma.  gamma0 > 0 yields the multiplier
 lambda = gamma / gamma0 and, with a constraint-qualification level sigma,
 approximate KKT residuals; gamma0 = 0 still certifies Fritz-John
-stationarity.  The split, the slackness sampling and the checks are the
-verifier's own functions.
+stationarity.  The split and the checks are the verifier's own functions.
+Complementary slackness needs no sampling here: the construction bounds
+|gamma * g| by 3*M*delta over the ball, and ``goldsub verify`` re-checks it.
 """
 
 from __future__ import annotations
@@ -28,16 +29,15 @@ import numpy as np
 # sample_ball is unused here; it exists because perfbench/tracer.py patches
 # solver.sample_ball, and the import goes when that patch does (ROADMAP item 1)
 from .core import (ProblemSpec, ReducedConstraint, Vector, WeightedSubgradient,
-                   _as_vector, _check_samples, _finite_value, sample_ball)
+                   _as_vector, _finite_value, sample_ball)
 from .errors import (BudgetExceededError, CertificationError,
                      InfeasibleStartError, UsageError)
 from .inner_bisect import C_BISECT, bisect_call_budget, bisect_search
 from .inner_rand import C_RAND, STATIONARY, rand_call_budget, rand_search
-from .verify import (CheckResult, GoldsteinCertificate, _ball_draws,
-                     check_anchor_feasible, check_points_in_ball,
-                     check_slackness, check_weights_nonnegative,
+from .verify import (CheckResult, GoldsteinCertificate, check_anchor_feasible,
+                     check_points_in_ball, check_weights_nonnegative,
                      check_weights_sum, check_zeta_norm, check_zeta_recompute,
-                     multiplier_split, recombine, sampled_slack, slack_bound)
+                     multiplier_split, recombine)
 
 RAND = "rand"
 BISECT = "bisect"
@@ -67,7 +67,6 @@ class SolverConfig:
     seed: int = 0
     outer_cap: int = 1_000_000
     inner_call_cap: int | None = None
-    slackness_samples: int = 1000
 
     def __post_init__(self):
         if not (self.delta > 0 and self.target_eps > 0):
@@ -90,7 +89,6 @@ class SolverConfig:
             raise UsageError("outer_cap must be at least 1")
         if self.inner_call_cap is not None and self.inner_call_cap < 1:
             raise UsageError("inner_call_cap must be at least 1")
-        _check_samples(self.slackness_samples, "slackness_samples")
 
     def eps_effective(self, lipschitz_m: float) -> float:
         if not self.kkt_mode:
@@ -143,11 +141,11 @@ def _require(check: CheckResult) -> None:
 
 def certify(anchor: Vector, combination: list[WeightedSubgradient],
             problem: ProblemSpec, config: SolverConfig,
-            zeta: Vector | None = None, rng: np.random.Generator | None = None,
+            zeta: Vector | None = None,
             anchor_values: tuple[float, float] | None = None) -> GoldsteinCertificate:
     """Assemble and self-check the certificate for a stationary anchor.
 
-    Runs the verifier's structural checks in its order; the first failure
+    Runs the verifier's unsampled checks in its order; the first failure
     raises CertificationError.  The inner-loop contract guarantees them, so
     a failure means a bug or broken metadata, never a user error.  ``zeta``
     defaults to the recombined sum; passing the solver's own accumulated
@@ -168,21 +166,14 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     zeta_norm = math.sqrt(zeta.dot(zeta))
     _require(check_zeta_norm(zeta_norm, eps_t))
 
-    reduced = ReducedConstraint(problem)
     if anchor_values is not None:
         f_anchor, g_anchor = anchor_values
     else:
         f_anchor = _finite_value(problem.objective.value(anchor), "objective value")
-        g_anchor, _ = reduced.value(anchor)
+        g_anchor, _ = ReducedConstraint(problem).value(anchor)
     _require(check_anchor_feasible(g_anchor))
 
     gamma0, gamma, lam = multiplier_split(combination)
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    slack_max = sampled_slack(reduced, gamma, _ball_draws(
-        anchor, delta, rng, config.slackness_samples))
-    _require(check_slackness(slack_max, m, delta))
-
     warnings: list[str] = []
     kkt_eps = kkt_eta = kkt_lambda_bound = None
     if config.kkt_mode:
@@ -208,8 +199,6 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
                           for i, c in enumerate(problem.constraints, start=1)],
         kkt_eps=kkt_eps, kkt_eta=kkt_eta, kkt_lambda_bound=kkt_lambda_bound,
         gcq_sigma=config.gcq_sigma if config.kkt_mode else None,
-        slack_samples=config.slackness_samples if gamma > 0.0 else 0,
-        slack_max=slack_max, slack_bound=slack_bound(m, delta),
         warnings=warnings)
 
 
@@ -315,5 +304,5 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
 
     trace = partial_trace()
     cert = certify(x, res.combination, problem, config, zeta=res.zeta,
-                   rng=rng, anchor_values=(f_x, g_x))
+                   anchor_values=(f_x, g_x))
     return cert, trace

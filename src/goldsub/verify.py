@@ -7,8 +7,8 @@ sampled hull is always a subset of the true Goldstein subdifferential, so
 the estimate is a valid upper bound on dist(0, set): a small value proves
 approximate stationarity, a large one only fails to prove it.
 
-The certificate type, its checks, the multiplier split and the ball-sampling
-loop live here; ``solver.certify`` calls them too, so their arithmetic and
+The certificate type, its checks and the multiplier split live here;
+``solver.certify`` runs the unsampled checks too, so their arithmetic and
 tolerances are defined once.  Nothing here imports the solver.
 """
 
@@ -59,9 +59,8 @@ class GoldsteinCertificate:
     branch tags split the unit weight mass into gamma0 and gamma.  ``lam``
     is gamma/gamma0, or None when gamma0 = 0 (Fritz-John only).  The kkt_*
     fields are present exactly when the solve ran in KKT mode with
-    gamma0 > 0.  slack_max is the sampled maximum of |gamma * g(z)| over the
-    ball, which the analytic bound slack_bound = 3*M*delta (+ tolerance)
-    must dominate.
+    gamma0 > 0.  By construction |gamma * g(z)| <= 3*M*delta over the ball,
+    which the verifier's complementary-slackness check samples.
     """
 
     anchor: Vector
@@ -82,9 +81,6 @@ class GoldsteinCertificate:
     kkt_eta: float | None = None
     kkt_lambda_bound: float | None = None
     gcq_sigma: float | None = None
-    slack_samples: int = 0
-    slack_max: float = 0.0
-    slack_bound: float = 0.0
     warnings: list[str] = field(default_factory=list)
 
 

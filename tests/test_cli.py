@@ -97,8 +97,7 @@ def test_solve_config_file_with_flag_override(tmp_path):
 # (flag, value, the SolverConfig field it sets, the config file's value)
 RENAMED_FLAGS = [("--eps", "0.04", "target_eps", 0.05),
                  ("--sigma", "0.5", "gcq_sigma", 0.9),
-                 ("--call-cap", "123456", "inner_call_cap", 654321),
-                 ("--slack-samples", "77", "slackness_samples", 99)]
+                 ("--call-cap", "123456", "inner_call_cap", 654321)]
 
 
 def test_solve_renamed_flags_override_their_config_keys(tmp_path):
@@ -231,6 +230,18 @@ def test_solve_requires_a_problem(capsys):
     assert "registered" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,message", [
+    ([], "missing config keys: delta, target_eps (solve flags --delta, --eps)"),
+    (["--delta", "0.05"], "missing config keys: target_eps (solve flags --eps)"),
+], ids=["no-delta-no-eps", "no-eps"])
+def test_solve_names_the_missing_config_keys(tmp_path, flags, message, capsys):
+    rc = main(["solve", "--problem", "ball-linear", *flags,
+               "--out-dir", str(tmp_path)])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == "error: %s\n" % message
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("value", [False, True])
 def test_solve_accepts_a_manifest_with_the_retired_trajectory_key(
         solved, tmp_path, value):
@@ -246,6 +257,21 @@ def test_solve_accepts_a_manifest_with_the_retired_trajectory_key(
         (solved / "run.cert.json").read_bytes()
 
 
+@pytest.mark.parametrize("value", [1000, 2.5, "x"])
+def test_solve_accepts_a_manifest_with_the_retired_slackness_key(
+        solved, tmp_path, value):
+    # manifests of solves that still sampled slackness carry the key
+    def add_key(data):
+        data["config"]["slackness_samples"] = value
+
+    path = rewrite(solved / "run.manifest.json", tmp_path / "old.json", add_key)
+    rc = main(["solve", "--config", path, "--out-dir", str(tmp_path),
+               "--tag", "run"])
+    assert rc == EXIT_OK
+    for doc in ("run.cert.json", "run.trace.json"):
+        assert (tmp_path / doc).read_bytes() == (solved / doc).read_bytes()
+
+
 JOB = {"problem": {"name": "ball-linear"}}
 
 
@@ -257,12 +283,11 @@ JOB = {"problem": {"name": "ball-linear"}}
     {**JOB, "x0": [10 ** 400, 0]},
     {**JOB, "config": {"seed": 1.5}},
     {**JOB, "config": {"seed": True}},
-    {**JOB, "config": {"slackness_samples": 2.5}},
     {**JOB, "config": {"inner_call_cap": 2.5}},
     {**JOB, "config": {"outer_cap": 2.5}},
     [JOB],
 ], ids=["config-list", "x0-string", "x0-number", "x0-bools", "x0-overflow",
-        "seed-float", "seed-bool", "slackness-samples-float",
+        "seed-float", "seed-bool",
         "inner-call-cap-float", "outer-cap-float", "top-level-list"])
 def test_solve_config_of_the_wrong_type_is_usage_error(tmp_path, job, capsys):
     path = tmp_path / "job.json"
@@ -308,6 +333,21 @@ def test_verify_accepts_a_fresh_certificate(solved, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 10
     assert "certificate OK (10 checks)" in out
+
+
+def test_verify_ignores_the_retired_certificate_keys(solved, tmp_path, capsys):
+    # certificates of solves that still sampled slackness carry these keys
+    def add_keys(data):
+        data.update(slack_samples=1000, slack_max=0.01, slack_bound=0.15)
+        data["manifest"]["config"]["slackness_samples"] = 1000
+
+    path = rewrite(solved / "run.cert.json", tmp_path / "old.json", add_keys)
+    runs = []
+    for cert in (str(solved / "run.cert.json"), path):
+        rc = main(["verify", cert] + FAST_VERIFY)
+        runs.append((rc, capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == EXIT_OK
 
 
 def test_verify_uses_problem_flag_when_manifest_is_missing(solved, tmp_path, capsys):
@@ -441,20 +481,16 @@ def test_verify_negative_seed_or_samples_is_usage_error(solved, flags, capsys):
 
 
 @pytest.mark.parametrize("command,flags", [
-    ("solve", ["--slack-samples", "100000000000000000000"]),
-    ("solve", ["--slack-samples", "1000001"]),
+    ("verify", ["--slack-samples", "100000000000000000000"]),
+    ("verify", ["--estimate-samples", "1000001"]),
     ("verify", ["--slack-samples", "1000001"]),
     ("verify", ["--estimate-samples", "100000000000000000000"]),
 ])
-def test_oversized_sample_count_is_usage_error(solved, tmp_path, command, flags,
-                                               capsys):
-    args = (SOLVE + ["--out-dir", str(tmp_path)] if command == "solve"
-            else ["verify", str(solved / "run.cert.json")])
-    assert main(args + flags) == EXIT_USAGE
+def test_oversized_sample_count_is_usage_error(solved, command, flags, capsys):
+    assert main([command, str(solved / "run.cert.json")] + flags) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert "at most 1000000" in err
     assert "certificate OK" not in out
-    assert os.listdir(tmp_path) == []
 
 
 def test_solve_unallocatable_problem_is_usage_error(tmp_path, capsys):

@@ -29,50 +29,50 @@ EPS = 0.05
 # (member, params, inner, kkt) -> (certificate digest, trace digest)
 GOLDEN = {
     "ball-linear-rand": (
-        "4002669184a8c716575323cf1c717399b899a09ed74ae0ca4392a8eb094e3f17",
-        "c90d13aefb46eef0e01444f3f3559a08150e9b43613a19a984fb95a06cc66ef0"),
+        "12f2c6d2694b47dba325a22589cfe265a36fae626a6e7f45e5a0c3312e16fb3e",
+        "7fdb66223de9618e9a369fe9cb9231eba7436e878dbf27d97725b43ddfe8d4c8"),
     "ball-linear-bisect": (
-        "ef713e8f6b91b0fa62848acff45b96f9ec6349861cc1e1c8cd880b82ff228b98",
-        "1439f6de0951daa84a3902445fbbfb762eb07de9eb9f49cad1bcfccb98efe677"),
+        "276418e4cf6f1a3332cd94e801781ac47d3a651e1f7927bb9099058c310f9d51",
+        "6cd834a5739bf404a3ed8f9b049facb469747e3e5fc53e22df924e66d9c24649"),
     "l1-ball-rand": (
-        "7f431a31b09c8f033d81b8e65d0f5ebbd38abf1f021feb5792830ddecfc30156",
-        "e908796aab688db048c850bbbf85eb654cc155f465ef709d7a53ec84dc6007a8"),
+        "22132380cec1e5cb17c3b42c4b364a1fc49dac4486dae7367bf12f65c8f352b7",
+        "479fe414e82c5e1f61bb969030eb647e0d0818a459596274f550ec2da5bbc92e"),
     "l1-ball-bisect": (
-        "cb19c6d8acdef696fc8643cd0ede08df27ada328a8812c08caeb4bc08f7d28f1",
-        "fd5f583032f4c0caf5781e31f096ea61730b3da951fbfeddc74ee8032ab1daf3"),
+        "7f94f13af34c21402a59f63e1922a12e9999e3a6848c3fd90660d32a80d78601",
+        "b9922a5313abe746c2fe4688042d3d86ad6d4e8b3d5893ca88df051f198dc261"),
     "footnote-1d-rand": (
-        "4eac40c5e96a8f055230fe7d3e59f72cfc5c662d2aac742613a60c0687ef1949",
-        "737767497c25857625b83ca3a470e9315eeffcdb8002f76747b450939f8c2933"),
+        "d5dcdab96de400762821b2167cd0a2cb9efa7f0303d20b58b22bc18a01849670",
+        "917d6e14c5295218066afb84ae276b1787cc11a623118251de4df8455f8b4d07"),
     "footnote-1d-bisect": (
-        "ad852f854e158ea752783e8a3dd3613c6590ec917025e235f7548adafd0b456f",
-        "334c571647b3ebb4e5e752919a4e34acf33da3fb06992db31a7b0e4eb091be1e"),
+        "8780be063189585619c91c29bb50c90b8c1d5fb6c317af47fa31d96bc6218aae",
+        "4c619b5a780290e887b9a4702ccd00c17249156df6c260cb6e3e73c8b980e7f2"),
     "footnote-2c-rand": (
-        "03fcd6fe02ae5c7caba978733be3a04ca6b069f591a5ba79e3fa05afed0c856d",
-        "d7c97d5a5979d5fd33cc31b4cde03fb3c2b43818863495e0fee66d2224306c5e"),
+        "5a69a2b29a80fbdb97d4dc5b55502cde0b379b30276591ab44852733110f6a79",
+        "1018c39a0369464e4099fa1552acf2a0be772a1b251c49197a7d7378b53a17d1"),
     "footnote-2c-bisect": (
-        "6ec7ff3f937f3f7c6980e2e68c87e1fbfbb0c3816b118a53a2ee15bd73422219",
-        "221f739e51746da7648a1dafcdb9a622219c6089cbd201d34a2547a8389a1a67"),
+        "fff7044f929953884cc53942d57389737cb6249ba890984ecd2337950ae965ad",
+        "dddd466f3cfade7d1d70c3ec3aaf0e39705407ff575c77e45e9d5821f311e88c"),
     "pl-nonconvex-rand": (
-        "046612a7cc8e10cd0eaab32a10ede515bfd08de370116149a77e3f1cebf87c45",
-        "3d39a98fee1f75e0fdf6be5df8c1d9e5ec04c612c6d5452abc86b577c78bde30"),
+        "23f9b8c9747e463c7ab2413808f52faa524cce2ac043c875d89d56ba6f40ff92",
+        "85f7f25020b02d795d499837291e2403782e17a4a20770f09238ad459cd7b57f"),
     "pl-nonconvex-bisect": (
-        "193fb882d34b57ec1ceef2ee826307618bc4101d8af4c4b962cad4c66317ed9c",
-        "666cdb948c8a425725d12e4fa9e1e32b3cb142790dfbf9f180a1f7a6316cc1d6"),
+        "8fc076466b4ef52f4024940deedb43c426fc3cde924d67a4cdac9005e41d9fcd",
+        "8ad0fa8c34b411aec1e40ee1e9cb59a1dab194c05920085c29773e2e11bce073"),
     "ball-linear-n10-rand": (
-        "7cea581ac088a4cbb03689da1489a2bee8a8cd59c26a6c8a32177c787b4a531b",
-        "fb7b4a192580c8e2e176ec5cfbf328d28f28f362a8066f4f04fddfad6de2a57f"),
+        "8c70eabfbb5f799046ac95b32a83c60247dccb7d99a9c745b5b8360f423ceaeb",
+        "7c616bab7adb03e67ffd2e5083b07637ce4e96e405547b8239e98111f2403175"),
     "ball-linear-n10-bisect": (
-        "9d4642323fd2675e223dd05ab20fc865c3c2d6689e2764a4ef5e4b44c1300d94",
-        "4d03cc2687e9855b8c67d1d341983406de08dc722bcc747cbdc0e46bbdf20af6"),
+        "d64c79184b18a34161547e04e6dcd9be5369547f7ec6346d1b38de3876a5eeb8",
+        "737afb92dfcb0a57ebc46ebfc768d977357c872fca5f898fadfcf07089b896cf"),
     "pl-nonconvex-n10-rand": (
-        "ad815123585a26fd8b57517666147b3329f0f076136f0113e9a65c4a7ba7a39c",
-        "5906e7f2b23ba6eaf8cda6d54126dfbd20da24928210f8e6c016c784f1e9d852"),
+        "bef0f7afeb4c9c3560068588aaf6d031a8364a46197eeeec7ffd6b0a77e7ceeb",
+        "12d27a4f38d111cd4154c19aa4e9e20ce572e6df9b6b559d7019b4079a92d8fd"),
     "pl-nonconvex-n10-bisect": (
-        "b1354953601fe3394bd6f5a853d643432cae502d61d5034e6aa9bf5c214d6575",
-        "0bfd2f0ea4778ffe0a6bdb5e40faaa441ac331013d47391c6dcd43f4b1a9755e"),
+        "bef8a50da2f9023724fefbe606caca57b8f35b0a075b0420baad4a14836a822f",
+        "51920fda47d33c66f431e12c12d3128c1edfbc30149f4c52bb5667bb687e9dcc"),
     "ball-linear-rand-kkt": (
-        "980e3737ba9daf7ac3a1d01532d430fc281b0f956a21de89a39ef40b23c5c1e7",
-        "d6761fbd4736d0e5a246d76eaa639222fd81c5f29058a81cc3e6f58518a65508"),
+        "2fc65e58d0e31fecb522f01d67027b2352f5dd1bbb81ed0eaca48a66a793df7a",
+        "fd62bbbb6b70880e8386a765e6c1f153169086ded4b4dccb8df7e42882743cec"),
 }
 
 

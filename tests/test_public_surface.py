@@ -1,9 +1,14 @@
-"""The package's public names, pinned: adding or removing an export is a
-deliberate change to this list."""
+"""The package's public names and its solve knobs, pinned: adding or
+removing an export, a SolverConfig field or a solve option is a deliberate
+change to these lists."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import goldsub
+from goldsub.cli import build_parser
+from goldsub.serialize import _REQUIRED_CONFIG_KEYS
 
 PUBLIC = [
     "BISECT", "Branch", "BudgetExceededError", "CertificateReport",
@@ -18,6 +23,20 @@ PUBLIC = [
 ]
 
 
+# SolverConfig's fields, in order; the first two have no default
+CONFIG_FIELDS = [
+    "delta", "target_eps", "inner", "kkt_mode", "gcq_sigma", "tau", "seed",
+    "outer_cap", "inner_call_cap",
+]
+
+# the dests of `goldsub solve`'s options, plus the subcommand's own two
+SOLVE_DESTS = [
+    "command", "config", "delta", "func", "gcq_sigma", "inner",
+    "inner_call_cap", "kkt_mode", "out_dir", "outer_cap", "param", "problem",
+    "seed", "tag", "target_eps", "tau", "x0",
+]
+
+
 def test_public_names_are_pinned():
     assert sorted(goldsub.__all__) == PUBLIC
     assert len(set(goldsub.__all__)) == len(goldsub.__all__)
@@ -25,3 +44,14 @@ def test_public_names_are_pinned():
 
 def test_every_public_name_resolves():
     assert all(hasattr(goldsub, name) for name in goldsub.__all__)
+
+
+def test_solver_config_fields_are_pinned():
+    fields = dataclasses.fields(goldsub.SolverConfig)
+    assert [f.name for f in fields] == CONFIG_FIELDS
+    assert [f.name for f in fields if f.default is dataclasses.MISSING] \
+        == list(_REQUIRED_CONFIG_KEYS)
+
+
+def test_solve_options_are_pinned():
+    assert sorted(vars(build_parser().parse_args(["solve"]))) == SOLVE_DESTS

@@ -172,8 +172,8 @@ def test_certificate_optional_keys_default_and_required_keys_do_not(run):
     decoded, _ = certificate_from_data(data)
     assert decoded.warnings == []
     assert all(w.direction is None for w in decoded.combination)
-    del data["slack_bound"]
-    with pytest.raises(UsageError, match="slack_bound"):
+    del data["fj_eta_bound"]
+    with pytest.raises(UsageError, match="fj_eta_bound"):
         certificate_from_data(data)
 
 
@@ -208,11 +208,22 @@ def test_config_ignores_the_retired_trajectory_key(run, value):
     assert config_from_data(data) == config
 
 
+@pytest.mark.parametrize("value", [1000, 2.5, "x"])
+def test_config_ignores_the_retired_slackness_key(run, value):
+    _, config, _, _ = run
+    data = {**dataclasses.asdict(config), "slackness_samples": value}
+    assert config_from_data(data) == config
+
+
 def test_config_rejects_unknown_keys():
     with pytest.raises(UsageError, match="unknown config keys"):
         config_from_data({"delta": 0.1, "target_eps": 0.05, "bogus": 1})
 
 
 def test_config_rejects_missing_required_fields():
-    with pytest.raises(UsageError, match="bad config"):
+    with pytest.raises(UsageError, match=r"missing config keys: delta, "
+                       r"target_eps \(solve flags --delta, --eps\)"):
         config_from_data({})
+    with pytest.raises(UsageError, match=r"missing config keys: target_eps "
+                       r"\(solve flags --eps\)$"):
+        config_from_data({"delta": 0.1, "seed": 3})

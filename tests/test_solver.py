@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from goldsub.core import (MAX_SAMPLES, OBJECTIVE, Branch, Oracle, ProblemSpec,
-                          WeightedSubgradient)
+from goldsub import verify
+from goldsub.core import OBJECTIVE, Branch, Oracle, ProblemSpec, WeightedSubgradient
 from goldsub.errors import (
     BudgetExceededError,
     CertificationError,
@@ -18,6 +18,7 @@ from goldsub.errors import (
 )
 from goldsub.inner_rand import rand_call_budget
 from goldsub.problems import ball_linear_sigma, constant_constraint, get_problem
+from goldsub.serialize import certificate_data, dumps, trace_data
 from goldsub.solver import (
     BISECT,
     RAND,
@@ -52,9 +53,6 @@ def test_config_validation():
         SolverConfig(delta=0.1, target_eps=0.1, tau=1.0)
     with pytest.raises(UsageError):
         SolverConfig(delta=0.1, target_eps=0.1, outer_cap=0)
-    with pytest.raises(UsageError, match="at most 1000000"):
-        SolverConfig(delta=0.1, target_eps=0.1, slackness_samples=MAX_SAMPLES + 1)
-    SolverConfig(delta=0.1, target_eps=0.1, slackness_samples=MAX_SAMPLES)
     # the deterministic inner search does not consume tau
     SolverConfig(delta=0.1, target_eps=0.1, inner=BISECT, tau=1.0)
 
@@ -78,7 +76,6 @@ def test_certify_fritz_john_eta_bound():
     assert cert.gamma0 == 1.0
     assert cert.lam == 0.0
     assert cert.kkt_eps is None
-    assert cert.slack_samples == 0  # no constraint mass, nothing to sample
 
 
 def test_certify_kkt_fields():
@@ -98,7 +95,7 @@ def test_certify_kkt_fields():
 
 def test_certify_kkt_without_objective_mass_warns():
     config = SolverConfig(delta=0.05, target_eps=0.1, kkt_mode=True,
-                          gcq_sigma=0.5, slackness_samples=50)
+                          gcq_sigma=0.5)
     anchor = np.array([-1.0, 0.0])
     combo = [
         WeightedSubgradient(point=anchor, vector=np.array([1.0, 0.0]),
@@ -111,8 +108,6 @@ def test_certify_kkt_without_objective_mass_warns():
     assert cert.lam is None
     assert cert.kkt_eps is None
     assert cert.warnings
-    assert cert.slack_samples == 50
-    assert cert.slack_max <= cert.slack_bound
 
 
 def test_certify_rejects_broken_combinations():
@@ -185,11 +180,10 @@ def test_lemma_bound_value():
 def test_solve_bisect_is_deterministic():
     a = solve_ball(seed=1, inner=BISECT)
     b = solve_ball(seed=99, inner=BISECT)
-    # the trace ignores the seed entirely; only slackness sampling uses it
-    assert a[1].records == b[1].records
+    # neither the bisection search nor certify reads the seed
+    assert dumps(certificate_data(a[0])) == dumps(certificate_data(b[0]))
+    assert dumps(trace_data(a[1])) == dumps(trace_data(b[1]))
     assert a[1].descent_fraction == pytest.approx(1.0 / 3.0)
-    assert np.array_equal(a[0].zeta, b[0].zeta)
-    assert np.array_equal(a[0].anchor, b[0].anchor)
 
 
 def test_solve_rand_replays_with_equal_seed():
@@ -197,7 +191,30 @@ def test_solve_rand_replays_with_equal_seed():
     b = solve_ball(seed=7)
     assert a[1].records == b[1].records
     assert np.array_equal(a[0].zeta, b[0].zeta)
-    assert a[0].slack_max == b[0].slack_max
+    assert dumps(certificate_data(a[0])) == dumps(certificate_data(b[0]))
+
+
+# the acceptance members
+MEMBERS = (("ball-linear", {}), ("l1-ball", {}), ("footnote-1d", {}),
+           ("footnote-2c", {}), ("pl-nonconvex", {}),
+           ("ball-linear", {"dim": 10}), ("pl-nonconvex", {"dim": 10}))
+
+
+@pytest.mark.parametrize("inner", [RAND, BISECT])
+def test_certify_draws_no_ball_sample(monkeypatch, inner):
+    # every ball draw outside the randomized inner search goes through
+    # verify.sample_ball; a solve must not reach it
+    def no_draw(*args, **kwargs):
+        raise AssertionError("solve drew a ball sample outside its search")
+
+    monkeypatch.setattr(verify, "sample_ball", no_draw)
+    gammas = []
+    for name, params in MEMBERS:
+        record = get_problem(name, **params)
+        config = SolverConfig(delta=0.05, target_eps=0.05, inner=inner)
+        cert, _ = solve(record.spec, config, record.start)
+        gammas.append(cert.gamma)
+    assert any(gamma > 0.0 for gamma in gammas)  # constraint mass occurs
 
 
 def test_unconstrained_embedding_keeps_lambda_zero():

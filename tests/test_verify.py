@@ -473,12 +473,6 @@ def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
         assert estimate <= est.min_norm + HULL_TOL
         assert details["stationarity-estimate"].endswith("at 150 of 150 samples")
 
-    config = SolverConfig(delta=0.05, target_eps=0.05, slackness_samples=100)
-    again = certify(cert.anchor, cert.combination, record.spec, config,
-                    zeta=cert.zeta, rng=np.random.default_rng(9))
-    assert again.slack_max == slack_prefix_max(cert, record.spec,
-                                               np.random.default_rng(9), 100, 300)
-
     rows = sample_ball(cert.anchor, cert.delta, np.random.default_rng(5), size=450)
     grads, _ = Subproblem(record.spec, cert.anchor).grads(rows[:150])
     assert np.array_equal(est.points, grads)
