@@ -183,11 +183,8 @@ def cmd_verify(args) -> int:
                          "pass --problem (and --param) explicitly")
     record = get_problem(name, **params)
 
-    report = check_certificate(cert, record.spec,
-                               slackness_samples=args.slack_samples,
-                               estimate_samples=args.estimate_samples,
-                               seed=args.seed,
-                               stop_at_first_failure=args.fast)
+    report = check_certificate(cert, record.spec, samples=args.samples,
+                               seed=args.seed, stop_at_first_failure=args.fast)
     for check in report.checks:
         print("%s  %-24s %s" % ("PASS" if check.passed else "FAIL",
                                 check.name, check.detail))
@@ -335,13 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--problem", help="problem name when no manifest is embedded")
     pv.add_argument("--param", action="append",
                     help="problem parameter KEY=VALUE (repeatable)")
-    pv.add_argument("--slack-samples", type=int, default=10_000,
-                    help="ball samples of the complementary-slackness check "
-                         "(default 10000)")
-    pv.add_argument("--estimate-samples", type=int, default=10_000,
-                    help="most ball samples of the stationarity estimate, "
-                         "which stops at the first of 64, 128, 256, ... that "
-                         "passes (default 10000)")
+    pv.add_argument("--samples", type=int, default=10_000,
+                    help="ball samples of both sampled checks: the slackness "
+                         "check reads all of them, the estimate stops at the "
+                         "first of 64, 128, 256, ... that passes (default "
+                         "10000)")
     pv.add_argument("--seed", type=int, default=0,
                     help="both sampled checks draw from stream SEED + 1 "
                          "(default 0)")

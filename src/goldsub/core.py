@@ -215,11 +215,6 @@ class ReducedConstraint:
                 best, best_i = vi, i
         return best, best_i
 
-    def grad(self, z: Vector) -> tuple[float, Vector, int]:
-        """Return (g(z), a.e. gradient of the attaining constraint, index)."""
-        val, idx = self.value(z)
-        return val, self.grad_at(z, idx), idx
-
     def grad_at(self, z: Vector, idx: int) -> Vector:
         """Gradient of constraint idx at z."""
         return _finite_array(self._oracles[idx - 1].grad(z), (self._problem.dim,),

@@ -91,7 +91,6 @@ class HullEstimate:
     points: np.ndarray
     min_norm_point: Vector
     min_norm: float
-    sample_count: int
     support_indices: list[int]
     support_weights: list[float]
 
@@ -181,20 +180,13 @@ def min_norm_over_hull(points, tol: float = HULL_TOL,
         x = new_x
 
     return HullEstimate(points=pts, min_norm_point=x,
-                        min_norm=float(np.linalg.norm(x)), sample_count=k,
+                        min_norm=float(np.linalg.norm(x)),
                         support_indices=list(support),
                         support_weights=[float(w) for w in weights])
 
 
-def _ball_draws(center: Vector, radius: float, rng: np.random.Generator,
-                total: int):
-    """``total`` uniform points of B(center, radius), drawn block by block."""
-    for rows in sample_blocks(total):
-        yield sample_ball(center, radius, rng, size=rows)
-
-
 def _row_blocks(rows: np.ndarray):
-    """Views of consecutive blocks of ``rows``, sized as ``_ball_draws`` draws."""
+    """Views of consecutive blocks of ``rows``, at most SAMPLE_BLOCK rows each."""
     start = 0
     for size in sample_blocks(len(rows)):
         yield rows[start:start + size]
@@ -223,14 +215,6 @@ class _BallDraw:
                                      size=len(block))
         self.drawn = max(self.drawn, count)
         return self.rows[:count]
-
-    def blocks(self, count: int):
-        """``count`` points block by block: the first rows, then, past all
-        ``total``, the same stream's further points, which are not stored."""
-        total = len(self.rows)
-        yield from _row_blocks(self.upto(min(count, total)))
-        yield from _ball_draws(self.center, self.radius, self.rng,
-                               max(0, count - total))
 
 
 def _grads_over(sub: Subproblem, rows: np.ndarray) -> None:
@@ -271,10 +255,12 @@ def check_gcq(anchor, problem: ProblemSpec, a: float, b: float, c: float,
     """Probe the (a, b, c) constraint qualification at a feasible anchor.
 
     Constraints with g_i(anchor) >= -c are near-active; their subgradients
-    are sampled over B(anchor, a) and the hull of the union must keep norm
-    at least b.  A hull norm below b is a genuine violation witness; at or
-    above b (or with no near-active constraint) the result is only
-    "holds-empirically", since sampling can never prove the qualification.
+    are sampled over B(anchor, a), each at its own draw of n_samples rows,
+    drawn in index order from one stream seeded by ``seed``, and the hull
+    of the union must keep norm at least b.  A hull norm below b is a
+    genuine violation witness; at or above b (or with no near-active
+    constraint) the result is only "holds-empirically", since sampling can
+    never prove the qualification.
     """
     if not (a > 0 and b > 0 and c > 0):
         raise UsageError("a, b, c must be positive")
@@ -288,13 +274,12 @@ def check_gcq(anchor, problem: ProblemSpec, a: float, b: float, c: float,
         return GcqReport(outcome=HOLDS, near_active=[], bound=b, estimate=None)
     rng = np.random.default_rng(seed)
     grads = np.empty((n_samples * len(near_active), problem.dim))
-    row = 0
-    for i in near_active:
+    for i, rows in zip(near_active, np.split(grads, len(near_active))):
         oracle = problem.constraints[i - 1]
-        for points in _ball_draws(anchor, a, rng, n_samples):
-            grads[row:row + len(points)] = _finite_grads(
-                oracle, points, problem.dim, "constraint %d grad", i)
-            row += len(points)
+        for block in _row_blocks(rows):
+            points = sample_ball(anchor, a, rng, size=len(block))
+            block[...] = _finite_grads(oracle, points, problem.dim,
+                                       "constraint %d grad", i)
     estimate = min_norm_over_hull(grads)
     outcome = VIOLATED if estimate.min_norm < b else HOLDS
     return GcqReport(outcome=outcome, near_active=near_active, bound=b,
@@ -397,16 +382,16 @@ def multiplier_split(combination: list[WeightedSubgradient]):
     return gamma0, gamma, gamma / gamma0 if gamma0 > 0.0 else None
 
 
-def sampled_slack(reduced: ReducedConstraint, gamma: float, blocks) -> float:
-    """Largest |gamma * g(z)| over the rows z of an iterable of point blocks.
+def sampled_slack(reduced: ReducedConstraint, gamma: float,
+                  draw: _BallDraw) -> float:
+    """Largest |gamma * g(z)| over every row z of a ball draw.
 
-    With no constraint mass no block is read, so a lazy iterable draws nothing
-    and no oracle runs.
+    With no constraint mass no row is drawn and no oracle runs.
     """
     if not gamma > 0.0:
         return 0.0
-    return max((float(np.max(np.abs(gamma * reduced.values(points)[0])))
-                for points in blocks), default=0.0)
+    return max(float(np.max(np.abs(gamma * reduced.values(points)[0])))
+               for points in _row_blocks(draw.upto(len(draw.rows))))
 
 
 def check_slackness(slack_max: float, m: float, delta: float) -> CheckResult:
@@ -451,28 +436,26 @@ def _staged_estimate(sub: Subproblem, draw: _BallDraw,
 
 
 def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
-                      slackness_samples: int = 10_000,
-                      estimate_samples: int = 10_000, seed: int = 0,
+                      samples: int = 10_000, seed: int = 0,
                       stop_at_first_failure: bool = False) -> CertificateReport:
     """Re-verify a certificate against the problem oracles from scratch.
 
     Nothing inside the certificate is trusted: weights, ball membership,
     every stored subgradient, the recombined zeta, the multiplier split, and
     the sampled complementary-slackness and independent stationarity bounds
-    are all recomputed.  Both sampled checks read one uniform draw of the
-    delta-ball from stream ``seed + 1``, drawn only as far as they read it:
-    the first ``slackness_samples`` rows (none at gamma = 0) and, for the
-    estimate, prefixes of 64, 128, 256, ... rows up to ``estimate_samples``
+    are all recomputed.  Both sampled checks read one uniform draw of
+    ``samples`` rows of the delta-ball from stream ``seed + 1``, drawn only
+    as far as they read it: the slackness check reads every row (none at
+    gamma = 0), and the estimate reads prefixes of 64, 128, 256, ... rows
     until one passes.  Checks run in CHECK_ORDER;
     with stop_at_first_failure the remaining (possibly expensive) checks are
     never computed once the headline reason is known.
     """
     if seed < 0:
         raise UsageError("seed must be nonnegative")
-    _check_samples(slackness_samples, "slackness_samples")
-    _check_samples(estimate_samples, "estimate_samples", least=1)
+    _check_samples(samples, "samples", least=1)
     report = CertificateReport()
-    for check in _checks(cert, problem, slackness_samples, estimate_samples, seed):
+    for check in _checks(cert, problem, samples, seed):
         check.passed = bool(check.passed)  # numpy comparisons give np.bool_
         report.checks.append(check)
         if stop_at_first_failure and not check.passed:
@@ -480,7 +463,7 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     return report
 
 
-def _checks(cert, problem, slackness_samples, estimate_samples, seed):
+def _checks(cert, problem, samples, seed):
     """check_certificate's checks in CHECK_ORDER, each computed on demand."""
     m = problem.lipschitz_m
     delta = cert.delta
@@ -526,11 +509,9 @@ def _checks(cert, problem, slackness_samples, estimate_samples, seed):
     yield check_anchor_feasible(sub.g_anchor)
 
     # one lazily drawn ball serves both sampled checks: the slackness check
-    # reads its first rows (none at gamma = 0), and streams on past them if
-    # it needs more; the estimate reads as many as it takes to pass
-    draw = _BallDraw(anchor, delta, np.random.default_rng(seed + 1),
-                     estimate_samples)
-    slack_max = sampled_slack(ReducedConstraint(problem), cert.gamma,
-                              draw.blocks(slackness_samples))
+    # reads all of it (none at gamma = 0), the estimate as much as it takes
+    # to pass
+    draw = _BallDraw(anchor, delta, np.random.default_rng(seed + 1), samples)
+    slack_max = sampled_slack(ReducedConstraint(problem), cert.gamma, draw)
     yield check_slackness(slack_max, m, delta)
     yield _staged_estimate(sub, draw, ESTIMATE_FACTOR * cert.eps_effective)

@@ -203,9 +203,7 @@ def test_criterion_05_every_certificate_verifies(rand_sweep, bisect_sweep,
     pool.extend(("kkt", record, cert) for cert, _ in coarse + fine)
     full = 0
     for label, record, cert in pool:
-        report = check_certificate(cert, record.spec,
-                                   slackness_samples=10_000,
-                                   estimate_samples=10_000, seed=0)
+        report = check_certificate(cert, record.spec, samples=10_000, seed=0)
         for check in report.checks:
             if check.name == "stationarity-estimate":
                 continue
@@ -351,8 +349,8 @@ def test_criterion_10_injected_faults_all_rejected(rand_sweep):
 
 
 def expect_reject(cert, record, reason, corrupt, tally):
-    report = check_certificate(cert, record.spec, slackness_samples=50,
-                               estimate_samples=50, stop_at_first_failure=True)
+    report = check_certificate(cert, record.spec, samples=50,
+                               stop_at_first_failure=True)
     assert not report.passed
     assert report.reason == reason, (report.reason, reason)
     assert report.corrupt is corrupt

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 
 import pytest
 
-from goldsub import solver
+from goldsub import solver, verify
 from goldsub.cli import (
     EXIT_BUDGET,
     EXIT_CORRUPT,
@@ -15,6 +16,7 @@ from goldsub.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    build_parser,
     main,
 )
 from goldsub.errors import CertificationError
@@ -22,7 +24,7 @@ from goldsub.serialize import read_json
 
 SOLVE = ["solve", "--problem", "ball-linear", "--delta", "0.05",
          "--eps", "0.05", "--inner", "rand", "--seed", "7"]
-FAST_VERIFY = ["--slack-samples", "500", "--estimate-samples", "1000"]
+FAST_VERIFY = ["--samples", "1000"]
 
 
 @pytest.fixture(scope="module")
@@ -468,29 +470,62 @@ def test_solve_negative_seed_is_usage_error(tmp_path, capsys):
     assert os.listdir(tmp_path) == []
 
 
-@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--slack-samples", "-5"],
-                                   ["--estimate-samples", "-1"]])
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--samples", "-5"],
+                                   ["--samples", "-100000000000000000000"]])
 def test_verify_negative_seed_or_samples_is_usage_error(solved, flags, capsys):
     rc = main(["verify", str(solved / "run.cert.json")] + flags)
     assert rc == EXIT_USAGE
     out, err = capsys.readouterr()
     assert "certificate OK" not in out
     # the estimate needs at least one sample
-    least = "positive" if flags[0] == "--estimate-samples" else "nonnegative"
+    least = "nonnegative" if flags[0] == "--seed" else "positive"
     assert "must be %s" % least in err
 
 
 @pytest.mark.parametrize("command,flags", [
-    ("verify", ["--slack-samples", "100000000000000000000"]),
-    ("verify", ["--estimate-samples", "1000001"]),
-    ("verify", ["--slack-samples", "1000001"]),
-    ("verify", ["--estimate-samples", "100000000000000000000"]),
+    ("verify", ["--samples", "100000000000000000000"]),
+    ("verify", ["--samples", "1000001"]),
 ])
 def test_oversized_sample_count_is_usage_error(solved, command, flags, capsys):
     assert main([command, str(solved / "run.cert.json")] + flags) == EXIT_USAGE
     out, err = capsys.readouterr()
     assert "at most 1000000" in err
     assert "certificate OK" not in out
+
+
+def test_verify_options_are_pinned():
+    commands = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    options = {option for action in commands.choices["verify"]._actions
+               for option in action.option_strings}
+    assert options - {"-h", "--help"} == {"--problem", "--param", "--samples",
+                                          "--seed", "--fast"}
+
+
+@pytest.mark.parametrize("flag", ["--slack-samples", "--estimate-samples"])
+def test_verify_rejects_the_retired_sample_flags(solved, flag, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", str(solved / "run.cert.json"), flag, "5"])
+    assert exit_.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "unrecognized arguments: %s 5" % flag in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("count", ["0", "1000001"])
+def test_verify_sample_count_out_of_range_exits_before_any_check(
+        solved, count, monkeypatch, capsys):
+    def no_check(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verify, "_checks", no_check)
+    rc = main(["verify", str(solved / "run.cert.json"), "--samples", count])
+    assert rc == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "error: samples must be positive and at most 1000000, got %s" % count \
+        in err
 
 
 def test_solve_unallocatable_problem_is_usage_error(tmp_path, capsys):

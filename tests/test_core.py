@@ -275,9 +275,8 @@ def test_each_value_callable_runs_once_per_point():
         assert counts == once
         seen.add(branch_code(branch))
         if not branch.is_objective:
-            _, g_vec, idx = reduced.grad(z)
-            assert branch == Branch.constraint(idx)
-            assert np.array_equal(vec, g_vec)
+            assert branch == Branch.constraint(g_idx)
+            assert np.array_equal(vec, reduced.grad_at(z, g_idx))
 
         counts.clear()
         h, fz, gz = sub.value_full(z)
@@ -364,10 +363,8 @@ def test_reduce_single_constraint_is_identity():
     reduced = ReducedConstraint(prob)
     val, idx = reduced.value(np.zeros(2))
     assert (val, idx) == (-1.0, 1)
-    val, vec, idx = reduced.grad(np.zeros(2))
     # norm subgradient at the origin falls back to the first basis vector
-    assert np.array_equal(vec, [1.0, 0.0])
-    assert idx == 1
+    assert np.array_equal(reduced.grad_at(np.zeros(2), idx), [1.0, 0.0])
 
 
 def two_linear_constraints() -> ProblemSpec:
@@ -381,16 +378,22 @@ def two_linear_constraints() -> ProblemSpec:
                        lipschitz_m=1.0, neighborhood_delta=1.0)
 
 
+def value_and_grad(reduced: ReducedConstraint, z):
+    """(g(z), gradient of the attaining constraint, its index) at one point."""
+    val, idx = reduced.value(z)
+    return val, reduced.grad_at(z, idx), idx
+
+
 def test_reduce_tie_breaks_to_lowest_index():
     reduced = ReducedConstraint(two_linear_constraints())
-    val, vec, idx = reduced.grad(np.array([3.0, 3.0]))
+    val, vec, idx = value_and_grad(reduced, np.array([3.0, 3.0]))
     assert (val, idx) == (3.0, 1)
     assert np.array_equal(vec, [1.0, 0.0])
 
 
 def test_reduce_picks_strict_maximizer():
     reduced = ReducedConstraint(two_linear_constraints())
-    val, vec, idx = reduced.grad(np.array([1.0, 2.0]))
+    val, vec, idx = value_and_grad(reduced, np.array([1.0, 2.0]))
     assert (val, idx) == (2.0, 2)
     assert np.array_equal(vec, [0.0, 1.0])
 
@@ -645,7 +648,7 @@ def test_batch_oracles_agree_with_pointwise(name, params):
     tol = 1e-12 * prob.lipschitz_m
     reduced = ReducedConstraint(prob)
     sub = Subproblem(prob, record.start)
-    point_g = [reduced.grad(row) for row in z]
+    point_g = [value_and_grad(reduced, row) for row in z]
     point_h = [sub.grad(row) for row in z]
 
     g_vals, g_idx = reduced.values(z)
@@ -676,7 +679,7 @@ def test_batch_fallback_loops_over_pointwise_oracles(name):
     reduced = ReducedConstraint(prob)
     vals, idx = reduced.values(z)
     vecs = reduced.grads_at(z, idx)
-    loop = [reduced.grad(row) for row in z]
+    loop = [value_and_grad(reduced, row) for row in z]
     assert np.array_equal(vals, [p[0] for p in loop])
     assert np.array_equal(vecs, [p[1] for p in loop])
     assert idx.tolist() == [p[2] for p in loop]

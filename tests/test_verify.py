@@ -130,7 +130,7 @@ def test_hull_warm_start_from_a_prefix(spec, share):
     # a cold solve is the warm start from the shortest point, bit for bit
     first = int(np.argmin(np.einsum("ij,ij->i", pts, pts)))
     shortest = verify.HullEstimate(pts[first:first + 1], pts[first].copy(),
-                                   float(np.linalg.norm(pts[first])), 1,
+                                   float(np.linalg.norm(pts[first])),
                                    [first], [1.0])
     cold, from_shortest = min_norm_over_hull(pts), min_norm_over_hull(
         pts, start=shortest)
@@ -151,12 +151,12 @@ def test_goldstein_estimate_constant_gradient():
                        lipschitz_m=1.0, neighborhood_delta=1.0)
     est = goldstein_estimate(np.zeros(2), prob, 0.1, 50, seed=0)
     assert est.min_norm == 1.0
-    assert est.sample_count == 50
+    assert len(est.points) == 50
 
 
 def test_goldstein_estimate_single_sample():
     est = goldstein_estimate(np.zeros(2), BALL.spec, 0.1, 1, seed=2)
-    assert est.sample_count == 1
+    assert len(est.points) == 1
     assert est.min_norm == float(np.linalg.norm(est.points[0]))
 
 
@@ -210,6 +210,35 @@ def test_gcq_detects_opposing_constraints():
     assert report.outcome == VIOLATED
     assert report.near_active == [1, 2]
     assert report.estimate.min_norm < 1e-6
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_gcq_samples_each_near_active_constraint_at_its_own_draw(monkeypatch,
+                                                                 block):
+    # constraints 1 and 3 are near-active at the anchor, 2 is not; the
+    # gradients depend on the point, so each hull row names its sample
+    monkeypatch.setattr("goldsub.core.SAMPLE_BLOCK", block)
+
+    def grad1(x):
+        return x.copy()
+
+    def grad3(x):
+        return 2.0 * x + 1.0
+
+    constraints = (Oracle(value=lambda x: 0.0, grad=grad1),
+                   Oracle(value=lambda x: -10.0, grad=lambda x: np.ones(2)),
+                   Oracle(value=lambda x: -0.1, grad=grad3))
+    prob = ProblemSpec(dim=2, objective=BALL.spec.objective,
+                       constraints=constraints, lipschitz_m=5.0,
+                       neighborhood_delta=1.0)
+    anchor = np.array([0.3, -0.2])
+    report = check_gcq(anchor, prob, 0.25, 0.5, 0.5, n_samples=50, seed=8)
+    assert report.near_active == [1, 3]
+    rng = np.random.default_rng(8)
+    expected = [np.array([grad(z) for z in sample_ball(anchor, 0.25, rng,
+                                                        size=50)])
+                for grad in (grad1, grad3)]
+    assert np.array_equal(report.estimate.points, np.vstack(expected))
 
 
 def test_gcq_rejects_nonpositive_parameters():
@@ -299,8 +328,7 @@ def test_multiplier_split_of_inexact_objective_weights_is_exact():
 def test_verifier_reports_the_exact_split_of_objective_only_weights():
     # summing the weights would report "gamma0 0.99999999999999989"
     record, cert = ten_tenths_certificate()
-    report = check_certificate(cert, record.spec, slackness_samples=100,
-                               estimate_samples=100)
+    report = check_certificate(cert, record.spec, samples=100)
     assert report.passed, report.reason
     split = report.checks[CHECK_ORDER.index("multiplier-split")]
     assert split.detail == "gamma0 1 vs stored 1"
@@ -318,8 +346,7 @@ def fresh_cert(seed=0, name="ball-linear", delta=0.05, eps=0.05):
 
 def test_valid_certificate_passes_every_check():
     record, cert = fresh_cert(seed=0)
-    report = check_certificate(cert, record.spec, slackness_samples=2000,
-                               estimate_samples=2000, seed=0)
+    report = check_certificate(cert, record.spec, samples=2000, seed=0)
     assert report.passed
     assert report.reason is None
     assert not report.corrupt
@@ -329,8 +356,7 @@ def test_valid_certificate_passes_every_check():
 @pytest.mark.parametrize("name", ["l1-ball", "footnote-1d", "pl-nonconvex"])
 def test_valid_certificates_across_problems(name):
     record, cert = fresh_cert(seed=3, name=name)
-    report = check_certificate(cert, record.spec, slackness_samples=1000,
-                               estimate_samples=2000, seed=1)
+    report = check_certificate(cert, record.spec, samples=2000, seed=1)
     assert report.passed, report.reason
 
 
@@ -338,8 +364,7 @@ def test_weight_fault_is_rejected():
     record, cert = fresh_cert(seed=1)
     bad = copy.deepcopy(cert)
     bad.combination[0].__dict__["weight"] = bad.combination[0].weight + 0.1
-    report = check_certificate(bad, record.spec, slackness_samples=10,
-                               estimate_samples=10)
+    report = check_certificate(bad, record.spec, samples=10)
     assert not report.passed
     assert report.reason == "weights-sum"
     assert not report.corrupt
@@ -350,8 +375,7 @@ def test_negative_weight_fault_is_rejected():
     bad = copy.deepcopy(cert)
     entry = bad.combination[0]
     entry.__dict__["weight"] = -0.05
-    report = check_certificate(bad, record.spec, slackness_samples=10,
-                               estimate_samples=10)
+    report = check_certificate(bad, record.spec, samples=10)
     assert not report.passed
     assert report.reason == "weights-nonnegative"
 
@@ -360,8 +384,7 @@ def test_anchor_fault_is_rejected_by_the_ball_check():
     record, cert = fresh_cert(seed=2)
     bad = copy.deepcopy(cert)
     bad.anchor = bad.anchor + np.array([2.0 * cert.delta, 0.0])
-    report = check_certificate(bad, record.spec, slackness_samples=10,
-                               estimate_samples=10)
+    report = check_certificate(bad, record.spec, samples=10)
     assert not report.passed
     assert report.reason == "points-in-ball"
     assert not report.corrupt
@@ -372,8 +395,7 @@ def test_vector_fault_is_flagged_corrupt():
     bad = copy.deepcopy(cert)
     entry = bad.combination[0]
     entry.vector[0] += 1e-3
-    report = check_certificate(bad, record.spec, slackness_samples=10,
-                               estimate_samples=10)
+    report = check_certificate(bad, record.spec, samples=10)
     assert not report.passed
     assert report.reason == "vector-recompute"
     assert report.corrupt
@@ -384,8 +406,7 @@ def test_zeta_fault_is_flagged_corrupt():
     record, cert = fresh_cert(seed=4)
     bad = copy.deepcopy(cert)
     bad.zeta = bad.zeta + np.array([1e-4, 0.0])
-    report = check_certificate(bad, record.spec, slackness_samples=10,
-                               estimate_samples=10)
+    report = check_certificate(bad, record.spec, samples=10)
     assert not report.passed
     assert report.reason == "zeta-recompute"
     assert report.corrupt
@@ -396,8 +417,7 @@ def test_multiplier_fault_is_rejected():
     bad = copy.deepcopy(cert)
     bad.gamma0, bad.gamma = 0.123, 0.877
     bad.lam = 0.877 / 0.123
-    report = check_certificate(bad, record.spec, slackness_samples=10,
-                               estimate_samples=10)
+    report = check_certificate(bad, record.spec, samples=10)
     assert not report.passed
     assert report.reason == "multiplier-split"
 
@@ -406,8 +426,7 @@ def test_nan_vector_fails_the_recompute_check():
     record, cert = fresh_cert(seed=3)
     bad = copy.deepcopy(cert)
     bad.combination[0].vector[:] = np.nan
-    report = check_certificate(bad, record.spec, slackness_samples=10,
-                               estimate_samples=10)
+    report = check_certificate(bad, record.spec, samples=10)
     assert report.reason == "vector-recompute"
     assert report.corrupt
     assert "nan" in report.checks[CHECK_ORDER.index("vector-recompute")].detail
@@ -419,24 +438,23 @@ def test_wrong_length_stored_vector_is_usage_error(length):
     bad = copy.deepcopy(cert)
     bad.combination[0].__dict__["vector"] = np.ones(length)
     with pytest.raises(UsageError, match="dimension 2"):
-        check_certificate(bad, record.spec, slackness_samples=10,
-                          estimate_samples=10)
+        check_certificate(bad, record.spec, samples=10)
 
 
-@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"slackness_samples": -5},
-                                    {"estimate_samples": -1},
-                                    {"slackness_samples": MAX_SAMPLES + 1},
-                                    {"estimate_samples": 10**20}])
+@pytest.mark.parametrize("kwargs", [{"seed": -1}, {"samples": -5},
+                                    {"samples": 0},
+                                    {"samples": MAX_SAMPLES + 1},
+                                    {"samples": 10**20}])
 def test_negative_seed_or_sample_count_is_usage_error(kwargs):
     record, cert = fresh_cert(seed=0)
     with pytest.raises(UsageError):
         check_certificate(cert, record.spec, **kwargs)
 
 
-def slack_prefix_max(cert, spec, rng, n, drawn):
-    """max |gamma * g| over the first n rows of one draw of ``drawn`` rows."""
-    rows = sample_ball(cert.anchor, cert.delta, rng, size=drawn)
-    gvals, _ = ReducedConstraint(spec).values(rows[:n])
+def slack_max(cert, spec, rng, n):
+    """max |gamma * g| over one draw of n rows."""
+    rows = sample_ball(cert.anchor, cert.delta, rng, size=n)
+    gvals, _ = ReducedConstraint(spec).values(rows)
     return float(np.max(np.abs(cert.gamma * gvals)))
 
 
@@ -455,23 +473,18 @@ def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
 
     monkeypatch.setattr(verify, "min_norm_over_hull", kept)
     est = goldstein_estimate(cert.anchor, record.spec, cert.delta, 150, seed=5)
-    # the slackness check takes fewer, as many and more rows than the
-    # estimate's 150; both read stream seed + 1
-    for slack_n in (10, 150, 400):
-        hulls.clear()
-        report = check_certificate(cert, record.spec, slackness_samples=slack_n,
-                                   estimate_samples=150, seed=4)
-        details = {c.name: c.detail for c in report.checks}
-        measured = float(details["complementary-slackness"].split()[3])
-        assert measured == slack_prefix_max(cert, record.spec,
-                                            np.random.default_rng(5), slack_n,
-                                            max(slack_n, 150)), slack_n
-        # one hull per checkpoint, over growing prefixes of the one draw
-        assert [len(h) for h in hulls] == [64, 128, 150]
-        assert all(np.array_equal(h, est.points[:len(h)]) for h in hulls)
-        estimate = float(details["stationarity-estimate"].split()[2])
-        assert estimate <= est.min_norm + HULL_TOL
-        assert details["stationarity-estimate"].endswith("at 150 of 150 samples")
+    # the slackness check reads all 150 rows; both read stream seed + 1
+    hulls.clear()
+    report = check_certificate(cert, record.spec, samples=150, seed=4)
+    details = {c.name: c.detail for c in report.checks}
+    measured = float(details["complementary-slackness"].split()[3])
+    assert measured == slack_max(cert, record.spec, np.random.default_rng(5), 150)
+    # one hull per checkpoint, over growing prefixes of the one draw
+    assert [len(h) for h in hulls] == [64, 128, 150]
+    assert all(np.array_equal(h, est.points[:len(h)]) for h in hulls)
+    estimate = float(details["stationarity-estimate"].split()[2])
+    assert estimate <= est.min_norm + HULL_TOL
+    assert details["stationarity-estimate"].endswith("at 150 of 150 samples")
 
     rows = sample_ball(cert.anchor, cert.delta, np.random.default_rng(5), size=450)
     grads, _ = Subproblem(record.spec, cert.anchor).grads(rows[:150])
@@ -530,11 +543,10 @@ def test_a_failing_estimate_reads_every_row_once(monkeypatch):
 
     monkeypatch.setattr(verify, "min_norm_over_hull", kept)
     rows = counted_grad_rows(monkeypatch)
-    report = check_certificate(cert, record.spec, slackness_samples=0,
-                               estimate_samples=300, seed=3)
+    report = check_certificate(cert, record.spec, samples=300, seed=3)
     assert report.reason == "stationarity-estimate"
     assert sum(rows) == 300  # every row's gradient, none twice
-    assert [h.sample_count for h in hulls] == [64, 128, 256, 300]
+    assert [len(h.points) for h in hulls] == [64, 128, 256, 300]
     assert np.array_equal(hulls[-1].points, cold.points)
     assert hulls[-1].min_norm <= cold.min_norm + HULL_TOL
 
@@ -549,11 +561,11 @@ def test_stop_at_first_failure_skips_the_rest(monkeypatch):
     bad.combination[0].__dict__["weight"] = bad.combination[0].weight + 0.1
     # no code of a later check runs: no oracle call of the recompute, and no
     # draw of the ball
-    for name in ("Subproblem", "sample_ball", "_ball_draws", "sampled_slack",
+    for name in ("Subproblem", "sample_ball", "_BallDraw", "sampled_slack",
                  "min_norm_over_hull"):
         monkeypatch.setattr(verify, name, never_called)
-    report = check_certificate(bad, record.spec, slackness_samples=10,
-                               estimate_samples=10, stop_at_first_failure=True)
+    report = check_certificate(bad, record.spec, samples=10,
+                               stop_at_first_failure=True)
     assert report.reason == "weights-sum"
     assert [c.name for c in report.checks] == ["weights-nonnegative", "weights-sum"]
 
@@ -578,11 +590,11 @@ def test_stop_at_a_slackness_failure_computes_no_estimate(monkeypatch):
     monkeypatch.setattr(Subproblem, "grads", never_called)
     monkeypatch.setattr(verify, "min_norm_over_hull", never_called)
     rows = counted_draw_rows(monkeypatch)
-    report = check_certificate(cert, record.spec, slackness_samples=100,
-                               estimate_samples=1000, stop_at_first_failure=True)
+    report = check_certificate(cert, record.spec, samples=1000,
+                               stop_at_first_failure=True)
     assert report.reason == "complementary-slackness"
     assert tuple(c.name for c in report.checks) == CHECK_ORDER[:-1]
-    assert sum(rows) == 100  # the slackness check's rows, and no more
+    assert sum(rows) == 1000  # the slackness check's rows, and no more
 
 
 def test_a_constraint_free_combination_draws_64_rows(monkeypatch):
@@ -611,14 +623,13 @@ def test_verification_reads_the_constraints_at_the_anchor_once(monkeypatch):
         return value(self, z)
 
     monkeypatch.setattr(ReducedConstraint, "value", counted)
-    report = check_certificate(cert, record.spec, slackness_samples=100,
-                               estimate_samples=100)
+    report = check_certificate(cert, record.spec, samples=100)
     assert report.passed, report.reason
     assert sum(at_anchor) == 1
 
 
-def test_zero_estimate_samples_is_usage_error_before_any_check(monkeypatch):
+def test_zero_samples_is_usage_error_before_any_check(monkeypatch):
     record, cert = fresh_cert(seed=0)
-    monkeypatch.setattr(verify, "sampled_slack", never_called)
-    with pytest.raises(UsageError, match="estimate_samples"):
-        check_certificate(cert, record.spec, estimate_samples=0)
+    monkeypatch.setattr(verify, "_checks", never_called)
+    with pytest.raises(UsageError, match="samples must be positive"):
+        check_certificate(cert, record.spec, samples=0)
