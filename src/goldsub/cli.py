@@ -129,9 +129,13 @@ def _resolve_solve_inputs(args):
 
 
 def cmd_solve(args) -> int:
+    tag = args.tag
+    if tag is not None and (tag in (".", "..") or os.path.basename(tag) != tag):
+        raise UsageError("--tag must be a file basename inside --out-dir, "
+                         "got %r" % tag)
     record, config, x0 = _resolve_solve_inputs(args)
     out = _writable_dir(_out_dir(args.out_dir))
-    tag = args.tag or "%s-%s-d%g-e%g-s%d" % (
+    tag = tag or "%s-%s-d%g-e%g-s%d" % (
         record.name, config.inner, config.delta, config.target_eps, config.seed)
     manifest = manifest_data(record.name, record.params, config, __version__,
                              x0=x0)
@@ -324,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--call-cap", type=int, dest="inner_call_cap",
                     metavar="CALL_CAP", help="inner oracle-call cap")
     ps.add_argument("--out-dir")
-    ps.add_argument("--tag", help="output file basename")
+    ps.add_argument("--tag", help="output file basename: no path separator, "
+                                   "not . or ..")
     ps.set_defaults(func=cmd_solve)
 
     pv = sub.add_parser("verify", help="re-check a certificate from scratch")

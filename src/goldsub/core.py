@@ -257,21 +257,24 @@ class Subproblem:
     h(anchor) is recomputed from the anchor values rather than assumed 0,
     and anchors with g(anchor) > 0 are rejected where the caller requires
     feasibility (the inner searches do; the plain estimate in verify does
-    not).
+    not).  ``anchor_values = (f(anchor), g(anchor))`` says the caller has
+    evaluated the anchor, and so validated it: it is then taken as given,
+    a finite float array of length ``problem.dim``.
     """
 
     def __init__(self, problem: ProblemSpec, anchor: Vector,
                  anchor_values: tuple[float, float] | None = None):
         self.problem = problem
-        self.anchor = _as_vector(anchor, problem.dim)
         self._g = ReducedConstraint(problem)
         self.subgrad_calls = 0
         self.value_calls = 0
         if anchor_values is None:
-            f0 = _finite_value(problem.objective.value(self.anchor), "objective value")
-            g0, _ = self._g.value(self.anchor)
+            self.anchor = anchor = _as_vector(anchor, problem.dim)
+            f0 = _finite_value(problem.objective.value(anchor), "objective value")
+            g0, _ = self._g.value(anchor)
             self.value_calls += 1
         else:
+            self.anchor = anchor
             f0, g0 = float(anchor_values[0]), float(anchor_values[1])
         self.f_anchor = f0
         self.g_anchor = g0

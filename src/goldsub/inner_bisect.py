@@ -125,7 +125,8 @@ def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float
                   anchor_values: tuple[float, float] | None = None) -> InnerResult:
     """Run the deterministic search at a feasible anchor.
 
-    Arguments as in ``rand_search``.  ``v0`` seeds the first directional
+    Arguments as in ``rand_search``; with ``anchor_values`` the anchor is
+    taken as already validated, as there.  ``v0`` seeds the first directional
     query (callers that iterate pass the previous step direction; the
     default is the first basis vector); each ray bisection stops after
     ``default_max_steps(delta)`` probes.  Equal inputs give bit-identical

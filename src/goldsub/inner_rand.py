@@ -16,7 +16,8 @@ the next subgradient is found.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +38,8 @@ class InnerResult:
     """Outcome of one inner-search invocation.
 
     zeta is always the convex combination of ``combination`` entries
-    (weights nonnegative, summing to 1; points within delta of the anchor).
+    (weights nonnegative, summing to 1; points within delta of the anchor),
+    a list built on first read: a solve reads only its last search's.
     ``oracle_calls`` counts subgradient-oracle evaluations of h -- the unit
     the per-invocation budgets are stated in; ``value_calls`` counts the
     value-only evaluations spent on descent tests.
@@ -50,7 +52,7 @@ class InnerResult:
 
     outcome: str
     zeta: Vector
-    combination: list[WeightedSubgradient]
+    terms: _Combination = field(repr=False)
     oracle_calls: int
     value_calls: int
     iterations: int
@@ -63,6 +65,10 @@ class InnerResult:
     @property
     def zeta_norm(self) -> float:
         return math.sqrt(self.zeta.dot(self.zeta))
+
+    @cached_property
+    def combination(self) -> list[WeightedSubgradient]:
+        return self.terms.export()
 
 
 class _Combination:
@@ -134,7 +140,7 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
     while True:
         norm = math.sqrt(zeta.dot(zeta))
         if norm <= eps:
-            return InnerResult(STATIONARY, zeta, combo.export(),
+            return InnerResult(STATIONARY, zeta, combo,
                                sub.subgrad_calls, sub.value_calls, iterations,
                                probe_ties=ties_total)
         direction = zeta / norm
@@ -142,7 +148,7 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         h_trial, f_trial, g_trial = sub.value_full(trial)
         descent = sub.h_anchor - h_trial
         if descends(descent, norm):
-            return InnerResult(DESCENT, zeta, combo.export(),
+            return InnerResult(DESCENT, zeta, combo,
                                sub.subgrad_calls, sub.value_calls, iterations,
                                descent_amount=descent, descent_point=trial,
                                descent_f=f_trial, descent_g=g_trial,
@@ -179,7 +185,9 @@ def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         uniform for the segment point.
     call_cap : hard cap on subgradient calls; BudgetExceededError beyond it.
     anchor_values : (f(anchor), g(anchor)) if the caller already paid for
-        them; otherwise one value call is spent here.
+        them, which also vouches that anchor is a finite float array of
+        length problem.dim and skips its validation; otherwise anchor is
+        validated and one value call is spent here.
     """
     m = problem.lipschitz_m
 

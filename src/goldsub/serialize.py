@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import operator
 import os
 import sys
 import tempfile
@@ -70,12 +71,42 @@ def _emit(value, newline: str) -> str:
         try:  # a list of floats, such as a point: one C-level join
             text = _finite(("," + inner).join(map(float.__repr__, value)))
         except TypeError:
-            text = ("," + inner).join([_emit(v, inner) for v in value])
+            text = ("," + inner).join(_records(value, inner)
+                                      or [_emit(v, inner) for v in value])
         return "[" + inner + text + newline + "]" if value else "[]"
     for kind, convert in _CONVERT:
         if isinstance(value, kind):
             return _emit(convert(value), newline)
     raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
+
+
+def _column(cells: list, newline: str) -> list[str]:
+    """JSON texts of ``cells``: one formatter for a column of one leaf type,
+    ``_emit`` cell by cell for any other."""
+    kinds = set(map(type, cells))
+    leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
+    if leaf is None:
+        return [_emit(v, newline) for v in cells]
+    return list(map(leaf, cells))
+
+
+def _records(rows, newline: str) -> list[str] | None:
+    """JSON texts of the items of ``rows`` when they are dicts with one set
+    of str keys, such as trace records, built column by column into one
+    template; None for any other list."""
+    if set(map(type, rows)) != {dict}:
+        return None
+    keys = rows[0].keys()
+    if not keys or set(map(type, keys)) != {str} \
+            or not all(map(keys.__eq__, map(dict.keys, rows))):
+        return None
+    keys = sorted(keys)
+    inner = newline + "  "
+    template = "{" + inner + ("," + inner).join(
+        [_quote(k).replace("%", "%%") + ": %s" for k in keys]) + newline + "}"
+    columns = [_column(list(map(operator.itemgetter(k), rows)), inner)
+               for k in keys]
+    return [template % cells for cells in zip(*columns)]
 
 
 def dumps(data) -> str:

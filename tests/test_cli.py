@@ -74,6 +74,22 @@ def test_solve_repeats_are_byte_identical(solved, tmp_path):
     assert first == second
 
 
+@pytest.mark.parametrize("tag", ["../escaped", "sub/run", "/abs", ".", ".."])
+def test_solve_tag_outside_out_dir_is_usage_error(tmp_path, monkeypatch,
+                                                  capsys, tag):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr("goldsub.cli.solve", no_solve)
+    if tag == "/abs":
+        tag = str(tmp_path / "abs")
+    out = tmp_path / "a" / "b"
+    rc = main(SOLVE + ["--out-dir", str(out), "--tag", tag])
+    assert rc == EXIT_USAGE
+    assert "--tag" in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == []
+
+
 def test_solve_honors_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("GOLDSUB_OUT_DIR", str(tmp_path))
     rc = main(SOLVE + ["--tag", "env"])

@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
+import goldsub.inner_rand as inner_rand
+from goldsub.core import WeightedSubgradient
 from goldsub.errors import BudgetExceededError, UsageError
+from goldsub.inner_bisect import bisect_search
 from goldsub.inner_rand import (
     C_RAND,
     DESCENT,
@@ -167,6 +170,11 @@ def test_call_cap_raises_with_partial_state():
     weights = [w.weight for w in partial["combination"]]
     assert abs(sum(weights) - 1.0) <= 1e-12
     assert float(np.linalg.norm(partial["zeta"])) > 0.005
+    # the partial state is exported when the error is raised
+    assert type(partial["combination"]) is list
+    assert all(type(w) is WeightedSubgradient for w in partial["combination"])
+    recombined = sum(w.weight * w.vector for w in partial["combination"])
+    assert float(np.linalg.norm(recombined - partial["zeta"])) <= 1e-12
 
 
 # ------------------------------------------------------------------ budget
@@ -196,3 +204,61 @@ def test_invocations_stay_within_budget_empirically():
         if result.oracle_calls > budget:
             exceed += 1
     assert exceed / 100.0 <= 0.2
+
+
+# -------------------------------------------- contract of both searches
+
+SEARCHES = {
+    "rand": lambda anchor, spec, delta, eps, **kw: rand_search(
+        anchor, spec, delta, eps, np.random.default_rng(3), 100_000, **kw),
+    "bisect": lambda anchor, spec, delta, eps, **kw: bisect_search(
+        anchor, spec, delta, eps, 100_000, **kw),
+}
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+@pytest.mark.parametrize("anchor, eps, outcome, entries", [
+    ([0.05, 0.05], 0.01, DESCENT, 2),
+    ([0.02, -0.01], 0.05, STATIONARY, 5),
+])
+def test_combination_equals_an_export_at_return(monkeypatch, search, anchor,
+                                                eps, outcome, entries):
+    # reference: the combination exported the moment the result is built
+    eager = []
+    build = inner_rand.InnerResult.__init__
+
+    def exporting(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        eager.append(self.terms.export())
+
+    monkeypatch.setattr(inner_rand.InnerResult, "__init__", exporting)
+    spec = get_problem("pl-nonconvex").spec
+    result = SEARCHES[search](np.array(anchor), spec, 0.05, eps)
+    # later searches on the same problem leave the result as it was
+    SEARCHES[search](np.array([0.3, 0.3]), spec, 0.05, 0.01)
+    assert result.outcome == outcome
+    combination = result.combination
+    assert combination is result.combination  # exported once
+    reference = eager[0]
+    assert len(combination) == len(reference) == entries
+    for got, want in zip(combination, reference):
+        assert got.weight == want.weight
+        assert np.array_equal(got.point, want.point)
+        assert np.array_equal(got.vector, want.vector)
+        assert got.branch == want.branch
+        if search == "rand":
+            assert got.direction is None and want.direction is None
+        else:
+            assert np.array_equal(got.direction, want.direction)
+
+
+@pytest.mark.parametrize("search", sorted(SEARCHES))
+@pytest.mark.parametrize("anchor", [
+    pytest.param([math.nan, 0.0], id="nan"),
+    pytest.param([0.0, 0.0, 0.0], id="wrong-dimension"),
+    pytest.param([[0.0, 0.0]], id="2-d"),
+])
+def test_anchor_without_its_values_is_validated(search, anchor):
+    spec = get_problem("ball-linear").spec
+    with pytest.raises(UsageError):
+        SEARCHES[search](np.array(anchor), spec, 0.05, 0.05)

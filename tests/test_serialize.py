@@ -84,6 +84,7 @@ def test_dumps_rejects_nan():
     pytest.param(lambda x: {"a": [[0.0, x]]}, id="nested-list"),
     pytest.param(lambda x: {"a": np.array([[0.0, 1.0], [2.0, x]])}, id="array"),
     pytest.param(lambda x: [np.float64(1.0), x], id="numpy-list"),
+    pytest.param(lambda x: [{"a": 1.0}, {"a": x}], id="record-column"),
 ])
 def test_dumps_rejects_non_finite_anywhere(bad, wrap):
     with pytest.raises(ValueError):
@@ -104,11 +105,49 @@ _LEAVES = (st.none() | st.booleans() | st.integers() | st.integers(-2**70, 2**70
                                                       min_side=0, max_side=3),
                         elements=_FLOATS))
 _KEYS = _TEXT | st.integers() | st.booleans() | st.none() | _FLOATS
+# cell strategies of one record column: each leaf type, float lists, numpy
+# scalars and nested dicts; _record_lists adds float-then-None columns (as
+# in a trace's descent_amount) and columns of any document
+_COLUMNS = (_FLOATS, st.integers(), st.booleans(), _TEXT,
+            st.lists(_FLOATS, max_size=3), _FLOATS.map(np.float64),
+            st.integers(-2**63, 2**63 - 1).map(np.int64),
+            st.dictionaries(_TEXT, _FLOATS | st.none(), max_size=3))
+
+
+@st.composite
+def _record_lists(draw, children):
+    """2-5 dicts with one set of str keys, such as trace records; now and
+    then one row gains or loses a key, which the column path must refuse."""
+    rows = draw(st.integers(2, 5))
+    keys = draw(st.lists(_TEXT | st.sampled_from(["%", "%s", "a%%b"]),
+                         min_size=1, max_size=4, unique=True))
+    columns = []
+    for _ in keys:
+        kind = draw(st.integers(0, len(_COLUMNS) + 1))
+        if kind == len(_COLUMNS):  # float, then None
+            floats = draw(st.integers(1, rows))
+            columns.append(draw(st.lists(_FLOATS, min_size=floats,
+                                         max_size=floats))
+                           + [None] * (rows - floats))
+        else:
+            cells = _COLUMNS[kind] if kind < len(_COLUMNS) else children
+            columns.append(draw(st.lists(cells, min_size=rows, max_size=rows)))
+    records = [dict(zip(keys, cells)) for cells in zip(*columns)]
+    odd = draw(st.sampled_from([None, "extra", "missing"]))
+    row = records[draw(st.integers(0, rows - 1))]
+    if odd == "extra":
+        row[draw(_TEXT.filter(lambda k: k not in row))] = 0.5
+    elif odd == "missing" and len(keys) > 1:
+        del row[keys[0]]
+    return records
+
+
 _DOCUMENTS = st.recursive(
     _LEAVES,
     lambda children: (st.lists(children, max_size=5)
                       | st.lists(children, max_size=5).map(tuple)
-                      | st.dictionaries(_KEYS, children, max_size=5)),
+                      | st.dictionaries(_KEYS, children, max_size=5)
+                      | _record_lists(children)),
     max_leaves=30)
 
 

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from goldsub import verify
+from goldsub import inner_rand, verify
 from goldsub.core import OBJECTIVE, Branch, Oracle, ProblemSpec, WeightedSubgradient
 from goldsub.errors import (
     BudgetExceededError,
@@ -215,6 +215,23 @@ def test_certify_draws_no_ball_sample(monkeypatch, inner):
         cert, _ = solve(record.spec, config, record.start)
         gammas.append(cert.gamma)
     assert any(gamma > 0.0 for gamma in gammas)  # constraint mass occurs
+
+
+@pytest.mark.parametrize("inner", [RAND, BISECT])
+def test_solve_exports_only_the_stationary_combination(monkeypatch, inner):
+    exported = []
+    export = inner_rand._Combination.export
+
+    def counted(combo):
+        exported.append(combo)
+        return export(combo)
+
+    monkeypatch.setattr(inner_rand._Combination, "export", counted)
+    record = get_problem("pl-nonconvex")
+    config = SolverConfig(delta=0.05, target_eps=0.05, inner=inner)
+    _, trace = solve(record.spec, config, record.start)
+    assert trace.outer_steps > 0
+    assert len(exported) == 1
 
 
 def test_unconstrained_embedding_keeps_lambda_zero():
