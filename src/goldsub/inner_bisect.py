@@ -20,7 +20,6 @@ h(anchor) - h(trial) >= delta * eps / 3, and the ray bisection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,44 +32,23 @@ from .inner_rand import InnerResult, _search
 C_BISECT = 1.0 / 3.0
 
 
-@dataclass(frozen=True)
-class RayRestriction:
-    """The segment r in [0, delta] |-> anchor + (r - delta) * direction.
-
-    r = 0 is the far end (the rejected trial step), r = delta the anchor.
-    ``direction`` must be a unit vector.
-    """
-
-    anchor: Vector
-    direction: Vector
-    delta: float
-    eps: float
-
-    def __post_init__(self):
-        if not (self.delta > 0 and self.eps > 0):
-            raise UsageError("delta and eps must be positive")
-        norm = math.sqrt(self.direction.dot(self.direction))
-        if abs(norm - 1.0) > 1e-12:
-            raise UsageError("ray direction must be unit norm (got %.17g)" % norm)
-
-    def point_at(self, r: float) -> Vector:
-        if not 0.0 <= r <= self.delta:
-            raise UsageError("ray parameter %g outside [0, %g]" % (r, self.delta))
-        return self.anchor + (r - self.delta) * self.direction
-
-
 def default_max_steps(delta: float) -> int:
     """Step cap: generous headroom plus the bisection depth float can resolve."""
     return 64 + int(math.ceil(math.log2(delta / np.spacing(delta))))
 
 
-def bisect_negative_slope(ray: RayRestriction, sub: Subproblem,
-                          l_far: float, l_anchor: float):
-    """Find r with directional h-slope below eps/2 at ray.point_at(r).
+def bisect_negative_slope(sub: Subproblem, anchor: Vector, direction: Vector,
+                          delta: float, eps: float, l_far: float,
+                          l_anchor: float):
+    """Find r with directional h-slope below eps/2 at the ray point
+    anchor + (r - delta) * direction.
 
-    ``l_far`` and ``l_anchor`` are the endpoint values of
-    l(r) = h(point_at(r)) - eps * r / 2, which the caller has already paid
-    for; l_far > l_anchor is required (the average slope of l is negative).
+    r = 0 is the far end (the rejected trial step), r = delta the anchor.
+    ``direction`` is a unit vector and delta, eps are positive, as
+    ``bisect_search`` builds them; they are not re-checked.  ``l_far`` and
+    ``l_anchor`` are the endpoint values of l(r) = h(ray point) - eps * r / 2,
+    which the caller has already paid for; l_far > l_anchor is required (the
+    average slope of l is negative).
 
     Maintains a bracket [a, b] whose average l-slope never rises above the
     initial one: probe the midpoint; if the shifted slope there is negative,
@@ -86,17 +64,17 @@ def bisect_negative_slope(ray: RayRestriction, sub: Subproblem,
         raise UsageError(
             "restriction endpoints do not lose height: l(0) = %.17g <= l(delta) = %.17g"
             % (l_far, l_anchor))
-    a, b = 0.0, ray.delta
+    a, b = 0.0, delta
     la, lb = l_far, l_anchor
-    half_eps = ray.eps / 2.0
+    half_eps = eps / 2.0
     probes = 0
     ties = 0
-    for _ in range(default_max_steps(ray.delta)):
+    for _ in range(default_max_steps(delta)):
         m = 0.5 * (a + b)
         if not a < m < b:  # float resolution exhausted
             break
-        z = ray.point_at(m)
-        vec, branch, h_m, dd = sub.dir_grad(z, ray.direction)
+        vec, branch, h_m, dd = sub.dir_grad(anchor + (m - delta) * direction,
+                                            direction)
         probes += 1
         slope = dd - half_eps
         if slope < 0.0:
@@ -125,19 +103,21 @@ def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float
                   anchor_values: tuple[float, float] | None = None) -> InnerResult:
     """Run the deterministic search at a feasible anchor.
 
-    Arguments as in ``rand_search``; with ``anchor_values`` the anchor is
-    taken as already validated, as there.  ``v0`` seeds the first directional
+    Arguments as in ``rand_search``.  ``v0`` seeds the first directional
     query (callers that iterate pass the previous step direction; the
-    default is the first basis vector); each ray bisection stops after
-    ``default_max_steps(delta)`` probes.  Equal inputs give bit-identical
-    results.
+    default is the first basis vector) and is normalized; zero is a
+    UsageError.  With ``anchor_values`` the caller vouches for the anchor, as
+    there, and for ``v0`` too: both are taken as given, a finite float array
+    of length problem.dim; without it both are validated.  Each ray bisection
+    stops after ``default_max_steps(delta)`` probes.  Equal inputs give
+    bit-identical results.
     """
     def first(sub):
         if v0 is None:
             v = np.zeros(problem.dim)
             v[0] = 1.0
         else:
-            v = _as_vector(v0, problem.dim)
+            v = v0 if anchor_values is not None else _as_vector(v0, problem.dim)
             norm0 = math.sqrt(v.dot(v))
             if norm0 == 0.0:
                 raise UsageError("v0 must be nonzero")
@@ -146,13 +126,12 @@ def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float
         return sub.anchor, vec, branch, v
 
     def step(sub, zeta, norm, direction, h_trial):
-        ray = RayRestriction(anchor=sub.anchor, direction=direction,
-                             delta=delta, eps=eps)
-        l_far = h_trial  # l(0) = h(trial) - eps*0/2
-        l_anchor = sub.h_anchor - eps * delta / 2.0
+        # l(0) = h(trial), l(delta) = h(anchor) - eps * delta / 2
+        anchor = sub.anchor
         r, vec, branch, _, _, ties = bisect_negative_slope(
-            ray, sub, l_far, l_anchor)
-        return (ray.point_at(r), vec, branch, direction), ties
+            sub, anchor, direction, delta, eps, h_trial,
+            sub.h_anchor - eps * delta / 2.0)
+        return (anchor + (r - delta) * direction, vec, branch, direction), ties
 
     return _search(anchor, problem, delta, eps, call_cap, anchor_values, first,
                    lambda descent, norm: descent >= delta * eps / 3.0, step)

@@ -8,11 +8,6 @@ fixed so almost-everywhere gradient oracles are deterministic: sign(0) is
 taken as +1, the subgradient of the Euclidean norm at 0 is the first basis
 vector, and argmax ties resolve to the lowest index.  Every oracle also has
 batch callables that apply the same rules to each row of an (N, n) array.
-
-``gcq_params`` on each record is an (a, b, c) triple for the empirical
-constraint-qualification check: constraints with g_i(x) >= -c are near-active,
-their subgradients are sampled over B(x, a), and the hull of the union is
-expected to keep norm at least b.
 """
 
 from __future__ import annotations
@@ -33,7 +28,6 @@ class ProblemRecord:
 
     name: str
     spec: ProblemSpec
-    gcq_params: tuple[float, float, float] | None
     start: Vector
     params: dict
     domain_sampler: Callable[[np.random.Generator], Vector]
@@ -215,8 +209,7 @@ def _ball_linear(dim: int = 2) -> ProblemRecord:
                        p_star=-1.0, known_optimum=opt)
 
     return _validate_record(ProblemRecord(
-        name="ball-linear", spec=spec,
-        gcq_params=(0.1, 0.9, 0.2), start=np.zeros(dim),
+        name="ball-linear", spec=spec, start=np.zeros(dim),
         params={"dim": dim}, domain_sampler=_ball_sampler(dim, 1.0 + 0.9 * pad)))
 
 
@@ -245,8 +238,7 @@ def _l1_ball(dim: int = 2) -> ProblemRecord:
         start[1] = -0.3
 
     return _validate_record(ProblemRecord(
-        name="l1-ball", spec=spec,
-        gcq_params=(0.1, 1.5, 0.19), start=start,
+        name="l1-ball", spec=spec, start=start,
         params={"dim": dim}, domain_sampler=_ball_sampler(dim, 1.0 + 0.9 * pad)))
 
 
@@ -278,8 +270,7 @@ def _footnote_1d() -> ProblemRecord:
         return np.array([rng.uniform(-1.45, 1.45)])
 
     return _validate_record(ProblemRecord(
-        name="footnote-1d", spec=spec,
-        gcq_params=(0.25, 0.5, 0.75), start=np.array([0.5]),
+        name="footnote-1d", spec=spec, start=np.array([0.5]),
         params={}, domain_sampler=sampler))
 
 
@@ -326,8 +317,7 @@ def _footnote_2c() -> ProblemRecord:
         return np.array([rng.uniform(-1.35, 1.35)])
 
     return _validate_record(ProblemRecord(
-        name="footnote-2c", spec=spec,
-        gcq_params=(0.125, 0.75, 0.75), start=np.array([0.5]),
+        name="footnote-2c", spec=spec, start=np.array([0.5]),
         params={}, domain_sampler=sampler))
 
 
@@ -385,8 +375,7 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
         return rng.uniform(-1.35, 1.35, size=dim)
 
     return _validate_record(ProblemRecord(
-        name="pl-nonconvex", spec=spec,
-        gcq_params=(0.05, 0.85 / math.sqrt(dim), 0.1), start=start,
+        name="pl-nonconvex", spec=spec, start=start,
         params={"dim": dim, "alpha": alpha}, domain_sampler=sampler))
 
 

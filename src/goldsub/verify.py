@@ -95,15 +95,15 @@ class HullEstimate:
     support_weights: list[float]
 
 
-def min_norm_over_hull(points, tol: float = HULL_TOL,
-                       start: HullEstimate | None = None) -> HullEstimate:
+def min_norm_over_hull(points, start: HullEstimate | None = None) -> HullEstimate:
     """Minimal-norm point of the convex hull of a finite point list.
 
     Wolfe-style vertex selection: keep a simplex of input points, project
     onto its affine hull, drop vertices that lose weight, and add the vertex
     minimizing <x, p> until the duality gap ||x||^2 - min_p <x, p> is at
-    most tol.  The iterate norm is non-increasing; a failure to decrease is
-    a numerical stall and stops with the current (still valid) point.
+    most HULL_TOL.  The iterate norm is non-increasing; a failure to
+    decrease is a numerical stall and stops with the current (still valid)
+    point.
 
     The loop begins at the shortest point.  ``start`` (private use) is an
     estimate over a prefix of ``points``; the loop then begins at its point,
@@ -135,7 +135,7 @@ def min_norm_over_hull(points, tol: float = HULL_TOL,
             break
         dots = pts @ x
         best = int(np.argmin(dots))
-        if float(dots[best]) > norm_sq - tol:
+        if float(dots[best]) > norm_sq - HULL_TOL:
             break
         if best in support:
             break  # stall: the best vertex is already represented

@@ -7,11 +7,11 @@ import math
 import numpy as np
 import pytest
 
-from goldsub.core import Oracle, ProblemSpec, Subproblem
+from goldsub import inner_bisect
+from goldsub.core import Oracle, ProblemSpec, ReducedConstraint, Subproblem
 from goldsub.errors import BudgetExceededError, ModulusError, UsageError
 from goldsub.inner_bisect import (
     C_BISECT,
-    RayRestriction,
     bisect_call_budget,
     bisect_negative_slope,
     bisect_search,
@@ -85,30 +85,6 @@ def _concave_two_slope(left: float, right: float, kink: float) -> Oracle:
     return Oracle(value=value, grad=grad, dir_grad=dir_grad)
 
 
-def ray_at(anchor: float, delta: float, eps: float) -> RayRestriction:
-    return RayRestriction(anchor=np.array([anchor]), direction=np.array([1.0]),
-                          delta=delta, eps=eps)
-
-
-# ------------------------------------------------------------ restriction
-
-
-def test_ray_restriction_validates_direction_and_range():
-    with pytest.raises(UsageError):
-        RayRestriction(anchor=np.zeros(2), direction=np.array([1.0, 1.0]),
-                       delta=1.0, eps=1.0)
-    with pytest.raises(UsageError):
-        RayRestriction(anchor=np.zeros(1), direction=np.array([1.0]),
-                       delta=0.0, eps=1.0)
-    ray = ray_at(1.0, 1.0, 1.0)
-    assert np.array_equal(ray.point_at(0.0), [0.0])
-    assert np.array_equal(ray.point_at(1.0), [1.0])
-    with pytest.raises(UsageError):
-        ray.point_at(1.5)
-    with pytest.raises(UsageError):
-        ray.point_at(-0.1)
-
-
 def test_default_max_steps_covers_float_resolution():
     # 64 extra steps on top of the bisection depth of the mantissa
     assert default_max_steps(1.0) == 64 + 52
@@ -117,6 +93,10 @@ def test_default_max_steps_covers_float_resolution():
 
 # ------------------------------------------------------ negative-slope find
 
+# the tests below bisect the ray r |-> 1 + (r - 1) * UNIT, r in [0, 1]:
+# anchor 1, unit direction, delta = eps = 1
+UNIT = np.array([1.0])
+
 
 def test_concave_kink_found_in_one_probe():
     # slope +0.2 then -0.4 along the ray; the midpoint lands on the kink and
@@ -124,7 +104,7 @@ def test_concave_kink_found_in_one_probe():
     prob = piecewise_problem(_concave_two_slope(0.2, -0.4, 0.5))
     sub = Subproblem(prob, np.array([1.0]))
     r, vec, branch, h_m, probes, ties = bisect_negative_slope(
-        ray_at(1.0, 1.0, 1.0), sub, l_far=0.0, l_anchor=-0.6)
+        sub, sub.anchor, UNIT, 1.0, 1.0, l_far=0.0, l_anchor=-0.6)
     assert r == 0.5
     assert np.array_equal(vec, [-0.4])
     assert branch.is_objective
@@ -137,7 +117,7 @@ def test_flat_restriction_returns_midpoint_immediately():
     prob = piecewise_problem(max_affine_oracle([(0.0, 0.0)]))
     sub = Subproblem(prob, np.array([1.0]))
     r, vec, branch, h_m, probes, ties = bisect_negative_slope(
-        ray_at(1.0, 1.0, 1.0), sub, l_far=0.0, l_anchor=-0.5)
+        sub, sub.anchor, UNIT, 1.0, 1.0, l_far=0.0, l_anchor=-0.5)
     assert r == 0.5
     assert probes == 1
     assert np.array_equal(vec, [0.0])
@@ -151,7 +131,7 @@ def test_convex_restriction_recurses_into_steeper_half():
     prob = piecewise_problem(max_affine_oracle([(-1.0, 0.0), (0.6, -0.8)]))
     sub = Subproblem(prob, np.array([1.0]))
     r, vec, branch, h_m, probes, ties = bisect_negative_slope(
-        ray_at(1.0, 1.0, 1.0), sub, l_far=0.2, l_anchor=-0.5)
+        sub, sub.anchor, UNIT, 1.0, 1.0, l_far=0.2, l_anchor=-0.5)
     assert r == 0.25
     assert probes == 2
     assert np.array_equal(vec, [-1.0])
@@ -172,14 +152,13 @@ def test_convex_restrictions_return_probe_satisfying_points(seed):
     anchor = np.array([1.0])
     sub = Subproblem(prob, anchor)
     delta, eps = 1.0, 1.0
-    ray = ray_at(1.0, delta, eps)
-    l_far = sub.value_full(ray.point_at(0.0))[0]
+    l_far = sub.value_full(anchor - delta * UNIT)[0]
     l_anchor = sub.h_anchor - eps * delta / 2.0
     assert l_far > l_anchor
     r, vec, branch, h_m, probes, ties = bisect_negative_slope(
-        ray, sub, l_far, l_anchor)
+        sub, anchor, UNIT, delta, eps, l_far, l_anchor)
     fresh = Subproblem(prob, anchor)
-    _, _, _, dd = fresh.dir_grad(ray.point_at(r), ray.direction)
+    _, _, _, dd = fresh.dir_grad(anchor + (r - delta) * UNIT, UNIT)
     assert dd - eps / 2.0 < 0.0
     assert probes <= 32
 
@@ -188,7 +167,7 @@ def test_negative_slope_requires_losing_height():
     prob = piecewise_problem(max_affine_oracle([(1.0, 0.0)]))
     sub = Subproblem(prob, np.array([1.0]))
     with pytest.raises(UsageError):
-        bisect_negative_slope(ray_at(1.0, 1.0, 1.0), sub,
+        bisect_negative_slope(sub, sub.anchor, UNIT, 1.0, 1.0,
                               l_far=-0.5, l_anchor=0.0)
 
 
@@ -198,7 +177,7 @@ def test_dishonest_oracle_exhausts_steps():
     prob = piecewise_problem(max_affine_oracle([(1.0, 0.0)]))
     sub = Subproblem(prob, np.array([1.0]))
     with pytest.raises(ModulusError):
-        bisect_negative_slope(ray_at(1.0, 1.0, 1.0), sub,
+        bisect_negative_slope(sub, sub.anchor, UNIT, 1.0, 1.0,
                               l_far=1.0, l_anchor=0.0)
     assert 0 < sub.subgrad_calls <= default_max_steps(1.0)
 
@@ -248,6 +227,41 @@ def test_custom_v0_is_normalized_and_zero_rejected():
     with pytest.raises(UsageError):
         bisect_search(np.zeros(2), record.spec, 0.25, 0.5, 100_000,
                       v0=np.zeros(2))
+
+
+@pytest.mark.parametrize("v0", [
+    pytest.param([math.nan, 1.0], id="nan"),
+    pytest.param([1.0, 0.0, 0.0], id="wrong-dimension"),
+    pytest.param([[1.0, 0.0]], id="2-d"),
+])
+def test_v0_without_anchor_values_is_validated(v0):
+    record = get_problem("ball-linear")
+    with pytest.raises(UsageError):
+        bisect_search(np.zeros(2), record.spec, 0.25, 0.5, 100_000,
+                      v0=np.array(v0))
+
+
+def test_v0_with_anchor_values_is_taken_as_given(monkeypatch):
+    # solve passes its own previous direction along with the anchor's
+    # values; it is not re-validated, and the search is the validated one's
+    spec = get_problem("pl-nonconvex").spec
+    anchor, v0 = np.array([0.02, -0.01]), np.array([0.6, -0.8])
+    checked = bisect_search(anchor, spec, 0.05, 0.05, 100_000, v0=v0)
+
+    def unexpected(*args):
+        raise AssertionError("v0 re-validated")
+
+    monkeypatch.setattr(inner_bisect, "_as_vector", unexpected)
+    values = (spec.objective.value(anchor),
+              ReducedConstraint(spec).value(anchor)[0])
+    given = bisect_search(anchor, spec, 0.05, 0.05, 100_000, v0=v0,
+                          anchor_values=values)
+    assert checked.iterations >= 1
+    assert given.outcome == checked.outcome
+    assert np.array_equal(given.zeta, checked.zeta)
+    assert given.oracle_calls == checked.oracle_calls
+    assert given.value_calls == checked.value_calls - 1  # the anchor's
+    assert given.combination[0].direction.tolist() == [0.6, -0.8]
 
 
 def test_infeasible_anchor_is_rejected():

@@ -49,6 +49,7 @@ def test_tracer_installs_and_restores_its_names(tracer_module):
     counts = tracer.snapshot_counts()
     for name in ("core.grad", "core.value", "core.constraint_value",
                  "core.sample_ball", "inner_rand.rand_search",
-                 "inner_bisect.bisect_search", "solver.certify",
-                 "solver.solve"):
+                 "inner_bisect.bisect_search",
+                 "inner_bisect.bisect_negative_slope", "inner_bisect.probes",
+                 "solver.certify", "solver.solve"):
         assert counts[name] > 0, name

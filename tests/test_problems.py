@@ -50,18 +50,6 @@ def test_metadata_consistency(name):
     assert reduced.value(opt)[0] <= 1e-9
     assert reduced.value(np.asarray(record.start, dtype=float))[0] <= 0.0
     assert spec.nonconvexity_f is not None and spec.nonconvexity_g is not None
-    a, b, c = record.gcq_params
-    assert a > 0 and b > 0 and c > 0
-
-
-def test_frozen_gcq_parameters():
-    assert get_problem("ball-linear").gcq_params == (0.1, 0.9, 0.2)
-    assert get_problem("l1-ball").gcq_params == (0.1, 1.5, 0.19)
-    assert get_problem("footnote-1d").gcq_params == (0.25, 0.5, 0.75)
-    assert get_problem("footnote-2c").gcq_params == (0.125, 0.75, 0.75)
-    a, b, c = get_problem("pl-nonconvex").gcq_params
-    assert (a, c) == (0.05, 0.1)
-    assert abs(b - 0.85 / math.sqrt(2.0)) < 1e-15
 
 
 def test_problem_dimension_parameters():

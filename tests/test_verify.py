@@ -185,8 +185,7 @@ def test_goldstein_estimate_needs_samples():
 
 def test_gcq_vacuous_when_nothing_is_near_active():
     record = get_problem("footnote-1d")
-    a, b, c = record.gcq_params
-    report = check_gcq(np.zeros(1), record.spec, a, b, c)
+    report = check_gcq(np.zeros(1), record.spec, 0.25, 0.5, 0.75)
     assert report.outcome == HOLDS
     assert report.near_active == []
     assert report.estimate is None
