@@ -259,8 +259,7 @@ class Subproblem:
     feasibility (the inner searches do; the plain estimate in verify does
     not).  ``anchor_values = (f(anchor), g(anchor))`` says the caller has
     evaluated the anchor, and so validated it: it is then taken as given,
-    a finite float array of length ``problem.dim``.  ``bisect_search`` takes
-    its ``v0`` on the same terms.
+    a finite float array of length ``problem.dim``.
     """
 
     def __init__(self, problem: ProblemSpec, anchor: Vector,

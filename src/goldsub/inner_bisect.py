@@ -13,7 +13,7 @@ derivative) and, for the call budget to be checkable, finite nonconvexity
 moduli.
 
 The round loop is ``inner_rand._search``; this module supplies the opening
-directional subgradient along ``v0``, the descent test
+directional subgradient along the first basis vector, the descent test
 h(anchor) - h(trial) >= delta * eps / 3, and the ray bisection.
 """
 
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .core import ProblemSpec, Subproblem, Vector, _as_vector
+from .core import ProblemSpec, Subproblem, Vector
 from .errors import ModulusError, UsageError
 from .inner_rand import InnerResult, _search
 
@@ -99,29 +99,19 @@ def bisect_call_budget(m_lipschitz: float, eps: float,
 
 
 def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
-                  call_cap: int, v0: Vector | None = None,
+                  call_cap: int,
                   anchor_values: tuple[float, float] | None = None) -> InnerResult:
     """Run the deterministic search at a feasible anchor.
 
-    Arguments as in ``rand_search``.  ``v0`` seeds the first directional
-    query (callers that iterate pass the previous step direction; the
-    default is the first basis vector) and is normalized; zero is a
-    UsageError.  With ``anchor_values`` the caller vouches for the anchor, as
-    there, and for ``v0`` too: both are taken as given, a finite float array
-    of length problem.dim; without it both are validated.  Each ray bisection
-    stops after ``default_max_steps(delta)`` probes.  Equal inputs give
-    bit-identical results.
+    Arguments as in ``rand_search``.  The first directional query is at the
+    anchor along the first basis vector; the call budget does not depend on
+    where the search opens.  Each ray bisection stops after
+    ``default_max_steps(delta)`` probes.  Equal inputs give bit-identical
+    results.
     """
     def first(sub):
-        if v0 is None:
-            v = np.zeros(problem.dim)
-            v[0] = 1.0
-        else:
-            v = v0 if anchor_values is not None else _as_vector(v0, problem.dim)
-            norm0 = math.sqrt(v.dot(v))
-            if norm0 == 0.0:
-                raise UsageError("v0 must be nonzero")
-            v = v / norm0
+        v = np.zeros(problem.dim)
+        v[0] = 1.0
         vec, branch, _, _ = sub.dir_grad(sub.anchor, v)
         return sub.anchor, vec, branch, v
 

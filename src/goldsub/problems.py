@@ -13,6 +13,7 @@ batch callables that apply the same rules to each row of an (N, n) array.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -57,12 +58,16 @@ def _positive_int(value, name: str) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
             or value < 1:
         raise UsageError("%s must be a positive integer, got %r" % (name, value))
+    if value > np.iinfo(np.intp).max:  # no array of that length can exist
+        raise UsageError("%s must be at most %d, got %r"
+                         % (name, np.iinfo(np.intp).max, value))
 
 
 def _positive_real(value, name: str) -> None:
+    # an int beyond the float range compares exactly, where isfinite overflows
     if isinstance(value, bool) \
             or not isinstance(value, (int, float, np.integer, np.floating)) \
-            or not (math.isfinite(value) and value > 0):
+            or not 0 < value <= sys.float_info.max:
         raise UsageError("%s must be a positive finite real, got %r"
                          % (name, value))
 

@@ -274,7 +274,8 @@ def certificate_from_data(data: dict) -> tuple[GoldsteinCertificate, dict | None
     try:
         manifest = data.get("manifest")
         return _decode_cert(data), None if manifest is None else dict(manifest)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise UsageError("malformed certificate document (%s: %s)"
                          % (type(exc).__name__, exc)) from None
 

@@ -37,7 +37,7 @@ from .inner_rand import C_RAND, STATIONARY, rand_call_budget, rand_search
 from .verify import (CheckResult, GoldsteinCertificate, check_anchor_feasible,
                      check_points_in_ball, check_weights_nonnegative,
                      check_weights_sum, check_zeta_norm, check_zeta_recompute,
-                     multiplier_split, recombine)
+                     multiplier_split)
 
 RAND = "rand"
 BISECT = "bisect"
@@ -140,16 +140,16 @@ def _require(check: CheckResult) -> None:
 
 
 def certify(anchor: Vector, combination: list[WeightedSubgradient],
-            problem: ProblemSpec, config: SolverConfig,
-            zeta: Vector | None = None,
-            anchor_values: tuple[float, float] | None = None) -> GoldsteinCertificate:
+            problem: ProblemSpec, config: SolverConfig, zeta: Vector,
+            anchor_values: tuple[float, float]) -> GoldsteinCertificate:
     """Assemble and self-check the certificate for a stationary anchor.
 
     Runs the verifier's unsampled checks in its order; the first failure
     raises CertificationError.  The inner-loop contract guarantees them, so
     a failure means a bug or broken metadata, never a user error.  ``zeta``
-    defaults to the recombined sum; passing the solver's own accumulated
-    zeta keeps the recombination residual an honest measurement.
+    is the solver's own accumulated sum, so the recombination residual is an
+    honest measurement, and ``anchor_values = (f(anchor), g(anchor))`` are
+    the values the solver read at the anchor.
     """
     anchor = _as_vector(anchor, problem.dim)
     m = problem.lipschitz_m
@@ -160,17 +160,12 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     _require(check_weights_nonnegative(weights))
     _require(check_weights_sum(weights))
     _require(check_points_in_ball(combination, anchor, delta, problem.dim))
-    zeta = _as_vector(recombine(combination, problem.dim) if zeta is None
-                      else zeta, problem.dim)
+    zeta = _as_vector(zeta, problem.dim)
     _require(check_zeta_recompute(combination, zeta, m))
     zeta_norm = math.sqrt(zeta.dot(zeta))
     _require(check_zeta_norm(zeta_norm, eps_t))
 
-    if anchor_values is not None:
-        f_anchor, g_anchor = anchor_values
-    else:
-        f_anchor = _finite_value(problem.objective.value(anchor), "objective value")
-        g_anchor, _ = ReducedConstraint(problem).value(anchor)
+    f_anchor, g_anchor = anchor_values
     _require(check_anchor_feasible(g_anchor))
 
     gamma0, gamma, lam = multiplier_split(combination)
@@ -248,7 +243,6 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
     rng = np.random.default_rng(config.seed)
     records: list[dict] = []
     oracle_calls = 0
-    prev_direction: Vector | None = None
     started = time.perf_counter()
 
     def partial_trace() -> SolveTrace:
@@ -269,7 +263,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
                                   call_cap, anchor_values=(f_x, g_x))
             else:
                 res = bisect_search(x, problem, config.delta, eps_t, call_cap,
-                                    v0=prev_direction, anchor_values=(f_x, g_x))
+                                    anchor_values=(f_x, g_x))
         except BudgetExceededError as err:
             err.partial = dict(err.partial or {})
             err.partial["trace"] = partial_trace()
@@ -287,8 +281,6 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         })
         if res.outcome == STATIONARY:
             break
-        if config.inner == BISECT:
-            prev_direction = res.zeta / res.zeta_norm
         x = res.descent_point.copy()
         f_x, g_x = res.descent_f, res.descent_g
         k += 1
@@ -303,6 +295,5 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
                 partial={"trace": partial_trace()})
 
     trace = partial_trace()
-    cert = certify(x, res.combination, problem, config, zeta=res.zeta,
-                   anchor_values=(f_x, g_x))
+    cert = certify(x, res.combination, problem, config, res.zeta, (f_x, g_x))
     return cert, trace

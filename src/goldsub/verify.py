@@ -114,12 +114,15 @@ def min_norm_over_hull(points, start: HullEstimate | None = None) -> HullEstimat
         pts = pts.reshape(1, -1)
     if pts.size == 0:
         raise UsageError("empty point list")
-    if not np.isfinite(pts).all():
-        raise UsageError("non-finite points")
+    with np.errstate(over="ignore"):
+        norms_sq = np.einsum("ij,ij->i", pts, pts)
+    # finite squared norms bound every Gram entry, so none overflows
+    if not np.isfinite(norms_sq).all():
+        raise UsageError("points with non-finite squared norms")
     k, n = pts.shape
 
     if start is None:
-        first = int(np.argmin(np.einsum("ij,ij->i", pts, pts)))
+        first = int(np.argmin(norms_sq))
         support = [first]
         weights = np.array([1.0])
         x = pts[first].copy()

@@ -233,6 +233,9 @@ def test_solve_bad_param_is_usage_error(capsys):
     ("alpha=nan", "alpha must be a positive finite real, got 'nan'"),
     ("alpha=NaN", "alpha must be a positive finite real, got nan"),
     ("alpha=-1", "alpha must be a positive finite real, got -1"),
+    pytest.param("alpha=" + "9" * 400,
+                 "alpha must be a positive finite real, got " + "9" * 400,
+                 id="alpha=400-digit-int"),
 ])
 def test_solve_mistyped_param_names_it(tmp_path, capsys, param, message):
     rc = main(["solve", "--problem", "pl-nonconvex", "--param", param,
@@ -546,17 +549,38 @@ def test_verify_sample_count_out_of_range_exits_before_any_check(
 
 def test_solve_unallocatable_problem_is_usage_error(tmp_path, capsys):
     # 8e17 bytes for one vector: more than any 64-bit address space holds,
-    # so the allocation fails at once on every host
-    rc = main(["solve", "--problem", "ball-linear", "--param",
-               "dim=100000000000000000", "--delta", "0.05", "--eps", "0.05",
-               "--out-dir", str(tmp_path)])
-    assert rc == EXIT_USAGE
-    assert "Unable to allocate" in capsys.readouterr().err
-    assert os.listdir(tmp_path) == []
+    # so the allocation fails at once on every host; 10**19 is no array
+    # length at all
+    for dim, message in ((10 ** 17, "Unable to allocate"),
+                         (10 ** 19, "dim must be at most")):
+        rc = main(["solve", "--problem", "ball-linear", "--param",
+                   "dim=%d" % dim, "--delta", "0.05", "--eps", "0.05",
+                   "--out-dir", str(tmp_path)])
+        assert rc == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 def test_verify_missing_file_is_usage_error(capsys):
     assert main(["verify", "/no/such/cert.json"]) == EXIT_USAGE
+
+
+def test_verify_overflowing_subgradients_are_usage_error(tmp_path, capsys):
+    # with alpha = 1e160 the recomputed subgradients have squared norms
+    # beyond the float range, so no hull over them can be solved
+    rc = main(["solve", "--problem", "pl-nonconvex", "--delta", "0.05",
+               "--eps", "0.05", "--out-dir", str(tmp_path), "--tag", "run"])
+    assert rc == EXIT_OK
+
+    def huge_alpha(data):
+        data["manifest"]["problem"]["params"]["alpha"] = 1e160
+
+    path = rewrite(tmp_path / "run.cert.json", tmp_path / "alpha.json",
+                   huge_alpha)
+    capsys.readouterr()
+    assert main(["verify", path] + FAST_VERIFY) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err == "error: points with non-finite squared norms\n"
 
 
 def _drop_index(data):
@@ -572,7 +596,10 @@ def _set_weight(data):
     lambda data: data.pop("gamma0"),
     _set_weight,
     _drop_index,
-], ids=["top-level-list", "missing-gamma0", "string-weight", "branch-without-index"])
+    lambda data: data.update(delta=int("9" * 400)),
+    lambda data: data["manifest"]["problem"]["params"].update(dim=10 ** 19),
+], ids=["top-level-list", "missing-gamma0", "string-weight", "branch-without-index",
+        "400-digit-leaf", "manifest-dim-1e19"])
 def test_verify_malformed_document_is_usage_error(solved, tmp_path, mutate, capsys):
     data = read_json(str(solved / "run.cert.json"))
     out = mutate(data)

@@ -38,7 +38,7 @@ GOLDEN = {
         "22132380cec1e5cb17c3b42c4b364a1fc49dac4486dae7367bf12f65c8f352b7",
         "479fe414e82c5e1f61bb969030eb647e0d0818a459596274f550ec2da5bbc92e"),
     "l1-ball-bisect": (
-        "7f94f13af34c21402a59f63e1922a12e9999e3a6848c3fd90660d32a80d78601",
+        "bd8e1d223309f954ef02fac0a6edf5b3c5ba0252e5d3d68859aa12092baa4d4e",
         "b9922a5313abe746c2fe4688042d3d86ad6d4e8b3d5893ca88df051f198dc261"),
     "footnote-1d-rand": (
         "d5dcdab96de400762821b2167cd0a2cb9efa7f0303d20b58b22bc18a01849670",
@@ -56,7 +56,7 @@ GOLDEN = {
         "23f9b8c9747e463c7ab2413808f52faa524cce2ac043c875d89d56ba6f40ff92",
         "85f7f25020b02d795d499837291e2403782e17a4a20770f09238ad459cd7b57f"),
     "pl-nonconvex-bisect": (
-        "8fc076466b4ef52f4024940deedb43c426fc3cde924d67a4cdac9005e41d9fcd",
+        "f094ade7a0e6e5e734e8e9efcb82b4c9b7f30ac97dc13676c7540a9caf581bb2",
         "8ad0fa8c34b411aec1e40ee1e9cb59a1dab194c05920085c29773e2e11bce073"),
     "ball-linear-n10-rand": (
         "8c70eabfbb5f799046ac95b32a83c60247dccb7d99a9c745b5b8360f423ceaeb",
@@ -68,7 +68,7 @@ GOLDEN = {
         "bef0f7afeb4c9c3560068588aaf6d031a8364a46197eeeec7ffd6b0a77e7ceeb",
         "12d27a4f38d111cd4154c19aa4e9e20ce572e6df9b6b559d7019b4079a92d8fd"),
     "pl-nonconvex-n10-bisect": (
-        "bef8a50da2f9023724fefbe606caca57b8f35b0a075b0420baad4a14836a822f",
+        "7b81b79a6057947ed3b29c59f1073ee488d570206418be0a9c88d7a1fc8d8d67",
         "51920fda47d33c66f431e12c12d3128c1edfbc30149f4c52bb5667bb687e9dcc"),
     "ball-linear-rand-kkt": (
         "2fc65e58d0e31fecb522f01d67027b2352f5dd1bbb81ed0eaca48a66a793df7a",

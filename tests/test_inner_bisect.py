@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
-from goldsub import inner_bisect
-from goldsub.core import Oracle, ProblemSpec, ReducedConstraint, Subproblem
+from goldsub.core import Oracle, ProblemSpec, Subproblem
 from goldsub.errors import BudgetExceededError, ModulusError, UsageError
 from goldsub.inner_bisect import (
     C_BISECT,
@@ -216,52 +213,6 @@ def test_stationary_in_one_call_when_eps_dominates_lipschitz():
     assert result.outcome == STATIONARY
     assert result.oracle_calls == 1
     assert result.zeta_norm <= 1.0
-
-
-def test_custom_v0_is_normalized_and_zero_rejected():
-    record = get_problem("ball-linear")
-    result = bisect_search(np.zeros(2), record.spec, 0.25, 0.5, 100_000,
-                           v0=np.array([0.0, 2.0]))
-    assert result.outcome == DESCENT
-    assert np.allclose(result.combination[0].direction, [0.0, 1.0])
-    with pytest.raises(UsageError):
-        bisect_search(np.zeros(2), record.spec, 0.25, 0.5, 100_000,
-                      v0=np.zeros(2))
-
-
-@pytest.mark.parametrize("v0", [
-    pytest.param([math.nan, 1.0], id="nan"),
-    pytest.param([1.0, 0.0, 0.0], id="wrong-dimension"),
-    pytest.param([[1.0, 0.0]], id="2-d"),
-])
-def test_v0_without_anchor_values_is_validated(v0):
-    record = get_problem("ball-linear")
-    with pytest.raises(UsageError):
-        bisect_search(np.zeros(2), record.spec, 0.25, 0.5, 100_000,
-                      v0=np.array(v0))
-
-
-def test_v0_with_anchor_values_is_taken_as_given(monkeypatch):
-    # solve passes its own previous direction along with the anchor's
-    # values; it is not re-validated, and the search is the validated one's
-    spec = get_problem("pl-nonconvex").spec
-    anchor, v0 = np.array([0.02, -0.01]), np.array([0.6, -0.8])
-    checked = bisect_search(anchor, spec, 0.05, 0.05, 100_000, v0=v0)
-
-    def unexpected(*args):
-        raise AssertionError("v0 re-validated")
-
-    monkeypatch.setattr(inner_bisect, "_as_vector", unexpected)
-    values = (spec.objective.value(anchor),
-              ReducedConstraint(spec).value(anchor)[0])
-    given = bisect_search(anchor, spec, 0.05, 0.05, 100_000, v0=v0,
-                          anchor_values=values)
-    assert checked.iterations >= 1
-    assert given.outcome == checked.outcome
-    assert np.array_equal(given.zeta, checked.zeta)
-    assert given.oracle_calls == checked.oracle_calls
-    assert given.value_calls == checked.value_calls - 1  # the anchor's
-    assert given.combination[0].direction.tolist() == [0.6, -0.8]
 
 
 def test_infeasible_anchor_is_rejected():

@@ -1,14 +1,18 @@
 """The package's public names and its solve knobs, pinned: adding or
-removing an export, a SolverConfig field or a solve option is a deliberate
-change to these lists."""
+removing an export, a SolverConfig field, a solve option or a parameter of
+a solve step is a deliberate change to these lists."""
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import goldsub
 from goldsub.cli import build_parser
+from goldsub.inner_bisect import bisect_search
+from goldsub.inner_rand import rand_search
 from goldsub.serialize import _REQUIRED_CONFIG_KEYS
+from goldsub.solver import certify
 
 PUBLIC = [
     "BISECT", "Branch", "BudgetExceededError", "CertificateReport",
@@ -36,6 +40,16 @@ SOLVE_DESTS = [
     "seed", "tag", "target_eps", "tau", "x0",
 ]
 
+# each solve step's parameters, in order, with the ones that have a default
+SOLVE_STEPS = [
+    (rand_search, ["anchor", "problem", "delta", "eps", "rng", "call_cap",
+                   "anchor_values"], ["anchor_values"]),
+    (bisect_search, ["anchor", "problem", "delta", "eps", "call_cap",
+                     "anchor_values"], ["anchor_values"]),
+    (certify, ["anchor", "combination", "problem", "config", "zeta",
+               "anchor_values"], []),
+]
+
 
 def test_public_names_are_pinned():
     assert sorted(goldsub.__all__) == PUBLIC
@@ -55,3 +69,12 @@ def test_solver_config_fields_are_pinned():
 
 def test_solve_options_are_pinned():
     assert sorted(vars(build_parser().parse_args(["solve"]))) == SOLVE_DESTS
+
+
+def test_solve_step_signatures_are_pinned():
+    for step, names, defaulted in SOLVE_STEPS:
+        params = inspect.signature(step).parameters.values()
+        assert [p.name for p in params] == names, step.__name__
+        assert [p.name for p in params
+                if p.default is not inspect.Parameter.empty] == defaulted, \
+            step.__name__

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from goldsub import inner_rand, verify
-from goldsub.core import OBJECTIVE, Branch, Oracle, ProblemSpec, WeightedSubgradient
+from goldsub.core import (OBJECTIVE, Branch, Oracle, ProblemSpec, ReducedConstraint,
+                          Subproblem, WeightedSubgradient)
 from goldsub.errors import (
     BudgetExceededError,
     CertificationError,
@@ -35,6 +36,15 @@ def unit_combo(vector, branch=OBJECTIVE, point=None):
     point = np.zeros(2) if point is None else np.asarray(point, dtype=float)
     return [WeightedSubgradient(point=point, vector=np.asarray(vector, dtype=float),
                                 branch=branch, weight=1.0)]
+
+
+def certify_as_solve(anchor, combo, spec, config):
+    """``certify`` with what ``solve`` passes: the combination's own sum as
+    zeta, and f and g read at the anchor."""
+    anchor = np.asarray(anchor, dtype=float)
+    values = (spec.objective.value(anchor), ReducedConstraint(spec).value(anchor)[0])
+    return certify(anchor, combo, spec, config, verify.recombine(combo, spec.dim),
+                   values)
 
 
 # ------------------------------------------------------------------ config
@@ -71,7 +81,7 @@ def test_eps_effective_kkt_formula():
 
 def test_certify_fritz_john_eta_bound():
     config = SolverConfig(delta=0.1, target_eps=1.5)
-    cert = certify(np.zeros(2), unit_combo([1.0, 0.0]), BALL.spec, config)
+    cert = certify_as_solve(np.zeros(2), unit_combo([1.0, 0.0]), BALL.spec, config)
     assert cert.fj_eta_bound == 3.0 * 1.0 * 0.1
     assert cert.gamma0 == 1.0
     assert cert.lam == 0.0
@@ -82,7 +92,8 @@ def test_certify_kkt_fields():
     config = SolverConfig(delta=0.1, target_eps=0.1, kkt_mode=True,
                           gcq_sigma=0.5)
     eps_t = config.eps_effective(1.0)
-    cert = certify(np.zeros(2), unit_combo([0.02, 0.0]), BALL.spec, config)
+    cert = certify_as_solve(np.zeros(2), unit_combo([0.02, 0.0]), BALL.spec,
+                            config)
     factor = (0.5 + 1.0) / (0.5 - eps_t)
     assert factor == pytest.approx(3.2)
     assert cert.kkt_eps == pytest.approx(eps_t * factor)
@@ -104,7 +115,7 @@ def test_certify_kkt_without_objective_mass_warns():
                             branch=Branch.constraint(1), weight=0.5),
     ]
     with pytest.warns(UserWarning, match="Fritz-John"):
-        cert = certify(anchor, combo, BALL.spec, config)
+        cert = certify_as_solve(anchor, combo, BALL.spec, config)
     assert cert.lam is None
     assert cert.kkt_eps is None
     assert cert.warnings
@@ -113,29 +124,29 @@ def test_certify_kkt_without_objective_mass_warns():
 def test_certify_rejects_broken_combinations():
     config = SolverConfig(delta=0.1, target_eps=1.5)
     with pytest.raises(CertificationError, match="weights-nonnegative"):
-        certify(np.zeros(2), [], BALL.spec, config)
+        certify_as_solve(np.zeros(2), [], BALL.spec, config)
     bad_weight = unit_combo([1.0, 0.0])
     bad_weight[0] = WeightedSubgradient(np.zeros(2), np.array([1.0, 0.0]),
                                         OBJECTIVE, -0.2)
     with pytest.raises(CertificationError, match="negative"):
-        certify(np.zeros(2), bad_weight, BALL.spec, config)
+        certify_as_solve(np.zeros(2), bad_weight, BALL.spec, config)
     off_simplex = unit_combo([1.0, 0.0])
     off_simplex[0] = WeightedSubgradient(np.zeros(2), np.array([1.0, 0.0]),
                                          OBJECTIVE, 0.9)
     with pytest.raises(CertificationError, match="sum"):
-        certify(np.zeros(2), off_simplex, BALL.spec, config)
+        certify_as_solve(np.zeros(2), off_simplex, BALL.spec, config)
     with pytest.raises(CertificationError, match="zeta-recompute"):
         certify(np.zeros(2), unit_combo([1.0, 0.0]), BALL.spec, config,
-                zeta=np.array([0.5, 0.0]))
+                np.array([0.5, 0.0]), (0.0, -1.0))
     with pytest.raises(CertificationError, match="zeta-norm-bound"):
-        certify(np.zeros(2), unit_combo([1.0, 0.0]), BALL.spec,
-                SolverConfig(delta=0.1, target_eps=0.5))
+        certify_as_solve(np.zeros(2), unit_combo([1.0, 0.0]), BALL.spec,
+                         SolverConfig(delta=0.1, target_eps=0.5))
     far = unit_combo([1.0, 0.0], point=[0.5, 0.0])
     with pytest.raises(CertificationError, match="distance"):
-        certify(np.zeros(2), far, BALL.spec, config)
+        certify_as_solve(np.zeros(2), far, BALL.spec, config)
     with pytest.raises(CertificationError, match="anchor-feasible"):
-        certify(np.array([1.5, 0.0]), unit_combo([1.0, 0.0], point=[1.5, 0.0]),
-                BALL.spec, config)
+        certify_as_solve(np.array([1.5, 0.0]),
+                         unit_combo([1.0, 0.0], point=[1.5, 0.0]), BALL.spec, config)
 
 
 # ------------------------------------------------------------------- solve
@@ -232,6 +243,30 @@ def test_solve_exports_only_the_stationary_combination(monkeypatch, inner):
     _, trace = solve(record.spec, config, record.start)
     assert trace.outer_steps > 0
     assert len(exported) == 1
+
+
+def test_bisect_opens_every_anchor_along_the_first_basis_vector(monkeypatch):
+    # the search opens where it stands, whatever the previous step's
+    # direction was; the call budget does not depend on it
+    queries = []
+    dir_grad = Subproblem.dir_grad
+
+    def spied(sub, z, v):
+        queries.append((sub, np.array(z), np.array(v)))
+        return dir_grad(sub, z, v)
+
+    monkeypatch.setattr(Subproblem, "dir_grad", spied)
+    record = get_problem("pl-nonconvex")
+    config = SolverConfig(delta=0.05, target_eps=0.05, inner=BISECT)
+    _, trace = solve(record.spec, config, record.start)
+    assert trace.outer_steps > 1
+    firsts = {}
+    for sub, z, v in queries:
+        firsts.setdefault(id(sub), (sub, z, v))
+    assert len(firsts) == len(trace.records)
+    for (sub, z, v), rec in zip(firsts.values(), trace.records):
+        assert z.tolist() == rec["x"] == sub.anchor.tolist()
+        assert v.tolist() == [1.0, 0.0]
 
 
 def test_unconstrained_embedding_keeps_lambda_zero():
@@ -335,12 +370,9 @@ def test_non_finite_anchor_reads_raise_oracle_error(broken):
     # solve reads f(x0) and g(x0) at the start
     with pytest.raises(OracleError):
         solve(bad, config, np.zeros(2))
-    # certify reads f(anchor) and every g_i(anchor); the combination itself
-    # passes every structural check, and caller-supplied anchor values skip
-    # only the first reads
-    with pytest.raises(OracleError):
-        certify(np.zeros(2), unit_combo([1.0, 0.0]), bad, config)
+    # certify takes f and g from solve but reads every g_i(anchor) itself;
+    # the combination passes every structural check
     if broken == "constraint":
         with pytest.raises(OracleError):
             certify(np.zeros(2), unit_combo([1.0, 0.0]), bad, config,
-                    anchor_values=(0.0, -1.0))
+                    np.array([1.0, 0.0]), (0.0, -1.0))

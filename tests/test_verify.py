@@ -314,7 +314,11 @@ def ten_tenths_certificate():
     combo = [entry(OBJECTIVE, 0.1, point=(s * 0.01, s * 0.01), vector=(s, s))
              for s in (1.0, -1.0) * 5]
     config = SolverConfig(delta=0.05, target_eps=0.05)
-    return record, certify(np.zeros(2), combo, record.spec, config)
+    anchor = np.zeros(2)
+    values = (record.spec.objective.value(anchor),
+              ReducedConstraint(record.spec).value(anchor)[0])
+    return record, certify(anchor, combo, record.spec, config,
+                           verify.recombine(combo, 2), values)
 
 
 def test_multiplier_split_of_inexact_objective_weights_is_exact():
