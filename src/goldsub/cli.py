@@ -9,7 +9,7 @@ Documents are JSON (see serialize).  Exit codes are stable:
     4  infeasible starting point
     5  oracle returned non-finite or malformed output
     6  certificate failed verification (by verify, or by certify in solve)
-    7  certificate corrupt (stored vectors disagree with recomputation)
+    7  certificate corrupt (stored data disagrees with recomputation)
     8  bisection step cap exhausted (nonconvexity metadata understated)
 
 The default output directory is --out-dir, then $GOLDSUB_OUT_DIR, then the
@@ -186,6 +186,14 @@ def cmd_verify(args) -> int:
         raise UsageError("certificate has no embedded manifest; "
                          "pass --problem (and --param) explicitly")
     record = get_problem(name, **params)
+    if manifest is not None:  # the claim checked is the manifest's own
+        config = config_from_data(manifest.get("config"))
+        claimed = (cert.delta, cert.eps_effective, cert.gcq_sigma)
+        configured = (config.delta, config.eps_effective(record.spec.lipschitz_m),
+                      config.gcq_sigma if config.kkt_mode else None)
+        if claimed != configured:
+            raise UsageError("certificate claims (delta, eps_effective, gcq_sigma) "
+                             "= %r, its manifest %r" % (claimed, configured))
 
     report = check_certificate(cert, record.spec, samples=args.samples,
                                seed=args.seed, stop_at_first_failure=args.fast)

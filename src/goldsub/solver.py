@@ -12,7 +12,8 @@ subgradients behind the final small zeta, split into objective mass gamma0
 and constraint mass gamma.  gamma0 > 0 yields the multiplier
 lambda = gamma / gamma0 and, with a constraint-qualification level sigma,
 approximate KKT residuals; gamma0 = 0 still certifies Fritz-John
-stationarity.  The split and the checks are the verifier's own functions.
+stationarity.  The split, the checks, eps_effective and the KKT claims are
+the verifier's own functions.
 Complementary slackness needs no sampling here: the construction bounds
 |gamma * g| by 3*M*delta over the ball, and ``goldsub verify`` re-checks it.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-import warnings as _pywarn
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from .inner_rand import C_RAND, STATIONARY, rand_call_budget, rand_search
 from .verify import (CheckResult, GoldsteinCertificate, check_anchor_feasible,
                      check_points_in_ball, check_weights_nonnegative,
                      check_weights_sum, check_zeta_norm, check_zeta_recompute,
-                     multiplier_split)
+                     eps_effective, kkt_claims, multiplier_split)
 
 RAND = "rand"
 BISECT = "bisect"
@@ -91,10 +92,8 @@ class SolverConfig:
             raise UsageError("inner_call_cap must be at least 1")
 
     def eps_effective(self, lipschitz_m: float) -> float:
-        if not self.kkt_mode:
-            return self.target_eps
-        eps, sigma = self.target_eps, self.gcq_sigma
-        return sigma * eps / (eps + sigma + lipschitz_m)
+        return eps_effective(self.target_eps, lipschitz_m,
+                             self.gcq_sigma if self.kkt_mode else None)
 
 
 @dataclass
@@ -149,7 +148,8 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     a failure means a bug or broken metadata, never a user error.  ``zeta``
     is the solver's own accumulated sum, so the recombination residual is an
     honest measurement, and ``anchor_values = (f(anchor), g(anchor))`` are
-    the values the solver read at the anchor.
+    the values the solver read at the anchor: certify calls no oracle.  Each
+    of the KKT claims' warnings is also raised as a UserWarning.
     """
     anchor = _as_vector(anchor, problem.dim)
     m = problem.lipschitz_m
@@ -169,32 +169,18 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     _require(check_anchor_feasible(g_anchor))
 
     gamma0, gamma, lam = multiplier_split(combination)
-    warnings: list[str] = []
-    kkt_eps = kkt_eta = kkt_lambda_bound = None
-    if config.kkt_mode:
-        if gamma0 > 0.0:
-            sigma = config.gcq_sigma
-            factor = (sigma + m) / (sigma - eps_t)
-            kkt_eps = eps_t * factor
-            kkt_eta = 3.0 * m * delta * factor
-            kkt_lambda_bound = factor - 1.0
-        else:
-            msg = ("objective weight mass is zero: constraint qualification "
-                   "failed empirically, certifying Fritz-John stationarity "
-                   "only and leaving the multiplier undefined")
-            warnings.append(msg)
-            _pywarn.warn(msg)
+    sigma = config.gcq_sigma if config.kkt_mode else None
+    kkt_eps, kkt_eta, kkt_lambda_bound, notes = kkt_claims(eps_t, sigma, m,
+                                                           delta, gamma0)
+    for note in notes:
+        warnings.warn(note)
 
     return GoldsteinCertificate(
         anchor=anchor, zeta=zeta, zeta_norm=zeta_norm,
         combination=list(combination), gamma0=gamma0, gamma=gamma, lam=lam,
-        eps_effective=eps_t, fj_eta_bound=3.0 * m * delta, delta=delta,
-        lipschitz_m=m, f_anchor=float(f_anchor), g_anchor=float(g_anchor),
-        per_constraint_g=[_finite_value(c.value(anchor), "constraint %d value", i)
-                          for i, c in enumerate(problem.constraints, start=1)],
-        kkt_eps=kkt_eps, kkt_eta=kkt_eta, kkt_lambda_bound=kkt_lambda_bound,
-        gcq_sigma=config.gcq_sigma if config.kkt_mode else None,
-        warnings=warnings)
+        eps_effective=eps_t, delta=delta, f_anchor=float(f_anchor),
+        g_anchor=float(g_anchor), kkt_eps=kkt_eps, kkt_eta=kkt_eta,
+        kkt_lambda_bound=kkt_lambda_bound, gcq_sigma=sigma, warnings=notes)
 
 
 def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCertificate, SolveTrace]:

@@ -1,15 +1,17 @@
 """Brute-force checks that do not trust the solver.
 
 Three layers: an exact-ish minimal-norm-point routine over a finite hull, a
-sampled Goldstein subdifferential estimate built on it, and certificate /
-constraint-qualification checkers that re-run every oracle themselves.  The
-sampled hull is always a subset of the true Goldstein subdifferential, so
-the estimate is a valid upper bound on dist(0, set): a small value proves
-approximate stationarity, a large one only fails to prove it.
+sampled Goldstein subdifferential estimate built on it, and a certificate
+checker that re-runs every oracle itself.  The sampled hull is always a
+subset of the true Goldstein subdifferential, so the estimate is a valid
+upper bound on dist(0, set): a small value proves approximate
+stationarity, a large one only fails to prove it.
 
-The certificate type, its checks and the multiplier split live here;
-``solver.certify`` runs the unsampled checks too, so their arithmetic and
-tolerances are defined once.  Nothing here imports the solver.
+The certificate type, its checks, the multiplier split and the formulas of
+every derived claim (eps_effective, the KKT residuals and the warnings)
+live here; ``solver.certify`` runs the unsampled checks and builds its
+claims with the same functions, so their arithmetic and tolerances are
+defined once.  Nothing here imports the solver.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .core import (ProblemSpec, ReducedConstraint, Subproblem, Vector,
                    WeightedSubgradient, _as_vector, _check_samples,
-                   _finite_grads, _finite_value, sample_ball, sample_blocks)
+                   sample_ball, sample_blocks)
 from .errors import UsageError
 
 HULL_TOL = 1e-8
@@ -29,9 +31,6 @@ WEIGHT_SUM_TOL = 1e-12
 VECTOR_MATCH_REL = 1e-9  # times the problem Lipschitz bound
 SLACK_TOL = 1e-9
 ESTIMATE_FACTOR = 1.1
-
-HOLDS = "holds-empirically"
-VIOLATED = "violated"
 
 # frozen check names, in evaluation order; the first failure is the report's
 # headline reason, and recompute mismatches are the "corrupt" class
@@ -46,8 +45,10 @@ CHECK_ORDER = (
     "anchor-feasible",
     "complementary-slackness",
     "stationarity-estimate",
+    "claims-recompute",
 )
-CORRUPT_CHECKS = frozenset({"vector-recompute", "zeta-recompute"})
+CORRUPT_CHECKS = frozenset({"vector-recompute", "zeta-recompute",
+                            "claims-recompute"})
 
 
 @dataclass
@@ -58,9 +59,10 @@ class GoldsteinCertificate:
     in the closed delta-ball around the anchor, and objective/constraint
     branch tags split the unit weight mass into gamma0 and gamma.  ``lam``
     is gamma/gamma0, or None when gamma0 = 0 (Fritz-John only).  The kkt_*
-    fields are present exactly when the solve ran in KKT mode with
-    gamma0 > 0.  By construction |gamma * g(z)| <= 3*M*delta over the ball,
-    which the verifier's complementary-slackness check samples.
+    fields and ``warnings`` are ``kkt_claims`` of the other fields, and
+    ``gcq_sigma`` is set exactly in KKT mode.  By construction
+    |gamma * g(z)| <= 3*M*delta over the ball, which the verifier's
+    complementary-slackness check samples.
     """
 
     anchor: Vector
@@ -71,12 +73,9 @@ class GoldsteinCertificate:
     gamma: float
     lam: float | None
     eps_effective: float
-    fj_eta_bound: float
     delta: float
-    lipschitz_m: float
     f_anchor: float
     g_anchor: float
-    per_constraint_g: list[float]
     kkt_eps: float | None = None
     kkt_eta: float | None = None
     kkt_lambda_bound: float | None = None
@@ -244,52 +243,6 @@ def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
 
 
 @dataclass
-class GcqReport:
-    """Outcome of the empirical constraint-qualification probe."""
-
-    outcome: str
-    near_active: list[int]
-    bound: float
-    estimate: HullEstimate | None
-
-
-def check_gcq(anchor, problem: ProblemSpec, a: float, b: float, c: float,
-              n_samples: int = 1000, seed: int = 0) -> GcqReport:
-    """Probe the (a, b, c) constraint qualification at a feasible anchor.
-
-    Constraints with g_i(anchor) >= -c are near-active; their subgradients
-    are sampled over B(anchor, a), each at its own draw of n_samples rows,
-    drawn in index order from one stream seeded by ``seed``, and the hull
-    of the union must keep norm at least b.  A hull norm below b is a
-    genuine violation witness; at or above b (or with no near-active
-    constraint) the result is only "holds-empirically", since sampling can
-    never prove the qualification.
-    """
-    if not (a > 0 and b > 0 and c > 0):
-        raise UsageError("a, b, c must be positive")
-    _check_samples(n_samples, "n_samples", least=1)
-    anchor = _as_vector(anchor, problem.dim)
-    near_active = [
-        i for i, oracle in enumerate(problem.constraints, start=1)
-        if _finite_value(oracle.value(anchor), "constraint %d value", i) >= -c
-    ]
-    if not near_active:
-        return GcqReport(outcome=HOLDS, near_active=[], bound=b, estimate=None)
-    rng = np.random.default_rng(seed)
-    grads = np.empty((n_samples * len(near_active), problem.dim))
-    for i, rows in zip(near_active, np.split(grads, len(near_active))):
-        oracle = problem.constraints[i - 1]
-        for block in _row_blocks(rows):
-            points = sample_ball(anchor, a, rng, size=len(block))
-            block[...] = _finite_grads(oracle, points, problem.dim,
-                                       "constraint %d grad", i)
-    estimate = min_norm_over_hull(grads)
-    outcome = VIOLATED if estimate.min_norm < b else HOLDS
-    return GcqReport(outcome=outcome, near_active=near_active, bound=b,
-                     estimate=estimate)
-
-
-@dataclass
 class CheckResult:
     name: str
     passed: bool
@@ -368,6 +321,33 @@ def slack_bound(m: float, delta: float) -> float:
     return 3.0 * m * delta + SLACK_TOL
 
 
+NO_OBJECTIVE_MASS = ("objective weight mass is zero: constraint qualification "
+                     "failed empirically, certifying Fritz-John stationarity "
+                     "only and leaving the multiplier undefined")
+
+
+def eps_effective(target_eps: float, m: float, gcq_sigma: float | None) -> float:
+    """target_eps without sigma (Fritz-John mode), else sigma*eps/(eps+sigma+M)."""
+    if gcq_sigma is None:
+        return target_eps
+    return gcq_sigma * target_eps / (target_eps + gcq_sigma + m)
+
+
+def kkt_claims(eps_t: float, gcq_sigma: float | None, m: float, delta: float,
+               gamma0: float):
+    """(kkt_eps, kkt_eta, kkt_lambda_bound, warnings): none without sigma;
+    with it and gamma0 > 0, eps_t and 3*M*delta times (sigma + M)/(sigma -
+    eps_t), and that factor minus 1 (infinite, a vacuous claim, unless
+    sigma > eps_t, as in every solve); with gamma0 = 0 only a warning."""
+    if gcq_sigma is None:
+        return None, None, None, []
+    if not gamma0 > 0.0:
+        return None, None, None, [NO_OBJECTIVE_MASS]
+    factor = ((gcq_sigma + m) / (gcq_sigma - eps_t) if gcq_sigma > eps_t
+              else math.inf)
+    return eps_t * factor, 3.0 * m * delta * factor, factor - 1.0, []
+
+
 def multiplier_split(combination: list[WeightedSubgradient]):
     """(gamma0, gamma, lam): objective weight mass, 1 - gamma0, gamma/gamma0.
 
@@ -438,19 +418,38 @@ def _staged_estimate(sub: Subproblem, draw: _BallDraw,
                        % (estimate.min_norm, limit, count, len(draw.rows)))
 
 
+def check_claims(cert: GoldsteinCertificate, problem: ProblemSpec,
+                 zeta_norm: float, sub: Subproblem, gamma0: float) -> CheckResult:
+    """Every stored number that follows from the rest, from the verifier's
+    own ||zeta||, anchor values ``sub`` and gamma0; delta must lie below the
+    neighborhood radius, inside which M bounds every oracle."""
+    expected = [("zeta_norm", zeta_norm), ("f_anchor", sub.f_anchor),
+                ("g_anchor", sub.g_anchor), *zip(
+                    ("kkt_eps", "kkt_eta", "kkt_lambda_bound", "warnings"),
+                    kkt_claims(cert.eps_effective, cert.gcq_sigma,
+                               problem.lipschitz_m, cert.delta, gamma0))]
+    mismatched = [] if cert.delta < problem.neighborhood_delta else ["delta"]
+    mismatched += [name for name, value in expected
+                   if getattr(cert, name) != value]
+    return CheckResult("claims-recompute", not mismatched,
+                       "mismatched: %s" % (", ".join(mismatched) or "none"))
+
+
 def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
                       samples: int = 10_000, seed: int = 0,
                       stop_at_first_failure: bool = False) -> CertificateReport:
     """Re-verify a certificate against the problem oracles from scratch.
 
     Nothing inside the certificate is trusted: weights, ball membership,
-    every stored subgradient, the recombined zeta, the multiplier split, and
-    the sampled complementary-slackness and independent stationarity bounds
-    are all recomputed.  Both sampled checks read one uniform draw of
-    ``samples`` rows of the delta-ball from stream ``seed + 1``, drawn only
-    as far as they read it: the slackness check reads every row (none at
-    gamma = 0), and the estimate reads prefixes of 64, 128, 256, ... rows
-    until one passes.  Checks run in CHECK_ORDER;
+    every stored subgradient, the recombined zeta, the multiplier split, the
+    sampled complementary-slackness and independent stationarity bounds,
+    and every derived claim are all recomputed.  The stated delta,
+    eps_effective and gcq_sigma are the claim checked; ``goldsub verify``
+    binds them to the embedded manifest.  Both sampled checks read one
+    uniform draw of ``samples`` rows of the delta-ball from stream
+    ``seed + 1``, drawn only as far as they read it: the slackness check
+    reads every row (none at gamma = 0), and the estimate reads prefixes of
+    64, 128, 256, ... rows until one passes.  Checks run in CHECK_ORDER;
     with stop_at_first_failure the remaining (possibly expensive) checks are
     never computed once the headline reason is known.
     """
@@ -458,11 +457,14 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
         raise UsageError("seed must be nonnegative")
     _check_samples(samples, "samples", least=1)
     report = CertificateReport()
-    for check in _checks(cert, problem, samples, seed):
-        check.passed = bool(check.passed)  # numpy comparisons give np.bool_
-        report.checks.append(check)
-        if stop_at_first_failure and not check.passed:
-            break
+    # a stored number so large that arithmetic on it overflows fails its
+    # check with an infinite residual, silently
+    with np.errstate(over="ignore"):
+        for check in _checks(cert, problem, samples, seed):
+            check.passed = bool(check.passed)  # numpy comparisons give np.bool_
+            report.checks.append(check)
+            if stop_at_first_failure and not check.passed:
+                break
     return report
 
 
@@ -500,7 +502,8 @@ def _checks(cert, problem, samples, seed):
 
     zeta = _as_vector(cert.zeta, dim)
     yield check_zeta_recompute(combo, zeta, m)
-    yield check_zeta_norm(float(np.linalg.norm(zeta)), cert.eps_effective)
+    zeta_norm = float(np.linalg.norm(zeta))
+    yield check_zeta_norm(zeta_norm, cert.eps_effective)
 
     gamma0, gamma, lam = multiplier_split(combo)
     split_ok = (abs(gamma0 - cert.gamma0) <= 1e-12
@@ -518,3 +521,4 @@ def _checks(cert, problem, samples, seed):
     slack_max = sampled_slack(ReducedConstraint(problem), cert.gamma, draw)
     yield check_slackness(slack_max, m, delta)
     yield _staged_estimate(sub, draw, ESTIMATE_FACTOR * cert.eps_effective)
+    yield check_claims(cert, problem, zeta_norm, sub, gamma0)

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goldsub import solver, verify
 from goldsub.cli import (
@@ -20,6 +24,7 @@ from goldsub.cli import (
     main,
 )
 from goldsub.errors import CertificationError
+from goldsub.problems import ball_linear_sigma
 from goldsub.serialize import read_json
 
 SOLVE = ["solve", "--problem", "ball-linear", "--delta", "0.05",
@@ -352,22 +357,31 @@ def test_verify_accepts_a_fresh_certificate(solved, capsys):
     rc = main(["verify", str(solved / "run.cert.json")] + FAST_VERIFY)
     assert rc == EXIT_OK
     out = capsys.readouterr().out
-    assert out.count("PASS") == 10
-    assert "certificate OK (10 checks)" in out
+    assert out.count("PASS") == 11
+    assert "certificate OK (11 checks)" in out
+
+
+def _add_slack_keys(data):
+    # certificates of solves that still sampled slackness carry these keys
+    data.update(slack_samples=1000, slack_max=0.01, slack_bound=0.15)
+    data["manifest"]["config"]["slackness_samples"] = 1000
+
+
+def _add_unread_keys(data):
+    # and those written before the fields that nothing read were deleted
+    data.update(fj_eta_bound=0.15, lipschitz_m=1.0, per_constraint_g=[-0.5])
 
 
 def test_verify_ignores_the_retired_certificate_keys(solved, tmp_path, capsys):
-    # certificates of solves that still sampled slackness carry these keys
-    def add_keys(data):
-        data.update(slack_samples=1000, slack_max=0.01, slack_bound=0.15)
-        data["manifest"]["config"]["slackness_samples"] = 1000
-
-    path = rewrite(solved / "run.cert.json", tmp_path / "old.json", add_keys)
     runs = []
-    for cert in (str(solved / "run.cert.json"), path):
+    for cert in (str(solved / "run.cert.json"),
+                 rewrite(solved / "run.cert.json", tmp_path / "old.json",
+                         _add_slack_keys),
+                 rewrite(solved / "run.cert.json", tmp_path / "older.json",
+                         _add_unread_keys)):
         rc = main(["verify", cert] + FAST_VERIFY)
         runs.append((rc, capsys.readouterr().out))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     assert runs[0][0] == EXIT_OK
 
 
@@ -380,6 +394,147 @@ def test_verify_uses_problem_flag_when_manifest_is_missing(solved, tmp_path, cap
     assert "manifest" in capsys.readouterr().err
     rc = main(["verify", path, "--problem", "ball-linear"] + FAST_VERIFY)
     assert rc == EXIT_OK
+
+
+@pytest.fixture(scope="module")
+def solved_kkt(tmp_path_factory):
+    out = tmp_path_factory.mktemp("solved-kkt")
+    rc = main(SOLVE + ["--kkt", "--sigma", repr(ball_linear_sigma(0.05)),
+                       "--out-dir", str(out), "--tag", "run"])
+    assert rc == EXIT_OK
+    return out
+
+
+def _forge(data):
+    """Ball-linear x = 0 with one objective entry: (0.05, 5)-stationary, so a
+    true claim at eps_effective = 5, but not what its manifest configures."""
+    data.update(anchor=[0.0, 0.0], zeta=[1.0, 0.0], zeta_norm=1.0, gamma0=1.0,
+                gamma=0.0, f_anchor=0.0, g_anchor=-1.0, eps_effective=5.0,
+                combination=[{"point": [0.0, 0.0], "vector": [1.0, 0.0],
+                              "branch": {"kind": "objective"}, "weight": 1.0,
+                              "direction": None}])
+    data["lambda"] = 0.0
+
+
+def _forge_delta_100(data):
+    _forge(data)
+    data["delta"] = 100.0
+
+
+def _without_manifest(mutate):
+    def strip(data):
+        mutate(data)
+        data["manifest"] = None
+    return strip
+
+
+BARE = ["--problem", "ball-linear"]
+
+
+# (certificate, mutation, extra verify flags, exit code, text of the output)
+FORGERIES = {
+    "eps-5": ("rand", _forge, [], EXIT_USAGE, "its manifest"),
+    "eps-5-delta-100": ("rand", _forge_delta_100, [], EXIT_USAGE, "its manifest"),
+    "eps-5-bare": ("rand", _without_manifest(_forge), BARE, EXIT_OK,
+                   "vs eps = 5\n"),
+    "eps-5-delta-100-bare": ("rand", _without_manifest(_forge_delta_100), BARE,
+                             EXIT_CORRUPT, "mismatched: delta\n"),
+    "f-anchor": ("rand", lambda d: d.update(f_anchor=-100.0), [], EXIT_CORRUPT,
+                 "mismatched: f_anchor\n"),
+    "g-anchor": ("rand", lambda d: d.update(g_anchor=3.0), [], EXIT_CORRUPT,
+                 "mismatched: g_anchor\n"),
+    "zeta-norm": ("rand", lambda d: d.update(zeta_norm=123.0), [], EXIT_CORRUPT,
+                  "mismatched: zeta_norm\n"),
+    "warnings": ("rand", lambda d: d.update(warnings=["bogus"]), [],
+                 EXIT_CORRUPT, "mismatched: warnings\n"),
+    "kkt-eps": ("kkt", lambda d: d.update(kkt_eps=d["kkt_eps"] * 1.5), [],
+                EXIT_CORRUPT, "mismatched: kkt_eps\n"),
+    "kkt-eta": ("kkt", lambda d: d.update(kkt_eta=d["kkt_eta"] / 2.0), [],
+                EXIT_CORRUPT, "mismatched: kkt_eta\n"),
+    "kkt-lambda-bound": ("kkt", lambda d: d.update(kkt_lambda_bound=100.0), [],
+                         EXIT_CORRUPT, "mismatched: kkt_lambda_bound\n"),
+    "kkt-sigma": ("kkt", lambda d: d.update(gcq_sigma=0.5), [], EXIT_USAGE,
+                  "its manifest"),
+    # sigma = eps_effective would divide by zero in the KKT factor
+    "kkt-sigma-at-eps-bare": (
+        "kkt", _without_manifest(lambda d: d.update(gcq_sigma=d["eps_effective"])),
+        BARE, EXIT_CORRUPT, "mismatched: kkt_eps, kkt_eta, kkt_lambda_bound\n"),
+}
+
+
+@pytest.mark.parametrize("case", FORGERIES)
+def test_verify_binds_every_claim(solved, solved_kkt, tmp_path, case, capsys):
+    kind, mutate, flags, code, text = FORGERIES[case]
+    source = (solved if kind == "rand" else solved_kkt) / "run.cert.json"
+    path = rewrite(source, tmp_path / "forged.json", mutate)
+    assert main(["verify", path] + FAST_VERIFY + flags) == code
+    out, err = capsys.readouterr()
+    assert text in (err if code == EXIT_USAGE else out)
+    if code == EXIT_USAGE:
+        assert err.startswith("error: certificate claims") and out == ""
+    elif code == EXIT_CORRUPT:
+        assert "REJECTED: claims-recompute" in err
+        assert out.count("PASS") == 10
+
+
+def _leaf_paths(data, path=()):
+    """Key paths of every leaf of a parsed document, empty containers too."""
+    items = (data.items() if isinstance(data, dict)
+             else enumerate(data) if isinstance(data, list) else ())
+    found = [leaf for key, value in items
+             for leaf in _leaf_paths(value, path + (key,))]
+    return found or [path]
+
+
+def _verify_quietly(path) -> tuple[int, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", path, "--fast", "--samples", "200"])
+    return rc, out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def fuzz_targets(solved, solved_kkt, tmp_path_factory):
+    """(document, leaf paths, unmutated verify outcome) of a rand, a bisect
+    and a KKT certificate, and a path to write mutants to."""
+    out = tmp_path_factory.mktemp("fuzz")
+    assert main(SOLVE[:-3] + ["bisect", "--out-dir", str(out), "--tag", "run"]) \
+        == EXIT_OK
+    targets = []
+    for source in (solved, out, solved_kkt):
+        path = str(source / "run.cert.json")
+        data = read_json(path)
+        targets.append((data, _leaf_paths(data), _verify_quietly(path)))
+    return targets, str(out / "mutant.json")
+
+
+LEAF_VALUES = [None, "x", [1.0], {"a": 1.0}, 1e308, -1e308, 0, -1, True,
+               int("9" * 400)]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.integers(0, 2), st.integers(0, 10**6), st.sampled_from(LEAF_VALUES))
+def test_verify_survives_any_one_leaf_mutation(fuzz_targets, which, pick, value):
+    targets, path = fuzz_targets
+    data, leaves, unmutated = targets[which]
+    mutant = json.loads(json.dumps(data))
+    *parents, last = leaves[pick % len(leaves)]
+    node = mutant
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    with open(path, "w") as handle:
+        json.dump(mutant, handle)
+    rc, out = _verify_quietly(path)
+    if rc == EXIT_OK and (rc, out) != unmutated:
+        # a point moved inside the ball where its subgradient is unchanged
+        # is still a certificate; only its distance line differs
+        changed = {line.split()[1] for line, old in zip(
+            out.splitlines(), unmutated[1].splitlines()) if line != old}
+        assert changed == {"points-in-ball"}, out
+    else:
+        assert (rc, out) == unmutated or rc in (EXIT_USAGE, EXIT_VERIFY_FAILED,
+                                                EXIT_CORRUPT)
 
 
 def test_verify_rejects_weight_fault(solved, tmp_path, capsys):

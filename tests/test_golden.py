@@ -29,49 +29,49 @@ EPS = 0.05
 # (member, params, inner, kkt) -> (certificate digest, trace digest)
 GOLDEN = {
     "ball-linear-rand": (
-        "12f2c6d2694b47dba325a22589cfe265a36fae626a6e7f45e5a0c3312e16fb3e",
+        "0f320b07cbc9d768e3fc511b9bdee1277e08a6b08e3c0525841f32e3a0b08da4",
         "7fdb66223de9618e9a369fe9cb9231eba7436e878dbf27d97725b43ddfe8d4c8"),
     "ball-linear-bisect": (
-        "276418e4cf6f1a3332cd94e801781ac47d3a651e1f7927bb9099058c310f9d51",
+        "608f3a3f2a5985665da5cfc500c3af6ca2db02910daf4104f8738ddda530d0e3",
         "6cd834a5739bf404a3ed8f9b049facb469747e3e5fc53e22df924e66d9c24649"),
     "l1-ball-rand": (
-        "22132380cec1e5cb17c3b42c4b364a1fc49dac4486dae7367bf12f65c8f352b7",
+        "89c587e56570ec812a6d6f14c2ad07d5784e844f8c55d61b2a14ab2d658efa2c",
         "479fe414e82c5e1f61bb969030eb647e0d0818a459596274f550ec2da5bbc92e"),
     "l1-ball-bisect": (
-        "bd8e1d223309f954ef02fac0a6edf5b3c5ba0252e5d3d68859aa12092baa4d4e",
+        "c5574f6d852a193f95562221dc75dfcd1be78f1b1cbc6cdd84197f19fa714eca",
         "b9922a5313abe746c2fe4688042d3d86ad6d4e8b3d5893ca88df051f198dc261"),
     "footnote-1d-rand": (
-        "d5dcdab96de400762821b2167cd0a2cb9efa7f0303d20b58b22bc18a01849670",
+        "a25cf3812c410cb9f7cb2fc772c01eca0b1a57473305aa028086b5a97a490f18",
         "917d6e14c5295218066afb84ae276b1787cc11a623118251de4df8455f8b4d07"),
     "footnote-1d-bisect": (
-        "8780be063189585619c91c29bb50c90b8c1d5fb6c317af47fa31d96bc6218aae",
+        "2328fee6bc918f49d7cfd15d5dbc489052947d51c08c71a9fd105a754e9d119c",
         "4c619b5a780290e887b9a4702ccd00c17249156df6c260cb6e3e73c8b980e7f2"),
     "footnote-2c-rand": (
-        "5a69a2b29a80fbdb97d4dc5b55502cde0b379b30276591ab44852733110f6a79",
+        "77cc49606219aa58e6a1b57c313f7398793a75515730c910014ec5c2388fd0fe",
         "1018c39a0369464e4099fa1552acf2a0be772a1b251c49197a7d7378b53a17d1"),
     "footnote-2c-bisect": (
-        "fff7044f929953884cc53942d57389737cb6249ba890984ecd2337950ae965ad",
+        "eb1da6a7fc53ea0619c0bd39804bd92168810a543871b70c610089ffa5fc464e",
         "dddd466f3cfade7d1d70c3ec3aaf0e39705407ff575c77e45e9d5821f311e88c"),
     "pl-nonconvex-rand": (
-        "23f9b8c9747e463c7ab2413808f52faa524cce2ac043c875d89d56ba6f40ff92",
+        "b9d7f6f2fb9afe0e00072671e535fbc8e3c8e8a1eff5a08707b78cb9db0b63ca",
         "85f7f25020b02d795d499837291e2403782e17a4a20770f09238ad459cd7b57f"),
     "pl-nonconvex-bisect": (
-        "f094ade7a0e6e5e734e8e9efcb82b4c9b7f30ac97dc13676c7540a9caf581bb2",
+        "03fe22be3e785f8e49d312d3ea630e765702a3a8c567b82fb0aba96baa625dc6",
         "8ad0fa8c34b411aec1e40ee1e9cb59a1dab194c05920085c29773e2e11bce073"),
     "ball-linear-n10-rand": (
-        "8c70eabfbb5f799046ac95b32a83c60247dccb7d99a9c745b5b8360f423ceaeb",
+        "8337fb52fe6107d10c875628857e6a944eae2aea7bc02805b3b02becfadcd3ae",
         "7c616bab7adb03e67ffd2e5083b07637ce4e96e405547b8239e98111f2403175"),
     "ball-linear-n10-bisect": (
-        "d64c79184b18a34161547e04e6dcd9be5369547f7ec6346d1b38de3876a5eeb8",
+        "2cf3cfd6b1443d81c235304c050d4e4898ba39a6848f258cf3756c352f352203",
         "737afb92dfcb0a57ebc46ebfc768d977357c872fca5f898fadfcf07089b896cf"),
     "pl-nonconvex-n10-rand": (
-        "bef0f7afeb4c9c3560068588aaf6d031a8364a46197eeeec7ffd6b0a77e7ceeb",
+        "138138e560be1c1fb681915e90499372cb30c8694beeb6a394c3d2e623ad2120",
         "12d27a4f38d111cd4154c19aa4e9e20ce572e6df9b6b559d7019b4079a92d8fd"),
     "pl-nonconvex-n10-bisect": (
-        "7b81b79a6057947ed3b29c59f1073ee488d570206418be0a9c88d7a1fc8d8d67",
+        "9fbe5644b33f7fc329c008526cedd1afd74fe185ed51dc3391765a7d186638eb",
         "51920fda47d33c66f431e12c12d3128c1edfbc30149f4c52bb5667bb687e9dcc"),
     "ball-linear-rand-kkt": (
-        "2fc65e58d0e31fecb522f01d67027b2352f5dd1bbb81ed0eaca48a66a793df7a",
+        "be4dc6c322296745345c3e87932b51aaf898aa25928cc961b993e554d29ace5a",
         "fd62bbbb6b70880e8386a765e6c1f153169086ded4b4dccb8df7e42882743cec"),
 }
 
@@ -79,35 +79,35 @@ GOLDEN = {
 # same cells -> digest of the verify report on the decoded certificate
 REPORTS = {
     "ball-linear-rand":
-        "b3cc989174f625561d7e17989ad8e6cce0bf5ceb729df04c836b5343875f8d50",
+        "28007835fe929ec70ed6405c0db19654dd676ab8f76686991ce4eba8b7b48c79",
     "ball-linear-bisect":
-        "4591d6065491e9c4b98cd659cac9961cd2230692ed6b8cd80f57c88dfd539011",
+        "ab514f6473418a943326bea6422c1956937576cd0717b8c9227fda2343ee65fd",
     "l1-ball-rand":
-        "3601c95ab78d168ee766eac1d4a384f7caf5972c7101cd856a5e03501d17f970",
+        "7410de9fd305320e98e3f9d8c060935f21880596549b21baf0504bdce03ae10f",
     "l1-ball-bisect":
-        "b514db21f0e39ea89daab2dd2de47f4686e035510ebc1dec5723fcc7f73bcc18",
+        "3015cc149062b661531ddc0095fd77d9438ebb0335de524a3c7494e17cd8f745",
     "footnote-1d-rand":
-        "949f21e88aa50b093ac9adf5ff2a13882814ec17ef296dd8f09c1d2ccd87e64a",
+        "1cc7130f5e18d76fa2cddfe83534188ccd891d416cbc6e17b5880a42b87461b1",
     "footnote-1d-bisect":
-        "2f370bdc8a7bae5f8ddf29770bae6ea976515e916bf11acb3b8f98a9ac3dc1c1",
+        "8375d8f256b9fa1619b55ca1a427d0cb7d7bb1a408948fef2ba5f654e3579400",
     "footnote-2c-rand":
-        "73219702dcbfdb99dabe1ba1afadb715642e2be5f369f2e6151a1525ad2734ec",
+        "0b230c4decad5cbda5777edca94f5988f09c6f781b206a5274e516b956c2c882",
     "footnote-2c-bisect":
-        "b4cb272dc4ba859a444729161124754d258b1e48f92fb913c485a916602801c7",
+        "6f769825f08215cf7c3c604fdfa063060d3aa424b48a8cc1bd418edfdc920fd2",
     "pl-nonconvex-rand":
-        "aa4045716997e5b7dd7b73c1f83774dbc2235b3b180ada0b7afc961b3dc14728",
+        "8648887e9f0381fbe391ca193e406bd9611565bc1b508dbb862923d66dc6dd09",
     "pl-nonconvex-bisect":
-        "a8a5b1630d1ef0d1d20688926b03b4e091af44f62f31a91d774bae862905d349",
+        "9c20480708abbce2d1513fcd222a75bf607643a4b9233b74435de23d7354c17a",
     "ball-linear-n10-rand":
-        "637d18ccbade7530219459ff7e7a86311f20a127c808f5821d54e30e678068d9",
+        "19e058f8f0e4b462af9ba5f99f730a04a6b79fe6e1717dc8352e9aabbe681f28",
     "ball-linear-n10-bisect":
-        "1fa4a84cf4495e6f250c40bd319b493e05d34ea7f3f13cbd51b7ce98b78e26f4",
+        "c918df16c84bf9549f5d5a4688557f363f6ad7feade2b638496eecd194f40b87",
     "pl-nonconvex-n10-rand":
-        "cd68b5ba0a32e7317fe42864d50b9631c0baee075b05059dfe30378a6357e8e1",
+        "87092dbbd105808152e7f92c42299a416933cdcf745cc47fa89c4f2c66f86f76",
     "pl-nonconvex-n10-bisect":
-        "8d9795a40648f4e08564cf0a3e1c71c552c2403cc745a2fba2e059299818ab2a",
+        "ca90ddaddebf64bdb44a3c7ee64a0b677cf4888ff46c313856e2ef216009776b",
     "ball-linear-rand-kkt":
-        "3e287dac11709f5931ca3ae8c9d22f7fd8628158e51ee504ccff1cf343c51fd7",
+        "9a83bda78456290e3dccbce78816f2a90f913bf860cc9e7a338ef559d0d6554c",
 }
 
 
@@ -153,5 +153,5 @@ def test_verify_reports_keep_their_bytes(cell):
     text = "".join("%s\t%s\t%s\n" % (check.name, check.passed, check.detail)
                    for check in report.checks)
     # on a mismatch, the report's lines show which detail moved
-    assert report.passed and len(report.checks) == 10, text
+    assert report.passed and len(report.checks) == 11, text
     assert hashlib.sha256(text.encode()).hexdigest() == REPORTS[label(*cell)], text

@@ -1,6 +1,7 @@
-"""The package's public names and its solve knobs, pinned: adding or
-removing an export, a SolverConfig field, a solve option or a parameter of
-a solve step is a deliberate change to these lists."""
+"""The package's public names, its solve knobs and its certificate, pinned:
+adding or removing an export, a SolverConfig field, a solve option, a
+parameter of a solve step, a certificate field or a verify check is a
+deliberate change to these lists."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from goldsub.inner_bisect import bisect_search
 from goldsub.inner_rand import rand_search
 from goldsub.serialize import _REQUIRED_CONFIG_KEYS
 from goldsub.solver import certify
+from goldsub.verify import CHECK_ORDER
 
 PUBLIC = [
     "BISECT", "Branch", "BudgetExceededError", "CertificateReport",
@@ -31,6 +33,20 @@ PUBLIC = [
 CONFIG_FIELDS = [
     "delta", "target_eps", "inner", "kkt_mode", "gcq_sigma", "tau", "seed",
     "outer_cap", "inner_call_cap",
+]
+
+# GoldsteinCertificate's fields, in order; the last five have a default
+CERTIFICATE_FIELDS = [
+    "anchor", "zeta", "zeta_norm", "combination", "gamma0", "gamma", "lam",
+    "eps_effective", "delta", "f_anchor", "g_anchor", "kkt_eps", "kkt_eta",
+    "kkt_lambda_bound", "gcq_sigma", "warnings",
+]
+
+# the checks of `goldsub verify`, in the order they run
+CHECKS = [
+    "weights-nonnegative", "weights-sum", "points-in-ball", "vector-recompute",
+    "zeta-recompute", "zeta-norm-bound", "multiplier-split", "anchor-feasible",
+    "complementary-slackness", "stationarity-estimate", "claims-recompute",
 ]
 
 # the dests of `goldsub solve`'s options, plus the subcommand's own two
@@ -65,6 +81,17 @@ def test_solver_config_fields_are_pinned():
     assert [f.name for f in fields] == CONFIG_FIELDS
     assert [f.name for f in fields if f.default is dataclasses.MISSING] \
         == list(_REQUIRED_CONFIG_KEYS)
+
+
+def test_certificate_fields_are_pinned():
+    fields = dataclasses.fields(goldsub.GoldsteinCertificate)
+    assert [f.name for f in fields] == CERTIFICATE_FIELDS
+    assert [f.name for f in fields if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING] == CERTIFICATE_FIELDS[:-5]
+
+
+def test_verify_checks_are_pinned():
+    assert list(CHECK_ORDER) == CHECKS
 
 
 def test_solve_options_are_pinned():

@@ -211,8 +211,8 @@ def test_certificate_optional_keys_default_and_required_keys_do_not(run):
     decoded, _ = certificate_from_data(data)
     assert decoded.warnings == []
     assert all(w.direction is None for w in decoded.combination)
-    del data["fj_eta_bound"]
-    with pytest.raises(UsageError, match="fj_eta_bound"):
+    del data["eps_effective"]
+    with pytest.raises(UsageError, match="eps_effective"):
         certificate_from_data(data)
 
 

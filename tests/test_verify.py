@@ -14,23 +14,21 @@ from goldsub import verify
 from goldsub.core import (MAX_SAMPLES, OBJECTIVE, Branch, Oracle, ProblemSpec,
                           ReducedConstraint, Subproblem, WeightedSubgradient,
                           sample_ball)
-from goldsub.errors import OracleError, UsageError
+from goldsub.errors import UsageError
 from goldsub.problems import constant_constraint, get_problem
 from goldsub.solver import SolverConfig, certify, solve
 from goldsub.verify import (
     CHECK_ORDER,
     CORRUPT_CHECKS,
-    HOLDS,
     HULL_TOL,
-    VIOLATED,
     check_certificate,
-    check_gcq,
     goldstein_estimate,
     min_norm_over_hull,
     multiplier_split,
 )
 
 BALL = get_problem("ball-linear")
+ESTIMATE = CHECK_ORDER.index("stationarity-estimate")
 
 
 # -------------------------------------------------------------------- hull
@@ -180,100 +178,10 @@ def test_goldstein_estimate_needs_samples():
         goldstein_estimate(np.zeros(2), BALL.spec, 0.1, 0, seed=0)
 
 
-# --------------------------------------------------------------------- gcq
-
-
-def test_gcq_vacuous_when_nothing_is_near_active():
-    record = get_problem("footnote-1d")
-    report = check_gcq(np.zeros(1), record.spec, 0.25, 0.5, 0.75)
-    assert report.outcome == HOLDS
-    assert report.near_active == []
-    assert report.estimate is None
-
-
-def test_gcq_holds_on_the_ball_boundary():
-    report = check_gcq(np.array([0.0, -1.0]), BALL.spec, 0.1, 0.9, 0.2,
-                       n_samples=500, seed=1)
-    assert report.outcome == HOLDS
-    assert report.near_active == [1]
-    assert report.estimate.min_norm >= 0.9
-
-
-def test_gcq_detects_opposing_constraints():
-    g1 = Oracle(value=lambda x: float(x[0]), grad=lambda x: np.array([1.0]))
-    g2 = Oracle(value=lambda x: -float(x[0]), grad=lambda x: np.array([-1.0]))
-    f = Oracle(value=lambda x: 0.0, grad=lambda x: np.zeros(1))
-    prob = ProblemSpec(dim=1, objective=f, constraints=(g1, g2),
-                       lipschitz_m=1.0, neighborhood_delta=1.0)
-    report = check_gcq(np.zeros(1), prob, 0.1, 0.5, 0.5, n_samples=50, seed=0)
-    assert report.outcome == VIOLATED
-    assert report.near_active == [1, 2]
-    assert report.estimate.min_norm < 1e-6
-
-
-@pytest.mark.parametrize("block", [7, 4096])
-def test_gcq_samples_each_near_active_constraint_at_its_own_draw(monkeypatch,
-                                                                 block):
-    # constraints 1 and 3 are near-active at the anchor, 2 is not; the
-    # gradients depend on the point, so each hull row names its sample
-    monkeypatch.setattr("goldsub.core.SAMPLE_BLOCK", block)
-
-    def grad1(x):
-        return x.copy()
-
-    def grad3(x):
-        return 2.0 * x + 1.0
-
-    constraints = (Oracle(value=lambda x: 0.0, grad=grad1),
-                   Oracle(value=lambda x: -10.0, grad=lambda x: np.ones(2)),
-                   Oracle(value=lambda x: -0.1, grad=grad3))
-    prob = ProblemSpec(dim=2, objective=BALL.spec.objective,
-                       constraints=constraints, lipschitz_m=5.0,
-                       neighborhood_delta=1.0)
-    anchor = np.array([0.3, -0.2])
-    report = check_gcq(anchor, prob, 0.25, 0.5, 0.5, n_samples=50, seed=8)
-    assert report.near_active == [1, 3]
-    rng = np.random.default_rng(8)
-    expected = [np.array([grad(z) for z in sample_ball(anchor, 0.25, rng,
-                                                        size=50)])
-                for grad in (grad1, grad3)]
-    assert np.array_equal(report.estimate.points, np.vstack(expected))
-
-
-def test_gcq_rejects_nonpositive_parameters():
-    with pytest.raises(UsageError):
-        check_gcq(np.zeros(2), BALL.spec, 0.0, 0.9, 0.2)
-
-
 @pytest.mark.parametrize("n_samples", [-5, 0, MAX_SAMPLES + 1])
 def test_sampled_estimates_reject_counts_out_of_range(n_samples):
-    # the anchor sits on the constraint, so check_gcq would sample there
-    with pytest.raises(UsageError, match="n_samples"):
-        check_gcq(np.array([1.0, 0.0]), BALL.spec, 0.1, 0.9, 0.2,
-                  n_samples=n_samples)
     with pytest.raises(UsageError, match="n_samples"):
         goldstein_estimate(np.zeros(2), BALL.spec, 0.05, n_samples, seed=0)
-
-
-def one_constraint(value, grad) -> ProblemSpec:
-    f = Oracle(value=lambda x: 0.0, grad=lambda x: np.zeros(1))
-    return ProblemSpec(dim=1, objective=f,
-                       constraints=(Oracle(value=value, grad=grad),),
-                       lipschitz_m=1.0, neighborhood_delta=1.0)
-
-
-def test_gcq_rejects_non_finite_anchor_value():
-    prob = one_constraint(lambda x: float("nan"), lambda x: np.ones(1))
-    with pytest.raises(OracleError):
-        check_gcq(np.zeros(1), prob, 0.1, 0.5, 0.5, n_samples=10)
-
-
-@pytest.mark.parametrize("grad", [lambda x: np.ones(2),
-                                  lambda x: np.array([np.nan])])
-def test_gcq_rejects_malformed_gradients(grad):
-    prob = one_constraint(lambda x: float(x[0]), grad)
-    with pytest.raises(OracleError):
-        check_gcq(np.zeros(1), prob, 0.1, 0.5, 0.5, n_samples=10)
 
 
 # -------------------------------------------------------- multiplier split
@@ -335,6 +243,47 @@ def test_verifier_reports_the_exact_split_of_objective_only_weights():
     assert report.passed, report.reason
     split = report.checks[CHECK_ORDER.index("multiplier-split")]
     assert split.detail == "gamma0 1 vs stored 1"
+
+
+# ---------------------------------------------------------- derived claims
+
+
+def test_eps_effective_formula():
+    assert verify.eps_effective(0.1, 1.0, 0.5) == 0.5 * 0.1 / (0.1 + 0.5 + 1.0)
+    assert verify.eps_effective(0.1, 1.0, 0.5) == 0.03125
+    assert verify.eps_effective(0.1, 1.0, None) == 0.1
+
+
+def test_kkt_claims_with_objective_mass():
+    eps_t = verify.eps_effective(0.1, 1.0, 0.5)
+    kkt_eps, kkt_eta, kkt_lambda_bound, warnings = verify.kkt_claims(
+        eps_t, 0.5, 1.0, 0.1, 1.0)
+    factor = (0.5 + 1.0) / (0.5 - eps_t)
+    assert factor == pytest.approx(3.2)
+    assert kkt_eps == pytest.approx(eps_t * factor)
+    assert kkt_eps == pytest.approx(0.1)
+    assert kkt_eta == pytest.approx(3.0 * 1.0 * 0.1 * factor)
+    assert kkt_lambda_bound == pytest.approx(factor - 1.0)
+    assert warnings == []
+
+
+def test_kkt_claims_without_objective_mass_warn():
+    assert verify.kkt_claims(0.03, 0.5, 1.0, 0.05, 0.0) == (
+        None, None, None, [verify.NO_OBJECTIVE_MASS])
+    assert "Fritz-John" in verify.NO_OBJECTIVE_MASS
+
+
+def test_fritz_john_mode_claims_no_kkt_residual():
+    assert verify.kkt_claims(0.1, None, 1.0, 0.1, 0.0) == (None, None, None, [])
+    assert verify.kkt_claims(0.1, None, 1.0, 0.1, 1.0) == (None, None, None, [])
+
+
+@pytest.mark.parametrize("sigma", [0.03, 0.01, -1.0])
+def test_kkt_claims_at_sigma_not_above_eps_are_vacuous(sigma):
+    # no solve runs there (eps_effective < sigma), but a document may say so
+    kkt_eps, kkt_eta, kkt_lambda_bound, _ = verify.kkt_claims(
+        0.03, sigma, 1.0, 0.05, 1.0)
+    assert kkt_eps == kkt_eta == kkt_lambda_bound == math.inf
 
 
 # ------------------------------------------------------------ certificates
@@ -526,7 +475,7 @@ def test_acceptance_certificates_pass_the_estimate_early(monkeypatch, member,
     cert, _ = solve(record.spec, config, record.start)
     rows = counted_grad_rows(monkeypatch)
     report = check_certificate(cert, record.spec)
-    estimate = report.checks[-1]
+    estimate = report.checks[ESTIMATE]
     assert report.passed, (report.reason, estimate.detail)
     # the hull of the first 64 or 128 rows already proves the check
     assert sum(rows) <= 128
@@ -596,7 +545,7 @@ def test_stop_at_a_slackness_failure_computes_no_estimate(monkeypatch):
     report = check_certificate(cert, record.spec, samples=1000,
                                stop_at_first_failure=True)
     assert report.reason == "complementary-slackness"
-    assert tuple(c.name for c in report.checks) == CHECK_ORDER[:-1]
+    assert tuple(c.name for c in report.checks) == CHECK_ORDER[:ESTIMATE]
     assert sum(rows) == 1000  # the slackness check's rows, and no more
 
 
@@ -611,7 +560,7 @@ def test_a_constraint_free_combination_draws_64_rows(monkeypatch):
     report = check_certificate(cert, record.spec, stop_at_first_failure=True)
     assert report.passed
     assert sum(rows) == 64
-    assert report.checks[-1].detail.endswith("at 64 of 10000 samples")
+    assert report.checks[ESTIMATE].detail.endswith("at 64 of 10000 samples")
 
 
 def test_verification_reads_the_constraints_at_the_anchor_once(monkeypatch):
