@@ -332,16 +332,20 @@ class Subproblem:
         branches that attain h(z) run ``dir_grad``: the objective first,
         then the constraints by index.  The largest <vector, v> wins and
         equalities stay with the earlier branch, so <vector, v> is the
-        directional derivative of the max.
+        directional derivative of the max.  At the anchor array itself with
+        g(anchor) < 0, the objective alone attains h = 0: no value is read.
         """
         problem = self.problem
         if problem.objective.dir_grad is None:
             raise UsageError("objective has no directional oracle")
-        fz = _finite_value(problem.objective.value(z), "objective value")
-        fdiff = fz - self.f_anchor
-        g = [_finite_value(o.value(z), "constraint %d value", i)
-             for i, o in enumerate(problem.constraints, start=1)]
-        gz = max(g)
+        if z is self.anchor and self.g_anchor < 0.0:
+            fdiff, g, gz = 0.0, [], self.g_anchor
+        else:
+            fz = _finite_value(problem.objective.value(z), "objective value")
+            fdiff = fz - self.f_anchor
+            g = [_finite_value(o.value(z), "constraint %d value", i)
+                 for i, o in enumerate(problem.constraints, start=1)]
+            gz = max(g)
         self.subgrad_calls += 1
         best = None
         if fdiff >= gz:

@@ -100,7 +100,8 @@ class SolverConfig:
 class SolveTrace:
     """Per-iteration descent record plus run totals.
 
-    ``records[k]`` describes iterate x_k and the inner run performed there.
+    ``records[k]`` describes iterate x_k and the inner run performed there,
+    in scalars: x_0 is the start and later x_k replay from the manifest.
     Oracle calls count joint (value + subgradient) evaluations; value_calls
     count value-only evaluations (descent tests and the initial feasibility
     check).  wall_time_s is informational; inner_budget is the inner
@@ -257,7 +258,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         oracle_calls += res.oracle_calls
         value_calls += res.value_calls
         records.append({
-            "k": k, "x": x.tolist(), "f": f_x, "g": g_x,
+            "k": k, "f": f_x, "g": g_x,
             "zeta_norm": res.zeta_norm, "inner_outcome": res.outcome,
             "inner_oracle_calls": res.oracle_calls,
             "inner_value_calls": res.value_calls,

@@ -119,6 +119,10 @@ def min_norm_over_hull(points, start: HullEstimate | None = None) -> HullEstimat
     if not np.isfinite(norms_sq).all():
         raise UsageError("points with non-finite squared norms")
     k, n = pts.shape
+    # lstsq's rcond would cut a Gram block far above the all-ones border;
+    # scaling it by a power of two rounds nothing and keeps the weights
+    top = float(norms_sq.max())
+    shift = -math.frexp(top)[1] if top > 2.0 ** 16 else 0
 
     if start is None:
         first = int(np.argmin(norms_sq))
@@ -149,7 +153,8 @@ def min_norm_over_hull(points, start: HullEstimate | None = None) -> HullEstimat
             s = len(support)
             # affine minimal-norm point: bordered normal equations
             border = np.zeros((s + 1, s + 1))
-            border[:s, :s] = sub @ sub.T
+            gram = sub @ sub.T
+            border[:s, :s] = np.ldexp(gram, shift) if shift else gram
             border[:s, s] = 1.0
             border[s, :s] = 1.0
             rhs = np.zeros(s + 1)

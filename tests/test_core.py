@@ -294,6 +294,56 @@ def test_each_value_callable_runs_once_per_point():
     assert seen == {0, 1, 2}
 
 
+def counting_values(base: ProblemSpec, counts: collections.Counter) -> ProblemSpec:
+    return dataclasses.replace(
+        base, objective=counting(base.objective, counts, "f"),
+        constraints=tuple(counting(c, counts, "g%d" % i)
+                          for i, c in enumerate(base.constraints, start=1)))
+
+
+@pytest.mark.parametrize("name", ["ball-linear", "footnote-2c", "pl-nonconvex"])
+@pytest.mark.parametrize("given", [False, True])
+def test_directional_query_at_a_strictly_feasible_anchor_reads_no_value(name, given):
+    # h(anchor) = max{0, g(anchor)} = 0 is attained by the objective alone
+    record = get_problem(name)
+    counts: collections.Counter = collections.Counter()
+    prob = counting_values(record.spec, counts)
+    values = (record.spec.objective.value(record.start),
+              ReducedConstraint(record.spec).value(record.start)[0])
+    sub = Subproblem(prob, record.start, values if given else None)
+    assert sub.g_anchor < 0.0
+    v = np.zeros(record.spec.dim)
+    v[0] = 1.0
+    counts.clear()
+    calls = (sub.subgrad_calls, sub.value_calls)
+    vec, branch, h, dd = sub.dir_grad(sub.anchor, v)
+    assert not counts
+    assert (sub.subgrad_calls, sub.value_calls) == (calls[0] + 1, calls[1])
+    # the full path, at a copy of the anchor, gives the same answer
+    full = sub.dir_grad(sub.anchor.copy(), v)
+    assert counts == {"f": 1, **{"g%d" % i: 1
+                                 for i in range(1, len(prob.constraints) + 1)}}
+    assert sub.subgrad_calls == calls[0] + 2
+    assert np.array_equal(vec, full[0])
+    assert (branch, h, dd) == full[1:] == (OBJECTIVE, 0.0, float(vec @ v))
+
+
+def test_directional_query_at_an_active_anchor_takes_the_full_path():
+    # footnote-1d at x = -1: g = x^2 - 1 = 0 ties with the objective, and
+    # along -1 the constraint's slope 2 beats the objective's -1
+    counts: collections.Counter = collections.Counter()
+    prob = counting_values(get_problem("footnote-1d").spec, counts)
+    sub = Subproblem(prob, np.array([-1.0]))
+    assert sub.g_anchor == 0.0
+    for v, want in ((-1.0, ([-2.0], Branch.constraint(1), 0.0, 2.0)),
+                    (1.0, ([1.0], OBJECTIVE, 0.0, 1.0))):
+        counts.clear()
+        vec, branch, h, dd = sub.dir_grad(sub.anchor, np.array([v]))
+        assert counts == {"f": 1, "g1": 1}
+        assert (vec.tolist(), branch, h, dd) == want
+    assert (sub.subgrad_calls, sub.value_calls) == (2, 1)
+
+
 def test_directional_call_runs_only_the_attaining_branches():
     # footnote-2c from the anchor 0.5: h(z) = max{z - 0.5, z^2 - 1, |z| - 1}
     base = get_problem("footnote-2c").spec

@@ -30,49 +30,49 @@ EPS = 0.05
 GOLDEN = {
     "ball-linear-rand": (
         "0f320b07cbc9d768e3fc511b9bdee1277e08a6b08e3c0525841f32e3a0b08da4",
-        "7fdb66223de9618e9a369fe9cb9231eba7436e878dbf27d97725b43ddfe8d4c8"),
+        "726d6f10c323118858a924dcb0a2a545a46aa901a1a24f74e230b2f39ac591ef"),
     "ball-linear-bisect": (
         "608f3a3f2a5985665da5cfc500c3af6ca2db02910daf4104f8738ddda530d0e3",
-        "6cd834a5739bf404a3ed8f9b049facb469747e3e5fc53e22df924e66d9c24649"),
+        "ad7ce65e01dc1c82ee0373159aef39edf2a7ef0b06bd69f286d2010f40f9ad95"),
     "l1-ball-rand": (
         "89c587e56570ec812a6d6f14c2ad07d5784e844f8c55d61b2a14ab2d658efa2c",
-        "479fe414e82c5e1f61bb969030eb647e0d0818a459596274f550ec2da5bbc92e"),
+        "72b3c67dfeb72c841f143ff0fa554f4e6ee07e8b9571be8fa52ff9bde6174f50"),
     "l1-ball-bisect": (
         "c5574f6d852a193f95562221dc75dfcd1be78f1b1cbc6cdd84197f19fa714eca",
-        "b9922a5313abe746c2fe4688042d3d86ad6d4e8b3d5893ca88df051f198dc261"),
+        "abdd2aef0d7f77880112fa7b00bf4852962ca4d97dcd468f1326585a2c972f34"),
     "footnote-1d-rand": (
         "a25cf3812c410cb9f7cb2fc772c01eca0b1a57473305aa028086b5a97a490f18",
-        "917d6e14c5295218066afb84ae276b1787cc11a623118251de4df8455f8b4d07"),
+        "51346fb48a16f5d94f709b439b6d5a582d6717955b9440e25039137d0d57ee12"),
     "footnote-1d-bisect": (
         "2328fee6bc918f49d7cfd15d5dbc489052947d51c08c71a9fd105a754e9d119c",
-        "4c619b5a780290e887b9a4702ccd00c17249156df6c260cb6e3e73c8b980e7f2"),
+        "99bea34650106de79a9f0a2d5dfc0fa16f3e79775695614f40d35286abd377c3"),
     "footnote-2c-rand": (
         "77cc49606219aa58e6a1b57c313f7398793a75515730c910014ec5c2388fd0fe",
-        "1018c39a0369464e4099fa1552acf2a0be772a1b251c49197a7d7378b53a17d1"),
+        "370900422d31c838bf6c73da373f0dc4b314463652be367f228ba8cfd0038b8b"),
     "footnote-2c-bisect": (
         "eb1da6a7fc53ea0619c0bd39804bd92168810a543871b70c610089ffa5fc464e",
-        "dddd466f3cfade7d1d70c3ec3aaf0e39705407ff575c77e45e9d5821f311e88c"),
+        "01051a48682a75831474b8074ee5ded72f912002efa252153d1f7436b6b66753"),
     "pl-nonconvex-rand": (
         "b9d7f6f2fb9afe0e00072671e535fbc8e3c8e8a1eff5a08707b78cb9db0b63ca",
-        "85f7f25020b02d795d499837291e2403782e17a4a20770f09238ad459cd7b57f"),
+        "b405aa9077982c112ca488eddebfe3bfd201ab734d952a644a39b12116f651e5"),
     "pl-nonconvex-bisect": (
         "03fe22be3e785f8e49d312d3ea630e765702a3a8c567b82fb0aba96baa625dc6",
-        "8ad0fa8c34b411aec1e40ee1e9cb59a1dab194c05920085c29773e2e11bce073"),
+        "49800e5f87ceb95192c1a634c923fe851c3c822d2bbf7e0fb309bdcbffe7e0e4"),
     "ball-linear-n10-rand": (
         "8337fb52fe6107d10c875628857e6a944eae2aea7bc02805b3b02becfadcd3ae",
-        "7c616bab7adb03e67ffd2e5083b07637ce4e96e405547b8239e98111f2403175"),
+        "615d3f433ef7e77bb936879a0981ee64b339385fdb9e75cd81c356267cc918a1"),
     "ball-linear-n10-bisect": (
         "2cf3cfd6b1443d81c235304c050d4e4898ba39a6848f258cf3756c352f352203",
-        "737afb92dfcb0a57ebc46ebfc768d977357c872fca5f898fadfcf07089b896cf"),
+        "a14f52a2c4427a9cc7c98d5ab39ebb0f2d0496f41c522e0a8e6fe7953fcb73c7"),
     "pl-nonconvex-n10-rand": (
         "138138e560be1c1fb681915e90499372cb30c8694beeb6a394c3d2e623ad2120",
-        "12d27a4f38d111cd4154c19aa4e9e20ce572e6df9b6b559d7019b4079a92d8fd"),
+        "66d6f144d9355b0e5a452287989edd1413c8cfea7bc6fb8c2f135675fe25051f"),
     "pl-nonconvex-n10-bisect": (
         "9fbe5644b33f7fc329c008526cedd1afd74fe185ed51dc3391765a7d186638eb",
-        "51920fda47d33c66f431e12c12d3128c1edfbc30149f4c52bb5667bb687e9dcc"),
+        "6e66fe6e6a62429889e05975f150e0c112728614d41ed10eafb2281ec0fc68db"),
     "ball-linear-rand-kkt": (
         "be4dc6c322296745345c3e87932b51aaf898aa25928cc961b993e554d29ace5a",
-        "fd62bbbb6b70880e8386a765e6c1f153169086ded4b4dccb8df7e42882743cec"),
+        "ec8b05a104fb2be773ebde11bfa31c738373a1f22f5c4ca82b4b70ef51061637"),
 }
 
 

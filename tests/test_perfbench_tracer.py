@@ -53,3 +53,16 @@ def test_tracer_installs_and_restores_its_names(tracer_module):
                  "inner_bisect.bisect_negative_slope", "inner_bisect.probes",
                  "solver.certify", "solver.solve"):
         assert counts[name] > 0, name
+
+
+def test_traced_bisect_solve_counts_every_subgradient_call(tracer_module):
+    # the opening query at a strictly feasible anchor reads no value, but it
+    # is still one subgradient call, and the tracer must see it as one
+    tracer = tracer_module.Tracer()
+    workloads = sys.modules["workloads"]
+    record = get_problem("pl-nonconvex")
+    with tracer.installed():
+        _, trace = workloads.solve(record.spec, SolverConfig(
+            delta=0.05, target_eps=0.05, inner=BISECT), record.start)
+    assert trace.outer_steps > 1
+    assert tracer.snapshot_counts()["core.grad"] == trace.oracle_calls

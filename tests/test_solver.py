@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from goldsub import inner_rand, verify
+from goldsub import inner_rand, solver, verify
 from goldsub.core import (OBJECTIVE, Branch, Oracle, ProblemSpec, ReducedConstraint,
                           Subproblem, WeightedSubgradient)
 from goldsub.errors import (
@@ -157,19 +157,36 @@ def solve_ball(seed=0, inner=RAND, delta=0.05, eps=0.05, **kw):
     return solve(BALL.spec, config, BALL.start)
 
 
-def test_solve_descends_to_the_constrained_minimum():
+def spy_anchors(monkeypatch, search: str) -> list:
+    """Copies of the anchors ``solve`` hands its inner search, in order: the
+    iterates x_0, x_1, ..., which the trace does not store."""
+    anchors = []
+    original = getattr(solver, search)
+
+    def spied(anchor, *args, **kwargs):
+        anchors.append(np.array(anchor))
+        return original(anchor, *args, **kwargs)
+
+    monkeypatch.setattr(solver, search, spied)
+    return anchors
+
+
+def test_solve_descends_to_the_constrained_minimum(monkeypatch):
+    anchors = spy_anchors(monkeypatch, "rand_search")
     cert, trace = solve_ball(seed=0)
     c = 0.25
     bar = c * 0.05 * 0.05
     records = trace.records
-    assert records[0]["x"] == [0.0, 0.0]
+    assert len(anchors) == len(records)
+    assert anchors[0].tolist() == [0.0, 0.0]
+    assert np.array_equal(anchors[-1], cert.anchor)
     assert records[-1]["inner_outcome"] == "stationary"
-    for before, after in zip(records, records[1:]):
+    for before, after, x, x_next in zip(records, records[1:], anchors,
+                                        anchors[1:]):
         assert before["inner_outcome"] == "descent"
         assert before["f"] - after["f"] >= bar - 1e-12
         assert after["g"] <= -bar + 1e-12
-        dx = np.array(after["x"]) - np.array(before["x"])
-        assert float(np.linalg.norm(dx)) == pytest.approx(0.05, abs=1e-12)
+        assert float(np.linalg.norm(x_next - x)) == pytest.approx(0.05, abs=1e-12)
     assert cert.zeta_norm <= 0.05
     assert float(np.linalg.norm(cert.anchor - np.array([-1.0, 0.0]))) <= 0.2
     assert cert.lam is not None and 0.5 <= cert.lam <= 2.0
@@ -208,6 +225,25 @@ def test_solve_rand_replays_with_equal_seed():
 MEMBERS = (("ball-linear", {}), ("l1-ball", {}), ("footnote-1d", {}),
            ("footnote-2c", {}), ("pl-nonconvex", {}),
            ("ball-linear", {"dim": 10}), ("pl-nonconvex", {"dim": 10}))
+
+
+# what a trace record holds: scalars about x_k and its inner run, never
+# x_k itself, so a trace grows with the steps and not with steps x n
+RECORD_KEYS = {"k", "f", "g", "zeta_norm", "inner_outcome", "inner_oracle_calls",
+               "inner_value_calls", "inner_iterations", "inner_probe_ties",
+               "descent_amount"}
+
+
+@pytest.mark.parametrize("inner", [RAND, BISECT])
+def test_trace_records_hold_scalars_only(inner):
+    for name, params in MEMBERS:
+        record = get_problem(name, **params)
+        config = SolverConfig(delta=0.05, target_eps=0.05, inner=inner)
+        _, trace = solve(record.spec, config, record.start)
+        for rec in trace.records:
+            assert set(rec) == RECORD_KEYS, name
+            assert all(type(value) in (str, int, float, type(None))
+                       for value in rec.values()), (name, rec)
 
 
 @pytest.mark.parametrize("inner", [RAND, BISECT])
@@ -251,21 +287,24 @@ def test_bisect_opens_every_anchor_along_the_first_basis_vector(monkeypatch):
     dir_grad = Subproblem.dir_grad
 
     def spied(sub, z, v):
-        queries.append((sub, np.array(z), np.array(v)))
+        queries.append((sub, np.array(z), np.array(v), z is sub.anchor))
         return dir_grad(sub, z, v)
 
     monkeypatch.setattr(Subproblem, "dir_grad", spied)
+    anchors = spy_anchors(monkeypatch, "bisect_search")
     record = get_problem("pl-nonconvex")
     config = SolverConfig(delta=0.05, target_eps=0.05, inner=BISECT)
     _, trace = solve(record.spec, config, record.start)
     assert trace.outer_steps > 1
     firsts = {}
-    for sub, z, v in queries:
-        firsts.setdefault(id(sub), (sub, z, v))
-    assert len(firsts) == len(trace.records)
-    for (sub, z, v), rec in zip(firsts.values(), trace.records):
-        assert z.tolist() == rec["x"] == sub.anchor.tolist()
+    for sub, z, v, at_anchor in queries:
+        firsts.setdefault(id(sub), (sub, z, v, at_anchor))
+    assert len(firsts) == len(trace.records) == len(anchors)
+    assert anchors[0].tolist() == record.start.tolist()
+    for (sub, z, v, at_anchor), x in zip(firsts.values(), anchors):
+        assert z.tolist() == x.tolist() == sub.anchor.tolist()
         assert v.tolist() == [1.0, 0.0]
+        assert at_anchor  # the opening query is the anchor array itself
 
 
 def test_unconstrained_embedding_keeps_lambda_zero():

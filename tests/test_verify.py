@@ -52,6 +52,15 @@ def test_hull_orthogonal_pair():
     assert est.min_norm == pytest.approx(math.sqrt(0.5), abs=1e-7)
 
 
+@pytest.mark.parametrize("a", [1.0, 1e3, 1e4, 1e8, 1e150])
+def test_hull_orthogonal_pair_at_any_scale(a):
+    # a large Gram block next to the unit border must not turn the solve
+    # into a stall at a vertex (norm a)
+    est = min_norm_over_hull(np.array([[a, 0.0], [0.0, a]]))
+    assert est.min_norm == pytest.approx(a / math.sqrt(2.0), rel=1e-12)
+    assert est.support_weights == pytest.approx([0.5, 0.5], abs=1e-12)
+
+
 def test_hull_support_recombines_to_the_point():
     rng = np.random.default_rng(31)
     pts = rng.standard_normal((40, 3)) + np.array([0.5, -0.2, 0.1])
