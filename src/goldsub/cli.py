@@ -19,6 +19,7 @@ working directory.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import sys
@@ -29,9 +30,10 @@ from .errors import (BudgetExceededError, CertificationError, GoldsubError,
                      InfeasibleStartError, ModulusError, OracleError,
                      UsageError)
 from .problems import get_problem, list_problems
-from .serialize import (_CONFIG_TYPES, _expect, certificate_data,
-                        certificate_from_data, config_from_data, manifest_data,
-                        read_json, trace_data, write_json, write_text)
+from .serialize import (_CONFIG_TYPES, _MANIFEST_KEYS, _expect,
+                        certificate_data, certificate_from_data,
+                        config_from_data, manifest_data, read_json, trace_data,
+                        write_json, write_text)
 from .solver import BISECT, RAND, solve
 from .verify import check_certificate
 
@@ -90,16 +92,21 @@ def _problem_from_spec(entry) -> tuple[str, dict]:
     raise UsageError("problem entries must be a name or {name, params}")
 
 
-# a --config file's keys: a job's, then the rest of a manifest's (unread)
-_JOB_KEYS = frozenset({"problem", "config", "x0",
-                       "schema", "version", "seed", "created"})
+def _run_id(name: str, params: dict, config) -> str:
+    """Basename of a run's files: problem, search, delta, eps and seed, then
+    each given problem param, sorted by key."""
+    return "%s-%s-d%g-e%g-s%d" % (
+        name, config.inner, config.delta, config.target_eps, config.seed) \
+        + "".join("-%s%s" % item for item in sorted(params.items()))
 
 
 def _resolve_solve_inputs(args):
-    """(record, config, x0) of a solve; x0 is None for the corpus start."""
+    """(record, given params, config, x0) of a solve; x0 is None for the
+    corpus start."""
     file_data = _expect(read_json(args.config), dict, "config file") \
         if args.config else {}
-    extra = set(file_data) - _JOB_KEYS
+    # a manifest is a config file: its problem, config and x0 are read
+    extra = set(file_data) - _MANIFEST_KEYS
     if extra:
         raise UsageError("unknown config file keys: %s" % ", ".join(sorted(extra)))
     name, params = None, {}
@@ -125,7 +132,7 @@ def _resolve_solve_inputs(args):
     elif "x0" in file_data:
         x0 = [float(_expect(v, float, "x0 entry"))
               for v in _expect(file_data["x0"], list, "x0")]
-    return record, config, x0
+    return record, params, config, x0
 
 
 def cmd_solve(args) -> int:
@@ -133,10 +140,9 @@ def cmd_solve(args) -> int:
     if tag is not None and (tag in (".", "..") or os.path.basename(tag) != tag):
         raise UsageError("--tag must be a file basename inside --out-dir, "
                          "got %r" % tag)
-    record, config, x0 = _resolve_solve_inputs(args)
+    record, params, config, x0 = _resolve_solve_inputs(args)
     out = _writable_dir(_out_dir(args.out_dir))
-    tag = tag or "%s-%s-d%g-e%g-s%d" % (
-        record.name, config.inner, config.delta, config.target_eps, config.seed)
+    tag = tag or _run_id(record.name, params, config)
     manifest = manifest_data(record.name, record.params, config, __version__,
                              x0=x0)
 
@@ -214,6 +220,11 @@ def _grid_cell(cell) -> tuple[float, float]:
                  for key in ("delta", "eps"))
 
 
+# config keys a suite sweeps, and the suite field that sets each
+_SWEPT_CONFIG_KEYS = {"inner": "inners", "seed": "seeds", "delta": "grid",
+                      "target_eps": "grid"}
+
+
 def cmd_bench(args) -> int:
     suite = _expect(read_json(args.suite), dict, "suite")
     problems = _expect(suite.get("problems", []), list, "suite problems")
@@ -229,57 +240,64 @@ def cmd_bench(args) -> int:
         suite.get("grid", [{"delta": 0.05, "eps": 0.05}]), list, "suite grid")]
     base_config = _expect(suite.get("config", {}), dict, "suite config")
     # every input is checked before the first cell runs
+    for key, field in _SWEPT_CONFIG_KEYS.items():
+        if key in base_config:
+            raise UsageError("suite config key %r is set per cell; use the "
+                             "suite's %r" % (key, field))
     records = [(name, params, get_problem(name, **params))
                for name, params in map(_problem_from_spec, problems)]
     configs = [config_from_data({**base_config, "delta": delta,
                                  "target_eps": eps, "inner": inner,
                                  "seed": seed})
                for inner in inners for delta, eps in grid for seed in seeds]
+    cells = [(_run_id(name, params, config), name, params, record, config)
+             for name, params, record in records for config in configs]
+    repeated = [cell_id for cell_id, count in collections.Counter(
+        cell[0] for cell in cells).items() if count > 1]
+    if repeated:
+        raise UsageError("suite cells share an id: %s" % ", ".join(repeated))
 
     out = _writable_dir(_out_dir(args.out_dir))
     series_dir = _writable_dir(os.path.join(out, "series"))
 
     rows = []
     failures = 0
-    for name, params, record in records:
-        for config in configs:
-            cell_id = "%s-%s-d%g-e%g-s%d" % (
-                name, config.inner, config.delta, config.target_eps, config.seed)
-            row = {"problem": name, "params": params, "inner": config.inner,
-                   "seed": config.seed, "delta": config.delta,
-                   "eps": config.target_eps, "cell": cell_id}
-            started = time.perf_counter()
-            try:
-                cert, trace = solve(record.spec, config, record.start)
-            except GoldsubError as err:
-                failures += 1
-                row.update(status=type(err).__name__, error=str(err))
-                rows.append(row)
-                continue
-            budget = trace.inner_budget
-            max_inner = max(r["inner_oracle_calls"] for r in trace.records)
-            row.update(
-                status="ok",
-                outer_steps=trace.outer_steps,
-                lemma_bound=trace.lemma_bound,
-                lemma_ratio=(None if trace.lemma_bound is None
-                             else trace.outer_steps / trace.lemma_bound),
-                oracle_calls=trace.oracle_calls,
-                value_calls=trace.value_calls,
-                inner_budget=budget,
-                max_inner_calls=max_inner,
-                budget_ratio=None if budget is None else max_inner / budget,
-                f_final=cert.f_anchor, g_final=cert.g_anchor,
-                zeta_norm=cert.zeta_norm, gamma0=cert.gamma0,
-                wall_s=time.perf_counter() - started,
-            )
+    for cell_id, name, params, record, config in cells:
+        row = {"problem": name, "params": params, "inner": config.inner,
+               "seed": config.seed, "delta": config.delta,
+               "eps": config.target_eps, "cell": cell_id}
+        started = time.perf_counter()
+        try:
+            cert, trace = solve(record.spec, config, record.start)
+        except GoldsubError as err:
+            failures += 1
+            row.update(status=type(err).__name__, error=str(err))
             rows.append(row)
-            lines = ["k,f,g,zeta_norm"]
-            lines += ["%d,%.17g,%.17g,%.17g"
-                      % (r["k"], r["f"], r["g"], r["zeta_norm"])
-                      for r in trace.records]
-            write_text(os.path.join(series_dir, cell_id + ".csv"),
-                       "\n".join(lines) + "\n")
+            continue
+        budget = trace.inner_budget
+        max_inner = max(r["inner_oracle_calls"] for r in trace.records)
+        row.update(
+            status="ok",
+            outer_steps=trace.outer_steps,
+            lemma_bound=trace.lemma_bound,
+            lemma_ratio=(None if trace.lemma_bound is None
+                         else trace.outer_steps / trace.lemma_bound),
+            oracle_calls=trace.oracle_calls,
+            value_calls=trace.value_calls,
+            inner_budget=budget,
+            max_inner_calls=max_inner,
+            budget_ratio=None if budget is None else max_inner / budget,
+            f_final=cert.f_anchor, g_final=cert.g_anchor,
+            zeta_norm=cert.zeta_norm, gamma0=cert.gamma0,
+            wall_s=time.perf_counter() - started,
+        )
+        rows.append(row)
+        lines = ["k,f,g,zeta_norm"]
+        lines += ["%d,%.17g,%.17g,%.17g"
+                  % (r["k"], r["f"], r["g"], r["zeta_norm"])
+                  for r in trace.records]
+        write_text(os.path.join(series_dir, cell_id + ".csv"),
+                   "\n".join(lines) + "\n")
 
     write_json(os.path.join(out, "bench-summary.json"),
                {"schema": "goldsub.bench/1", "rows": rows})

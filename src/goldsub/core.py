@@ -375,24 +375,14 @@ def segment_projection_coefficient(a: Vector, b: Vector) -> float:
     return min(1.0, max(0.0, float(a @ d) / denom))
 
 
-# rows per batch draw in the sampling loops; bounds their working memory
-SAMPLE_BLOCK = 4096
 # most samples one sampled check may draw: 100x the verifier's default
 MAX_SAMPLES = 10**6
 
 
-def _check_samples(total: int, what: str, least: int = 0) -> None:
-    if not least <= total <= MAX_SAMPLES:
-        raise UsageError("%s must be %s and at most %d, got %d"
-                         % (what, "positive" if least else "nonnegative",
-                            MAX_SAMPLES, total))
-
-
-def sample_blocks(total: int) -> list[int]:
-    """Row counts of the blocks that draw ``total`` samples, in order."""
-    _check_samples(total, "sample count")
-    full, rest = divmod(total, SAMPLE_BLOCK)
-    return [SAMPLE_BLOCK] * full + ([rest] if rest else [])
+def _check_samples(total: int, what: str) -> None:
+    if not 1 <= total <= MAX_SAMPLES:
+        raise UsageError("%s must be positive and at most %d, got %d"
+                         % (what, MAX_SAMPLES, total))
 
 
 def sample_ball(center: Vector, radius: float, rng: np.random.Generator,

@@ -1,15 +1,17 @@
 """Deterministic JSON encoding for certificates, traces, and manifests.
 
-One schema per document kind.  Certificate and trace documents are built
-from the fields of their dataclasses: a field's key is its name, except for
-the renames and the ``totals`` nesting frozen here, and its converter
-follows its type annotation.  Reals are emitted with Python's shortest
-round-trip repr, keys are sorted, and NaN/inf are rejected, so equal
-in-memory objects serialize to identical bytes.  Wall time never enters a
-trace document: replaying the same manifest must give a byte-identical
-file.  The run manifest has an optional ``created`` stamp that is only
-written to the standalone manifest file, never to the copies embedded in
-traces and certificates.
+The schema of each document kind is the code below, key by key.  A
+certificate holds the ``GoldsteinCertificate`` fields by name, with ``lam``
+as ``"lambda"`` (``"undefined"`` for None); each ``combination`` entry holds
+``point``, ``vector``, ``branch``, ``weight`` and ``direction``.
+``warnings`` and ``direction`` may be absent, and unknown keys are ignored.
+A trace holds the ``SolveTrace`` fields, its three counters under
+``totals``; wall time and the inner budget stay in memory, so replaying a
+manifest gives a byte-identical file.  Both embed their manifest, whose
+``created`` stamp is only written to the standalone manifest file.  Reals
+are emitted with Python's shortest round-trip repr, keys are sorted, and
+NaN/inf are rejected, so equal in-memory objects serialize to identical
+bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import OBJECTIVE, Branch, Vector
+from .core import OBJECTIVE, Branch, Vector, WeightedSubgradient
 from .errors import UsageError
 from .solver import SolverConfig, SolveTrace
 from .verify import GoldsteinCertificate
@@ -149,6 +151,11 @@ def read_json(path: str):
         raise UsageError("%s does not parse as JSON: %s" % (path, exc)) from None
 
 
+# every key a manifest may hold
+_MANIFEST_KEYS = frozenset({"schema", "problem", "config", "version", "seed",
+                            "x0", "created"})
+
+
 def manifest_data(problem_name: str, problem_params: dict,
                   config: SolverConfig, version: str,
                   created: bool = False, x0: list[float] | None = None) -> dict:
@@ -195,74 +202,29 @@ def _vec(value) -> Vector:
     return np.asarray(value, dtype=float)
 
 
-def _same(value):
-    return value
+def _optional(convert, value):
+    return None if value is None else convert(value)
 
 
-# document key of a renamed field; "lambda" is a Python keyword
-_RENAMED = {"lam": "lambda"}
-# trace counters, stored under one "totals" key
-_TOTALS = ("outer_steps", "oracle_calls", "value_calls")
-# in-memory trace fields: wall time differs between replays, and the inner
-# budget follows from the manifest and the problem
-_MEMORY_ONLY = frozenset({"wall_time_s", "inner_budget"})
-# keys a document may omit; the field then takes its default
-_OPTIONAL = frozenset({"direction", "warnings"})
-
-# (encode, decode) by field name, then by annotated type
-_NAMED_CODECS = {
-    "lam": (lambda v: UNDEFINED if v is None else v,
-            lambda v: None if v == UNDEFINED else float(v)),
-}
-_TYPE_CODECS = {
-    float: (_same, float), int: (_same, int), str: (_same, str),
-    dict: (_same, dict), np.ndarray: (_same, _vec),
-    Branch: (_branch_data, _branch_from),
-}
+def _entry_data(entry: WeightedSubgradient) -> dict:
+    return {"point": entry.point, "vector": entry.vector,
+            "branch": _branch_data(entry.branch), "weight": entry.weight,
+            "direction": entry.direction}
 
 
-def _codec(tp):
-    args = typing.get_args(tp)
-    if type(None) in args:  # X | None: None passes through both ways
-        (enc, dec), = [_codec(a) for a in args if a is not type(None)]
-        return (lambda v: None if v is None else enc(v),
-                lambda v: None if v is None else dec(v))
-    if typing.get_origin(tp) is list:
-        enc, dec = _codec(args[0])
-        return (lambda v: list(map(enc, v)), lambda v: list(map(dec, v)))
-    return _TYPE_CODECS[tp] if tp in _TYPE_CODECS else _record_codec(tp)
-
-
-def _record_codec(cls):
-    """(encode, decode) between a dataclass and its document object, from
-    its fields; resolved once, since type hints cost more than a decode."""
-    hints = typing.get_type_hints(cls)
-    kinds = [2 if f.name in _MEMORY_ONLY else f.name in _OPTIONAL
-             for f in dataclasses.fields(cls)]
-    if kinds != sorted(kinds):  # decoded by position: omissible fields last
-        raise TypeError("%s: optional, then in-memory fields must come last"
-                        % cls.__name__)
-    fields = [(f.name, _RENAMED.get(f.name, f.name),
-               *(_NAMED_CODECS.get(f.name) or _codec(hints[f.name])))
-              for f in dataclasses.fields(cls) if f.name not in _MEMORY_ONLY]
-    decoders = [(key, dec, key in _OPTIONAL) for _, key, _, dec in fields]
-
-    def encode(obj) -> dict:
-        return {key: enc(getattr(obj, name)) for name, key, enc, _ in fields}
-
-    def decode(data: dict):
-        return cls(*[dec(data[key]) for key, dec, opt in decoders
-                     if not opt or key in data])
-
-    return encode, decode
-
-
-_encode_cert, _decode_cert = _record_codec(GoldsteinCertificate)
-_encode_trace, _ = _record_codec(SolveTrace)
+def _entry_from(data: dict) -> WeightedSubgradient:
+    return WeightedSubgradient(
+        point=_vec(data["point"]), vector=_vec(data["vector"]),
+        branch=_branch_from(data["branch"]), weight=float(data["weight"]),
+        direction=_optional(_vec, data.get("direction")))
 
 
 def certificate_data(cert: GoldsteinCertificate, manifest: dict | None = None) -> dict:
-    return {"schema": CERTIFICATE_SCHEMA, **_encode_cert(cert), "manifest": manifest}
+    data = {"schema": CERTIFICATE_SCHEMA, **vars(cert), "manifest": manifest}
+    data["combination"] = list(map(_entry_data, cert.combination))
+    lam = data.pop("lam")  # "lambda" is a Python keyword
+    data["lambda"] = UNDEFINED if lam is None else lam
+    return data
 
 
 def certificate_from_data(data: dict) -> tuple[GoldsteinCertificate, dict | None]:
@@ -273,7 +235,21 @@ def certificate_from_data(data: dict) -> tuple[GoldsteinCertificate, dict | None
         raise UsageError("not a certificate document (schema %r)" % (found,))
     try:
         manifest = data.get("manifest")
-        return _decode_cert(data), None if manifest is None else dict(manifest)
+        cert = GoldsteinCertificate(
+            anchor=_vec(data["anchor"]), zeta=_vec(data["zeta"]),
+            zeta_norm=float(data["zeta_norm"]),
+            combination=[_entry_from(entry) for entry in data["combination"]],
+            gamma0=float(data["gamma0"]), gamma=float(data["gamma"]),
+            lam=None if data["lambda"] == UNDEFINED else float(data["lambda"]),
+            eps_effective=float(data["eps_effective"]),
+            delta=float(data["delta"]), f_anchor=float(data["f_anchor"]),
+            g_anchor=float(data["g_anchor"]),
+            kkt_eps=_optional(float, data["kkt_eps"]),
+            kkt_eta=_optional(float, data["kkt_eta"]),
+            kkt_lambda_bound=_optional(float, data["kkt_lambda_bound"]),
+            gcq_sigma=_optional(float, data["gcq_sigma"]),
+            warnings=[str(warning) for warning in data.get("warnings", [])])
+        return cert, None if manifest is None else dict(manifest)
     except (KeyError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:
         raise UsageError("malformed certificate document (%s: %s)"
@@ -281,9 +257,11 @@ def certificate_from_data(data: dict) -> tuple[GoldsteinCertificate, dict | None
 
 
 def trace_data(trace: SolveTrace, manifest: dict | None = None) -> dict:
-    data = _encode_trace(trace)
-    data["totals"] = {key: data.pop(key) for key in _TOTALS}
-    return {"schema": TRACE_SCHEMA, **data, "manifest": manifest}
+    data = {"schema": TRACE_SCHEMA, **vars(trace), "manifest": manifest}
+    del data["wall_time_s"], data["inner_budget"]
+    data["totals"] = {key: data.pop(key)
+                      for key in ("outer_steps", "oracle_calls", "value_calls")}
+    return data
 
 
 _JSON_NAMES = {dict: "an object", list: "a list", str: "a string",

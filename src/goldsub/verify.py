@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (ProblemSpec, ReducedConstraint, Subproblem, Vector,
                    WeightedSubgradient, _as_vector, _check_samples,
-                   sample_ball, sample_blocks)
+                   sample_ball)
 from .errors import UsageError
 
 HULL_TOL = 1e-8
@@ -192,12 +192,14 @@ def min_norm_over_hull(points, start: HullEstimate | None = None) -> HullEstimat
                         support_weights=[float(w) for w in weights])
 
 
+# rows per batch draw in the sampling loops; bounds their working memory
+SAMPLE_BLOCK = 4096
+
+
 def _row_blocks(rows: np.ndarray):
     """Views of consecutive blocks of ``rows``, at most SAMPLE_BLOCK rows each."""
-    start = 0
-    for size in sample_blocks(len(rows)):
-        yield rows[start:start + size]
-        start += size
+    for start in range(0, len(rows), SAMPLE_BLOCK):
+        yield rows[start:start + SAMPLE_BLOCK]
 
 
 class _BallDraw:
@@ -239,7 +241,7 @@ def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
     as n_samples grows.  The verifier's estimate reads prefixes of the same
     draw (stream seed + 1 there) and stops at the first that passes.
     """
-    _check_samples(n_samples, "n_samples", least=1)
+    _check_samples(n_samples, "n_samples")
     anchor = _as_vector(anchor, problem.dim)
     rows = _BallDraw(anchor, delta, np.random.default_rng(seed),
                      n_samples).upto(n_samples)
@@ -460,7 +462,7 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     """
     if seed < 0:
         raise UsageError("seed must be nonnegative")
-    _check_samples(samples, "samples", least=1)
+    _check_samples(samples, "samples")
     report = CertificateReport()
     # a stored number so large that arithmetic on it overflows fails its
     # check with an infinite residual, silently

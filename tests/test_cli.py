@@ -67,6 +67,12 @@ def test_solve_default_tag_names_the_run(tmp_path):
     assert (tmp_path / "ball-linear-rand-d0.05-e0.05-s7.cert.json").exists()
 
 
+def test_solve_default_tag_names_the_given_params(tmp_path):
+    rc = main(SOLVE + ["--param", "dim=3", "--out-dir", str(tmp_path)])
+    assert rc == EXIT_OK
+    assert (tmp_path / "ball-linear-rand-d0.05-e0.05-s7-dim3.cert.json").exists()
+
+
 def test_solve_repeats_are_byte_identical(solved, tmp_path):
     rc = main(SOLVE + ["--out-dir", str(tmp_path), "--tag", "run"])
     assert rc == EXIT_OK
@@ -829,6 +835,39 @@ def test_bench_suite_runs_and_summarizes(tmp_path, capsys):
     assert all(0.0 < row["budget_ratio"] <= 1.0 for row in capped_rows)
 
 
+def test_bench_cell_ids_name_the_given_params(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "problems": [{"name": "pl-nonconvex", "params": {"dim": 2}},
+                     {"name": "pl-nonconvex", "params": {"dim": 4}},
+                     "ball-linear"],
+        "grid": [CELL],
+    }))
+    assert main(["bench", "--suite", str(suite), "--out-dir", str(tmp_path)]) \
+        == EXIT_OK
+    rows = read_json(str(tmp_path / "bench-summary.json"))["rows"]
+    assert [row["cell"] for row in rows] == [
+        "pl-nonconvex-rand-d0.1-e0.1-s0-dim2",
+        "pl-nonconvex-rand-d0.1-e0.1-s0-dim4", "ball-linear-rand-d0.1-e0.1-s0"]
+    for row in rows:
+        series = tmp_path / "series" / (row["cell"] + ".csv")
+        assert len(series.read_text().splitlines()) == row["outer_steps"] + 2
+
+
+def test_bench_config_key_set_per_cell_names_its_suite_field(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    for key, field in (("inner", "inners"), ("seed", "seeds"),
+                       ("delta", "grid"), ("target_eps", "grid")):
+        suite.write_text(json.dumps({"problems": ["ball-linear"],
+                                     "config": {key: 1}}))
+        assert main(["bench", "--suite", str(suite),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: suite config key %r is set per cell; use the suite's %r\n"
+            % (key, field))
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_requires_problems(tmp_path, capsys):
     suite = tmp_path / "empty.json"
     suite.write_text(json.dumps({"problems": []}))
@@ -851,10 +890,20 @@ CELL = {"delta": 0.1, "eps": 0.1}
     {"problems": ["ball-linear"], "grid": [CELL], "config": [1]},
     {"problems": ["ball-linear"], "grid": [CELL], "inners": ["rand", "nope"]},
     {"problems": ["ball-linear", "nope"], "grid": [CELL]},
+    {"problems": ["ball-linear"], "grid": [CELL], "config": {"inner": "bisect"}},
+    {"problems": ["ball-linear"], "grid": [CELL], "config": {"seed": 3}},
+    {"problems": ["ball-linear"], "config": {"delta": 0.1}},
+    {"problems": ["ball-linear"], "config": {"target_eps": 0.1}},
+    {"problems": ["ball-linear", "ball-linear"], "grid": [CELL]},
+    {"problems": ["ball-linear"],
+     "grid": [CELL, {"delta": 0.1000001, "eps": 0.1}]},
+    {"problems": ["ball-linear"], "grid": [CELL], "seeds": [0, 1, 0]},
 ], ids=["top-level-list", "cell-without-delta", "string-delta",
         "overflowing-delta", "string-seeds", "grid-object", "problems-string",
         "negative-seed-count", "float-seed", "config-list", "second-inner-unknown",
-        "second-problem-unknown"])
+        "second-problem-unknown", "config-inner", "config-seed", "config-delta",
+        "config-target-eps", "repeated-problem", "grid-cells-equal-under-g",
+        "repeated-seed"])
 def test_bench_malformed_suite_is_usage_error(tmp_path, suite, capsys):
     path = tmp_path / "suite.json"
     path.write_text(json.dumps(suite))

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldsub.core import (
-    MAX_SAMPLES,
     OBJECTIVE,
     Branch,
     Oracle,
@@ -20,7 +19,6 @@ from goldsub.core import (
     ReducedConstraint,
     Subproblem,
     sample_ball,
-    sample_blocks,
     segment_projection_coefficient,
 )
 from goldsub.errors import OracleError, UsageError
@@ -651,19 +649,6 @@ def test_sample_ball_batch_blocks_equal_one_draw():
     assert np.array_equal(np.concatenate(blocks), one)
     assert np.array_equal(sample_ball(center, 0.0, np.random.default_rng(5),
                                       size=4), np.tile(center, (4, 1)))
-
-
-def test_sample_blocks_cover_the_total(monkeypatch):
-    monkeypatch.setattr("goldsub.core.SAMPLE_BLOCK", 4)
-    assert sample_blocks(0) == []
-    assert sample_blocks(8) == [4, 4]
-    assert sample_blocks(10) == [4, 4, 2]
-
-
-@pytest.mark.parametrize("total", [-5, -1, MAX_SAMPLES + 1, 10**20])
-def test_sample_blocks_reject_counts_out_of_range(total):
-    with pytest.raises(UsageError, match="sample count"):
-        sample_blocks(total)
 
 
 # ------------------------------------------------------- batch oracles

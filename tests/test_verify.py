@@ -412,6 +412,17 @@ def test_negative_seed_or_sample_count_is_usage_error(kwargs):
         check_certificate(cert, record.spec, **kwargs)
 
 
+def test_row_blocks_cover_the_rows(monkeypatch):
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 4)
+    for total, sizes in ((0, []), (8, [4, 4]), (10, [4, 4, 2])):
+        rows = np.arange(3.0 * total).reshape(total, 3)
+        blocks = list(verify._row_blocks(rows))
+        assert [len(block) for block in blocks] == sizes
+        # views of the rows in order, so a write to a block fills the rows
+        assert all(np.shares_memory(block, rows) for block in blocks)
+        assert np.array_equal(np.concatenate(blocks or [rows]), rows)
+
+
 def slack_max(cert, spec, rng, n):
     """max |gamma * g| over one draw of n rows."""
     rows = sample_ball(cert.anchor, cert.delta, rng, size=n)
@@ -422,7 +433,7 @@ def slack_max(cert, spec, rng, n):
 def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
     # small blocks, so every loop draws its samples in several of them, and
     # a zero limit, so the estimate solves a hull at every checkpoint
-    monkeypatch.setattr("goldsub.core.SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 7)
     monkeypatch.setattr(verify, "ESTIMATE_FACTOR", 0.0)
     record, cert = fresh_cert(seed=0)
     assert cert.gamma > 0.0
@@ -492,7 +503,7 @@ def test_acceptance_certificates_pass_the_estimate_early(monkeypatch, member,
 
 
 def test_a_failing_estimate_reads_every_row_once(monkeypatch):
-    monkeypatch.setattr("goldsub.core.SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 7)
     monkeypatch.setattr(verify, "ESTIMATE_FACTOR", 0.0)
     record, cert = fresh_cert(seed=0)
     cold = goldstein_estimate(cert.anchor, record.spec, cert.delta, 300, seed=4)
