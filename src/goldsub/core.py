@@ -223,18 +223,23 @@ class ReducedConstraint:
     def values(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``value``: (g of every row of z, attaining 1-based indices)."""
         z = _as_points(z, self._problem.dim)
-        best = np.full(len(z), -np.inf)
-        best_i = np.zeros(len(z), dtype=int)
-        for i, oracle in enumerate(self._oracles, start=1):
+        best = _finite_values(self._oracles[0], z, "constraint %d value", 1)
+        best_i = np.ones(len(z), dtype=int)
+        for i, oracle in enumerate(self._oracles[1:], start=2):
             vi = _finite_values(oracle, z, "constraint %d value", i)
             wins = vi > best
-            best[wins] = vi[wins]
+            best = np.where(wins, vi, best)
             best_i[wins] = i
         return best, best_i
 
     def grads_at(self, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Gradient of constraint idx[k] at row k of z; rows with idx[k] == 0
-        are left unset for the caller to fill."""
+        are left unset for the caller to fill.  When every row names one
+        constraint, that oracle's checked array is returned as it is."""
+        first = int(idx[0]) if len(idx) else 0
+        if first and (idx == first).all():
+            return _finite_grads(self._oracles[first - 1], z, self._problem.dim,
+                                 "constraint %d grad", first)
         vecs = np.empty((len(z), self._problem.dim))
         for i, oracle in enumerate(self._oracles, start=1):
             rows = idx == i
@@ -318,10 +323,14 @@ class Subproblem:
         gz, idx = self._g.values(z)
         obj = fz - self.f_anchor >= gz
         idx[obj] = 0
-        vecs = self._g.grads_at(z, idx)
-        if obj.any():
-            vecs[obj] = _finite_grads(self.problem.objective, z[obj],
-                                      self.problem.dim, "objective grad")
+        if obj.all():  # one branch: the objective's checked array as it is
+            vecs = _finite_grads(self.problem.objective, z, self.problem.dim,
+                                 "objective grad")
+        else:
+            vecs = self._g.grads_at(z, idx)
+            if obj.any():
+                vecs[obj] = _finite_grads(self.problem.objective, z[obj],
+                                          self.problem.dim, "objective grad")
         self.subgrad_calls += len(z)
         return vecs, idx
 
@@ -386,7 +395,7 @@ def _check_samples(total: int, what: str) -> None:
 
 
 def sample_ball(center: Vector, radius: float, rng: np.random.Generator,
-                size: int | None = None) -> Vector:
+                size: int | None = None, out: np.ndarray | None = None) -> Vector:
     """Uniform sample from the closed Euclidean ball B(center, radius).
 
     Draw order is fixed so runs replay bit-for-bit.  A single point
@@ -395,7 +404,9 @@ def sample_ball(center: Vector, radius: float, rng: np.random.Generator,
     is a (size, n) array whose row i is the first n coordinates of a uniform
     point on the unit sphere of R^(n+2), which is uniform in the unit ball:
     it uses only its own n+2 normals, so a draw of size a followed by one of
-    size b gives the same rows as one draw of size a + b.
+    size b gives the same rows as one draw of size a + b.  ``out``, a
+    (size, n) float array, receives the rows and is returned in place of a
+    new array; the rows are the same bits either way.
     """
     n = center.size
     if size is not None:
@@ -403,7 +414,11 @@ def sample_ball(center: Vector, radius: float, rng: np.random.Generator,
         norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
         # a zero row has probability zero; map it to the center
         scale = np.divide(radius, norms, out=np.zeros(size), where=norms > 0.0)
-        return center + scale[:, None] * normals[:, :n]
+        # normal_ij * scale_i + center_j with no (size, n) temporary;
+        # einsum would be faster but turns a -0.0 product into +0.0
+        out = np.multiply(normals[:, :n], scale[:, None], out=out)
+        out += center
+        return out
     u = rng.standard_normal(n)
     norm = math.sqrt(u.dot(u))
     while norm == 0.0:  # probability zero, but keep the draw order clean

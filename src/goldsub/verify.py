@@ -208,7 +208,9 @@ class _BallDraw:
 
     Each read draws the rows it newly reaches, block by block, from one
     stream; by ``sample_ball``'s row-prefix property they are the rows of a
-    single draw of all ``total``.  ``rows`` is the buffer they are drawn into.
+    single draw of all ``total``.  ``rows`` is the buffer they are drawn into:
+    each block is passed to ``sample_ball`` as its ``out``, so a draw
+    allocates no more than one block's normals.
     """
 
     def __init__(self, center: Vector, radius: float, rng: np.random.Generator,
@@ -220,8 +222,8 @@ class _BallDraw:
     def upto(self, count: int) -> np.ndarray:
         """The first ``count`` rows."""
         for block in _row_blocks(self.rows[self.drawn:count]):
-            block[...] = sample_ball(self.center, self.radius, self.rng,
-                                     size=len(block))
+            sample_ball(self.center, self.radius, self.rng, size=len(block),
+                        out=block)
         self.drawn = max(self.drawn, count)
         return self.rows[:count]
 
@@ -376,12 +378,15 @@ def sampled_slack(reduced: ReducedConstraint, gamma: float,
                   draw: _BallDraw) -> float:
     """Largest |gamma * g(z)| over every row z of a ball draw.
 
-    With no constraint mass no row is drawn and no oracle runs.
+    With no constraint mass no row is drawn and no oracle runs.  gamma
+    multiplies the largest |g(z)| once: rounding is monotone and
+    sign-symmetric, so that is the largest rounded |gamma * g(z)| (inf if
+    one overflows).
     """
     if not gamma > 0.0:
         return 0.0
-    return max(float(np.max(np.abs(gamma * reduced.values(points)[0])))
-               for points in _row_blocks(draw.upto(len(draw.rows))))
+    return gamma * max(float(np.max(np.abs(reduced.values(points)[0])))
+                       for points in _row_blocks(draw.upto(len(draw.rows))))
 
 
 def check_slackness(slack_max: float, m: float, delta: float) -> CheckResult:

@@ -651,6 +651,30 @@ def test_sample_ball_batch_blocks_equal_one_draw():
                                       size=4), np.tile(center, (4, 1)))
 
 
+def broadcast_ball_rows(center, radius, rng, size):
+    """The batch rows by the broadcasting formula: a new (size, n) array for
+    the products and another for the sum."""
+    n = center.size
+    normals = rng.standard_normal((size, n + 2))
+    norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
+    scale = np.divide(radius, norms, out=np.zeros(size), where=norms > 0.0)
+    return center + scale[:, None] * normals[:, :n]
+
+
+@pytest.mark.parametrize("radius", [0.3, 1e-320, 0.0])
+def test_sample_ball_batch_rows_are_the_broadcast_bits(radius):
+    # a -0.0 center coordinate keeps its sign only where the product is
+    # -0.0 too (at zero radius, half the rows), as under broadcasting
+    center = np.array([-0.0, 0.0, 2.5, -1e300])
+    expected = broadcast_ball_rows(center, radius, np.random.default_rng(4), 300)
+    rows = sample_ball(center, radius, np.random.default_rng(4), size=300)
+    assert rows.tobytes() == expected.tobytes()
+    buf = np.full((300, 4), np.nan)
+    assert sample_ball(center, radius, np.random.default_rng(4), size=300,
+                       out=buf) is buf
+    assert buf.tobytes() == expected.tobytes()
+
+
 # ------------------------------------------------------- batch oracles
 
 
@@ -723,6 +747,67 @@ def test_batch_fallback_loops_over_pointwise_oracles(name):
     loop = [sub.grad(row) for row in z]
     assert np.array_equal(h_vecs, [p[0] for p in loop])
     assert codes.tolist() == [branch_code(p[1]) for p in loop]
+
+
+def two_linear_batch_constraints() -> ProblemSpec:
+    """two_linear_constraints with batch callables: g_i(x) = x_i exactly."""
+    prob = two_linear_constraints()
+    g1, g2 = (dataclasses.replace(
+        c, values=lambda z, i=i: z[:, i].copy(),
+        grads=lambda z, i=i: np.tile(np.eye(2)[i], (len(z), 1)))
+        for i, c in enumerate(prob.constraints))
+    return dataclasses.replace(prob, constraints=(g1, g2))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("batch", [False, True])
+def test_batch_constraint_values_equal_pointwise(m, batch):
+    prob = two_linear_batch_constraints() if batch else two_linear_constraints()
+    reduced = ReducedConstraint(dataclasses.replace(
+        prob, constraints=prob.constraints[:m]))
+    rng = np.random.default_rng(6)
+    # ties on the diagonal, a -0.0 / 0.0 tie, and strict maximizers
+    z = np.vstack([[[3.0, 3.0], [-0.0, 0.0], [0.0, -0.0], [1.0, 2.0]],
+                   np.repeat(rng.integers(-3, 4, size=(200, 1)), 2, axis=1),
+                   rng.integers(-3, 4, size=(200, 2))]).astype(float)
+    vals, idx = reduced.values(z)
+    point = [reduced.value(row) for row in z]
+    assert vals.tobytes() == np.array([p[0] for p in point]).tobytes()
+    assert idx.tolist() == [p[1] for p in point]
+    assert idx[:4].tolist() == [1, 1, 1, m]  # ties go to the lowest index
+
+
+def test_batch_constraint_calls_on_no_rows():
+    reduced = ReducedConstraint(two_linear_batch_constraints())
+    vals, idx = reduced.values(np.empty((0, 2)))
+    assert vals.shape == idx.shape == (0,)
+    assert reduced.grads_at(np.empty((0, 2)), idx).shape == (0, 2)
+
+
+@pytest.mark.parametrize("side", ["objective", "constraint"])
+def test_one_branch_batch_gradients_are_the_oracle_array(side):
+    # every row takes one branch: its oracle's array comes back as it is,
+    # one subgradient call per row, and its output is still checked
+    prob = two_linear_batch_constraints()
+    grads = np.tile([0.5, -0.5], (3, 1))
+    oracle = Oracle(value=lambda x: 0.0, grad=lambda x: grads[0].copy(),
+                    values=lambda z: np.zeros(len(z)), grads=lambda z: grads)
+    if side == "objective":
+        prob = dataclasses.replace(prob, objective=oracle)
+        z = -np.ones((3, 2))
+    else:
+        g2 = dataclasses.replace(oracle, values=lambda z: z[:, 1] + 1.0)
+        prob = dataclasses.replace(prob, constraints=(prob.constraints[0], g2))
+        z = np.ones((3, 2))
+    sub = Subproblem(prob, np.array([-1.0, -1.0]))
+    vecs, codes = sub.grads(z)
+    assert vecs is grads
+    assert codes.tolist() == [0 if side == "objective" else 2] * 3
+    assert sub.subgrad_calls == 3
+    grads[1, 0] = np.inf
+    with pytest.raises(OracleError, match=side):
+        sub.grads(z)
+    assert sub.subgrad_calls == 3
 
 
 def test_batch_on_empty_and_malformed_point_arrays():

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldsub import verify
@@ -463,6 +464,82 @@ def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
     assert np.array_equal(est.points, grads)
 
 
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_ball_draw_in_place_equals_one_allocating_draw(n):
+    total = 2 * verify.SAMPLE_BLOCK + 17
+    center = np.linspace(-1.0, 1.0, n)
+    draw = verify._BallDraw(center, 0.3, np.random.default_rng(9), total)
+    # uneven reads: within a block, across a block edge, then the rest
+    for count in (64, verify.SAMPLE_BLOCK + 4, total):
+        rows = draw.upto(count)
+    assert np.shares_memory(rows, draw.rows)
+    one = sample_ball(center, 0.3, np.random.default_rng(9), size=total)
+    assert rows.tobytes() == one.tobytes()
+
+
+REAL_EXTREMES = (5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300, 0.0, -0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                 st.sampled_from(REAL_EXTREMES)),
+                       min_size=1, max_size=40),
+       gamma=st.one_of(st.floats(min_value=0.0, exclude_min=True,
+                                 allow_infinity=False),
+                       st.sampled_from([5e-324, 1e-300, 0.5, 1e300])))
+@example(values=[1e300, -2e300], gamma=1e300)
+@example(values=[5e-324, -1e-310], gamma=0.3)
+def test_gamma_times_the_largest_value_is_the_largest_product(values, gamma):
+    # sampled_slack multiplies once: rounding is monotone and sign-symmetric
+    v = np.array(values)
+    with np.errstate(over="ignore", under="ignore"):
+        largest_product = float(np.max(np.abs(gamma * v)))
+    assert gamma * float(np.max(np.abs(v))) == largest_product
+
+
+@pytest.mark.parametrize("name", ["ball-linear", "footnote-2c"])
+def test_sampled_slack_is_the_largest_product(name):
+    record, cert = fresh_cert(seed=0, name=name)
+    assert cert.gamma > 0.0
+    total = 2 * verify.SAMPLE_BLOCK + 17
+    draw = verify._BallDraw(cert.anchor, cert.delta, np.random.default_rng(5),
+                            total)
+    measured = verify.sampled_slack(ReducedConstraint(record.spec), cert.gamma,
+                                    draw)
+    assert measured == slack_max(cert, record.spec, np.random.default_rng(5),
+                                 total)
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes traced while fn(*args) runs, numpy's buffers included."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_checks_work_in_about_one_block():
+    # the draw buffer exists before tracing starts; the checks add about one
+    # block of normals to it (slackness) or one block of gradients (estimate)
+    n = 200
+    record = get_problem("ball-linear", dim=n)
+    cert, _ = solve(record.spec, SolverConfig(delta=0.05, target_eps=0.05),
+                    record.start)
+    assert cert.gamma > 0.0
+    draw = verify._BallDraw(cert.anchor, cert.delta, np.random.default_rng(1),
+                            10_000)
+    peak = traced_peak(verify.sampled_slack, ReducedConstraint(record.spec),
+                       cert.gamma, draw)
+    assert peak <= 1.25 * verify.SAMPLE_BLOCK * (n + 2) * 8
+    assert draw.drawn == 10_000
+    sub = Subproblem(record.spec, cert.anchor)
+    peak = traced_peak(verify._grads_over, sub, draw.rows)
+    assert peak <= 1.5 * verify.SAMPLE_BLOCK * n * 8
+    assert sub.subgrad_calls == 10_000
+
+
 ACCEPTANCE_MEMBERS = {"ball-linear": ("ball-linear", {}),
                       "l1-ball": ("l1-ball", {}),
                       "footnote-1d": ("footnote-1d", {}),
@@ -547,9 +624,9 @@ def counted_draw_rows(monkeypatch) -> list[int]:
     sample_ball = verify.sample_ball
     rows = []
 
-    def counted(center, radius, rng, size=None):
+    def counted(center, radius, rng, size=None, **kwargs):
         rows.append(size)
-        return sample_ball(center, radius, rng, size=size)
+        return sample_ball(center, radius, rng, size=size, **kwargs)
 
     monkeypatch.setattr(verify, "sample_ball", counted)
     return rows
