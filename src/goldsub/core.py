@@ -234,12 +234,7 @@ class ReducedConstraint:
 
     def grads_at(self, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Gradient of constraint idx[k] at row k of z; rows with idx[k] == 0
-        are left unset for the caller to fill.  When every row names one
-        constraint, that oracle's checked array is returned as it is."""
-        first = int(idx[0]) if len(idx) else 0
-        if first and (idx == first).all():
-            return _finite_grads(self._oracles[first - 1], z, self._problem.dim,
-                                 "constraint %d grad", first)
+        are left unset for the caller to fill."""
         vecs = np.empty((len(z), self._problem.dim))
         for i, oracle in enumerate(self._oracles, start=1):
             rows = idx == i
@@ -405,10 +400,12 @@ def sample_ball(center: Vector, radius: float, rng: np.random.Generator,
     point on the unit sphere of R^(n+2), which is uniform in the unit ball:
     it uses only its own n+2 normals, so a draw of size a followed by one of
     size b gives the same rows as one draw of size a + b.  ``out``, a
-    (size, n) float array, receives the rows and is returned in place of a
-    new array; the rows are the same bits either way.
+    (size, n) float array given only with ``size``, receives the rows and is
+    returned in place of a new array; the rows are the same bits either way.
     """
     n = center.size
+    if out is not None and (size is None or out.shape != (size, n)):
+        raise ValueError("out must be a (size, n) array")
     if size is not None:
         normals = rng.standard_normal((size, n + 2))
         norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))

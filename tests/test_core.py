@@ -675,6 +675,14 @@ def test_sample_ball_batch_rows_are_the_broadcast_bits(radius):
     assert buf.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("size, shape", [(None, (1, 2)), (3, (4, 2)),
+                                         (3, (3, 3)), (2, (2, 2, 1))])
+def test_sample_ball_rejects_an_out_that_is_not_size_by_n(size, shape):
+    with pytest.raises(ValueError, match="out must be a"):
+        sample_ball(np.zeros(2), 1.0, np.random.default_rng(0), size=size,
+                    out=np.empty(shape))
+
+
 # ------------------------------------------------------- batch oracles
 
 
@@ -784,28 +792,21 @@ def test_batch_constraint_calls_on_no_rows():
     assert reduced.grads_at(np.empty((0, 2)), idx).shape == (0, 2)
 
 
-@pytest.mark.parametrize("side", ["objective", "constraint"])
-def test_one_branch_batch_gradients_are_the_oracle_array(side):
-    # every row takes one branch: its oracle's array comes back as it is,
+def test_objective_batch_gradients_are_the_oracle_array():
+    # every row takes the objective branch: its array comes back as it is,
     # one subgradient call per row, and its output is still checked
-    prob = two_linear_batch_constraints()
     grads = np.tile([0.5, -0.5], (3, 1))
     oracle = Oracle(value=lambda x: 0.0, grad=lambda x: grads[0].copy(),
                     values=lambda z: np.zeros(len(z)), grads=lambda z: grads)
-    if side == "objective":
-        prob = dataclasses.replace(prob, objective=oracle)
-        z = -np.ones((3, 2))
-    else:
-        g2 = dataclasses.replace(oracle, values=lambda z: z[:, 1] + 1.0)
-        prob = dataclasses.replace(prob, constraints=(prob.constraints[0], g2))
-        z = np.ones((3, 2))
+    prob = dataclasses.replace(two_linear_batch_constraints(), objective=oracle)
+    z = -np.ones((3, 2))
     sub = Subproblem(prob, np.array([-1.0, -1.0]))
     vecs, codes = sub.grads(z)
     assert vecs is grads
-    assert codes.tolist() == [0 if side == "objective" else 2] * 3
+    assert codes.tolist() == [0] * 3
     assert sub.subgrad_calls == 3
     grads[1, 0] = np.inf
-    with pytest.raises(OracleError, match=side):
+    with pytest.raises(OracleError, match="objective"):
         sub.grads(z)
     assert sub.subgrad_calls == 3
 
