@@ -783,6 +783,24 @@ def test_verify_wrong_length_stored_vector_is_usage_error(solved, tmp_path,
     assert "dimension 2" in capsys.readouterr().err
 
 
+def test_verify_reads_a_non_finite_point_at_points_in_ball(solved, tmp_path,
+                                                          capsys):
+    # 1e400 parses to inf; the point is read where points-in-ball reads it,
+    # so --fast rejects the weight fault before it, and a full check raises
+    data = read_json(str(solved / "run.cert.json"))
+    data["combination"][0]["weight"] += 0.1
+    data["combination"][-1]["point"][0] = 123.25
+    text = json.dumps(data)
+    assert text.count("123.25") == 1
+    path = tmp_path / "inf-point.json"
+    path.write_text(text.replace("123.25", "1e400"))
+    assert main(["verify", str(path), "--fast"] + FAST_VERIFY) \
+        == EXIT_VERIFY_FAILED
+    assert "REJECTED: weights-sum" in capsys.readouterr().err
+    assert main(["verify", str(path)] + FAST_VERIFY) == EXIT_USAGE
+    assert capsys.readouterr().err == "error: non-finite entries in input point\n"
+
+
 # ------------------------------------------------------------------- bench
 
 

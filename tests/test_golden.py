@@ -3,7 +3,9 @@
 Each document digest is the SHA-256 of the document bytes `goldsub solve`
 writes for one acceptance member at seed 0.  Each report digest is the
 SHA-256 of what `goldsub verify` checks in that certificate at its
-defaults: per check its name, verdict and detail string.  Refactors must
+defaults: per check its name, verdict and detail string.  Each rejection
+digest covers six such reports: the certificate forged with each fault of
+acceptance criterion 10, checked with and without `--fast`.  Refactors must
 keep them: a change that moves a byte on purpose says which bytes and why,
 and updates the digest.  The document bytes also equal the standard
 library encoder's (``stdlib_dumps``).
@@ -14,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from goldsub import __version__
@@ -158,3 +161,78 @@ def test_verify_reports_keep_their_bytes(cell):
     # on a mismatch, the report's lines show which detail moved
     assert report.passed and len(report.checks) == 11, text
     assert hashlib.sha256(text.encode()).hexdigest() == REPORTS[label(*cell)], text
+
+
+# same cells -> digest of the six reports on the certificate forged with
+# each fault of acceptance criterion 10, verified with and without --fast
+REJECTIONS = {
+    "ball-linear-rand":
+        "c522702f454c293240be7982924afe5f59626457b11a9f3e3d234698e77dc602",
+    "ball-linear-bisect":
+        "dfc4b27c41c902a34a60a0118e95eb429e6d6f7ee5d6ff7c5f612c660cb8c63f",
+    "l1-ball-rand":
+        "78f7ac6e8a54bd923d2dda5f4fe89eb11550279ad90338ada28676b8f0002e45",
+    "l1-ball-bisect":
+        "97d603209b83203c80abffb28c389752b253a70b2cccf9dc7520fb6090115a7e",
+    "footnote-1d-rand":
+        "462195ffeefd19998d17bf9b25d57f788aecb70627051ae8448f73532d025478",
+    "footnote-1d-bisect":
+        "aa5761027bdd5df14b741183e3ddccaaba46d6007c05a95920d365eff756b57b",
+    "footnote-2c-rand":
+        "8de525631fb9d07f83d4139730cae6a023aa34fdb56ca042f9c742e05eaa55c7",
+    "footnote-2c-bisect":
+        "8e3c0cc2e0fdaf528f541be677223af58d35db66d6aabc1ef26f5c1d998ba42b",
+    "pl-nonconvex-rand":
+        "39876e2b8ef713ad5f6c5b2ae30892538d3866a800c37aae565adffb32402219",
+    "pl-nonconvex-bisect":
+        "37ca30c6fbc45865872a64df8f645dc3755ad7ee15aa4a59246709466a6b66ad",
+    "ball-linear-n10-rand":
+        "cc6d206aa0a8723d05399704ec07c80e3cb6c0c79fb9bce7fe04ebf3d205ee90",
+    "ball-linear-n10-bisect":
+        "815795b3d8e2cacbcd9f50b436551eaf9efedf0458d0fdc496290cc2385cae03",
+    "pl-nonconvex-n10-rand":
+        "d4ac2b7e0366abb8b36d3c2805f2acc5204e659cfb49b7e0dc95f15ddf892ade",
+    "pl-nonconvex-n10-bisect":
+        "b9673f19de5fd530da139c9cefdf1960c65d8bc10f9ea63c14168c27c8c5a5a3",
+    "ball-linear-rand-kkt":
+        "15c43b5f941c502fa3351e04086b9a0c716bb9263029984c835103e3db979ec5",
+}
+
+# criterion 10's faults, in order: (kind, the check that rejects it)
+FAULTS = (("weight", "weights-sum"), ("anchor", "points-in-ball"),
+          ("vector", "vector-recompute"))
+
+
+def forged(cert_doc, kind, rng):
+    """The parsed certificate document with one criterion-10 fault."""
+    data = json.loads(dumps(cert_doc))
+    combo = data["combination"]
+    if kind == "weight":
+        combo[int(rng.integers(len(combo)))]["weight"] += 0.1
+        return data
+    u = rng.standard_normal(len(data["anchor"]))
+    u /= float(np.linalg.norm(u))
+    if kind == "anchor":
+        data["anchor"] = list(data["anchor"] + 2.0 * data["delta"] * u)
+    else:
+        entry = combo[int(rng.integers(len(combo)))]
+        entry["vector"] = list(entry["vector"] + 1e-3 * u)
+    return data
+
+
+@pytest.mark.parametrize("cell", list(cells()), ids=lambda c: label(*c))
+def test_rejection_reports_keep_their_bytes(cell):
+    cert_doc, _ = documents(*cell)
+    spec = get_problem(cell[0], **cell[1]).spec
+    rng = np.random.default_rng(9000)
+    texts = []
+    for kind, reason in FAULTS:
+        cert, _ = certificate_from_data(forged(cert_doc, kind, rng))
+        for fast in (True, False):
+            report = check_certificate(cert, spec, stop_at_first_failure=fast)
+            assert report.reason == reason, (kind, fast)
+            texts.append("%s fast=%s\n" % (kind, fast) + "".join(
+                "%s\t%s\t%s\n" % (check.name, check.passed, check.detail)
+                for check in report.checks))
+    text = "".join(texts)
+    assert hashlib.sha256(text.encode()).hexdigest() == REJECTIONS[label(*cell)], text
