@@ -144,7 +144,7 @@ def _as_vector(x, dim: int, finite: bool = True) -> Vector:
         raise UsageError("expected a 1-D point, got shape %r" % (v.shape,))
     if v.size != dim:
         raise UsageError("expected dimension %d, got %d" % (dim, v.size))
-    if finite and not np.isfinite(v).all():
+    if finite and not _all_finite(v):
         raise UsageError("non-finite entries in input point")
     return v
 
@@ -154,9 +154,26 @@ def _as_points(z, dim: int) -> np.ndarray:
     if pts.ndim != 2 or pts.shape[1] != dim:
         raise UsageError("expected an (N, %d) array of points, got shape %r"
                          % (dim, pts.shape))
-    if not np.isfinite(pts).all():
+    if not _all_finite(pts):
         raise UsageError("non-finite entries in input points")
     return pts
+
+
+# most entries whose finiteness one dot product tests; BLAS may split a
+# longer dot product over threads, which costs more than the test saves
+DOT_TEST_MAX = 4096
+
+
+def _all_finite(a: np.ndarray) -> bool:
+    """Whether every entry of a float array is finite.
+
+    a.a is finite only when every entry of a is, so the entrywise test runs
+    only when it is not (an entry is inf or NaN, or a square overflows) or
+    when the array is long; the answer is exact either way.  ``vdot``
+    flattens a, and unlike ``dot`` it warns on no overflow.
+    """
+    return ((a.size <= DOT_TEST_MAX and math.isfinite(np.vdot(a, a)))
+            or bool(np.isfinite(a).all()))
 
 
 # The output checks below run once per oracle call on the hot paths.  The
@@ -174,7 +191,7 @@ def _finite_array(arr, shape: tuple, what: str, *args) -> np.ndarray:
     if arr.shape != shape:
         raise OracleError("%s returned shape %r, expected %r"
                           % (what % args, arr.shape, shape))
-    if not np.isfinite(arr).all():
+    if not _all_finite(arr):
         raise OracleError("non-finite entries from %s" % (what % args))
     return arr
 

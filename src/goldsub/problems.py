@@ -193,9 +193,11 @@ def _ball_linear(dim: int = 2) -> ProblemRecord:
 
     def g_grads(z):
         norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-        out = np.tile(e1, (len(z), 1))
         inside = norms > 0.0
-        out[inside] = z[inside] / norms[inside, None]
+        # the quotient straight into the one output array, then e1 at 0
+        out = np.divide(z, norms[:, None], out=np.empty(z.shape),
+                        where=inside[:, None])
+        out[~inside] = e1
         return out
 
     objective = Oracle(value=lambda x: float(x[0]),

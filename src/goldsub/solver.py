@@ -160,9 +160,12 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     weights = np.array([w.weight for w in combination], dtype=float)
     _require(check_weights_nonnegative(weights))
     _require(check_weights_sum(weights))
-    _require(check_points_in_ball(combination, anchor, delta, problem.dim))
+    points = [_as_vector(w.point, problem.dim) for w in combination]
+    _require(check_points_in_ball(points, anchor, delta))
     zeta = _as_vector(zeta, problem.dim)
-    _require(check_zeta_recompute(combination, zeta, m))
+    vectors = [_as_vector(w.vector, problem.dim, finite=False)
+               for w in combination]
+    _require(check_zeta_recompute(combination, vectors, zeta, m))
     zeta_norm = math.sqrt(zeta.dot(zeta))
     _require(check_zeta_norm(zeta_norm, eps_t))
 

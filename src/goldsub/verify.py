@@ -186,8 +186,7 @@ def min_norm_over_hull(points, start: HullEstimate | None = None) -> HullEstimat
             break  # numerical stall; keep the previous, valid point
         x = new_x
 
-    return HullEstimate(points=pts, min_norm_point=x,
-                        min_norm=float(np.linalg.norm(x)),
+    return HullEstimate(points=pts, min_norm_point=x, min_norm=_norm(x),
                         support_indices=list(support),
                         support_weights=[float(w) for w in weights])
 
@@ -292,25 +291,38 @@ def check_weights_sum(weights: np.ndarray) -> CheckResult:
                        "sum %.17g" % total)
 
 
-def check_points_in_ball(combination: list[WeightedSubgradient], anchor: Vector,
-                         delta: float, dim: int) -> CheckResult:
-    far = max((float(np.linalg.norm(_as_vector(w.point, dim) - anchor))
-               for w in combination), default=0.0)
+def _norm(v: Vector) -> float:
+    """||v|| by np.linalg.norm's own formula for a 1-D array, without its
+    wrapper: the same bits."""
+    r = v.ravel(order="K")
+    return math.sqrt(r.dot(r))
+
+
+def check_points_in_ball(points: list[Vector], anchor: Vector,
+                         delta: float) -> CheckResult:
+    """``points`` are a combination's points, converted and validated."""
+    far = max((_norm(point - anchor) for point in points), default=0.0)
     return CheckResult("points-in-ball", far <= delta + 1e-12,
                        "max distance %.17g vs delta %.17g" % (far, delta))
 
 
-def recombine(combination: list[WeightedSubgradient], dim: int) -> Vector:
-    """sum(w_i * vector_i) over a combination."""
+def recombine(combination: list[WeightedSubgradient], dim: int,
+              vectors: list[Vector] | None = None) -> Vector:
+    """sum(w_i * vector_i) over a combination; ``vectors`` are its vectors,
+    already converted, or None to convert them here."""
+    if vectors is None:
+        vectors = [_as_vector(w.vector, dim, finite=False) for w in combination]
     out = np.zeros(dim)
-    for w in combination:
-        out += w.weight * _as_vector(w.vector, dim, finite=False)
+    for w, vector in zip(combination, vectors):
+        out += w.weight * vector
     return out
 
 
-def check_zeta_recompute(combination: list[WeightedSubgradient], zeta: Vector,
+def check_zeta_recompute(combination: list[WeightedSubgradient],
+                         vectors: list[Vector], zeta: Vector,
                          m: float) -> CheckResult:
-    resid = float(np.linalg.norm(recombine(combination, zeta.size) - zeta))
+    """``vectors`` are the combination's vectors, converted."""
+    resid = _norm(recombine(combination, zeta.size, vectors) - zeta)
     return CheckResult("zeta-recompute", resid <= VECTOR_MATCH_REL * m,
                        "residual %.3g (allowed %.3g)" % (resid, VECTOR_MATCH_REL * m))
 
@@ -490,19 +502,22 @@ def _checks(cert, problem, samples, seed):
     weights = np.array([w.weight for w in combo], dtype=float)
     yield check_weights_nonnegative(weights)
     yield check_weights_sum(weights)
-    yield check_points_in_ball(combo, anchor, delta, dim)
+    # each stored point, vector and direction is converted and validated
+    # once, where a check first reads it, and handed on from there
+    points = [_as_vector(w.point, dim) for w in combo]
+    yield check_points_in_ball(points, anchor, delta)
 
     sub = Subproblem(problem, anchor)
-    mismatches = []
-    for w in combo:
-        point = _as_vector(w.point, dim)
+    vectors, mismatches = [], []
+    for w, point in zip(combo, points):
         if w.direction is None:
             expected, branch = sub.grad(point)
         else:
             expected, branch, _, _ = sub.dir_grad(point, _as_vector(w.direction, dim))
         stored = _as_vector(w.vector, dim, finite=False)
+        vectors.append(stored)
         # a relabelled branch is as wrong as a wrong vector
-        mismatches.append(float(np.linalg.norm(expected - stored))
+        mismatches.append(_norm(expected - stored)
                           if branch == w.branch else math.inf)
     # max() skips a NaN mismatch; a NaN must fail the check instead
     worst = max(mismatches, default=0.0)
@@ -513,8 +528,8 @@ def _checks(cert, problem, samples, seed):
                       % (worst, VECTOR_MATCH_REL * m))
 
     zeta = _as_vector(cert.zeta, dim)
-    yield check_zeta_recompute(combo, zeta, m)
-    zeta_norm = float(np.linalg.norm(zeta))
+    yield check_zeta_recompute(combo, vectors, zeta, m)
+    zeta_norm = _norm(zeta)
     yield check_zeta_norm(zeta_norm, cert.eps_effective)
 
     gamma0, gamma, lam = multiplier_split(combo)

@@ -12,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goldsub.core import (
+    DOT_TEST_MAX,
     OBJECTIVE,
     Branch,
     Oracle,
     ProblemSpec,
     ReducedConstraint,
     Subproblem,
+    _all_finite,
     sample_ball,
     segment_projection_coefficient,
 )
@@ -841,3 +843,56 @@ def test_malformed_batch_oracle_output_raises_oracle_error(field, broken, side):
     z = np.array([[0.95, 0.0], [-0.9, 0.0]])
     with pytest.raises(OracleError):
         sub.grads(z)
+
+
+# --------------------------------------------------------- finiteness test
+
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+def test_all_finite_is_false_exactly_at_a_non_finite_entry():
+    # every index of every size whose dot product runs BLAS's unrolled tail
+    # loops, and both sides of the longest array tested by the dot product
+    sizes = [*range(1, 34), *range(DOT_TEST_MAX - 2, DOT_TEST_MAX + 2)]
+    for size in sizes:
+        a = np.random.default_rng(size).standard_normal(size)
+        assert _all_finite(a)
+        for i in range(size):
+            for bad in NON_FINITE:
+                a[i] = bad
+                assert not _all_finite(a), (size, i, bad)
+            a[i] = 0.5
+        assert _all_finite(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, DOT_TEST_MAX + 1), at=st.floats(0.0, 1.0),
+       bad=st.sampled_from(NON_FINITE), scale=st.sampled_from([1.0, 5e-324, 1e300]),
+       seed=st.integers(0, 2**32 - 1))
+def test_all_finite_at_any_size_and_index(size, at, bad, scale, seed):
+    with np.errstate(under="ignore"):
+        a = np.random.default_rng(seed).standard_normal(size) * scale
+    assert _all_finite(a)
+    a[int(at * (size - 1))] = bad
+    assert not _all_finite(a)
+
+
+@pytest.mark.parametrize("size", [1, 2, 17, DOT_TEST_MAX, DOT_TEST_MAX + 1])
+def test_all_finite_where_the_squares_overflow(size):
+    # a.a overflows to inf (without an overflow warning); the entries are
+    # finite all the same
+    a = np.full(size, 1e308)
+    a[::2] = -1e308
+    assert _all_finite(a)
+    assert _all_finite(a.reshape(-1, 1)[::-1])
+
+
+def test_all_finite_reads_every_entry_of_any_layout():
+    a = np.arange(24.0).reshape(4, 6)
+    for view in (a, a.T, a[:, ::2], a[::-1, 1:]):
+        assert _all_finite(view)
+    a[3, 3] = math.nan
+    assert _all_finite(a[:, ::2])  # columns 0, 2 and 4 only
+    assert not _all_finite(a) and not _all_finite(a.T)
+    assert not _all_finite(a[::-1, 1:])
+    assert _all_finite(np.empty((0, 3)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,46 @@ def test_l1_gradient_at_zero_uses_plus_sign():
 def test_norm_gradient_at_zero_uses_first_basis_vector():
     spec = get_problem("ball-linear").spec
     assert np.array_equal(spec.constraints[0].grad(np.zeros(2)), [1.0, 0.0])
+
+
+def tiled_quotient(z, e1):
+    """The ball-linear batch gradient as one tile, a copy and a quotient."""
+    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
+    out = np.tile(e1, (len(z), 1))
+    inside = norms > 0.0
+    out[inside] = z[inside] / norms[inside, None]
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 10, 200])
+def test_ball_linear_batch_gradients_keep_their_bits(dim):
+    grads = get_problem("ball-linear", dim=dim).spec.constraints[0].grads
+    z = np.random.default_rng(dim).standard_normal((64, dim))
+    z[3] = 0.0
+    z[5] = -0.0
+    z[7] = 5e-324  # squares underflow: a zero norm
+    z[11] *= 1e200  # squares overflow: an infinite norm
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    with np.errstate(under="ignore"):
+        got = grads(z)
+    assert got.tobytes() == tiled_quotient(z, e1).tobytes()
+    assert np.array_equal(got[[3, 5, 7]], np.tile(e1, (3, 1)))
+
+
+def test_ball_linear_batch_gradients_work_in_one_block():
+    rows, dim = 4096, 200
+    grads = get_problem("ball-linear", dim=dim).spec.constraints[0].grads
+    z = np.random.default_rng(0).standard_normal((rows, dim))
+    z[0] = 0.0
+    tracemalloc.start()
+    try:
+        out = grads(z)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (rows, dim)
+    assert peak <= 1.25 * rows * dim * 8
 
 
 def test_max_norm_argmax_tie_takes_lowest_index():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import collections
 import copy
+import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -11,12 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goldsub import verify
+from goldsub import solver, verify
 from goldsub.core import (MAX_SAMPLES, OBJECTIVE, Branch, Oracle, ProblemSpec,
                           ReducedConstraint, Subproblem, WeightedSubgradient,
                           sample_ball)
 from goldsub.errors import UsageError
 from goldsub.problems import constant_constraint, get_problem
+from goldsub.serialize import certificate_data, certificate_from_data, dumps
 from goldsub.solver import SolverConfig, certify, solve
 from goldsub.verify import (
     CHECK_ORDER,
@@ -682,3 +686,74 @@ def test_zero_samples_is_usage_error_before_any_check(monkeypatch):
     monkeypatch.setattr(verify, "_checks", never_called)
     with pytest.raises(UsageError, match="samples must be positive"):
         check_certificate(cert, record.spec, samples=0)
+
+
+# ------------------------------------------------- norms and conversions
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 4097), step=st.sampled_from([1, 2, 3, -1]),
+       scale=st.sampled_from([1.0, 1e-310, 5e-324, 1e150, 1e200, 1e308]),
+       nan_at=st.none() | st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(size=4097, step=2, scale=1.0, nan_at=None, seed=0)
+@example(size=33, step=1, scale=1e200, nan_at=None, seed=0)
+def test_norm_is_the_bits_of_numpys_norm(size, step, scale, nan_at, seed):
+    # a strided array is tested because BLAS may sum it in another order
+    with np.errstate(over="ignore", under="ignore"):
+        v = (np.random.default_rng(seed).standard_normal(size * abs(step))
+             * scale)[::step]
+        if nan_at is not None:
+            v[int(nan_at * (size - 1))] = math.nan
+        expected = np.float64(np.linalg.norm(v))
+        got = verify._norm(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == expected.tobytes()
+
+
+def counted_conversions(monkeypatch, module) -> collections.Counter:
+    """How often ``module._as_vector`` converts each object, by id, from now
+    on."""
+    as_vector = module._as_vector
+    seen = collections.Counter()
+
+    def counted(x, *args, **kwargs):
+        seen[id(x)] += 1
+        return as_vector(x, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_as_vector", counted)
+    return seen
+
+
+@pytest.mark.parametrize("inner", ["rand", "bisect"])
+def test_verification_converts_each_stored_array_once(monkeypatch, inner):
+    record = get_problem("footnote-2c")
+    config = SolverConfig(delta=0.05, target_eps=0.05, inner=inner)
+    cert, _ = solve(record.spec, config, record.start)
+    # decoded, as `goldsub verify` reads it: every stored array its own object
+    cert, _ = certificate_from_data(json.loads(dumps(certificate_data(cert))))
+    stored = [cert.anchor, cert.zeta]
+    for w in cert.combination:
+        stored += [w.point, w.vector] + ([] if w.direction is None
+                                         else [w.direction])
+    assert (inner == "bisect") == (len(stored) > 2 + 2 * len(cert.combination))
+    seen = counted_conversions(monkeypatch, verify)
+    report = check_certificate(cert, record.spec, samples=200)
+    assert report.passed and len(report.checks) == len(CHECK_ORDER)
+    assert [seen[id(array)] for array in stored] == [1] * len(stored)
+    assert sum(seen.values()) == len(stored)
+
+
+def test_certify_converts_each_point_and_vector_once(monkeypatch):
+    record = get_problem("footnote-2c")
+    config = SolverConfig(delta=0.05, target_eps=0.05)
+    cert, _ = solve(record.spec, config, record.start)
+    combo = [dataclasses.replace(w, point=w.point.copy(), vector=w.vector.copy())
+             for w in cert.combination]
+    seen = counted_conversions(monkeypatch, solver)
+    again = certify(cert.anchor, combo, record.spec, config, cert.zeta,
+                    (cert.f_anchor, cert.g_anchor))
+    stored = [cert.anchor, cert.zeta] + [a for w in combo
+                                         for a in (w.point, w.vector)]
+    assert [seen[id(array)] for array in stored] == [1] * len(stored)
+    assert sum(seen.values()) == len(stored)
+    assert dumps(certificate_data(again)) == dumps(certificate_data(cert))
