@@ -38,7 +38,7 @@ from .inner_rand import C_RAND, STATIONARY, rand_call_budget, rand_search
 from .verify import (CheckResult, GoldsteinCertificate, check_anchor_feasible,
                      check_points_in_ball, check_weights_nonnegative,
                      check_weights_sum, check_zeta_norm, check_zeta_recompute,
-                     eps_effective, kkt_claims, multiplier_split)
+                     eps_effective, kkt_claims, multiplier_split, _norm)
 
 RAND = "rand"
 BISECT = "bisect"
@@ -166,7 +166,7 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     vectors = [_as_vector(w.vector, problem.dim, finite=False)
                for w in combination]
     _require(check_zeta_recompute(combination, vectors, zeta, m))
-    zeta_norm = math.sqrt(zeta.dot(zeta))
+    zeta_norm = _norm(zeta)
     _require(check_zeta_norm(zeta_norm, eps_t))
 
     f_anchor, g_anchor = anchor_values

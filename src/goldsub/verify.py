@@ -306,12 +306,10 @@ def check_points_in_ball(points: list[Vector], anchor: Vector,
                        "max distance %.17g vs delta %.17g" % (far, delta))
 
 
-def recombine(combination: list[WeightedSubgradient], dim: int,
-              vectors: list[Vector] | None = None) -> Vector:
+def recombine(combination: list[WeightedSubgradient], vectors: list[Vector],
+              dim: int) -> Vector:
     """sum(w_i * vector_i) over a combination; ``vectors`` are its vectors,
-    already converted, or None to convert them here."""
-    if vectors is None:
-        vectors = [_as_vector(w.vector, dim, finite=False) for w in combination]
+    converted."""
     out = np.zeros(dim)
     for w, vector in zip(combination, vectors):
         out += w.weight * vector
@@ -322,7 +320,7 @@ def check_zeta_recompute(combination: list[WeightedSubgradient],
                          vectors: list[Vector], zeta: Vector,
                          m: float) -> CheckResult:
     """``vectors`` are the combination's vectors, converted."""
-    resid = _norm(recombine(combination, zeta.size, vectors) - zeta)
+    resid = _norm(recombine(combination, vectors, zeta.size) - zeta)
     return CheckResult("zeta-recompute", resid <= VECTOR_MATCH_REL * m,
                        "residual %.3g (allowed %.3g)" % (resid, VECTOR_MATCH_REL * m))
 

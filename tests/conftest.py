@@ -43,7 +43,8 @@ def stdlib_dumps():
 
 
 def _round_state(combo, zeta) -> dict:
-    resid = recombine(combo.export(), zeta.size) - zeta
+    entries = combo.export()
+    resid = recombine(entries, [w.vector for w in entries], zeta.size) - zeta
     weights = combo.weights()
     return {"zeta_norm": math.sqrt(zeta.dot(zeta)),
             "recombine_residual": math.sqrt(resid.dot(resid)),

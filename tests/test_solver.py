@@ -43,8 +43,8 @@ def certify_as_solve(anchor, combo, spec, config):
     zeta, and f and g read at the anchor."""
     anchor = np.asarray(anchor, dtype=float)
     values = (spec.objective.value(anchor), ReducedConstraint(spec).value(anchor)[0])
-    return certify(anchor, combo, spec, config, verify.recombine(combo, spec.dim),
-                   values)
+    zeta = verify.recombine(combo, [w.vector for w in combo], spec.dim)
+    return certify(anchor, combo, spec, config, zeta, values)
 
 
 # ------------------------------------------------------------------ config

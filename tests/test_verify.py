@@ -240,7 +240,8 @@ def ten_tenths_certificate():
     values = (record.spec.objective.value(anchor),
               ReducedConstraint(record.spec).value(anchor)[0])
     return record, certify(anchor, combo, record.spec, config,
-                           verify.recombine(combo, 2), values)
+                           verify.recombine(combo, [w.vector for w in combo], 2),
+                           values)
 
 
 def test_multiplier_split_of_inexact_objective_weights_is_exact():
