@@ -176,6 +176,13 @@ def _all_finite(a: np.ndarray) -> bool:
             or bool(np.isfinite(a).all()))
 
 
+def _norm(v: Vector) -> float:
+    """||v|| by np.linalg.norm's own formula for a 1-D array, without its
+    wrapper: the same bits."""
+    r = v.ravel(order="K")
+    return math.sqrt(r.dot(r))
+
+
 # The output checks below run once per oracle call on the hot paths.  The
 # oracle they name is ``what % args``, formatted only when a check fails.
 

@@ -40,6 +40,7 @@ class InnerResult:
     zeta is always the convex combination of ``combination`` entries
     (weights nonnegative, summing to 1; points within delta of the anchor),
     a list built on first read: a solve reads only its last search's.
+    ``zeta_norm`` is ||zeta||, as the round loop computed it.
     ``oracle_calls`` counts subgradient-oracle evaluations of h -- the unit
     the per-invocation budgets are stated in; ``value_calls`` counts the
     value-only evaluations spent on descent tests.
@@ -52,6 +53,7 @@ class InnerResult:
 
     outcome: str
     zeta: Vector
+    zeta_norm: float
     terms: _Combination = field(repr=False)
     oracle_calls: int
     value_calls: int
@@ -61,10 +63,6 @@ class InnerResult:
     descent_f: float | None = None
     descent_g: float | None = None
     probe_ties: int = 0
-
-    @property
-    def zeta_norm(self) -> float:
-        return math.sqrt(self.zeta.dot(self.zeta))
 
     @cached_property
     def combination(self) -> list[WeightedSubgradient]:
@@ -140,7 +138,7 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
     while True:
         norm = math.sqrt(zeta.dot(zeta))
         if norm <= eps:
-            return InnerResult(STATIONARY, zeta, combo,
+            return InnerResult(STATIONARY, zeta, norm, combo,
                                sub.subgrad_calls, sub.value_calls, iterations,
                                probe_ties=ties_total)
         direction = zeta / norm
@@ -148,7 +146,7 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         h_trial, f_trial, g_trial = sub.value_full(trial)
         descent = sub.h_anchor - h_trial
         if descends(descent, norm):
-            return InnerResult(DESCENT, zeta, combo,
+            return InnerResult(DESCENT, zeta, norm, combo,
                                sub.subgrad_calls, sub.value_calls, iterations,
                                descent_amount=descent, descent_point=trial,
                                descent_f=f_trial, descent_g=g_trial,

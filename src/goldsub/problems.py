@@ -8,6 +8,12 @@ fixed so almost-everywhere gradient oracles are deterministic: sign(0) is
 taken as +1, the subgradient of the Euclidean norm at 0 is the first basis
 vector, and argmax ties resolve to the lowest index.  Every oracle also has
 batch callables that apply the same rules to each row of an (N, n) array.
+
+A pointwise oracle runs on every joint call, and at small n its cost is
+numpy's per-call overhead, so the pointwise callables reduce with ufuncs
+(``np.maximum.reduce``, ``np.add.reduce``) and ``core._norm`` instead of
+``ndarray.max``/``.sum`` and ``np.linalg.norm``, whose Python wrappers call
+the same ufuncs: the bits are the same.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Oracle, ProblemSpec, ReducedConstraint, Vector
+from .core import Oracle, ProblemSpec, ReducedConstraint, Vector, _norm
 from .errors import UsageError
 
 
@@ -86,13 +92,14 @@ def _l1_dir_vector(x: Vector, v: Vector) -> Vector:
     """Subgradient s of the 1-norm at x with <s, v> = its directional derivative."""
     s = np.sign(x)
     tie = s == 0.0
-    s[tie] = np.sign(v[tie])
-    s[s == 0.0] = 1.0
+    if np.logical_or.reduce(tie):  # without a zero coordinate, no-ops
+        s[tie] = np.sign(v[tie])
+        s[s == 0.0] = 1.0
     return s
 
 
 def _linf_grad(x: Vector) -> Vector:
-    j = int(np.argmax(np.abs(x)))
+    j = int(np.abs(x).argmax())
     e = np.zeros(x.size)
     e[j] = 1.0 if x[j] >= 0.0 else -1.0
     return e
@@ -110,7 +117,7 @@ def _linf_grads(z: np.ndarray) -> np.ndarray:
 def _linf_dir_vector(x: Vector, v: Vector) -> Vector:
     """Subgradient of the max-norm at x matching its directional derivative."""
     a = np.abs(x)
-    top = float(a.max())
+    top = float(np.maximum.reduce(a))
     best_j, best_d = -1, -np.inf
     for j in range(x.size):
         if a[j] != top:
@@ -175,17 +182,17 @@ def _ball_linear(dim: int = 2) -> ProblemRecord:
     e1 = _unit_first(dim)
 
     def g_value(x):
-        return float(np.linalg.norm(x)) - 1.0
+        return _norm(x) - 1.0
 
     def g_grad(x):
-        n = float(np.linalg.norm(x))
+        n = _norm(x)
         return x / n if n > 0.0 else e1.copy()
 
     def g_dir(x, v):
-        n = float(np.linalg.norm(x))
+        n = _norm(x)
         if n > 0.0:
             return x / n
-        nv = float(np.linalg.norm(v))
+        nv = _norm(v)
         return v / nv if nv > 0.0 else e1.copy()
 
     def g_values(z):
@@ -224,7 +231,7 @@ def _l1_ball(dim: int = 2) -> ProblemRecord:
     _positive_int(dim, "dim")
     pad = 0.5
 
-    objective = Oracle(value=lambda x: float(np.abs(x).sum()),
+    objective = Oracle(value=lambda x: float(np.add.reduce(np.abs(x))),
                        grad=lambda x: _sign_plus(x),
                        dir_grad=lambda x, v: _l1_dir_vector(x, v),
                        values=lambda z: np.abs(z).sum(axis=1),
@@ -341,7 +348,8 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
     _positive_real(alpha, "alpha")
 
     def f_value(x):
-        return float(np.abs(x).max()) - alpha * float(np.abs(x).sum())
+        a = np.abs(x)
+        return float(np.maximum.reduce(a)) - alpha * float(np.add.reduce(a))
 
     def f_grad(x):
         return _linf_grad(x) - alpha * _sign_plus(x)
@@ -360,7 +368,7 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
 
     objective = Oracle(value=f_value, grad=f_grad, dir_grad=f_dir,
                        values=f_values, grads=f_grads)
-    constraint = Oracle(value=lambda x: float(np.abs(x).max()) - 1.0,
+    constraint = Oracle(value=lambda x: float(np.maximum.reduce(np.abs(x))) - 1.0,
                         grad=_linf_grad,
                         dir_grad=lambda x, v: _linf_dir_vector(
                             np.asarray(x, dtype=float), np.asarray(v, dtype=float)),

@@ -163,7 +163,9 @@ def manifest_data(problem_name: str, problem_params: dict,
     data = {
         "schema": MANIFEST_SCHEMA,
         "problem": {"name": problem_name, "params": dict(problem_params)},
-        "config": dataclasses.asdict(config),
+        # every field is a scalar: no deep copy (dataclasses.asdict) needed
+        "config": {f.name: getattr(config, f.name)
+                   for f in dataclasses.fields(config)},
         "version": version,
         "seed": config.seed,
     }

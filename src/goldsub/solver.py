@@ -30,7 +30,7 @@ import numpy as np
 # sample_ball is unused here; it exists because perfbench/tracer.py patches
 # solver.sample_ball, and the import goes when that patch does (ROADMAP item 1)
 from .core import (ProblemSpec, ReducedConstraint, Vector, WeightedSubgradient,
-                   _as_vector, _finite_value, sample_ball)
+                   _as_vector, _finite_value, _norm, sample_ball)
 from .errors import (BudgetExceededError, CertificationError,
                      InfeasibleStartError, UsageError)
 from .inner_bisect import C_BISECT, bisect_call_budget, bisect_search
@@ -38,7 +38,7 @@ from .inner_rand import C_RAND, STATIONARY, rand_call_budget, rand_search
 from .verify import (CheckResult, GoldsteinCertificate, check_anchor_feasible,
                      check_points_in_ball, check_weights_nonnegative,
                      check_weights_sum, check_zeta_norm, check_zeta_recompute,
-                     eps_effective, kkt_claims, multiplier_split, _norm)
+                     eps_effective, kkt_claims, multiplier_split)
 
 RAND = "rand"
 BISECT = "bisect"
@@ -271,7 +271,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         })
         if res.outcome == STATIONARY:
             break
-        x = res.descent_point.copy()
+        x = res.descent_point  # a fresh array that only this loop holds
         f_x, g_x = res.descent_f, res.descent_g
         k += 1
         if lemma_bound is not None and k > lemma_bound:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (ProblemSpec, ReducedConstraint, Subproblem, Vector,
-                   WeightedSubgradient, _as_vector, _check_samples,
+                   WeightedSubgradient, _as_vector, _check_samples, _norm,
                    sample_ball)
 from .errors import UsageError
 
@@ -289,13 +289,6 @@ def check_weights_sum(weights: np.ndarray) -> CheckResult:
     total = float(weights.sum())
     return CheckResult("weights-sum", abs(total - 1.0) <= WEIGHT_SUM_TOL,
                        "sum %.17g" % total)
-
-
-def _norm(v: Vector) -> float:
-    """||v|| by np.linalg.norm's own formula for a 1-D array, without its
-    wrapper: the same bits."""
-    r = v.ravel(order="K")
-    return math.sqrt(r.dot(r))
 
 
 def check_points_in_ball(points: list[Vector], anchor: Vector,

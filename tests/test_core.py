@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldsub.core import (
@@ -20,6 +20,7 @@ from goldsub.core import (
     ReducedConstraint,
     Subproblem,
     _all_finite,
+    _norm,
     sample_ball,
     segment_projection_coefficient,
 )
@@ -896,3 +897,25 @@ def test_all_finite_reads_every_entry_of_any_layout():
     assert not _all_finite(a) and not _all_finite(a.T)
     assert not _all_finite(a[::-1, 1:])
     assert _all_finite(np.empty((0, 3)))
+
+
+# ---------------------------------------------------------------- the norm
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, 4097), step=st.sampled_from([1, 2, 3, -1]),
+       scale=st.sampled_from([1.0, 1e-310, 5e-324, 1e150, 1e200, 1e308]),
+       nan_at=st.none() | st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(size=4097, step=2, scale=1.0, nan_at=None, seed=0)
+@example(size=33, step=1, scale=1e200, nan_at=None, seed=0)
+def test_norm_is_the_bits_of_numpys_norm(size, step, scale, nan_at, seed):
+    # a strided array is tested because BLAS may sum it in another order
+    with np.errstate(over="ignore", under="ignore"):
+        v = (np.random.default_rng(seed).standard_normal(size * abs(step))
+             * scale)[::step]
+        if nan_at is not None:
+            v[int(nan_at * (size - 1))] = math.nan
+        expected = np.float64(np.linalg.norm(v))
+        got = _norm(v)
+    assert type(got) is float
+    assert np.float64(got).tobytes() == expected.tobytes()

@@ -7,9 +7,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goldsub.core import ReducedConstraint
-from goldsub.errors import UsageError
+from goldsub.errors import OracleError, UsageError
 from goldsub.problems import (
     ball_linear_sigma,
     constant_constraint,
@@ -159,6 +161,152 @@ def test_footnote_2c_second_constraint_shape():
     assert float(out[0]) * 1.0 == 0.0
     inward = g2.dir_grad(np.array([1.5]), np.array([-1.0]))
     assert float(inward[0]) * -1.0 == -1.0
+
+
+# ------------------------------------------------------ pointwise oracle bits
+# The formulas the pointwise oracles replaced, kept as the reference: each
+# rewritten oracle must return their bytes.
+
+
+def old_norm(x):
+    return float(np.linalg.norm(x))
+
+
+def old_linf_grad(x):
+    j = int(np.argmax(np.abs(x)))
+    e = np.zeros(x.size)
+    e[j] = 1.0 if x[j] >= 0.0 else -1.0
+    return e
+
+
+def old_l1_dir_vector(x, v):
+    s = np.sign(x)
+    tie = s == 0.0
+    s[tie] = np.sign(v[tie])
+    s[s == 0.0] = 1.0
+    return s
+
+
+def old_linf_dir_vector(x, v):
+    a = np.abs(x)
+    top = float(a.max())
+    best_j, best_d = -1, -np.inf
+    for j in range(x.size):
+        if a[j] != top:
+            continue
+        if x[j] > 0.0:
+            d = v[j]
+        elif x[j] < 0.0:
+            d = -v[j]
+        else:
+            d = abs(v[j])
+        if d > best_d:
+            best_j, best_d = j, d
+    e = np.zeros(x.size)
+    if x[best_j] > 0.0:
+        e[best_j] = 1.0
+    elif x[best_j] < 0.0:
+        e[best_j] = -1.0
+    else:
+        e[best_j] = 1.0 if v[best_j] >= 0.0 else -1.0
+    return e
+
+
+def rewritten_oracles(dim, alpha=0.25):
+    """(label, oracle, reference), each a callable of (x, v)."""
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+    ball = get_problem("ball-linear", dim=dim).spec.constraints[0]
+    l1 = get_problem("l1-ball", dim=dim).spec.objective
+    pl = get_problem("pl-nonconvex", dim=dim, alpha=alpha).spec
+    f, g = pl.objective, pl.constraints[0]
+
+    def ball_grad(x, v):
+        n = old_norm(x)
+        return x / n if n > 0.0 else e1.copy()
+
+    def ball_dir(x, v):
+        if old_norm(x) > 0.0:
+            return ball_grad(x, v)
+        nv = old_norm(v)
+        return v / nv if nv > 0.0 else e1.copy()
+
+    def sign_plus(x):
+        return np.where(x >= 0.0, 1.0, -1.0)
+
+    return [
+        ("ball-linear g value", lambda x, v: ball.value(x),
+         lambda x, v: old_norm(x) - 1.0),
+        ("ball-linear g grad", lambda x, v: ball.grad(x), ball_grad),
+        ("ball-linear g dir_grad", ball.dir_grad, ball_dir),
+        ("l1-ball f value", lambda x, v: l1.value(x),
+         lambda x, v: float(np.abs(x).sum())),
+        ("l1-ball f dir_grad", l1.dir_grad, old_l1_dir_vector),
+        ("pl-nonconvex f value", lambda x, v: f.value(x),
+         lambda x, v: (float(np.abs(x).max())
+                       - alpha * float(np.abs(x).sum()))),
+        ("pl-nonconvex f grad", lambda x, v: f.grad(x),
+         lambda x, v: old_linf_grad(x) - alpha * sign_plus(x)),
+        ("pl-nonconvex f dir_grad", f.dir_grad,
+         lambda x, v: (old_linf_dir_vector(x, v)
+                       - alpha * old_l1_dir_vector(x, v))),
+        ("pl-nonconvex g value", lambda x, v: g.value(x),
+         lambda x, v: float(np.abs(x).max()) - 1.0),
+        ("pl-nonconvex g grad", lambda x, v: g.grad(x),
+         lambda x, v: old_linf_grad(x)),
+        ("pl-nonconvex g dir_grad", g.dir_grad, old_linf_dir_vector),
+    ]
+
+
+# a few magnitudes, so that |x_j| ties and zero coordinates are common
+MAGNITUDES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 5e-324, 1e-310, 1e300]),
+    st.floats(-2.0, 2.0))
+
+
+@st.composite
+def oracle_points(draw):
+    """(x, v): two points of one dimension, both views with one stride."""
+    dim = draw(st.sampled_from([1, 2, 3, 10, 200]))
+    step = draw(st.sampled_from([1, 2, -1]))
+
+    def point():
+        pool = draw(st.lists(MAGNITUDES, min_size=1, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                              min_size=dim, max_size=dim))
+        signs = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        buf = np.full(dim * abs(step), 7.0)  # the entries the view skips
+        buf[::step] = [-pool[k] if s else pool[k] for k, s in zip(picks, signs)]
+        return buf[::step]
+
+    return point(), point()
+
+
+def as_bytes(out):
+    if isinstance(out, float):
+        return b"float" + np.float64(out).tobytes()
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    return repr(out.shape).encode() + out.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=oracle_points())
+@example(points=(np.zeros(3), np.zeros(3)))
+@example(points=(np.array([0.0, -0.0, 0.5]), np.array([0.0, -1.0, -0.0])))
+@example(points=(np.array([0.5, -0.5, 0.5]), np.array([1.0, 2.0, 2.0])))
+@example(points=(np.array([1e300, -1e300]), np.array([5e-324, 0.0])))
+@example(points=(np.array([5e-324, -5e-324]), np.array([1e-310, 0.0])))
+def test_pointwise_oracles_keep_the_bits_of_their_old_formulas(points):
+    x, v = points
+    dim = x.size
+    # squares of 1e300 overflow and of 5e-324 underflow, in both formulas
+    with np.errstate(over="ignore", under="ignore"):
+        for label, oracle, reference in rewritten_oracles(dim):
+            assert as_bytes(oracle(x, v)) == as_bytes(reference(x, v)), label
+        if math.isinf(old_norm(x)):  # a norm past the float range
+            spec = get_problem("ball-linear", dim=dim).spec
+            with pytest.raises(OracleError, match="non-finite value"):
+                ReducedConstraint(spec).value(x)
 
 
 # -------------------------------------------------- finite-difference checks

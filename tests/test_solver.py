@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -261,6 +263,47 @@ def test_certify_draws_no_ball_sample(monkeypatch, inner):
         cert, _ = solve(record.spec, config, record.start)
         gammas.append(cert.gamma)
     assert any(gamma > 0.0 for gamma in gammas)  # constraint mass occurs
+
+
+# numpy's Python-level wrappers around C functions: np.linalg.norm, the
+# ndarray reductions (.max, .sum, .any, ...) and np.argmax and its kin
+NUMPY_WRAPPERS = ("numpy/linalg/", "numpy/_core/_methods.py",
+                  "numpy/_core/fromnumeric.py")
+
+
+@pytest.mark.parametrize("inner", [RAND, BISECT])
+def test_round_loop_enters_no_numpy_wrapper(inner):
+    # an oracle call costs its arithmetic plus numpy's per-call overhead;
+    # inside the round loop the corpus oracles reach numpy's C functions
+    # directly, so no Python frame of a numpy wrapper is entered there
+    search = inner_rand._search.__code__
+    depth = searches = 0
+    entered = collections.Counter()
+    label = None
+
+    def profile(frame, event, arg):
+        nonlocal depth, searches
+        code = frame.f_code
+        if code is search:
+            depth += {"call": 1, "return": -1}.get(event, 0)
+            searches += event == "call"
+        elif depth and event == "call":
+            path = code.co_filename.replace("\\", "/")
+            if any(part in path for part in NUMPY_WRAPPERS):
+                entered[label, code.co_name, frame.f_back.f_code.co_name] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for name, params in MEMBERS:
+            label = "%s %s" % (name, params)
+            record = get_problem(name, **params)
+            config = SolverConfig(delta=0.05, target_eps=0.05, inner=inner)
+            solve(record.spec, config, record.start)
+    finally:
+        sys.setprofile(previous)
+    assert depth == 0 and searches >= len(MEMBERS)
+    assert not entered, sorted(entered)
 
 
 @pytest.mark.parametrize("inner", [RAND, BISECT])

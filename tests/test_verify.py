@@ -689,26 +689,7 @@ def test_zero_samples_is_usage_error_before_any_check(monkeypatch):
         check_certificate(cert, record.spec, samples=0)
 
 
-# ------------------------------------------------- norms and conversions
-
-
-@settings(max_examples=300, deadline=None)
-@given(size=st.integers(1, 4097), step=st.sampled_from([1, 2, 3, -1]),
-       scale=st.sampled_from([1.0, 1e-310, 5e-324, 1e150, 1e200, 1e308]),
-       nan_at=st.none() | st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
-@example(size=4097, step=2, scale=1.0, nan_at=None, seed=0)
-@example(size=33, step=1, scale=1e200, nan_at=None, seed=0)
-def test_norm_is_the_bits_of_numpys_norm(size, step, scale, nan_at, seed):
-    # a strided array is tested because BLAS may sum it in another order
-    with np.errstate(over="ignore", under="ignore"):
-        v = (np.random.default_rng(seed).standard_normal(size * abs(step))
-             * scale)[::step]
-        if nan_at is not None:
-            v[int(nan_at * (size - 1))] = math.nan
-        expected = np.float64(np.linalg.norm(v))
-        got = verify._norm(v)
-    assert type(got) is float
-    assert np.float64(got).tobytes() == expected.tobytes()
+# ------------------------------------------------------------ conversions
 
 
 def counted_conversions(monkeypatch, module) -> collections.Counter:
