@@ -92,9 +92,8 @@ def _l1_dir_vector(x: Vector, v: Vector) -> Vector:
     """Subgradient s of the 1-norm at x with <s, v> = its directional derivative."""
     s = np.sign(x)
     tie = s == 0.0
-    if np.logical_or.reduce(tie):  # without a zero coordinate, no-ops
-        s[tie] = np.sign(v[tie])
-        s[s == 0.0] = 1.0
+    s[tie] = np.sign(v[tie])
+    s[s == 0.0] = 1.0
     return s
 
 
