@@ -13,7 +13,10 @@ A pointwise oracle runs on every joint call, and at small n its cost is
 numpy's per-call overhead, so the pointwise callables reduce with ufuncs
 (``np.maximum.reduce``, ``np.add.reduce``) and ``core._norm`` instead of
 ``ndarray.max``/``.sum`` and ``np.linalg.norm``, whose Python wrappers call
-the same ufuncs: the bits are the same.
+the same ufuncs: the bits are the same.  The kinked directional oracles
+read the coordinates once as Python floats and find the max with C-level
+list calls, return ``np.sign(x)`` when no coordinate is 0, and build one
+output array.
 """
 
 from __future__ import annotations
@@ -91,6 +94,8 @@ def _sign_plus(x: Vector) -> Vector:
 def _l1_dir_vector(x: Vector, v: Vector) -> Vector:
     """Subgradient s of the 1-norm at x with <s, v> = its directional derivative."""
     s = np.sign(x)
+    if np.logical_and.reduce(s):  # no zero coordinate: no tie to break
+        return s
     tie = s == 0.0
     s[tie] = np.sign(v[tie])
     s[s == 0.0] = 1.0
@@ -113,29 +118,38 @@ def _linf_grads(z: np.ndarray) -> np.ndarray:
     return e
 
 
+def _linf_dir_index(x: Vector, v: Vector) -> tuple[int, float]:
+    """(j, s) with s*e_j a subgradient of the max-norm at x matching its
+    directional derivative along v: the largest slope among the coordinates
+    tied at the max, the lowest index on equal slopes.  When the max is NaN,
+    or no tied slope exceeds -inf, it is the last coordinate."""
+    xs = x.tolist()
+    a = list(map(abs, xs))
+    top = max(a)
+    j = len(a) - 1
+    total = sum(a)
+    if total == total:  # no NaN coordinate, so max found the max
+        best, k = -math.inf, 0
+        for _ in range(a.count(top)):
+            k = a.index(top, k)
+            xk, vk = xs[k], v.item(k)
+            d = vk if xk > 0.0 else -vk if xk < 0.0 else abs(vk)
+            if d > best:
+                j, best = k, d
+            k += 1
+    xj = xs[j]
+    if xj > 0.0:
+        return j, 1.0
+    if xj < 0.0:
+        return j, -1.0
+    return j, 1.0 if v.item(j) >= 0.0 else -1.0
+
+
 def _linf_dir_vector(x: Vector, v: Vector) -> Vector:
     """Subgradient of the max-norm at x matching its directional derivative."""
-    a = np.abs(x)
-    top = float(np.maximum.reduce(a))
-    best_j, best_d = -1, -np.inf
-    for j in range(x.size):
-        if a[j] != top:
-            continue
-        if x[j] > 0.0:
-            d = v[j]
-        elif x[j] < 0.0:
-            d = -v[j]
-        else:  # only when x = 0
-            d = abs(v[j])
-        if d > best_d:
-            best_j, best_d = j, d
+    j, sign = _linf_dir_index(x, v)
     e = np.zeros(x.size)
-    if x[best_j] > 0.0:
-        e[best_j] = 1.0
-    elif x[best_j] < 0.0:
-        e[best_j] = -1.0
-    else:
-        e[best_j] = 1.0 if v[best_j] >= 0.0 else -1.0
+    e[j] = sign
     return e
 
 
@@ -356,7 +370,11 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
     def f_dir(x, v):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
-        return _linf_dir_vector(x, v) - alpha * _l1_dir_vector(x, v)
+        # the bits of e - alpha * s: alpha * s_j is never 0
+        out = _l1_dir_vector(x, v) * -alpha
+        j, sign = _linf_dir_index(x, v)
+        out[j] += sign
+        return out
 
     def f_values(z):
         a = np.abs(z)

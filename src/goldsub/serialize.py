@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import operator
 import os
 import sys
@@ -38,10 +39,15 @@ MANIFEST_SCHEMA = "goldsub.manifest/1"
 UNDEFINED = "undefined"
 
 
+_OUT_OF_RANGE = "Out of range float values are not JSON compliant"
+# the float reprs that JSON cannot hold
+_NONFINITE = frozenset({"nan", "inf", "-inf"})
+
+
 def _finite(text: str) -> str:
     """Joined float reprs; NaN and inf raise, the only reprs with an "n"."""
     if "n" in text:
-        raise ValueError("Out of range float values are not JSON compliant")
+        raise ValueError(_OUT_OF_RANGE)
     return text
 
 
@@ -82,14 +88,28 @@ def _emit(value, newline: str) -> str:
     raise TypeError("Object of type %s is not JSON serializable" % type(value).__name__)
 
 
-def _column(cells: list, newline: str) -> list[str]:
-    """JSON texts of ``cells``: one formatter for a column of one leaf type,
-    ``_emit`` cell by cell for any other."""
+def _column(cells: list, newline: str) -> tuple[str, list]:
+    """A ``%`` conversion and its cells for the JSON texts of ``cells``.
+    Finite exact floats and exact ints go to ``%`` as they are, so the
+    template formats them in C; a float column with nulls and a column of
+    one other leaf type become texts in one pass, any other column texts
+    from ``_emit`` cell by cell."""
     kinds = set(map(type, cells))
+    if kinds == {float}:
+        if not all(map(math.isfinite, cells)):
+            raise ValueError(_OUT_OF_RANGE)
+        return "%r", cells
+    if kinds == {int}:
+        return "%d", cells
+    if kinds == {float, type(None)}:
+        texts = ["null" if v is None else float.__repr__(v) for v in cells]
+        if not _NONFINITE.isdisjoint(texts):
+            raise ValueError(_OUT_OF_RANGE)
+        return "%s", texts
     leaf = _LEAF.get(kinds.pop()) if len(kinds) == 1 else None
     if leaf is None:
-        return [_emit(v, newline) for v in cells]
-    return list(map(leaf, cells))
+        return "%s", [_emit(v, newline) for v in cells]
+    return "%s", list(map(leaf, cells))
 
 
 def _records(rows, newline: str) -> list[str] | None:
@@ -104,11 +124,12 @@ def _records(rows, newline: str) -> list[str] | None:
         return None
     keys = sorted(keys)
     inner = newline + "  "
-    template = "{" + inner + ("," + inner).join(
-        [_quote(k).replace("%", "%%") + ": %s" for k in keys]) + newline + "}"
     columns = [_column(list(map(operator.itemgetter(k), rows)), inner)
                for k in keys]
-    return [template % cells for cells in zip(*columns)]
+    template = "{" + inner + ("," + inner).join(
+        [_quote(k).replace("%", "%%") + ": " + conversion
+         for k, (conversion, _) in zip(keys, columns)]) + newline + "}"
+    return [template % row for row in zip(*[cells for _, cells in columns])]
 
 
 def dumps(data) -> str:

@@ -230,7 +230,8 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
     call_cap = config.inner_call_cap or (
         _UNBOUNDED_CAP if budget is None else 4 * budget)
 
-    rng = np.random.default_rng(config.seed)
+    # only the rand search draws; a bisect solve reads no randomness
+    rng = np.random.default_rng(config.seed) if config.inner == RAND else None
     records: list[dict] = []
     oracle_calls = 0
     started = time.perf_counter()

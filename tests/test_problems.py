@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 
@@ -272,9 +273,14 @@ def oracle_points(draw):
 
     def point():
         pool = draw(st.lists(MAGNITUDES, min_size=1, max_size=4))
-        picks = draw(st.lists(st.integers(0, len(pool) - 1),
-                              min_size=dim, max_size=dim))
-        signs = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        if dim < 200:
+            picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                                  min_size=dim, max_size=dim))
+            signs = draw(st.lists(st.booleans(), min_size=dim, max_size=dim))
+        else:  # one drawn seed: shrinking 200-entry lists takes minutes
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            picks = rng.integers(0, len(pool), dim).tolist()
+            signs = rng.integers(0, 2, dim).astype(bool).tolist()
         buf = np.full(dim * abs(step), 7.0)  # the entries the view skips
         buf[::step] = [-pool[k] if s else pool[k] for k, s in zip(picks, signs)]
         return buf[::step]
@@ -307,6 +313,58 @@ def test_pointwise_oracles_keep_the_bits_of_their_old_formulas(points):
             spec = get_problem("ball-linear", dim=dim).spec
             with pytest.raises(OracleError, match="non-finite value"):
                 ReducedConstraint(spec).value(x)
+
+
+DIRECTIONAL = ("l1-ball f dir_grad", "pl-nonconvex f dir_grad",
+               "pl-nonconvex g dir_grad")
+
+
+def assert_same_bits(out, ref, label):
+    """Byte for byte, except that any NaN matches any NaN."""
+    nan = np.isnan(ref)
+    assert out.dtype == np.float64 and out.shape == ref.shape, label
+    assert np.array_equal(np.isnan(out), nan), label
+    assert out[~nan].tobytes() == ref[~nan].tobytes(), label
+
+
+def check_directional(points):
+    oracles = [(label, oracle, reference) for label, oracle, reference
+               in rewritten_oracles(points[0][0].size) if label in DIRECTIONAL]
+    assert len(oracles) == len(DIRECTIONAL)
+    for x, v in points:
+        for label, oracle, reference in oracles:
+            assert_same_bits(oracle(x, v), reference(x, v),
+                             "%s at x = %r, v = %r" % (label, x, v))
+
+
+def test_directional_oracles_keep_their_old_output_at_nan_and_inf():
+    # a NaN max picks the last coordinate, and so does a tie whose every
+    # slope is NaN or -inf
+    values = [math.inf, -math.inf, math.nan, 1.0, -1.0, 0.0, -0.0]
+    pairs = [np.array(p) for p in itertools.product(values, repeat=2)]
+    check_directional([(x, v) for x in pairs for v in pairs])
+    check_directional([
+        (np.array([1.0, math.nan, -1.0]), np.array([1.0, 2.0, 3.0])),
+        (np.array([math.nan, 2.0, 0.5]), np.array([0.0, 1.0, -1.0])),
+        (np.array([2.0, -2.0, 0.5]), np.array([-math.inf, -math.inf, 1.0])),
+        (np.array([2.0, -2.0, 0.5]), np.array([math.nan, math.inf, 1.0])),
+        (np.array([0.5, math.inf, -math.inf]), np.array([1.0, -math.inf, 0.0])),
+    ])
+
+
+def test_directional_oracles_keep_their_old_output_with_every_coordinate_tied():
+    n = 1000
+    rng = np.random.default_rng(5)
+    signs = rng.choice([-1.0, 1.0], n)
+    slopes = rng.standard_normal(n)
+    same = np.full(n, 0.25)
+    check_directional([
+        (0.5 * signs, slopes),             # one largest slope
+        (0.5 * signs, same * signs),       # every slope equal: lowest index
+        (0.5 * signs, -math.inf * signs),  # every slope -inf: last index
+        (np.zeros(n), slopes),             # every |x_j| = 0
+        (np.zeros(n), np.zeros(n)),
+    ])
 
 
 # -------------------------------------------------- finite-difference checks

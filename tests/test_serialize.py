@@ -85,10 +85,34 @@ def test_dumps_rejects_nan():
     pytest.param(lambda x: {"a": np.array([[0.0, 1.0], [2.0, x]])}, id="array"),
     pytest.param(lambda x: [np.float64(1.0), x], id="numpy-list"),
     pytest.param(lambda x: [{"a": 1.0}, {"a": x}], id="record-column"),
+    pytest.param(lambda x: [{"a": x}, {"a": None}], id="nullable-column"),
 ])
 def test_dumps_rejects_non_finite_anywhere(bad, wrap):
     with pytest.raises(ValueError):
         dumps(wrap(bad))
+
+
+class _Real(float):
+    """A float subclass, which json writes with ``float.__repr__``."""
+
+
+_COLUMNS_OF_ROWS = {
+    "real": [0.1, -0.0, 5e-324, 1.7976931348623157e308],
+    "amount": [1e16, 2.5, -1e-7, None],
+    "count": [0, -3, 2**70, 7],
+    "flag": [True, False, False, True],
+    "scalar": [np.float64(x) for x in (0.5, -0.0, 1e300, 3.0)],
+    "sub": [_Real(x) for x in (0.25, -7.0, 1e-300, 0.0)],
+}
+
+
+def test_records_match_the_stdlib_encoder():
+    # exact floats, floats then a null, ints, bools, numpy floats, a float
+    # subclass: one column of each in one list of same-keyed dicts
+    rows = [dict(zip(_COLUMNS_OF_ROWS, cells))
+            for cells in zip(*_COLUMNS_OF_ROWS.values())]
+    for data in (rows, {"records": rows, "k": 1}):
+        assert dumps(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 _FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
