@@ -10,7 +10,7 @@ ball subgradients, certifying approximate stationarity, or a descent step
 that provably lowers f while keeping the iterate strictly feasible.
 """
 
-from .core import Branch, Oracle, ProblemSpec, WeightedSubgradient
+from .core import Oracle, ProblemSpec, WeightedSubgradient
 from .errors import (BudgetExceededError, CertificationError, GoldsubError,
                      InfeasibleStartError, ModulusError, OracleError,
                      UsageError)
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 # return, and constant_constraint, which ProblemSpec's error message names;
 # lower layers are importable from their modules
 __all__ = [
-    "Branch", "Oracle", "ProblemSpec", "WeightedSubgradient",
+    "Oracle", "ProblemSpec", "WeightedSubgradient",
     "BudgetExceededError", "CertificationError", "GoldsubError",
     "InfeasibleStartError", "ModulusError", "OracleError", "UsageError",
     "ProblemRecord", "constant_constraint", "get_problem", "list_problems",

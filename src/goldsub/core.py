@@ -36,31 +36,6 @@ Vector = np.ndarray
 
 
 @dataclass(frozen=True)
-class Branch:
-    """Which side of the max produced a value or subgradient.
-
-    ``kind`` is "objective" or "constraint"; ``index`` is the 1-based
-    constraint index for constraint branches and None for the objective.
-    """
-
-    kind: str
-    index: int | None = None
-
-    @property
-    def is_objective(self) -> bool:
-        return self.kind == "objective"
-
-    @staticmethod
-    def constraint(index: int) -> "Branch":
-        if index < 1:
-            raise UsageError("constraint branch indices are 1-based")
-        return Branch("constraint", index)
-
-
-OBJECTIVE = Branch("objective")
-
-
-@dataclass(frozen=True)
 class Oracle:
     """Value plus subgradient access for one function.
 
@@ -124,14 +99,15 @@ class WeightedSubgradient:
     """One term of a convex combination ``zeta = sum_i w_i * vector_i``.
 
     ``point`` is where the oracle was queried, ``vector`` what it returned,
-    ``branch`` which side of the max produced it.  ``direction`` records the
-    query direction for directional-mode entries (None in gradient mode) so a
+    ``branch`` the index of the side of the max that produced it: 0 for the
+    objective, i for constraint i.  ``direction`` records the query
+    direction for directional-mode entries (None in gradient mode) so a
     verifier can re-run the same oracle call.
     """
 
     point: Vector
     vector: Vector
-    branch: Branch
+    branch: int
     weight: float
     direction: Vector | None = None
 
@@ -316,19 +292,19 @@ class Subproblem:
 
     # -- subgradient events --------------------------------------------------
 
-    def grad(self, z: Vector) -> tuple[Vector, Branch]:
-        """A.e.-gradient of h at z; ties go to the objective branch."""
+    def grad(self, z: Vector) -> tuple[Vector, int]:
+        """(a.e.-gradient of h at z, its branch index: 0 for the objective,
+        i for constraint i); ties go to the objective."""
         fz = _finite_value(self.problem.objective.value(z), "objective value")
         gz, idx = self._g.value(z)
         if fz - self.f_anchor >= gz:
             vec = _finite_array(self.problem.objective.grad(z), (self.problem.dim,),
                                 "objective grad")
-            branch = OBJECTIVE
+            idx = 0
         else:
             vec = self._g.grad_at(z, idx)
-            branch = Branch.constraint(idx)
         self.subgrad_calls += 1
-        return vec, branch
+        return vec, idx
 
     def grads(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``grad``: (N, n) a.e.-gradients of h at the rows of z and
@@ -353,10 +329,11 @@ class Subproblem:
         self.subgrad_calls += len(z)
         return vecs, idx
 
-    def dir_grad(self, z: Vector, v: Vector) -> tuple[Vector, Branch, float, float]:
+    def dir_grad(self, z: Vector, v: Vector) -> tuple[Vector, int, float, float]:
         """Directional subgradient of h at z along v.
 
-        Returns (vector, branch, h(z), directional derivative).  Only the
+        Returns (vector, branch index, h(z), directional derivative), the
+        index 0 for the objective and i for constraint i.  Only the
         branches that attain h(z) run ``dir_grad``: the objective first,
         then the constraints by index.  The largest <vector, v> wins and
         equalities stay with the earlier branch, so <vector, v> is the
@@ -379,7 +356,7 @@ class Subproblem:
         if fdiff >= gz:
             vec = _finite_array(problem.objective.dir_grad(z, v), (problem.dim,),
                                 "objective dir_grad")
-            best = vec, OBJECTIVE, fdiff, float(vec @ v)
+            best = vec, 0, fdiff, float(vec @ v)
         if fdiff <= gz:
             for i, (gi, oracle) in enumerate(zip(g, problem.constraints), start=1):
                 if gi != gz:
@@ -390,7 +367,7 @@ class Subproblem:
                                     "constraint %d dir_grad", i)
                 dd = float(vec @ v)
                 if best is None or dd > best[3]:
-                    best = vec, Branch.constraint(i), gz, dd
+                    best = vec, i, gz, dd
         return best
 
 
@@ -414,30 +391,28 @@ def _check_samples(total: int, what: str) -> None:
 
 
 def sample_ball(center: Vector, radius: float, rng: np.random.Generator,
-                size: int | None = None, out: np.ndarray | None = None) -> Vector:
+                out: np.ndarray | None = None) -> Vector:
     """Uniform sample from the closed Euclidean ball B(center, radius).
 
     Draw order is fixed so runs replay bit-for-bit.  A single point
-    (``size=None``) takes n standard normals for the direction, then one
-    uniform whose (1/n)-th power scales the radius.  With ``size`` the result
-    is a (size, n) array whose row i is the first n coordinates of a uniform
-    point on the unit sphere of R^(n+2), which is uniform in the unit ball:
-    it uses only its own n+2 normals, so a draw of size a followed by one of
-    size b gives the same rows as one draw of size a + b.  ``out``, a
-    (size, n) float array given only with ``size``, receives the rows and is
-    returned in place of a new array; the rows are the same bits either way.
+    (``out=None``) takes n standard normals for the direction, then one
+    uniform whose (1/n)-th power scales the radius.  With ``out``, a (k, n)
+    float array, the k rows of ``out`` are overwritten and ``out`` is
+    returned; row i is the first n coordinates of a uniform point on the
+    unit sphere of R^(n+2), which is uniform in the unit ball.  Each row
+    uses only its own n+2 normals, so a draw into a rows followed by one
+    into b rows gives the same rows as one draw into a + b.
     """
     n = center.size
-    if out is not None and (size is None or out.shape != (size, n)):
-        raise ValueError("out must be a (size, n) array")
-    if size is not None:
+    if out is not None:
+        size = len(out)
         normals = rng.standard_normal((size, n + 2))
         norms = np.sqrt(np.einsum("ij,ij->i", normals, normals))
         # a zero row has probability zero; map it to the center
         scale = np.divide(radius, norms, out=np.zeros(size), where=norms > 0.0)
-        # normal_ij * scale_i + center_j with no (size, n) temporary;
+        # normal_ij * scale_i + center_j with no (k, n) temporary;
         # einsum would be faster but turns a -0.0 product into +0.0
-        out = np.multiply(normals[:, :n], scale[:, None], out=out)
+        np.multiply(normals[:, :n], scale[:, None], out=out)
         out += center
         return out
     u = rng.standard_normal(n)

@@ -37,11 +37,10 @@ def default_max_steps(delta: float) -> int:
     return 64 + int(math.ceil(math.log2(delta / np.spacing(delta))))
 
 
-def bisect_negative_slope(sub: Subproblem, anchor: Vector, direction: Vector,
-                          delta: float, eps: float, l_far: float,
-                          l_anchor: float):
+def bisect_negative_slope(sub: Subproblem, direction: Vector, delta: float,
+                          eps: float, l_far: float, l_anchor: float):
     """Find r with directional h-slope below eps/2 at the ray point
-    anchor + (r - delta) * direction.
+    sub.anchor + (r - delta) * direction.
 
     r = 0 is the far end (the rejected trial step), r = delta the anchor.
     ``direction`` is a unit vector and delta, eps are positive, as
@@ -56,7 +55,8 @@ def bisect_negative_slope(sub: Subproblem, anchor: Vector, direction: Vector,
     negative) average l-slope, ties toward the left.  Probe-test equality is
     a failure (bisection continues) and is tallied in the returned tie count.
 
-    Returns (r, vector, branch, h_at_r, probes, ties).  Raises ModulusError
+    Returns (r, vector, branch index, h_at_r, probes, ties), the index as
+    ``Subproblem.dir_grad`` gives it.  Raises ModulusError
     when the step cap or float resolution is exhausted, which signals
     understated nonconvexity metadata or a broken directional oracle.
     """
@@ -64,6 +64,7 @@ def bisect_negative_slope(sub: Subproblem, anchor: Vector, direction: Vector,
         raise UsageError(
             "restriction endpoints do not lose height: l(0) = %.17g <= l(delta) = %.17g"
             % (l_far, l_anchor))
+    anchor = sub.anchor
     a, b = 0.0, delta
     la, lb = l_far, l_anchor
     half_eps = eps / 2.0
@@ -117,11 +118,9 @@ def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float
 
     def step(sub, zeta, norm, direction, h_trial):
         # l(0) = h(trial), l(delta) = h(anchor) - eps * delta / 2
-        anchor = sub.anchor
         r, vec, branch, _, _, ties = bisect_negative_slope(
-            sub, anchor, direction, delta, eps, h_trial,
-            sub.h_anchor - eps * delta / 2.0)
-        return (anchor + (r - delta) * direction, vec, branch, direction), ties
+            sub, direction, delta, eps, h_trial, sub.h_anchor - eps * delta / 2.0)
+        return (sub.anchor + (r - delta) * direction, vec, branch, direction), ties
 
     return _search(anchor, problem, delta, eps, call_cap, anchor_values, first,
                    lambda descent, norm: descent >= delta * eps / 3.0, step)

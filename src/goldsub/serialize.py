@@ -3,7 +3,9 @@
 The schema of each document kind is the code below, key by key.  A
 certificate holds the ``GoldsteinCertificate`` fields by name, with ``lam``
 as ``"lambda"`` (``"undefined"`` for None); each ``combination`` entry holds
-``point``, ``vector``, ``branch``, ``weight`` and ``direction``.
+``point``, ``vector``, ``branch``, ``weight`` and ``direction``; a branch
+index is written ``{"kind": "objective"}`` for 0 and ``{"kind":
+"constraint", "index": i}`` for constraint i >= 1.
 ``warnings`` and ``direction`` may be absent, and unknown keys are ignored.
 A trace holds the ``SolveTrace`` fields, its three counters under
 ``totals``; wall time and the inner budget stay in memory, so replaying a
@@ -28,7 +30,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .core import OBJECTIVE, Branch, Vector, WeightedSubgradient
+from .core import Vector, WeightedSubgradient
 from .errors import UsageError
 from .solver import SolverConfig, SolveTrace
 from .verify import GoldsteinCertificate
@@ -197,25 +199,25 @@ def manifest_data(problem_name: str, problem_params: dict,
     return data
 
 
-def _branch_data(branch: Branch) -> dict:
-    data = {"kind": branch.kind}
-    if branch.index is not None:
-        data["index"] = branch.index
-    return data
+def _branch_data(branch: int) -> dict:
+    if branch:
+        return {"kind": "constraint", "index": branch}
+    return {"kind": "objective"}
 
 
-_OBJECTIVE_DATA = _branch_data(OBJECTIVE)
+_OBJECTIVE_DATA = _branch_data(0)
 
 
-def _branch_from(data: dict) -> Branch:
-    """Exactly ``{"kind": "objective"}`` or ``{"kind": "constraint", "index":
-    i}`` with an integer i >= 1; anything else is malformed."""
+def _branch_from(data: dict) -> int:
+    """0 for exactly ``{"kind": "objective"}``, i for exactly ``{"kind":
+    "constraint", "index": i}`` with an integer i >= 1; anything else is
+    malformed."""
     if data == _OBJECTIVE_DATA:
-        return OBJECTIVE
+        return 0
     index = data.get("index") if type(data) is dict else None
     if type(index) is int and index >= 1 and len(data) == 2 \
             and data.get("kind") == "constraint":
-        return Branch("constraint", index)
+        return index
     raise ValueError("branch must be {\"kind\": \"objective\"} or "
                      "{\"kind\": \"constraint\", \"index\": i >= 1}, got %s"
                      % json.dumps(data))

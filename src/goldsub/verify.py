@@ -56,11 +56,11 @@ class GoldsteinCertificate:
     """Checkable witness that the anchor is approximately stationary.
 
     ``combination`` reproduces zeta as sum(w_i * vector_i); every point lies
-    in the closed delta-ball around the anchor, and objective/constraint
-    branch tags split the unit weight mass into gamma0 and gamma.  ``lam``
-    is gamma/gamma0, or None when gamma0 = 0 (Fritz-John only).  The kkt_*
-    fields and ``warnings`` are ``kkt_claims`` of the other fields, and
-    ``gcq_sigma`` is set exactly in KKT mode.  By construction
+    in the closed delta-ball around the anchor, and the branch indices split
+    the unit weight mass into gamma0, on branch 0 (the objective), and gamma.
+    ``lam`` is gamma/gamma0, or None when gamma0 = 0 (Fritz-John only).
+    The kkt_* fields and ``warnings`` are ``kkt_claims`` of the other
+    fields, and ``gcq_sigma`` is set exactly in KKT mode.  By construction
     |gamma * g(z)| <= 3*M*delta over the ball, which the verifier's
     complementary-slackness check samples.
     """
@@ -221,8 +221,7 @@ class _BallDraw:
     def upto(self, count: int) -> np.ndarray:
         """The first ``count`` rows."""
         for block in _row_blocks(self.rows[self.drawn:count]):
-            sample_ball(self.center, self.radius, self.rng, size=len(block),
-                        out=block)
+            sample_ball(self.center, self.radius, self.rng, out=block)
         self.drawn = max(self.drawn, count)
         return self.rows[:count]
 
@@ -361,13 +360,14 @@ def kkt_claims(eps_t: float, gcq_sigma: float | None, m: float, delta: float,
 
 
 def multiplier_split(combination: list[WeightedSubgradient]):
-    """(gamma0, gamma, lam): objective weight mass, 1 - gamma0, gamma/gamma0.
+    """(gamma0, gamma, lam): weight mass on branch 0, the objective;
+    1 - gamma0; gamma/gamma0.
 
     lam is None unless gamma0 > 0.  One-branch combinations split exactly,
     (1, 0, 0) or (0, 1, None), whatever their weights sum to; an empty one
     counts as constraint-only.
     """
-    objective = [w.weight for w in combination if w.branch.is_objective]
+    objective = [w.weight for w in combination if w.branch == 0]
     if not objective:
         return 0.0, 1.0, None
     if len(objective) == len(combination):

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 from goldsub.core import (
     DOT_TEST_MAX,
-    OBJECTIVE,
-    Branch,
     Oracle,
     ProblemSpec,
     ReducedConstraint,
@@ -161,14 +159,14 @@ def test_subproblem_call_accounting():
 def test_h_subgradient_strict_objective():
     prob = get_problem("ball-linear").spec
     vec, branch = Subproblem(prob, np.zeros(2)).grad(np.array([0.5, -1.0]))
-    assert branch.is_objective
+    assert branch == 0
     assert np.array_equal(vec, [1.0, 0.0])
 
 
 def test_h_subgradient_strict_constraint():
     prob = get_problem("ball-linear").spec
     vec, branch = Subproblem(prob, np.zeros(2)).grad(np.array([0.0, 1.2]))
-    assert branch == Branch.constraint(1)
+    assert branch == 1
     assert np.allclose(vec, [0.0, 1.0], atol=1e-15)
 
 
@@ -176,7 +174,7 @@ def test_h_subgradient_tie_gradient_mode_takes_objective():
     prob = linear_1d(0.2, -0.4)
     # at z = anchor = 0 both sides of the max are exactly 0
     vec, branch = Subproblem(prob, np.zeros(1)).grad(np.zeros(1))
-    assert branch.is_objective
+    assert branch == 0
     assert np.array_equal(vec, [0.2])
 
 
@@ -189,15 +187,15 @@ def test_h_subgradient_tie_directional_mode_compares_slopes():
 
     # objective slope 0.2 beats constraint slope -0.4
     vec, branch = dir_grad(linear_1d(0.2, -0.4))
-    assert branch.is_objective
+    assert branch == 0
     assert np.array_equal(vec, [0.2])
     # constraint slope 0.2 beats objective slope -0.4
     vec, branch = dir_grad(linear_1d(-0.4, 0.2))
-    assert branch == Branch.constraint(1)
+    assert branch == 1
     assert np.array_equal(vec, [0.2])
     # equal slopes stay with the objective
     vec, branch = dir_grad(linear_1d(0.3, 0.3))
-    assert branch.is_objective
+    assert branch == 0
 
 
 def test_h_subgradient_directional_requires_direction():
@@ -244,7 +242,7 @@ def test_h_subgradient_is_one_underlying_oracle_call():
         vec, branch = sub.grad(z)
         assert len(log) == 1
         label, raw = log[0]
-        assert label == ("objective" if branch.is_objective else "constraint")
+        assert label == ("constraint" if branch else "objective")
         assert np.array_equal(vec, raw)
 
 
@@ -274,9 +272,9 @@ def test_each_value_callable_runs_once_per_point():
         counts.clear()
         vec, branch = sub.grad(z)
         assert counts == once
-        seen.add(branch_code(branch))
-        if not branch.is_objective:
-            assert branch == Branch.constraint(g_idx)
+        seen.add(branch)
+        if branch:
+            assert branch == g_idx
             assert np.array_equal(vec, reduced.grad_at(z, g_idx))
 
         counts.clear()
@@ -288,8 +286,8 @@ def test_each_value_callable_runs_once_per_point():
         counts.clear()
         vec, branch, h_z, dd = sub.dir_grad(z, v)
         assert counts == once
-        if not branch.is_objective:
-            own = base.constraints[branch.index - 1].dir_grad(z, v)
+        if branch:
+            own = base.constraints[branch - 1].dir_grad(z, v)
             assert (h_z, dd) == (g, float(own @ v))
             assert np.array_equal(vec, own)
     assert seen == {0, 1, 2}
@@ -326,7 +324,7 @@ def test_directional_query_at_a_strictly_feasible_anchor_reads_no_value(name, gi
                                  for i in range(1, len(prob.constraints) + 1)}}
     assert sub.subgrad_calls == calls[0] + 2
     assert np.array_equal(vec, full[0])
-    assert (branch, h, dd) == full[1:] == (OBJECTIVE, 0.0, float(vec @ v))
+    assert (branch, h, dd) == full[1:] == (0, 0.0, float(vec @ v))
 
 
 def test_directional_query_at_an_active_anchor_takes_the_full_path():
@@ -336,8 +334,8 @@ def test_directional_query_at_an_active_anchor_takes_the_full_path():
     prob = counting_values(get_problem("footnote-1d").spec, counts)
     sub = Subproblem(prob, np.array([-1.0]))
     assert sub.g_anchor == 0.0
-    for v, want in ((-1.0, ([-2.0], Branch.constraint(1), 0.0, 2.0)),
-                    (1.0, ([1.0], OBJECTIVE, 0.0, 1.0))):
+    for v, want in ((-1.0, ([-2.0], 1, 0.0, 2.0)),
+                    (1.0, ([1.0], 0, 0.0, 1.0))):
         counts.clear()
         vec, branch, h, dd = sub.dir_grad(sub.anchor, np.array([v]))
         assert counts == {"f": 1, "g1": 1}
@@ -363,8 +361,7 @@ def test_directional_call_runs_only_the_attaining_branches():
         constraints=tuple(logged(c, "g%d" % i)
                           for i, c in enumerate(base.constraints, start=1)))
     sub = Subproblem(prob, np.array([0.5]))
-    branches = {"f": OBJECTIVE, "g1": Branch.constraint(1),
-                "g2": Branch.constraint(2)}
+    branches = {"f": 0, "g1": 1, "g2": 2}
     for z, v, attaining, winner in [
         (0.9, -1.0, ["f"], "f"),
         (-1.2, -1.0, ["g1"], "g1"),
@@ -453,7 +450,7 @@ def test_reduce_directional_tie_takes_largest_slope():
     sub = Subproblem(two_linear_constraints(), np.zeros(2))
     # at (3, 3) both constraints attain the max; along v the second grows
     vec, branch, h, dd = sub.dir_grad(np.array([3.0, 3.0]), np.array([0.0, 1.0]))
-    assert (h, branch) == (3.0, Branch.constraint(2))
+    assert (h, branch) == (3.0, 2)
     assert dd == 1.0
     assert np.array_equal(vec, [0.0, 1.0])
 
@@ -485,14 +482,6 @@ def test_problem_spec_rejects_bad_metadata():
     with pytest.raises(UsageError):
         ProblemSpec(dim=1, objective=oracle, constraints=(oracle,),
                     lipschitz_m=1.0, neighborhood_delta=-0.5)
-
-
-def test_branch_constraint_indices_are_one_based():
-    with pytest.raises(UsageError):
-        Branch.constraint(0)
-    assert Branch.constraint(2).index == 2
-    assert not Branch.constraint(2).is_objective
-    assert OBJECTIVE.is_objective
 
 
 def test_non_finite_oracle_output_raises_oracle_error():
@@ -554,7 +543,7 @@ def test_finite_vector_whose_sum_overflows_is_accepted():
     spec = replaced(get_problem("ball-linear").spec, "objective", "grad",
                     lambda x: out)
     vec, branch = Subproblem(spec, np.zeros(2)).grad(np.array([0.1, 0.0]))
-    assert branch == OBJECTIVE and np.array_equal(vec, out)
+    assert branch == 0 and np.array_equal(vec, out)
 
 
 @pytest.mark.parametrize("method", ["grad", "value_full", "dir_grad"])
@@ -634,8 +623,7 @@ def test_sample_ball_zero_radius_returns_center():
 def test_sample_ball_batch_rows_are_uniform_in_the_ball():
     rng = np.random.default_rng(8)
     center = np.array([1.0, -2.0, 0.5])
-    rows = sample_ball(center, 0.7, rng, size=20_000)
-    assert rows.shape == (20_000, 3)
+    rows = sample_ball(center, 0.7, rng, out=np.empty((20_000, 3)))
     radii = np.linalg.norm(rows - center, axis=1) / 0.7
     assert radii.max() <= 1.0 + 1e-12
     # uniform in the ball: (|z - c| / r)^n is uniform on [0, 1]
@@ -646,12 +634,14 @@ def test_sample_ball_batch_rows_are_uniform_in_the_ball():
 
 def test_sample_ball_batch_blocks_equal_one_draw():
     center = np.array([0.3, 0.4])
-    one = sample_ball(center, 0.2, np.random.default_rng(5), size=30)
+    one = sample_ball(center, 0.2, np.random.default_rng(5), out=np.empty((30, 2)))
     rng = np.random.default_rng(5)
-    blocks = [sample_ball(center, 0.2, rng, size=k) for k in (7, 0, 16, 7)]
+    blocks = [sample_ball(center, 0.2, rng, out=np.empty((k, 2)))
+              for k in (7, 0, 16, 7)]
     assert np.array_equal(np.concatenate(blocks), one)
     assert np.array_equal(sample_ball(center, 0.0, np.random.default_rng(5),
-                                      size=4), np.tile(center, (4, 1)))
+                                      out=np.empty((4, 2))),
+                          np.tile(center, (4, 1)))
 
 
 def broadcast_ball_rows(center, radius, rng, size):
@@ -670,20 +660,9 @@ def test_sample_ball_batch_rows_are_the_broadcast_bits(radius):
     # -0.0 too (at zero radius, half the rows), as under broadcasting
     center = np.array([-0.0, 0.0, 2.5, -1e300])
     expected = broadcast_ball_rows(center, radius, np.random.default_rng(4), 300)
-    rows = sample_ball(center, radius, np.random.default_rng(4), size=300)
-    assert rows.tobytes() == expected.tobytes()
     buf = np.full((300, 4), np.nan)
-    assert sample_ball(center, radius, np.random.default_rng(4), size=300,
-                       out=buf) is buf
+    assert sample_ball(center, radius, np.random.default_rng(4), out=buf) is buf
     assert buf.tobytes() == expected.tobytes()
-
-
-@pytest.mark.parametrize("size, shape", [(None, (1, 2)), (3, (4, 2)),
-                                         (3, (3, 3)), (2, (2, 2, 1))])
-def test_sample_ball_rejects_an_out_that_is_not_size_by_n(size, shape):
-    with pytest.raises(ValueError, match="out must be a"):
-        sample_ball(np.zeros(2), 1.0, np.random.default_rng(0), size=size,
-                    out=np.empty(shape))
 
 
 # ------------------------------------------------------- batch oracles
@@ -699,10 +678,6 @@ MEMBERS = (
     ("ball-linear", {"dim": 10}),
     ("pl-nonconvex", {"dim": 10}),
 )
-
-
-def branch_code(branch: Branch) -> int:
-    return 0 if branch.is_objective else branch.index
 
 
 @pytest.mark.parametrize("name, params", MEMBERS)
@@ -729,8 +704,26 @@ def test_batch_oracles_agree_with_pointwise(name, params):
 
     h_vecs, codes = sub.grads(z)
     assert np.max(np.abs(h_vecs - [p[0] for p in point_h])) <= tol
-    assert codes.tolist() == [branch_code(p[1]) for p in point_h]
+    assert codes.tolist() == [p[1] for p in point_h]
     assert (sub.subgrad_calls, sub.value_calls) == (2 * len(z), 1)
+
+
+@pytest.mark.parametrize("name, params", MEMBERS)
+def test_pointwise_branches_are_the_batch_indices(name, params):
+    # grad and dir_grad name a branch as grads does, 0 for the objective and
+    # i for constraint i; off ties, where only one branch attains h, the
+    # directional query takes that branch too
+    record = get_problem(name, **params)
+    rng = np.random.default_rng(23)
+    z = np.array([record.domain_sampler(rng) for _ in range(500)])
+    v = rng.standard_normal(z.shape)
+    sub = Subproblem(record.spec, record.start)
+    _, codes = sub.grads(z)
+    for row, direction, code in zip(z, v, codes.tolist()):
+        _, branch = sub.grad(row)
+        _, dir_branch, _, _ = sub.dir_grad(row, direction)
+        assert type(branch) is int and type(dir_branch) is int
+        assert branch == dir_branch == code
 
 
 def pointwise_only(prob: ProblemSpec) -> ProblemSpec:
@@ -757,7 +750,7 @@ def test_batch_fallback_loops_over_pointwise_oracles(name):
     h_vecs, codes = sub.grads(z)
     loop = [sub.grad(row) for row in z]
     assert np.array_equal(h_vecs, [p[0] for p in loop])
-    assert codes.tolist() == [branch_code(p[1]) for p in loop]
+    assert codes.tolist() == [p[1] for p in loop]
 
 
 def two_linear_batch_constraints() -> ProblemSpec:

@@ -101,10 +101,10 @@ def test_concave_kink_found_in_one_probe():
     prob = piecewise_problem(_concave_two_slope(0.2, -0.4, 0.5))
     sub = Subproblem(prob, np.array([1.0]))
     r, vec, branch, h_m, probes, ties = bisect_negative_slope(
-        sub, sub.anchor, UNIT, 1.0, 1.0, l_far=0.0, l_anchor=-0.6)
+        sub, UNIT, 1.0, 1.0, l_far=0.0, l_anchor=-0.6)
     assert r == 0.5
     assert np.array_equal(vec, [-0.4])
-    assert branch.is_objective
+    assert branch == 0
     assert probes == 1
     assert ties == 0
     assert h_m == pytest.approx(0.2)  # f(0.5) - f(1.0)
@@ -114,7 +114,7 @@ def test_flat_restriction_returns_midpoint_immediately():
     prob = piecewise_problem(max_affine_oracle([(0.0, 0.0)]))
     sub = Subproblem(prob, np.array([1.0]))
     r, vec, branch, h_m, probes, ties = bisect_negative_slope(
-        sub, sub.anchor, UNIT, 1.0, 1.0, l_far=0.0, l_anchor=-0.5)
+        sub, UNIT, 1.0, 1.0, l_far=0.0, l_anchor=-0.5)
     assert r == 0.5
     assert probes == 1
     assert np.array_equal(vec, [0.0])
@@ -128,7 +128,7 @@ def test_convex_restriction_recurses_into_steeper_half():
     prob = piecewise_problem(max_affine_oracle([(-1.0, 0.0), (0.6, -0.8)]))
     sub = Subproblem(prob, np.array([1.0]))
     r, vec, branch, h_m, probes, ties = bisect_negative_slope(
-        sub, sub.anchor, UNIT, 1.0, 1.0, l_far=0.2, l_anchor=-0.5)
+        sub, UNIT, 1.0, 1.0, l_far=0.2, l_anchor=-0.5)
     assert r == 0.25
     assert probes == 2
     assert np.array_equal(vec, [-1.0])
@@ -153,7 +153,7 @@ def test_convex_restrictions_return_probe_satisfying_points(seed):
     l_anchor = sub.h_anchor - eps * delta / 2.0
     assert l_far > l_anchor
     r, vec, branch, h_m, probes, ties = bisect_negative_slope(
-        sub, anchor, UNIT, delta, eps, l_far, l_anchor)
+        sub, UNIT, delta, eps, l_far, l_anchor)
     fresh = Subproblem(prob, anchor)
     _, _, _, dd = fresh.dir_grad(anchor + (r - delta) * UNIT, UNIT)
     assert dd - eps / 2.0 < 0.0
@@ -164,8 +164,7 @@ def test_negative_slope_requires_losing_height():
     prob = piecewise_problem(max_affine_oracle([(1.0, 0.0)]))
     sub = Subproblem(prob, np.array([1.0]))
     with pytest.raises(UsageError):
-        bisect_negative_slope(sub, sub.anchor, UNIT, 1.0, 1.0,
-                              l_far=-0.5, l_anchor=0.0)
+        bisect_negative_slope(sub, UNIT, 1.0, 1.0, l_far=-0.5, l_anchor=0.0)
 
 
 def test_dishonest_oracle_exhausts_steps():
@@ -174,8 +173,7 @@ def test_dishonest_oracle_exhausts_steps():
     prob = piecewise_problem(max_affine_oracle([(1.0, 0.0)]))
     sub = Subproblem(prob, np.array([1.0]))
     with pytest.raises(ModulusError):
-        bisect_negative_slope(sub, sub.anchor, UNIT, 1.0, 1.0,
-                              l_far=1.0, l_anchor=0.0)
+        bisect_negative_slope(sub, UNIT, 1.0, 1.0, l_far=1.0, l_anchor=0.0)
     assert 0 < sub.subgrad_calls <= default_max_steps(1.0)
 
 

@@ -17,7 +17,7 @@ from goldsub.solver import certify
 from goldsub.verify import CHECK_ORDER
 
 PUBLIC = [
-    "BISECT", "Branch", "BudgetExceededError", "CertificateReport",
+    "BISECT", "BudgetExceededError", "CertificateReport",
     "CertificationError", "CheckResult", "GoldsteinCertificate",
     "GoldsubError", "InfeasibleStartError", "ModulusError", "Oracle",
     "OracleError", "ProblemRecord", "ProblemSpec", "RAND", "SolveTrace",

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from goldsub import inner_rand, solver, verify
-from goldsub.core import (OBJECTIVE, Branch, Oracle, ProblemSpec, ReducedConstraint,
-                          Subproblem, WeightedSubgradient)
+from goldsub.core import (Oracle, ProblemSpec, ReducedConstraint, Subproblem,
+                          WeightedSubgradient)
 from goldsub.errors import (
     BudgetExceededError,
     CertificationError,
@@ -22,7 +22,8 @@ from goldsub.errors import (
 )
 from goldsub.inner_rand import rand_call_budget
 from goldsub.problems import ball_linear_sigma, constant_constraint, get_problem
-from goldsub.serialize import certificate_data, dumps, trace_data
+from goldsub.serialize import (certificate_data, certificate_from_data, dumps,
+                               trace_data)
 from goldsub.solver import (
     BISECT,
     RAND,
@@ -35,7 +36,7 @@ from goldsub.solver import (
 BALL = get_problem("ball-linear")
 
 
-def unit_combo(vector, branch=OBJECTIVE, point=None):
+def unit_combo(vector, branch=0, point=None):
     point = np.zeros(2) if point is None else np.asarray(point, dtype=float)
     return [WeightedSubgradient(point=point, vector=np.asarray(vector, dtype=float),
                                 branch=branch, weight=1.0)]
@@ -112,9 +113,9 @@ def test_certify_kkt_without_objective_mass_warns():
     anchor = np.array([-1.0, 0.0])
     combo = [
         WeightedSubgradient(point=anchor, vector=np.array([1.0, 0.0]),
-                            branch=Branch.constraint(1), weight=0.5),
+                            branch=1, weight=0.5),
         WeightedSubgradient(point=anchor, vector=np.array([-1.0, 0.0]),
-                            branch=Branch.constraint(1), weight=0.5),
+                            branch=1, weight=0.5),
     ]
     with pytest.warns(UserWarning, match="Fritz-John"):
         cert = certify_as_solve(anchor, combo, BALL.spec, config)
@@ -129,12 +130,12 @@ def test_certify_rejects_broken_combinations():
         certify_as_solve(np.zeros(2), [], BALL.spec, config)
     bad_weight = unit_combo([1.0, 0.0])
     bad_weight[0] = WeightedSubgradient(np.zeros(2), np.array([1.0, 0.0]),
-                                        OBJECTIVE, -0.2)
+                                        0, -0.2)
     with pytest.raises(CertificationError, match="negative"):
         certify_as_solve(np.zeros(2), bad_weight, BALL.spec, config)
     off_simplex = unit_combo([1.0, 0.0])
     off_simplex[0] = WeightedSubgradient(np.zeros(2), np.array([1.0, 0.0]),
-                                         OBJECTIVE, 0.9)
+                                         0, 0.9)
     with pytest.raises(CertificationError, match="sum"):
         certify_as_solve(np.zeros(2), off_simplex, BALL.spec, config)
     with pytest.raises(CertificationError, match="zeta-recompute"):
@@ -264,6 +265,28 @@ def test_certify_draws_no_ball_sample(monkeypatch, inner):
         cert, _ = solve(record.spec, config, record.start)
         gammas.append(cert.gamma)
     assert any(gamma > 0.0 for gamma in gammas)  # constraint mass occurs
+
+
+@pytest.mark.parametrize("inner", [RAND, BISECT])
+@pytest.mark.parametrize("kkt", [False, True], ids=["fritz-john", "kkt"])
+def test_certificate_branches_are_plain_indices(inner, kkt):
+    # a branch is 0 for the objective and i for constraint i, in memory and
+    # after a round trip through the certificate document
+    seen = set()
+    for name, params in MEMBERS:
+        record = get_problem(name, **params)
+        config = SolverConfig(delta=0.05, target_eps=0.05, inner=inner,
+                              kkt_mode=kkt,
+                              gcq_sigma=ball_linear_sigma(0.05) if kkt else None)
+        cert, _ = solve(record.spec, config, record.start)
+        branches = [w.branch for w in cert.combination]
+        assert all(type(b) is int and 0 <= b <= len(record.spec.constraints)
+                   for b in branches), (name, branches)
+        back, _ = certificate_from_data(certificate_data(cert))
+        assert [w.branch for w in back.combination] == branches
+        assert all(type(w.branch) is int for w in back.combination)
+        seen.update(branches)
+    assert seen == {0, 1, 2}  # footnote-2c's second constraint occurs
 
 
 # numpy's Python-level wrappers around C functions: np.linalg.norm, the

@@ -15,9 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from goldsub import solver, verify
-from goldsub.core import (MAX_SAMPLES, OBJECTIVE, Branch, Oracle, ProblemSpec,
-                          ReducedConstraint, Subproblem, WeightedSubgradient,
-                          sample_ball)
+from goldsub.core import (MAX_SAMPLES, Oracle, ProblemSpec, ReducedConstraint,
+                          Subproblem, WeightedSubgradient, sample_ball)
 from goldsub.errors import UsageError
 from goldsub.problems import constant_constraint, get_problem
 from goldsub.serialize import certificate_data, certificate_from_data, dumps
@@ -207,21 +206,21 @@ def entry(branch, weight, point=(0.0, 0.0), vector=(1.0, 1.0)):
 
 
 def test_multiplier_split_even_split():
-    combo = [entry(OBJECTIVE, 0.5), entry(Branch.constraint(1), 0.5)]
+    combo = [entry(0, 0.5), entry(1, 0.5)]
     assert multiplier_split(combo) == (0.5, 0.5, 1.0)
 
 
 def test_multiplier_split_constraint_heavy():
-    combo = [entry(OBJECTIVE, 0.25), entry(Branch.constraint(1), 0.75)]
+    combo = [entry(0, 0.25), entry(1, 0.75)]
     gamma0, gamma, lam = multiplier_split(combo)
     assert (gamma0, gamma) == (0.25, 0.75)
     assert lam == pytest.approx(3.0)
 
 
 def test_multiplier_split_single_branch_is_exact():
-    obj = [entry(OBJECTIVE, 0.5), entry(OBJECTIVE, 0.5)]
+    obj = [entry(0, 0.5), entry(0, 0.5)]
     assert multiplier_split(obj) == (1.0, 0.0, 0.0)
-    con = [entry(Branch.constraint(1), 1.0)]
+    con = [entry(1, 1.0)]
     assert multiplier_split(con) == (0.0, 1.0, None)
 
 
@@ -233,7 +232,7 @@ def ten_tenths_certificate():
     """Objective-only l1-ball certificate whose ten weights of 0.1 sum to
     0.9999999999999999, not 1."""
     record = get_problem("l1-ball")
-    combo = [entry(OBJECTIVE, 0.1, point=(s * 0.01, s * 0.01), vector=(s, s))
+    combo = [entry(0, 0.1, point=(s * 0.01, s * 0.01), vector=(s, s))
              for s in (1.0, -1.0) * 5]
     config = SolverConfig(delta=0.05, target_eps=0.05)
     anchor = np.zeros(2)
@@ -431,7 +430,8 @@ def test_row_blocks_cover_the_rows(monkeypatch):
 
 def slack_max(cert, spec, rng, n):
     """max |gamma * g| over one draw of n rows."""
-    rows = sample_ball(cert.anchor, cert.delta, rng, size=n)
+    rows = sample_ball(cert.anchor, cert.delta, rng,
+                       out=np.empty((n, cert.anchor.size)))
     gvals, _ = ReducedConstraint(spec).values(rows)
     return float(np.max(np.abs(cert.gamma * gvals)))
 
@@ -464,7 +464,8 @@ def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
     assert estimate <= est.min_norm + HULL_TOL
     assert details["stationarity-estimate"].endswith("at 150 of 150 samples")
 
-    rows = sample_ball(cert.anchor, cert.delta, np.random.default_rng(5), size=450)
+    rows = sample_ball(cert.anchor, cert.delta, np.random.default_rng(5),
+                       out=np.empty((450, cert.anchor.size)))
     grads, _ = Subproblem(record.spec, cert.anchor).grads(rows[:150])
     assert np.array_equal(est.points, grads)
 
@@ -478,7 +479,7 @@ def test_ball_draw_in_place_equals_one_allocating_draw(n):
     for count in (64, verify.SAMPLE_BLOCK + 4, total):
         rows = draw.upto(count)
     assert np.shares_memory(rows, draw.rows)
-    one = sample_ball(center, 0.3, np.random.default_rng(9), size=total)
+    one = sample_ball(center, 0.3, np.random.default_rng(9), out=np.empty((total, n)))
     assert rows.tobytes() == one.tobytes()
 
 
@@ -629,9 +630,9 @@ def counted_draw_rows(monkeypatch) -> list[int]:
     sample_ball = verify.sample_ball
     rows = []
 
-    def counted(center, radius, rng, size=None, **kwargs):
-        rows.append(size)
-        return sample_ball(center, radius, rng, size=size, **kwargs)
+    def counted(center, radius, rng, out):
+        rows.append(len(out))
+        return sample_ball(center, radius, rng, out)
 
     monkeypatch.setattr(verify, "sample_ball", counted)
     return rows
