@@ -159,41 +159,45 @@ def _norm(v: Vector) -> float:
     return math.sqrt(r.dot(r))
 
 
-# The output checks below run once per oracle call on the hot paths.  The
-# oracle they name is ``what % args``, formatted only when a check fails.
+# The output checks below run once per oracle call on the hot paths.  They
+# name the oracle by its branch b of h_x, 0 for the objective and i for
+# constraint i, and format that name only when a check fails.
 
-def _finite_value(val, what: str, *args) -> float:
+def _oracle_name(b: int, kind: str) -> str:
+    return "objective " + kind if b == 0 else "constraint %d %s" % (b, kind)
+
+
+def _finite_value(val, b: int) -> float:
     val = float(val)
     if not math.isfinite(val):
-        raise OracleError("non-finite value from %s" % (what % args))
+        raise OracleError("non-finite value from %s" % _oracle_name(b, "value"))
     return val
 
 
-def _finite_array(arr, shape: tuple, what: str, *args) -> np.ndarray:
+def _finite_array(arr, shape: tuple, b: int, kind: str) -> np.ndarray:
     arr = np.asarray(arr, dtype=float)
     if arr.shape != shape:
         raise OracleError("%s returned shape %r, expected %r"
-                          % (what % args, arr.shape, shape))
+                          % (_oracle_name(b, kind), arr.shape, shape))
     if not _all_finite(arr):
-        raise OracleError("non-finite entries from %s" % (what % args))
+        raise OracleError("non-finite entries from %s" % _oracle_name(b, kind))
     return arr
 
 
-def _finite_values(oracle: Oracle, z: np.ndarray, what: str, *args) -> np.ndarray:
+def _finite_values(oracle: Oracle, z: np.ndarray, b: int) -> np.ndarray:
     """Checked ``value`` of every row of z, batched when the oracle allows."""
     if oracle.values is None:
-        return np.array([_finite_value(oracle.value(row), what, *args)
-                         for row in z], dtype=float)
-    return _finite_array(oracle.values(z), (len(z),), what, *args)
+        return np.array([_finite_value(oracle.value(row), b) for row in z],
+                        dtype=float)
+    return _finite_array(oracle.values(z), (len(z),), b, "value")
 
 
-def _finite_grads(oracle: Oracle, z: np.ndarray, dim: int, what: str,
-                  *args) -> np.ndarray:
+def _finite_grads(oracle: Oracle, z: np.ndarray, dim: int, b: int) -> np.ndarray:
     """Checked ``grad`` of every row of z, batched when the oracle allows."""
     if oracle.grads is None:
-        return np.array([_finite_array(oracle.grad(row), (dim,), what, *args)
+        return np.array([_finite_array(oracle.grad(row), (dim,), b, "grad")
                          for row in z], dtype=float).reshape(len(z), dim)
-    return _finite_array(oracle.grads(z), (len(z), dim), what, *args)
+    return _finite_array(oracle.grads(z), (len(z), dim), b, "grad")
 
 
 class ReducedConstraint:
@@ -210,42 +214,33 @@ class ReducedConstraint:
         """Return (g(z), attaining 1-based index)."""
         best, best_i = -math.inf, 0
         for i, oracle in enumerate(self._oracles, start=1):
-            vi = _finite_value(oracle.value(z), "constraint %d value", i)
+            vi = _finite_value(oracle.value(z), i)
             if vi > best:
                 best, best_i = vi, i
         return best, best_i
 
-    def grad_at(self, z: Vector, idx: int) -> Vector:
-        """Gradient of constraint idx at z."""
-        return _finite_array(self._oracles[idx - 1].grad(z), (self._problem.dim,),
-                             "constraint %d grad", idx)
-
     def values(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``value``: (g of every row of z, attaining 1-based indices)."""
         z = _as_points(z, self._problem.dim)
-        best = _finite_values(self._oracles[0], z, "constraint %d value", 1)
+        best = _finite_values(self._oracles[0], z, 1)
         best_i = np.ones(len(z), dtype=int)
         for i, oracle in enumerate(self._oracles[1:], start=2):
-            vi = _finite_values(oracle, z, "constraint %d value", i)
+            vi = _finite_values(oracle, z, i)
             wins = vi > best
             best = np.where(wins, vi, best)
             best_i[wins] = i
         return best, best_i
 
-    def grads_at(self, z: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Gradient of constraint idx[k] at row k of z; rows with idx[k] == 0
-        are left unset for the caller to fill."""
-        vecs = np.empty((len(z), self._problem.dim))
-        for i, oracle in enumerate(self._oracles, start=1):
-            rows = idx == i
-            if rows.any():
-                vecs[rows] = _finite_grads(oracle, z[rows], self._problem.dim,
-                                           "constraint %d grad", i)
-        return vecs
-
 
 class Subproblem:
     """Anchored subproblem h_x with joint-evaluation call accounting.
+
+    The sides of the max in h_x are its branches, each named by an index:
+    0 for the objective, i for constraint i; branch b's oracle is entry b
+    of ``(objective, *constraints)``.  A subgradient comes from the lowest
+    index that attains h(z); in directional mode, from the attaining branch
+    of largest slope along the query direction, the lowest index on equal
+    slopes.
 
     One *subgradient call* evaluates f and g at a point together with the
     subgradient of the winning branch; one *value call* evaluates only the
@@ -265,12 +260,13 @@ class Subproblem:
     def __init__(self, problem: ProblemSpec, anchor: Vector,
                  anchor_values: tuple[float, float] | None = None):
         self.problem = problem
+        self._oracles = (problem.objective, *problem.constraints)
         self._g = ReducedConstraint(problem)
         self.subgrad_calls = 0
         self.value_calls = 0
         if anchor_values is None:
             self.anchor = anchor = _as_vector(anchor, problem.dim)
-            f0 = _finite_value(problem.objective.value(anchor), "objective value")
+            f0 = _finite_value(problem.objective.value(anchor), 0)
             g0, _ = self._g.value(anchor)
             self.value_calls += 1
         else:
@@ -285,7 +281,7 @@ class Subproblem:
 
     def value_full(self, z: Vector) -> tuple[float, float, float]:
         """Return (h(z), f(z), g(z)); one value call."""
-        fz = _finite_value(self.problem.objective.value(z), "objective value")
+        fz = _finite_value(self.problem.objective.value(z), 0)
         gz, _ = self._g.value(z)
         self.value_calls += 1
         return max(fz - self.f_anchor, gz), fz, gz
@@ -293,78 +289,69 @@ class Subproblem:
     # -- subgradient events --------------------------------------------------
 
     def grad(self, z: Vector) -> tuple[Vector, int]:
-        """(a.e.-gradient of h at z, its branch index: 0 for the objective,
-        i for constraint i); ties go to the objective."""
-        fz = _finite_value(self.problem.objective.value(z), "objective value")
-        gz, idx = self._g.value(z)
+        """(a.e.-gradient of h at z, its branch index)."""
+        fz = _finite_value(self.problem.objective.value(z), 0)
+        gz, b = self._g.value(z)
         if fz - self.f_anchor >= gz:
-            vec = _finite_array(self.problem.objective.grad(z), (self.problem.dim,),
-                                "objective grad")
-            idx = 0
-        else:
-            vec = self._g.grad_at(z, idx)
+            b = 0
+        vec = _finite_array(self._oracles[b].grad(z), (self.problem.dim,), b,
+                            "grad")
         self.subgrad_calls += 1
-        return vec, idx
+        return vec, b
 
     def grads(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``grad``: (N, n) a.e.-gradients of h at the rows of z and
-        their branches as indices, 0 for the objective and i for constraint i.
-
-        Same rules as ``grad``: ties go to the objective, constraint ties to
-        the lowest index; one subgradient call per row.
-        """
-        z = _as_points(z, self.problem.dim)
-        fz = _finite_values(self.problem.objective, z, "objective value")
+        their branch indices; one subgradient call per row."""
+        dim = self.problem.dim
+        z = _as_points(z, dim)
+        fz = _finite_values(self.problem.objective, z, 0)
         gz, idx = self._g.values(z)
-        obj = fz - self.f_anchor >= gz
-        idx[obj] = 0
-        if obj.all():  # one branch: the objective's checked array as it is
-            vecs = _finite_grads(self.problem.objective, z, self.problem.dim,
-                                 "objective grad")
+        idx[fz - self.f_anchor >= gz] = 0
+        b = int(idx[0]) if len(idx) else 0
+        if (idx == b).all():  # one branch: its oracle's checked array as it is
+            vecs = _finite_grads(self._oracles[b], z, dim, b)
         else:
-            vecs = self._g.grads_at(z, idx)
-            if obj.any():
-                vecs[obj] = _finite_grads(self.problem.objective, z[obj],
-                                          self.problem.dim, "objective grad")
+            vecs = np.empty((len(z), dim))
+            for b, oracle in enumerate(self._oracles):
+                rows = idx == b
+                if rows.any():
+                    vecs[rows] = _finite_grads(oracle, z[rows], dim, b)
         self.subgrad_calls += len(z)
         return vecs, idx
 
     def dir_grad(self, z: Vector, v: Vector) -> tuple[Vector, int, float, float]:
         """Directional subgradient of h at z along v.
 
-        Returns (vector, branch index, h(z), directional derivative), the
-        index 0 for the objective and i for constraint i.  Only the
-        branches that attain h(z) run ``dir_grad``: the objective first,
+        Returns (vector, branch index, h(z), directional derivative).  Only
+        the branches that attain h(z) run ``dir_grad``: the objective first,
         then the constraints by index.  The largest <vector, v> wins and
         equalities stay with the earlier branch, so <vector, v> is the
         directional derivative of the max.  At the anchor array itself with
         g(anchor) < 0, the objective alone attains h = 0: no value is read.
         """
-        problem = self.problem
-        if problem.objective.dir_grad is None:
+        oracles, dim = self._oracles, self.problem.dim
+        if oracles[0].dir_grad is None:
             raise UsageError("objective has no directional oracle")
         if z is self.anchor and self.g_anchor < 0.0:
             fdiff, g, gz = 0.0, [], self.g_anchor
         else:
-            fz = _finite_value(problem.objective.value(z), "objective value")
-            fdiff = fz - self.f_anchor
-            g = [_finite_value(o.value(z), "constraint %d value", i)
-                 for i, o in enumerate(problem.constraints, start=1)]
+            fdiff = _finite_value(oracles[0].value(z), 0) - self.f_anchor
+            g = [_finite_value(o.value(z), i)
+                 for i, o in enumerate(self.problem.constraints, start=1)]
             gz = max(g)
         self.subgrad_calls += 1
         best = None
         if fdiff >= gz:
-            vec = _finite_array(problem.objective.dir_grad(z, v), (problem.dim,),
-                                "objective dir_grad")
+            vec = _finite_array(oracles[0].dir_grad(z, v), (dim,), 0, "dir_grad")
             best = vec, 0, fdiff, float(vec @ v)
         if fdiff <= gz:
-            for i, (gi, oracle) in enumerate(zip(g, problem.constraints), start=1):
+            for i, gi in enumerate(g, start=1):
                 if gi != gz:
                     continue
+                oracle = oracles[i]
                 if oracle.dir_grad is None:
                     raise UsageError("constraint %d has no directional oracle" % i)
-                vec = _finite_array(oracle.dir_grad(z, v), (problem.dim,),
-                                    "constraint %d dir_grad", i)
+                vec = _finite_array(oracle.dir_grad(z, v), (dim,), i, "dir_grad")
                 dd = float(vec @ v)
                 if best is None or dd > best[3]:
                     best = vec, i, gz, dd

@@ -102,11 +102,13 @@ class SolveTrace:
 
     ``records[k]`` describes iterate x_k and the inner run performed there,
     in scalars: x_0 is the start and later x_k replay from the manifest.
-    Oracle calls count joint (value + subgradient) evaluations; value_calls
-    count value-only evaluations (descent tests and the initial feasibility
-    check).  wall_time_s is informational; inner_budget is the inner
-    search's per-invocation call budget (None when unknown).  Both are left
-    out of serialized traces so equal manifests give byte-identical files.
+    outer_steps counts the descent steps taken.  Oracle calls count joint
+    (value + subgradient) evaluations; value_calls count value-only
+    evaluations (descent tests and the initial feasibility check), both
+    including those of an inner run that hit its call cap.  wall_time_s is
+    informational; inner_budget is the inner search's per-invocation call
+    budget (None when unknown).  Both are left out of serialized traces so
+    equal manifests give byte-identical files.
     """
 
     records: list[dict]
@@ -205,7 +207,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
     if not 0.0 < eps_t < math.inf:
         raise UsageError("eps_effective = %g must be positive and finite" % eps_t)
     c_frac = C_RAND if config.inner == RAND else C_BISECT
-    f_x = _finite_value(problem.objective.value(x), "objective value")
+    f_x = _finite_value(problem.objective.value(x), 0)
     g_x, _ = ReducedConstraint(problem).value(x)
     value_calls = 1  # initial feasibility check
     if g_x > 0.0:
@@ -237,7 +239,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
     started = time.perf_counter()
 
     def partial_trace() -> SolveTrace:
-        return SolveTrace(records=records, outer_steps=len(records) - 1,
+        return SolveTrace(records=records, outer_steps=k,
                           oracle_calls=oracle_calls, value_calls=value_calls,
                           eps_effective=eps_t, delta=config.delta,
                           inner=config.inner, descent_fraction=c_frac,
@@ -256,7 +258,10 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
                 res = bisect_search(x, problem, config.delta, eps_t, call_cap,
                                     anchor_values=(f_x, g_x))
         except BudgetExceededError as err:
+            # the totals include the calls of the invocation that hit the cap
             err.partial = dict(err.partial or {})
+            oracle_calls += err.partial["oracle_calls"]
+            value_calls += err.partial["value_calls"]
             err.partial["trace"] = partial_trace()
             raise
         oracle_calls += res.oracle_calls

@@ -87,7 +87,6 @@ class GoldsteinCertificate:
 class HullEstimate:
     """Minimal-norm point of conv(points) with a recoverable combination."""
 
-    points: np.ndarray
     min_norm_point: Vector
     min_norm: float
     support_indices: list[int]
@@ -186,7 +185,7 @@ def min_norm_over_hull(points, start: HullEstimate | None = None) -> HullEstimat
             break  # numerical stall; keep the previous, valid point
         x = new_x
 
-    return HullEstimate(points=pts, min_norm_point=x, min_norm=_norm(x),
+    return HullEstimate(min_norm_point=x, min_norm=_norm(x),
                         support_indices=list(support),
                         support_weights=[float(w) for w in weights])
 
@@ -242,10 +241,10 @@ def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
     draw (stream seed + 1 there) and stops at the first that passes.
     """
     _check_samples(n_samples, "n_samples")
-    anchor = _as_vector(anchor, problem.dim)
-    rows = _BallDraw(anchor, delta, np.random.default_rng(seed),
+    sub = Subproblem(problem, anchor)
+    rows = _BallDraw(sub.anchor, delta, np.random.default_rng(seed),
                      n_samples).upto(n_samples)
-    _grads_over(Subproblem(problem, anchor), rows)
+    _grads_over(sub, rows)
     return min_norm_over_hull(rows)
 
 

@@ -275,7 +275,7 @@ def test_each_value_callable_runs_once_per_point():
         seen.add(branch)
         if branch:
             assert branch == g_idx
-            assert np.array_equal(vec, reduced.grad_at(z, g_idx))
+            assert np.array_equal(vec, base.constraints[branch - 1].grad(z))
 
         counts.clear()
         h, fz, gz = sub.value_full(z)
@@ -403,16 +403,113 @@ def test_h_subgradient_norms_within_lipschitz_bound():
             done += 1
 
 
+def affine_oracle(c, d: int, counts: collections.Counter, branch: int,
+                  batch: bool) -> Oracle:
+    """x -> c.x + d, counting under ``branch`` the points its value
+    callables read."""
+    c = np.array(c, dtype=float)
+
+    def value(x):
+        counts[branch] += 1
+        return float(c @ x) + d
+
+    def values(z):
+        counts[branch] += len(z)
+        return z @ c + d
+
+    return Oracle(value=value, grad=lambda x: c.copy(),
+                  dir_grad=lambda x, v: c.copy(),
+                  values=values if batch else None,
+                  grads=(lambda z: np.tile(c, (len(z), 1))) if batch else None)
+
+
+@st.composite
+def affine_pieces(draw):
+    """f = a.x and g_j = c_j.x + d_j with integer data in [-2, 2], an integer
+    anchor, and integer points and directions: values are exact and ties
+    between any of the m + 1 branches are common."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    k = draw(st.integers(1, 8))
+    return (draw(vec), draw(st.lists(vec, min_size=m, max_size=m)),
+            draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m)),
+            draw(vec), draw(st.lists(vec, min_size=k, max_size=k)),
+            draw(st.lists(vec, min_size=k, max_size=k)), draw(st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_pieces())
+def test_branch_rule_on_tied_affine_pieces(pieces):
+    a, cs, ds, x, zs, vs, batch = pieces
+    counts: collections.Counter = collections.Counter()
+    prob = ProblemSpec(
+        dim=len(a), objective=affine_oracle(a, 0, counts, 0, batch),
+        constraints=tuple(affine_oracle(c, d, counts, j, batch)
+                          for j, (c, d) in enumerate(zip(cs, ds), start=1)),
+        lipschitz_m=10.0, neighborhood_delta=1.0)
+    slopes = [a, *cs]
+    sub = Subproblem(prob, np.array(x, dtype=float))
+    once = {b: 1 for b in range(len(slopes))}
+    expected = []
+    for z, v in zip(zs, vs):
+        # h's sides in exact integers, branch 0 first
+        sides = [np.dot(a, z) - np.dot(a, x),
+                 *(np.dot(c, z) + d for c, d in zip(cs, ds))]
+        h = max(sides)
+        attaining = [b for b, side in enumerate(sides) if side == h]
+        expected.append(attaining[0])
+        point, direction = np.array(z, dtype=float), np.array(v, dtype=float)
+
+        counts.clear()
+        vec, branch = sub.grad(point)
+        assert counts == once
+        assert branch == attaining[0]
+        assert vec.tolist() == slopes[branch]
+
+        # the largest slope along v, the lowest index on equal slopes
+        slope = {b: int(np.dot(slopes[b], v)) for b in attaining}
+        winner = max(attaining, key=lambda b: (slope[b], -b))
+        counts.clear()
+        vec, branch, h_z, dd = sub.dir_grad(point, direction)
+        assert counts == once
+        assert (branch, h_z, dd) == (winner, h, slope[winner])
+        assert vec.tolist() == slopes[winner]
+
+        counts.clear()
+        assert sub.value_full(point)[0] == h
+        assert counts == once
+
+    counts.clear()
+    vecs, codes = sub.grads(np.array(zs, dtype=float))
+    assert counts == {b: len(zs) for b in once}
+    assert codes.tolist() == expected
+    assert vecs.tolist() == [slopes[b] for b in expected]
+
+
 # ------------------------------------------------------ constraint reduce
+
+
+def constraint_side(prob: ProblemSpec) -> Subproblem:
+    """A Subproblem at the origin whose objective attains h nowhere: its
+    given f(anchor) lies far above f, so every point takes the branch of
+    the constraint that attains g."""
+    return Subproblem(prob, np.zeros(prob.dim), anchor_values=(1e300, -1.0))
+
+
+def value_and_grad(prob: ProblemSpec, z):
+    """(g(z), gradient of the attaining constraint, its index) at one point."""
+    val, idx = ReducedConstraint(prob).value(z)
+    vec, branch = constraint_side(prob).grad(z)
+    assert branch == idx
+    return val, vec, idx
 
 
 def test_reduce_single_constraint_is_identity():
     prob = get_problem("ball-linear").spec
-    reduced = ReducedConstraint(prob)
-    val, idx = reduced.value(np.zeros(2))
+    val, vec, idx = value_and_grad(prob, np.zeros(2))
     assert (val, idx) == (-1.0, 1)
     # norm subgradient at the origin falls back to the first basis vector
-    assert np.array_equal(reduced.grad_at(np.zeros(2), idx), [1.0, 0.0])
+    assert np.array_equal(vec, [1.0, 0.0])
 
 
 def two_linear_constraints() -> ProblemSpec:
@@ -426,22 +523,14 @@ def two_linear_constraints() -> ProblemSpec:
                        lipschitz_m=1.0, neighborhood_delta=1.0)
 
 
-def value_and_grad(reduced: ReducedConstraint, z):
-    """(g(z), gradient of the attaining constraint, its index) at one point."""
-    val, idx = reduced.value(z)
-    return val, reduced.grad_at(z, idx), idx
-
-
 def test_reduce_tie_breaks_to_lowest_index():
-    reduced = ReducedConstraint(two_linear_constraints())
-    val, vec, idx = value_and_grad(reduced, np.array([3.0, 3.0]))
+    val, vec, idx = value_and_grad(two_linear_constraints(), np.array([3.0, 3.0]))
     assert (val, idx) == (3.0, 1)
     assert np.array_equal(vec, [1.0, 0.0])
 
 
 def test_reduce_picks_strict_maximizer():
-    reduced = ReducedConstraint(two_linear_constraints())
-    val, vec, idx = value_and_grad(reduced, np.array([1.0, 2.0]))
+    val, vec, idx = value_and_grad(two_linear_constraints(), np.array([1.0, 2.0]))
     assert (val, idx) == (2.0, 2)
     assert np.array_equal(vec, [0.0, 1.0])
 
@@ -691,13 +780,13 @@ def test_batch_oracles_agree_with_pointwise(name, params):
     e1 = np.eye(prob.dim)[0]
     z = np.vstack([np.zeros(prob.dim), -0.5 * e1, e1, -e1, z])
     tol = 1e-12 * prob.lipschitz_m
-    reduced = ReducedConstraint(prob)
     sub = Subproblem(prob, record.start)
-    point_g = [value_and_grad(reduced, row) for row in z]
+    point_g = [value_and_grad(prob, row) for row in z]
     point_h = [sub.grad(row) for row in z]
 
-    g_vals, g_idx = reduced.values(z)
-    g_vecs = reduced.grads_at(z, g_idx)
+    g_vals, g_idx = ReducedConstraint(prob).values(z)
+    g_vecs, g_codes = constraint_side(prob).grads(z)
+    assert g_codes.tolist() == g_idx.tolist()
     assert np.max(np.abs(g_vals - [p[0] for p in point_g])) <= tol
     assert np.max(np.abs(g_vecs - [p[1] for p in point_g])) <= tol
     assert g_idx.tolist() == [p[2] for p in point_g]
@@ -739,10 +828,10 @@ def test_batch_fallback_loops_over_pointwise_oracles(name):
     prob = pointwise_only(record.spec)
     rng = np.random.default_rng(3)
     z = np.array([record.domain_sampler(rng) for _ in range(500)])
-    reduced = ReducedConstraint(prob)
-    vals, idx = reduced.values(z)
-    vecs = reduced.grads_at(z, idx)
-    loop = [value_and_grad(reduced, row) for row in z]
+    vals, idx = ReducedConstraint(prob).values(z)
+    vecs, codes = constraint_side(prob).grads(z)
+    assert codes.tolist() == idx.tolist()
+    loop = [value_and_grad(prob, row) for row in z]
     assert np.array_equal(vals, [p[0] for p in loop])
     assert np.array_equal(vecs, [p[1] for p in loop])
     assert idx.tolist() == [p[2] for p in loop]
@@ -782,29 +871,39 @@ def test_batch_constraint_values_equal_pointwise(m, batch):
 
 
 def test_batch_constraint_calls_on_no_rows():
-    reduced = ReducedConstraint(two_linear_batch_constraints())
-    vals, idx = reduced.values(np.empty((0, 2)))
+    prob = two_linear_batch_constraints()
+    vals, idx = ReducedConstraint(prob).values(np.empty((0, 2)))
     assert vals.shape == idx.shape == (0,)
-    assert reduced.grads_at(np.empty((0, 2)), idx).shape == (0, 2)
+    vecs, codes = constraint_side(prob).grads(np.empty((0, 2)))
+    assert vecs.shape == (0, 2) and codes.shape == (0,)
 
 
 def test_objective_batch_gradients_are_the_oracle_array():
-    # every row takes the objective branch: its array comes back as it is,
-    # one subgradient call per row, and its output is still checked
+    # every row takes one branch, the objective's or a constraint's: that
+    # oracle's array comes back as it is, one subgradient call per row, and
+    # its output is still checked
     grads = np.tile([0.5, -0.5], (3, 1))
     oracle = Oracle(value=lambda x: 0.0, grad=lambda x: grads[0].copy(),
                     values=lambda z: np.zeros(len(z)), grads=lambda z: grads)
-    prob = dataclasses.replace(two_linear_batch_constraints(), objective=oracle)
-    z = -np.ones((3, 2))
+    base = two_linear_batch_constraints()
+    g1_grads = np.tile([1.0, 0.0], (3, 1))
+    g1 = dataclasses.replace(base.constraints[0], grads=lambda z: g1_grads)
+    prob = dataclasses.replace(base, objective=oracle,
+                               constraints=(g1, base.constraints[1]))
     sub = Subproblem(prob, np.array([-1.0, -1.0]))
-    vecs, codes = sub.grads(z)
-    assert vecs is grads
-    assert codes.tolist() == [0] * 3
-    assert sub.subgrad_calls == 3
-    grads[1, 0] = np.inf
-    with pytest.raises(OracleError, match="objective"):
-        sub.grads(z)
-    assert sub.subgrad_calls == 3
+    # all rows on the objective; then all on constraint 1 (g1 = 1 > g2 = 0)
+    for z, array, branch, name in (
+            (-np.ones((3, 2)), grads, 0, "objective grad"),
+            (np.tile([1.0, 0.0], (3, 1)), g1_grads, 1, "constraint 1 grad")):
+        calls = sub.subgrad_calls
+        vecs, codes = sub.grads(z)
+        assert vecs is array
+        assert codes.tolist() == [branch] * 3
+        assert sub.subgrad_calls == calls + 3
+        array[1, 0] = np.inf
+        with pytest.raises(OracleError, match=name):
+            sub.grads(z)
+        assert sub.subgrad_calls == calls + 3
 
 
 def test_batch_on_empty_and_malformed_point_arrays():

@@ -427,6 +427,10 @@ def test_inner_cap_attaches_partial_trace():
     assert isinstance(trace, SolveTrace)
     assert trace.call_cap == 10
     assert trace.records == []  # the very first inner run blew the cap
+    # no step was taken, and the totals count the capped run's calls
+    assert trace.outer_steps == 0
+    assert trace.oracle_calls == 10
+    assert trace.value_calls == 1 + err.value.partial["value_calls"]
 
 
 def test_tau_prime_splits_the_failure_budget():

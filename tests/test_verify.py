@@ -140,7 +140,7 @@ def test_hull_warm_start_from_a_prefix(spec, share):
     assert np.allclose(weights @ pts[est.support_indices], x, atol=1e-9 * scale)
     # a cold solve is the warm start from the shortest point, bit for bit
     first = int(np.argmin(np.einsum("ij,ij->i", pts, pts)))
-    shortest = verify.HullEstimate(pts[first:first + 1], pts[first].copy(),
+    shortest = verify.HullEstimate(pts[first].copy(),
                                    float(np.linalg.norm(pts[first])),
                                    [first], [1.0])
     cold, from_shortest = min_norm_over_hull(pts), min_norm_over_hull(
@@ -154,6 +154,20 @@ def test_hull_warm_start_from_a_prefix(spec, share):
 # ---------------------------------------------------------------- estimate
 
 
+def drawn_grads(anchor, spec, delta, n_samples, seed):
+    """h's gradients at one draw of n_samples rows of B(anchor, delta) from
+    stream ``seed``: the points of that estimate's hull."""
+    rows = sample_ball(anchor, delta, np.random.default_rng(seed),
+                       out=np.empty((n_samples, anchor.size)))
+    return Subproblem(spec, anchor).grads(rows)[0]
+
+
+def same_hull(a, b) -> bool:
+    return (np.array_equal(a.min_norm_point, b.min_norm_point)
+            and (a.min_norm, a.support_indices, a.support_weights)
+            == (b.min_norm, b.support_indices, b.support_weights))
+
+
 def test_goldstein_estimate_constant_gradient():
     objective = Oracle(value=lambda x: float(x[0]),
                        grad=lambda x: np.array([1.0, 0.0]))
@@ -162,13 +176,15 @@ def test_goldstein_estimate_constant_gradient():
                        lipschitz_m=1.0, neighborhood_delta=1.0)
     est = goldstein_estimate(np.zeros(2), prob, 0.1, 50, seed=0)
     assert est.min_norm == 1.0
-    assert len(est.points) == 50
+    grads = drawn_grads(np.zeros(2), prob, 0.1, 50, seed=0)
+    assert same_hull(est, min_norm_over_hull(grads))
 
 
 def test_goldstein_estimate_single_sample():
     est = goldstein_estimate(np.zeros(2), BALL.spec, 0.1, 1, seed=2)
-    assert len(est.points) == 1
-    assert est.min_norm == float(np.linalg.norm(est.points[0]))
+    grads = drawn_grads(np.zeros(2), BALL.spec, 0.1, 1, seed=2)
+    assert est.support_indices == [0]
+    assert est.min_norm == float(np.linalg.norm(grads[0]))
 
 
 def test_goldstein_estimate_shrinks_with_more_samples():
@@ -177,7 +193,9 @@ def test_goldstein_estimate_shrinks_with_more_samples():
     large = goldstein_estimate(anchor, BALL.spec, 0.05, 400, seed=5)
     # the first 200 samples coincide, so the estimate can only improve
     assert large.min_norm <= small.min_norm + 1e-12
-    assert np.array_equal(large.points[:200], small.points)
+    grads = drawn_grads(anchor, BALL.spec, 0.05, 400, seed=5)
+    assert same_hull(small, min_norm_over_hull(grads[:200]))
+    assert same_hull(large, min_norm_over_hull(grads))
 
 
 def test_goldstein_estimate_near_optimum_is_small():
@@ -451,6 +469,7 @@ def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
 
     monkeypatch.setattr(verify, "min_norm_over_hull", kept)
     est = goldstein_estimate(cert.anchor, record.spec, cert.delta, 150, seed=5)
+    grads = drawn_grads(cert.anchor, record.spec, cert.delta, 150, seed=5)
     # the slackness check reads all 150 rows; both read stream seed + 1
     hulls.clear()
     report = check_certificate(cert, record.spec, samples=150, seed=4)
@@ -459,15 +478,12 @@ def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
     assert measured == slack_max(cert, record.spec, np.random.default_rng(5), 150)
     # one hull per checkpoint, over growing prefixes of the one draw
     assert [len(h) for h in hulls] == [64, 128, 150]
-    assert all(np.array_equal(h, est.points[:len(h)]) for h in hulls)
+    assert all(np.array_equal(h, grads[:len(h)]) for h in hulls)
     estimate = float(details["stationarity-estimate"].split()[2])
     assert estimate <= est.min_norm + HULL_TOL
     assert details["stationarity-estimate"].endswith("at 150 of 150 samples")
 
-    rows = sample_ball(cert.anchor, cert.delta, np.random.default_rng(5),
-                       out=np.empty((450, cert.anchor.size)))
-    grads, _ = Subproblem(record.spec, cert.anchor).grads(rows[:150])
-    assert np.array_equal(est.points, grads)
+    assert same_hull(est, min_norm_over_hull(grads))
 
 
 @pytest.mark.parametrize("n", [1, 2, 10])
@@ -593,17 +609,19 @@ def test_a_failing_estimate_reads_every_row_once(monkeypatch):
     hulls = []
 
     def kept(points, **kwargs):
-        hulls.append(min_norm_over_hull(points, **kwargs))
-        return hulls[-1]
+        hulls.append((np.array(points), min_norm_over_hull(points, **kwargs)))
+        return hulls[-1][1]
 
     monkeypatch.setattr(verify, "min_norm_over_hull", kept)
     rows = counted_grad_rows(monkeypatch)
     report = check_certificate(cert, record.spec, samples=300, seed=3)
     assert report.reason == "stationarity-estimate"
     assert sum(rows) == 300  # every row's gradient, none twice
-    assert [len(h.points) for h in hulls] == [64, 128, 256, 300]
-    assert np.array_equal(hulls[-1].points, cold.points)
-    assert hulls[-1].min_norm <= cold.min_norm + HULL_TOL
+    assert [len(points) for points, _ in hulls] == [64, 128, 256, 300]
+    grads = drawn_grads(cert.anchor, record.spec, cert.delta, 300, seed=4)
+    assert np.array_equal(hulls[-1][0], grads)
+    assert same_hull(cold, min_norm_over_hull(grads))
+    assert hulls[-1][1].min_norm <= cold.min_norm + HULL_TOL
 
 
 def never_called(*args, **kwargs):
