@@ -10,10 +10,10 @@ vector, and argmax ties resolve to the lowest index.  Every oracle also has
 batch callables that apply the same rules to each row of an (N, n) array.
 
 A pointwise oracle runs on every joint call, and at small n its cost is
-numpy's per-call overhead, so the pointwise callables reduce with ufuncs
-(``np.maximum.reduce``, ``np.add.reduce``) and ``core._norm`` instead of
-``ndarray.max``/``.sum`` and ``np.linalg.norm``, whose Python wrappers call
-the same ufuncs: the bits are the same.  The kinked directional oracles
+numpy's per-call overhead, so the pointwise callables sum with
+``np.add.reduce``, take a max as ``a.item(a.argmax())`` and norms with
+``core._norm``, not ``ndarray.sum``/``.max`` and ``np.linalg.norm``, whose
+Python wrappers cost more: the bits are the same (a NaN max included).  The kinked directional oracles
 read the coordinates once as Python floats and find the max with C-level
 list calls, return ``np.sign(x)`` when no coordinate is 0, and build one
 output array.
@@ -362,7 +362,7 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
 
     def f_value(x):
         a = np.abs(x)
-        return float(np.maximum.reduce(a)) - alpha * float(np.add.reduce(a))
+        return a.item(a.argmax()) - alpha * float(np.add.reduce(a))
 
     def f_grad(x):
         return _linf_grad(x) - alpha * _sign_plus(x)
@@ -383,9 +383,13 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
     def f_grads(z):
         return _linf_grads(z) - alpha * _sign_plus(z)
 
+    def g_value(x):
+        a = np.abs(x)
+        return a.item(a.argmax()) - 1.0
+
     objective = Oracle(value=f_value, grad=f_grad, dir_grad=f_dir,
                        values=f_values, grads=f_grads)
-    constraint = Oracle(value=lambda x: float(np.maximum.reduce(np.abs(x))) - 1.0,
+    constraint = Oracle(value=g_value,
                         grad=_linf_grad,
                         dir_grad=lambda x, v: _linf_dir_vector(
                             np.asarray(x, dtype=float), np.asarray(v, dtype=float)),

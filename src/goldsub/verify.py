@@ -17,6 +17,8 @@ defined once.  Nothing here imports the solver.
 from __future__ import annotations
 
 import math
+import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,27 +202,56 @@ def _row_blocks(rows: np.ndarray):
         yield rows[start:start + SAMPLE_BLOCK]
 
 
+# kept ball offsets, least recently used first: (stream seed, n, radius
+# bits) -> a draw of B(-0.0s, radius), whose rows are normal_ij * scale_i
+_OFFSETS: dict = {}
+OFFSET_BYTES = 1 << 23  # cap on their bytes; a larger draw is not kept
+_OFFSETS_LOCK = threading.Lock()  # held while the tables or their rng move
+
+
 class _BallDraw:
-    """One uniform draw of ``total`` rows of B(center, radius), drawn only as
-    far as it is read.
+    """One uniform draw of ``total`` rows of B(center, radius) from stream
+    ``seed``, drawn only as far as it is read.
 
     Each read draws the rows it newly reaches, block by block, from one
     stream; by ``sample_ball``'s row-prefix property they are the rows of a
-    single draw of all ``total``.  ``rows`` is the buffer they are drawn into:
-    each block is passed to ``sample_ball`` as its ``out``, so a draw
-    allocates no more than one block's normals.
+    single draw of all ``total``.  Adding -0.0 is the identity, so a kept
+    draw of -0.0s holds the bare offsets, and a read adds ``center`` to
+    them in this draw's own ``rows``, which a check may overwrite.  A draw
+    not kept passes each block of ``rows`` to ``sample_ball`` as its ``out``,
+    so it allocates no more than one block's normals.
     """
 
-    def __init__(self, center: Vector, radius: float, rng: np.random.Generator,
-                 total: int):
-        self.center, self.radius, self.rng = center, radius, rng
+    def __init__(self, center: Vector, radius: float, seed: int, total: int,
+                 keep: bool = True):
+        self.center, self.radius = center, radius
         self.rows = np.empty((total, center.size))
         self.drawn = 0
+        self.offsets = None
+        if not (keep and self.rows.nbytes <= OFFSET_BYTES):
+            self.rng = np.random.default_rng(seed)
+            return
+        # the radius's bits: 0.0 and -0.0 give offsets of opposite signs
+        key = (seed, center.size, struct.pack("d", radius))
+        with _OFFSETS_LOCK:
+            self.offsets = _OFFSETS.pop(key, None)
+            if self.offsets is None or len(self.offsets.rows) < total:
+                self.offsets = _BallDraw(np.full(center.size, -0.0), radius,
+                                         seed, total, keep=False)
+            _OFFSETS[key] = self.offsets
+            while sum(d.rows.nbytes for d in _OFFSETS.values()) > OFFSET_BYTES:
+                del _OFFSETS[next(iter(_OFFSETS))]
 
     def upto(self, count: int) -> np.ndarray:
         """The first ``count`` rows."""
-        for block in _row_blocks(self.rows[self.drawn:count]):
-            sample_ball(self.center, self.radius, self.rng, out=block)
+        new = self.rows[self.drawn:count]
+        if self.offsets is not None:
+            with _OFFSETS_LOCK:  # a kept row, once drawn, never changes
+                offsets = self.offsets.upto(count)
+            np.add(offsets[self.drawn:count], self.center, out=new)
+        else:
+            for block in _row_blocks(new):
+                sample_ball(self.center, self.radius, self.rng, out=block)
         self.drawn = max(self.drawn, count)
         return self.rows[:count]
 
@@ -238,12 +269,12 @@ def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
     Its points are the gradients at one ``_BallDraw`` of the delta-ball, so
     they are a prefix of any larger run's and the estimate can only shrink
     as n_samples grows.  The verifier's estimate reads prefixes of the same
-    draw (stream seed + 1 there) and stops at the first that passes.
+    draw (stream seed + 1 there), whose kept offsets it shares, and stops
+    at the first that passes.
     """
     _check_samples(n_samples, "n_samples")
     sub = Subproblem(problem, anchor)
-    rows = _BallDraw(sub.anchor, delta, np.random.default_rng(seed),
-                     n_samples).upto(n_samples)
+    rows = _BallDraw(sub.anchor, delta, seed, n_samples).upto(n_samples)
     _grads_over(sub, rows)
     return min_norm_over_hull(rows)
 
@@ -463,8 +494,10 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     uniform draw of ``samples`` rows of the delta-ball from stream
     ``seed + 1``, drawn only as far as they read it: the slackness check
     reads every row (none at gamma = 0), and the estimate reads prefixes of
-    64, 128, 256, ... rows until one passes.  Checks run in CHECK_ORDER;
-    with stop_at_first_failure the remaining (possibly expensive) checks are
+    64, 128, 256, ... rows until one passes.  The rows' offsets from the
+    anchor are kept per (stream, n, delta), so a later check of the key
+    draws only rows no earlier one read.  Checks run in CHECK_ORDER; with
+    stop_at_first_failure the remaining (possibly expensive) checks are
     never computed once the headline reason is known.
     """
     if seed < 0:
@@ -534,7 +567,7 @@ def _checks(cert, problem, samples, seed):
     # one lazily drawn ball serves both sampled checks: the slackness check
     # reads all of it (none at gamma = 0), the estimate as much as it takes
     # to pass
-    draw = _BallDraw(anchor, delta, np.random.default_rng(seed + 1), samples)
+    draw = _BallDraw(anchor, delta, seed + 1, samples)
     slack_max = sampled_slack(ReducedConstraint(problem), cert.gamma, draw)
     yield check_slackness(slack_max, m, delta)
     yield _staged_estimate(sub, draw, ESTIMATE_FACTOR * cert.eps_effective)

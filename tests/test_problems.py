@@ -352,6 +352,16 @@ def test_directional_oracles_keep_their_old_output_at_nan_and_inf():
     ])
 
 
+@pytest.mark.parametrize("x", [[0.5, math.nan, -2.0], [math.nan, math.nan],
+                               [-math.inf, 1.0, math.inf], [math.inf, math.nan]])
+def test_max_norm_values_keep_their_old_bits_at_nan_and_inf(x):
+    # a.item(a.argmax()) is the max of np.maximum.reduce, a NaN included
+    x = np.array(x)
+    for label, oracle, reference in rewritten_oracles(x.size):
+        if label in ("pl-nonconvex f value", "pl-nonconvex g value"):
+            assert as_bytes(oracle(x, x)) == as_bytes(reference(x, x)), label
+
+
 def test_directional_oracles_keep_their_old_output_with_every_coordinate_tied():
     n = 1000
     rng = np.random.default_rng(5)

@@ -7,6 +7,9 @@ import copy
 import dataclasses
 import json
 import math
+import struct
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -490,7 +493,7 @@ def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
 def test_ball_draw_in_place_equals_one_allocating_draw(n):
     total = 2 * verify.SAMPLE_BLOCK + 17
     center = np.linspace(-1.0, 1.0, n)
-    draw = verify._BallDraw(center, 0.3, np.random.default_rng(9), total)
+    draw = verify._BallDraw(center, 0.3, 9, total)
     # uneven reads: within a block, across a block edge, then the rest
     for count in (64, verify.SAMPLE_BLOCK + 4, total):
         rows = draw.upto(count)
@@ -524,8 +527,7 @@ def test_sampled_slack_is_the_largest_product(name):
     record, cert = fresh_cert(seed=0, name=name)
     assert cert.gamma > 0.0
     total = 2 * verify.SAMPLE_BLOCK + 17
-    draw = verify._BallDraw(cert.anchor, cert.delta, np.random.default_rng(5),
-                            total)
+    draw = verify._BallDraw(cert.anchor, cert.delta, 5, total)
     measured = verify.sampled_slack(ReducedConstraint(record.spec), cert.gamma,
                                     draw)
     assert measured == slack_max(cert, record.spec, np.random.default_rng(5),
@@ -550,8 +552,7 @@ def test_sampled_checks_work_in_about_one_block():
     cert, _ = solve(record.spec, SolverConfig(delta=0.05, target_eps=0.05),
                     record.start)
     assert cert.gamma > 0.0
-    draw = verify._BallDraw(cert.anchor, cert.delta, np.random.default_rng(1),
-                            10_000)
+    draw = verify._BallDraw(cert.anchor, cert.delta, 1, 10_000)
     peak = traced_peak(verify.sampled_slack, ReducedConstraint(record.spec),
                        cert.gamma, draw)
     assert peak <= 1.25 * verify.SAMPLE_BLOCK * (n + 2) * 8
@@ -560,6 +561,136 @@ def test_sampled_checks_work_in_about_one_block():
     peak = traced_peak(verify._grads_over, sub, draw.rows)
     assert peak <= 1.5 * verify.SAMPLE_BLOCK * n * 8
     assert sub.subgrad_calls == 10_000
+
+
+# ------------------------------------------------------------ kept offsets
+
+
+def cached_bytes() -> int:
+    return sum(t.rows.nbytes for t in verify._OFFSETS.values())
+
+
+CENTER_EXTREMES = (0.0, -0.0, 5e-324, -2.2e-310, 1e300, -1e300)
+
+
+@pytest.mark.parametrize("n", [1, 2, 10])
+def test_kept_rows_are_the_bits_of_one_draw(monkeypatch, n):
+    # small blocks, so reads cross block edges; rows of every center carry
+    # the bits of sample_ball's own draw, cold, warm and past the kept rows
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 7)
+    monkeypatch.setattr(verify, "_OFFSETS", {})
+    centers = [np.resize(np.array(CENTER_EXTREMES[k:] + CENTER_EXTREMES[:k]), n)
+               for k in range(len(CENTER_EXTREMES))]
+    for k, center in enumerate(centers):
+        # the first draw is cold; each later one reads the kept rows, then
+        # six more than any earlier draw, so the table grows
+        total = 15 + 6 * k
+        draw = verify._BallDraw(center, 0.3, 9, total)
+        for count in (5 + 3 * k, total):
+            rows = draw.upto(count)
+        one = sample_ball(center, 0.3, np.random.default_rng(9),
+                          out=np.empty((total, n)))
+        assert rows.tobytes() == one.tobytes()
+        (table,) = verify._OFFSETS.values()
+        assert table.drawn == total
+        assert not np.shares_memory(rows, table.rows)
+
+
+def test_the_kept_table_survives_an_estimate(monkeypatch):
+    # the estimate writes gradients over its rows; the kept offsets stay a
+    # fresh draw, so the next certificate of the key reads the same rows
+    monkeypatch.setattr(verify, "_OFFSETS", {})
+    monkeypatch.setattr(verify, "ESTIMATE_FACTOR", 0.0)
+    record, cert = fresh_cert(seed=0)
+    first = check_certificate(cert, record.spec, samples=300, seed=3)
+    assert first.reason == "stationarity-estimate"
+    (table,) = verify._OFFSETS.values()
+    assert table.drawn == 300
+    zero = np.full(cert.anchor.size, -0.0)
+    fresh = sample_ball(zero, cert.delta, np.random.default_rng(4),
+                        out=np.empty((300, cert.anchor.size)))
+    assert table.rows[:300].tobytes() == fresh.tobytes()
+    assert check_certificate(cert, record.spec, samples=300, seed=3) == first
+
+
+def test_each_seed_dimension_and_delta_has_its_own_table(monkeypatch):
+    monkeypatch.setattr(verify, "_OFFSETS", {})
+    keys = [(4, 2, 0.3), (5, 2, 0.3), (4, 3, 0.3), (4, 2, 0.25),
+            (4, 2, 0.0), (4, 2, -0.0)]
+    for seed, n, radius in keys:
+        center = np.full(n, -0.0)
+        rows = verify._BallDraw(center, radius, seed, 50).upto(50)
+        one = sample_ball(center, radius, np.random.default_rng(seed),
+                          out=np.empty((50, n)))
+        assert rows.tobytes() == one.tobytes()
+    # 0.0 and -0.0 are equal deltas whose offsets differ in sign
+    assert len(verify._OFFSETS) == len(keys)
+
+
+def test_kept_bytes_never_exceed_the_cap(monkeypatch):
+    monkeypatch.setattr(verify, "_OFFSETS", {})
+    monkeypatch.setattr(verify, "OFFSET_BYTES", 40_000)
+    rows = counted_draw_rows(monkeypatch)
+    for n in (1, 2, 10, 50):
+        for radius in (0.05, 0.1, math.nan, 0.05):
+            for total in (100, 400, 1000):
+                draw = verify._BallDraw(np.zeros(n), radius, 1, total)
+                draw.upto(total)
+                assert cached_bytes() <= verify.OFFSET_BYTES
+    # 100 rows at n = 50 fill the cap alone; more rows there are not kept
+    assert [t.rows.shape for t in verify._OFFSETS.values()] == [(100, 50)]
+    # a NaN delta's table is found again by its bits
+    rows.clear()
+    for _ in range(2):
+        nan = verify._BallDraw(np.zeros(1), math.nan, 1, 10).upto(10)
+    assert np.isnan(nan).all() and sum(rows) == 10
+    assert cached_bytes() <= verify.OFFSET_BYTES
+
+
+def test_the_verifier_draws_every_row_through_sample_ball(monkeypatch):
+    # perfbench's core.sample_ball hook counts verify.sample_ball: every row
+    # a verification reads is drawn through it once, kept or not
+    monkeypatch.setattr(verify, "_OFFSETS", {})
+    record, cert = fresh_cert(seed=0)
+    rows = counted_draw_rows(monkeypatch)
+    check_certificate(cert, record.spec, samples=500)
+    assert sum(rows) == 500
+    monkeypatch.setattr(verify, "OFFSET_BYTES", 0)  # too large to keep
+    rows.clear()
+    check_certificate(cert, record.spec, samples=500, seed=1)
+    assert sum(rows) == 500
+    assert verify._OFFSETS.keys() == {(1, 2, struct.pack("d", cert.delta))}
+
+
+def test_threads_sharing_a_cold_key_read_the_rows_of_one_draw(monkeypatch):
+    # more threads than cores, switching often, each verifying the same
+    # certificate on a cold key; every report is the one-thread report
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 16)
+    record, cert = fresh_cert(seed=0)
+    seeds = range(12)
+    monkeypatch.setattr(verify, "_OFFSETS", {})
+    expected = [check_certificate(cert, record.spec, samples=800, seed=s)
+                for s in seeds]
+    monkeypatch.setattr(verify, "_OFFSETS", {})
+    reports = collections.defaultdict(list)
+
+    def verify_all():
+        for s in seeds:
+            reports[s].append(check_certificate(cert, record.spec,
+                                                samples=800, seed=s))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=verify_all) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [reports[s] for s in seeds] == [[e] * 4 for e in expected]
 
 
 ACCEPTANCE_MEMBERS = {"ball-linear": ("ball-linear", {}),
@@ -659,6 +790,7 @@ def counted_draw_rows(monkeypatch) -> list[int]:
 def test_stop_at_a_slackness_failure_computes_no_estimate(monkeypatch):
     record, cert = fresh_cert(seed=0)
     assert cert.gamma > 0.0
+    monkeypatch.setattr(verify, "_OFFSETS", {})  # a cold process
     monkeypatch.setattr(verify, "slack_bound", lambda m, delta: 0.0)
     monkeypatch.setattr(Subproblem, "grads", never_called)
     monkeypatch.setattr(verify, "min_norm_over_hull", never_called)
@@ -668,6 +800,12 @@ def test_stop_at_a_slackness_failure_computes_no_estimate(monkeypatch):
     assert report.reason == "complementary-slackness"
     assert tuple(c.name for c in report.checks) == CHECK_ORDER[:ESTIMATE]
     assert sum(rows) == 1000  # the slackness check's rows, and no more
+    # a second verification reads the kept rows and draws none
+    rows.clear()
+    again = check_certificate(cert, record.spec, samples=1000,
+                              stop_at_first_failure=True)
+    assert rows == []
+    assert again == report
 
 
 def test_a_constraint_free_combination_draws_64_rows(monkeypatch):
@@ -677,11 +815,16 @@ def test_a_constraint_free_combination_draws_64_rows(monkeypatch):
     cert, _ = solve(record.spec, SolverConfig(delta=0.05, target_eps=0.05),
                     record.start)
     assert cert.gamma == 0.0
+    monkeypatch.setattr(verify, "_OFFSETS", {})  # a cold process
     rows = counted_draw_rows(monkeypatch)
     report = check_certificate(cert, record.spec, stop_at_first_failure=True)
     assert report.passed
     assert sum(rows) == 64
     assert report.checks[ESTIMATE].detail.endswith("at 64 of 10000 samples")
+    rows.clear()
+    assert check_certificate(cert, record.spec,
+                             stop_at_first_failure=True) == report
+    assert rows == []
 
 
 def test_verification_reads_the_constraints_at_the_anchor_once(monkeypatch):
