@@ -202,10 +202,47 @@ def _row_blocks(rows: np.ndarray):
         yield rows[start:start + SAMPLE_BLOCK]
 
 
-# kept ball offsets, least recently used first: (stream seed, n, radius
-# bits) -> a draw of B(-0.0s, radius), whose rows are normal_ij * scale_i
-_OFFSETS: dict = {}
-OFFSET_BYTES = 1 << 23  # cap on their bytes; a larger draw is not kept
+OFFSET_BYTES = 1 << 23  # cap on the kept offsets; a larger draw is not kept
+ENTRY_BYTES = 4096  # a kept entry's bytes besides its rows: key, rng, objects
+
+
+def _entry_bytes(table) -> int:
+    return ENTRY_BYTES + (0 if table is None else table.rows.nbytes)
+
+
+class _Offsets(dict):
+    """Kept ball offsets, least recently used first.
+
+    (stream seed, n, radius bits) -> a draw of B(-0.0s, radius), whose rows
+    are normal_ij * scale_i, or None for a key seen once: a key's first
+    check draws in place, so a process that checks once pays nothing for
+    the tables.  ``nbytes`` counts every entry's bytes and stays within
+    OFFSET_BYTES.
+    """
+
+    nbytes = 0
+
+    def take(self, key, radius: float, total: int):
+        """The key's table of at least ``total`` rows, now the most recently
+        used; None, the key remembered, when the key is new."""
+        seen = key in self
+        table = self._drop(key) if seen else None
+        if seen and (table is None or len(table.rows) < total):
+            table = _BallDraw(np.full(key[1], -0.0), radius, key[0], total,
+                              keep=False)
+        self[key] = table
+        self.nbytes += _entry_bytes(table)
+        while self.nbytes > OFFSET_BYTES:
+            self._drop(next(iter(self)))
+        return table
+
+    def _drop(self, key):
+        table = self.pop(key)
+        self.nbytes -= _entry_bytes(table)
+        return table
+
+
+_OFFSETS = _Offsets()
 _OFFSETS_LOCK = threading.Lock()  # held while the tables or their rng move
 
 
@@ -218,36 +255,39 @@ class _BallDraw:
     single draw of all ``total``.  Adding -0.0 is the identity, so a kept
     draw of -0.0s holds the bare offsets, and a read adds ``center`` to
     them in this draw's own ``rows``, which a check may overwrite.  A draw
-    not kept passes each block of ``rows`` to ``sample_ball`` as its ``out``,
-    so it allocates no more than one block's normals.
+    without a table (a key's first, or one over the cap) passes each block
+    of ``rows`` to ``sample_ball`` as its ``out``, so it allocates no more
+    than one block's normals.
     """
 
     def __init__(self, center: Vector, radius: float, seed: int, total: int,
                  keep: bool = True):
-        self.center, self.radius = center, radius
+        self.center, self.radius, self.seed = center, radius, seed
         self.rows = np.empty((total, center.size))
         self.drawn = 0
         self.offsets = None
-        if not (keep and self.rows.nbytes <= OFFSET_BYTES):
+        if keep and _entry_bytes(self) <= OFFSET_BYTES:
+            # the radius's bits: 0.0 and -0.0 give offsets of opposite signs
+            key = (seed, center.size, struct.pack("d", radius))
+            with _OFFSETS_LOCK:
+                self.offsets = _OFFSETS.take(key, radius, total)
+        if self.offsets is None:
             self.rng = np.random.default_rng(seed)
-            return
-        # the radius's bits: 0.0 and -0.0 give offsets of opposite signs
-        key = (seed, center.size, struct.pack("d", radius))
-        with _OFFSETS_LOCK:
-            self.offsets = _OFFSETS.pop(key, None)
-            if self.offsets is None or len(self.offsets.rows) < total:
-                self.offsets = _BallDraw(np.full(center.size, -0.0), radius,
-                                         seed, total, keep=False)
-            _OFFSETS[key] = self.offsets
-            while sum(d.rows.nbytes for d in _OFFSETS.values()) > OFFSET_BYTES:
-                del _OFFSETS[next(iter(_OFFSETS))]
 
     def upto(self, count: int) -> np.ndarray:
         """The first ``count`` rows."""
         new = self.rows[self.drawn:count]
         if self.offsets is not None:
+            table = self.offsets
             with _OFFSETS_LOCK:  # a kept row, once drawn, never changes
-                offsets = self.offsets.upto(count)
+                try:
+                    offsets = table.upto(count)
+                except BaseException:
+                    # its stream may have run past its drawn rows: start it
+                    # again, in a new buffer, as readers may hold the old one
+                    table.rows, table.drawn = np.empty_like(table.rows), 0
+                    table.rng = np.random.default_rng(table.seed)
+                    raise
             np.add(offsets[self.drawn:count], self.center, out=new)
         else:
             for block in _row_blocks(new):
@@ -269,8 +309,8 @@ def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
     Its points are the gradients at one ``_BallDraw`` of the delta-ball, so
     they are a prefix of any larger run's and the estimate can only shrink
     as n_samples grows.  The verifier's estimate reads prefixes of the same
-    draw (stream seed + 1 there), whose kept offsets it shares, and stops
-    at the first that passes.
+    draw (stream seed + 1 there), whose kept offsets it shares (from a
+    key's second draw on), and stops at the first that passes.
     """
     _check_samples(n_samples, "n_samples")
     sub = Subproblem(problem, anchor)
@@ -494,9 +534,9 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     uniform draw of ``samples`` rows of the delta-ball from stream
     ``seed + 1``, drawn only as far as they read it: the slackness check
     reads every row (none at gamma = 0), and the estimate reads prefixes of
-    64, 128, 256, ... rows until one passes.  The rows' offsets from the
-    anchor are kept per (stream, n, delta), so a later check of the key
-    draws only rows no earlier one read.  Checks run in CHECK_ORDER; with
+    64, 128, 256, ... rows until one passes.  From the second check of a
+    (stream, n, delta) key on, the rows' offsets from the anchor are kept,
+    so a later check draws only rows no earlier one read.  Checks run in CHECK_ORDER; with
     stop_at_first_failure the remaining (possibly expensive) checks are
     never computed once the headline reason is known.
     """

@@ -566,11 +566,28 @@ def test_sampled_checks_work_in_about_one_block():
 # ------------------------------------------------------------ kept offsets
 
 
+def fresh_offsets(monkeypatch) -> None:
+    """An empty table of kept offsets, as in a new process."""
+    monkeypatch.setattr(verify, "_OFFSETS", verify._Offsets())
+
+
 def cached_bytes() -> int:
-    return sum(t.rows.nbytes for t in verify._OFFSETS.values())
+    """The kept bytes, which the running count must equal."""
+    total = sum(verify._entry_bytes(t) for t in verify._OFFSETS.values())
+    assert verify._OFFSETS.nbytes == total
+    return total
 
 
 CENTER_EXTREMES = (0.0, -0.0, 5e-324, -2.2e-310, 1e300, -1e300)
+
+# (total, reads, the table's drawn rows after them) per draw of one key,
+# each draw around its own center
+KEPT_READS = [(15, (5, 15), None),   # new key: drawn in place, no table
+              (33, (8, 20), 20),     # seen: a table of 33, drawn to row 20
+              (33, (11, 33), 33),    # warm to row 20, then past the kept rows
+              (25, (25,), 33),       # a shorter draw reads the table's prefix
+              (40, (3, 40), 40),     # more rows than the table: a new one
+              (40, (40,), 40)]       # all warm
 
 
 @pytest.mark.parametrize("n", [1, 2, 10])
@@ -578,32 +595,33 @@ def test_kept_rows_are_the_bits_of_one_draw(monkeypatch, n):
     # small blocks, so reads cross block edges; rows of every center carry
     # the bits of sample_ball's own draw, cold, warm and past the kept rows
     monkeypatch.setattr(verify, "SAMPLE_BLOCK", 7)
-    monkeypatch.setattr(verify, "_OFFSETS", {})
+    fresh_offsets(monkeypatch)
     centers = [np.resize(np.array(CENTER_EXTREMES[k:] + CENTER_EXTREMES[:k]), n)
-               for k in range(len(CENTER_EXTREMES))]
-    for k, center in enumerate(centers):
-        # the first draw is cold; each later one reads the kept rows, then
-        # six more than any earlier draw, so the table grows
-        total = 15 + 6 * k
+               for k in range(len(KEPT_READS))]
+    for center, (total, reads, kept) in zip(centers, KEPT_READS):
         draw = verify._BallDraw(center, 0.3, 9, total)
-        for count in (5 + 3 * k, total):
+        for count in reads:
             rows = draw.upto(count)
         one = sample_ball(center, 0.3, np.random.default_rng(9),
                           out=np.empty((total, n)))
-        assert rows.tobytes() == one.tobytes()
+        assert rows.tobytes() == one[:count].tobytes()
         (table,) = verify._OFFSETS.values()
-        assert table.drawn == total
-        assert not np.shares_memory(rows, table.rows)
+        assert table is draw.offsets
+        if kept is not None:
+            assert table.drawn == kept
+            assert not np.shares_memory(rows, table.rows)
 
 
 def test_the_kept_table_survives_an_estimate(monkeypatch):
     # the estimate writes gradients over its rows; the kept offsets stay a
     # fresh draw, so the next certificate of the key reads the same rows
-    monkeypatch.setattr(verify, "_OFFSETS", {})
+    fresh_offsets(monkeypatch)
     monkeypatch.setattr(verify, "ESTIMATE_FACTOR", 0.0)
     record, cert = fresh_cert(seed=0)
     first = check_certificate(cert, record.spec, samples=300, seed=3)
     assert first.reason == "stationarity-estimate"
+    assert list(verify._OFFSETS.values()) == [None]  # the key, seen once
+    assert check_certificate(cert, record.spec, samples=300, seed=3) == first
     (table,) = verify._OFFSETS.values()
     assert table.drawn == 300
     zero = np.full(cert.anchor.size, -0.0)
@@ -614,22 +632,24 @@ def test_the_kept_table_survives_an_estimate(monkeypatch):
 
 
 def test_each_seed_dimension_and_delta_has_its_own_table(monkeypatch):
-    monkeypatch.setattr(verify, "_OFFSETS", {})
+    fresh_offsets(monkeypatch)
     keys = [(4, 2, 0.3), (5, 2, 0.3), (4, 3, 0.3), (4, 2, 0.25),
             (4, 2, 0.0), (4, 2, -0.0)]
-    for seed, n, radius in keys:
-        center = np.full(n, -0.0)
-        rows = verify._BallDraw(center, radius, seed, 50).upto(50)
-        one = sample_ball(center, radius, np.random.default_rng(seed),
-                          out=np.empty((50, n)))
-        assert rows.tobytes() == one.tobytes()
+    for _ in range(2):  # in place, then from each key's table
+        for seed, n, radius in keys:
+            center = np.full(n, -0.0)
+            rows = verify._BallDraw(center, radius, seed, 50).upto(50)
+            one = sample_ball(center, radius, np.random.default_rng(seed),
+                              out=np.empty((50, n)))
+            assert rows.tobytes() == one.tobytes()
     # 0.0 and -0.0 are equal deltas whose offsets differ in sign
     assert len(verify._OFFSETS) == len(keys)
+    assert None not in verify._OFFSETS.values()
 
 
 def test_kept_bytes_never_exceed_the_cap(monkeypatch):
-    monkeypatch.setattr(verify, "_OFFSETS", {})
-    monkeypatch.setattr(verify, "OFFSET_BYTES", 40_000)
+    fresh_offsets(monkeypatch)
+    monkeypatch.setattr(verify, "OFFSET_BYTES", 40_000 + verify.ENTRY_BYTES)
     rows = counted_draw_rows(monkeypatch)
     for n in (1, 2, 10, 50):
         for radius in (0.05, 0.1, math.nan, 0.05):
@@ -639,27 +659,67 @@ def test_kept_bytes_never_exceed_the_cap(monkeypatch):
                 assert cached_bytes() <= verify.OFFSET_BYTES
     # 100 rows at n = 50 fill the cap alone; more rows there are not kept
     assert [t.rows.shape for t in verify._OFFSETS.values()] == [(100, 50)]
-    # a NaN delta's table is found again by its bits
-    rows.clear()
-    for _ in range(2):
+    # a NaN delta's key is found again by its bits: in place, a table, warm
+    for drawn in (10, 10, 0):
+        rows.clear()
         nan = verify._BallDraw(np.zeros(1), math.nan, 1, 10).upto(10)
-    assert np.isnan(nan).all() and sum(rows) == 10
+        assert np.isnan(nan).all() and sum(rows) == drawn
     assert cached_bytes() <= verify.OFFSET_BYTES
+    # every entry counts, however small its rows: many keys of 16 rows
+    for seed in range(40):
+        for _ in range(2):
+            verify._BallDraw(np.zeros(1), 0.05, seed, 16).upto(16)
+            assert cached_bytes() <= verify.OFFSET_BYTES
+    assert len(verify._OFFSETS) <= verify.OFFSET_BYTES // verify.ENTRY_BYTES
 
 
 def test_the_verifier_draws_every_row_through_sample_ball(monkeypatch):
     # perfbench's core.sample_ball hook counts verify.sample_ball: every row
     # a verification reads is drawn through it once, kept or not
-    monkeypatch.setattr(verify, "_OFFSETS", {})
+    fresh_offsets(monkeypatch)
     record, cert = fresh_cert(seed=0)
     rows = counted_draw_rows(monkeypatch)
-    check_certificate(cert, record.spec, samples=500)
-    assert sum(rows) == 500
+    for drawn in (500, 500, 0):  # in place, into the table, warm
+        rows.clear()
+        check_certificate(cert, record.spec, samples=500)
+        assert sum(rows) == drawn
     monkeypatch.setattr(verify, "OFFSET_BYTES", 0)  # too large to keep
     rows.clear()
     check_certificate(cert, record.spec, samples=500, seed=1)
     assert sum(rows) == 500
     assert verify._OFFSETS.keys() == {(1, 2, struct.pack("d", cert.delta))}
+
+
+def test_a_table_whose_draw_fails_draws_the_same_rows_again(monkeypatch):
+    # the table's draw stops after its stream has moved past a block it
+    # never kept; later checks of the key still read the rows of one draw
+    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 64)
+    fresh_offsets(monkeypatch)
+    record, cert = fresh_cert(seed=0)
+    assert cert.gamma > 0.0  # the slackness check reads all 300 rows
+    expected = check_certificate(cert, record.spec, samples=300)
+    draw_block = verify.sample_ball
+    blocks = []
+
+    def failing(center, radius, rng, out):
+        blocks.append(len(out))
+        draw_block(center, radius, rng, out)
+        if len(blocks) == 2:
+            raise KeyboardInterrupt
+        return out
+
+    monkeypatch.setattr(verify, "sample_ball", failing)
+    with pytest.raises(KeyboardInterrupt):
+        check_certificate(cert, record.spec, samples=300)
+    monkeypatch.setattr(verify, "sample_ball", draw_block)
+    for _ in range(2):
+        assert check_certificate(cert, record.spec, samples=300) == expected
+    (table,) = verify._OFFSETS.values()
+    zero = np.full(cert.anchor.size, -0.0)
+    fresh = sample_ball(zero, cert.delta, np.random.default_rng(1),
+                        out=np.empty((300, cert.anchor.size)))
+    assert table.drawn == 300
+    assert table.rows[:300].tobytes() == fresh.tobytes()
 
 
 def test_threads_sharing_a_cold_key_read_the_rows_of_one_draw(monkeypatch):
@@ -668,10 +728,10 @@ def test_threads_sharing_a_cold_key_read_the_rows_of_one_draw(monkeypatch):
     monkeypatch.setattr(verify, "SAMPLE_BLOCK", 16)
     record, cert = fresh_cert(seed=0)
     seeds = range(12)
-    monkeypatch.setattr(verify, "_OFFSETS", {})
+    fresh_offsets(monkeypatch)
     expected = [check_certificate(cert, record.spec, samples=800, seed=s)
                 for s in seeds]
-    monkeypatch.setattr(verify, "_OFFSETS", {})
+    fresh_offsets(monkeypatch)
     reports = collections.defaultdict(list)
 
     def verify_all():
@@ -790,7 +850,7 @@ def counted_draw_rows(monkeypatch) -> list[int]:
 def test_stop_at_a_slackness_failure_computes_no_estimate(monkeypatch):
     record, cert = fresh_cert(seed=0)
     assert cert.gamma > 0.0
-    monkeypatch.setattr(verify, "_OFFSETS", {})  # a cold process
+    fresh_offsets(monkeypatch)  # a cold process
     monkeypatch.setattr(verify, "slack_bound", lambda m, delta: 0.0)
     monkeypatch.setattr(Subproblem, "grads", never_called)
     monkeypatch.setattr(verify, "min_norm_over_hull", never_called)
@@ -800,12 +860,12 @@ def test_stop_at_a_slackness_failure_computes_no_estimate(monkeypatch):
     assert report.reason == "complementary-slackness"
     assert tuple(c.name for c in report.checks) == CHECK_ORDER[:ESTIMATE]
     assert sum(rows) == 1000  # the slackness check's rows, and no more
-    # a second verification reads the kept rows and draws none
-    rows.clear()
-    again = check_certificate(cert, record.spec, samples=1000,
-                              stop_at_first_failure=True)
-    assert rows == []
-    assert again == report
+    # a second verification draws the key's table, a third draws no row
+    for drawn in (1000, 0):
+        rows.clear()
+        assert check_certificate(cert, record.spec, samples=1000,
+                                 stop_at_first_failure=True) == report
+        assert sum(rows) == drawn
 
 
 def test_a_constraint_free_combination_draws_64_rows(monkeypatch):
@@ -815,16 +875,17 @@ def test_a_constraint_free_combination_draws_64_rows(monkeypatch):
     cert, _ = solve(record.spec, SolverConfig(delta=0.05, target_eps=0.05),
                     record.start)
     assert cert.gamma == 0.0
-    monkeypatch.setattr(verify, "_OFFSETS", {})  # a cold process
+    fresh_offsets(monkeypatch)  # a cold process
     rows = counted_draw_rows(monkeypatch)
     report = check_certificate(cert, record.spec, stop_at_first_failure=True)
     assert report.passed
     assert sum(rows) == 64
     assert report.checks[ESTIMATE].detail.endswith("at 64 of 10000 samples")
-    rows.clear()
-    assert check_certificate(cert, record.spec,
-                             stop_at_first_failure=True) == report
-    assert rows == []
+    for drawn in (64, 0):  # the key's table, then warm
+        rows.clear()
+        assert check_certificate(cert, record.spec,
+                                 stop_at_first_failure=True) == report
+        assert sum(rows) == drawn
 
 
 def test_verification_reads_the_constraints_at_the_anchor_once(monkeypatch):
