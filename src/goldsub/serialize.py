@@ -223,12 +223,29 @@ def _branch_from(data: dict) -> int:
                      % json.dumps(data))
 
 
-def _vec(value) -> Vector:
+# a vector's element types: JSON numbers, and the numpy floats of a list
+# built in memory from an array
+_NUMBER_TYPES = frozenset({float, int, np.float64})
+
+
+def _vec(value, what: str) -> Vector:
+    """A list of numbers, or a float array as ``certificate_data`` holds
+    it, as a vector; anything else (true, a string) is a UsageError."""
+    if not (type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
+            or type(value) is np.ndarray and value.dtype == float):
+        raise UsageError("%s must be a list of numbers" % what)
     return np.asarray(value, dtype=float)
 
 
-def _optional(convert, value):
-    return None if value is None else convert(value)
+def _number(value, what: str) -> float:
+    """A number as a float: an integer must lie in the float range, and
+    true or a string is a UsageError."""
+    return float(value if isinstance(value, float)
+                 else _expect(value, float, what))
+
+
+def _optional(convert, value, what: str):
+    return None if value is None else convert(value, what)
 
 
 def _entry_data(entry: WeightedSubgradient) -> dict:
@@ -237,11 +254,15 @@ def _entry_data(entry: WeightedSubgradient) -> dict:
             "direction": entry.direction}
 
 
-def _entry_from(data: dict) -> WeightedSubgradient:
+def _entry_from(data) -> WeightedSubgradient:
+    data = _expect(data, dict, "combination entry")
     return WeightedSubgradient(
-        point=_vec(data["point"]), vector=_vec(data["vector"]),
-        branch=_branch_from(data["branch"]), weight=float(data["weight"]),
-        direction=_optional(_vec, data.get("direction")))
+        point=_vec(data["point"], "combination point"),
+        vector=_vec(data["vector"], "combination vector"),
+        branch=_branch_from(data["branch"]),
+        weight=_number(data["weight"], "combination weight"),
+        direction=_optional(_vec, data.get("direction"),
+                            "combination direction"))
 
 
 def certificate_data(cert: GoldsteinCertificate, manifest: dict | None = None) -> dict:
@@ -252,31 +273,51 @@ def certificate_data(cert: GoldsteinCertificate, manifest: dict | None = None) -
     return data
 
 
+# the embedded manifest's leaves that verify never reads, by type
+_MANIFEST_LEAVES = {"schema": str, "version": str, "seed": int, "created": str}
+
+
 def certificate_from_data(data: dict) -> tuple[GoldsteinCertificate, dict | None]:
     """(certificate, embedded manifest) from a parsed document.  A malformed
-    document is a UsageError here and nowhere else."""
+    document, or a leaf of another JSON type than the encoder writes, is a
+    UsageError here and nowhere else."""
     found = data.get("schema") if isinstance(data, dict) else None
     if found != CERTIFICATE_SCHEMA:
         raise UsageError("not a certificate document (schema %r)" % (found,))
     try:
         manifest = data.get("manifest")
+        if manifest is not None:  # verify reads and types its problem and
+            # config; no check reads the rest
+            _expect(manifest, dict, "manifest")
+            for key, kind in _MANIFEST_LEAVES.items():
+                _expect(manifest.get(key, kind()), kind, "manifest " + key)
+            if "x0" in manifest:
+                _vec(manifest["x0"], "manifest x0")
+        lam = data["lambda"]
         cert = GoldsteinCertificate(
-            anchor=_vec(data["anchor"]), zeta=_vec(data["zeta"]),
-            zeta_norm=float(data["zeta_norm"]),
-            combination=[_entry_from(entry) for entry in data["combination"]],
-            gamma0=float(data["gamma0"]), gamma=float(data["gamma"]),
-            lam=None if data["lambda"] == UNDEFINED else float(data["lambda"]),
-            eps_effective=float(data["eps_effective"]),
-            delta=float(data["delta"]), f_anchor=float(data["f_anchor"]),
-            g_anchor=float(data["g_anchor"]),
-            kkt_eps=_optional(float, data["kkt_eps"]),
-            kkt_eta=_optional(float, data["kkt_eta"]),
-            kkt_lambda_bound=_optional(float, data["kkt_lambda_bound"]),
-            gcq_sigma=_optional(float, data["gcq_sigma"]),
-            warnings=[str(warning) for warning in data.get("warnings", [])])
+            anchor=_vec(data["anchor"], "anchor"),
+            zeta=_vec(data["zeta"], "zeta"),
+            zeta_norm=_number(data["zeta_norm"], "zeta_norm"),
+            combination=list(map(_entry_from, _expect(
+                data["combination"], list, "combination"))),
+            gamma0=_number(data["gamma0"], "gamma0"),
+            gamma=_number(data["gamma"], "gamma"),
+            lam=None if lam == UNDEFINED else _number(lam, "lambda"),
+            eps_effective=_number(data["eps_effective"], "eps_effective"),
+            delta=_number(data["delta"], "delta"),
+            f_anchor=_number(data["f_anchor"], "f_anchor"),
+            g_anchor=_number(data["g_anchor"], "g_anchor"),
+            kkt_eps=_optional(_number, data["kkt_eps"], "kkt_eps"),
+            kkt_eta=_optional(_number, data["kkt_eta"], "kkt_eta"),
+            kkt_lambda_bound=_optional(_number, data["kkt_lambda_bound"],
+                                       "kkt_lambda_bound"),
+            gcq_sigma=_optional(_number, data["gcq_sigma"], "gcq_sigma"),
+            warnings=[_expect(warning, str, "warnings entry")
+                      for warning in _expect(data.get("warnings", []), list,
+                                             "warnings")])
         return cert, None if manifest is None else dict(manifest)
-    except (KeyError, TypeError, ValueError, AttributeError,
-            OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
+            UsageError) as exc:
         raise UsageError("malformed certificate document (%s: %s)"
                          % (type(exc).__name__, exc)) from None
 
@@ -298,8 +339,10 @@ def _expect(value, kind, what: str):
     """``value`` when its parsed JSON type is ``kind``, a type or a union
     such as ``int | None``; a number may be an integer in the float range,
     but not true or false.  Anything else is a UsageError."""
-    kinds = typing.get_args(kind) or (kind,)
     found = type(value)
+    if found is kind:
+        return value
+    kinds = typing.get_args(kind) or (kind,)
     if found in kinds or (found is int and float in kinds
                           and abs(value) <= sys.float_info.max):
         return value

@@ -203,74 +203,78 @@ def _row_blocks(rows: np.ndarray):
 
 
 OFFSET_BYTES = 1 << 23  # cap on the kept offsets; a larger draw is not kept
-ENTRY_BYTES = 4096  # a kept entry's bytes besides its rows: key, rng, objects
+ENTRY_BYTES = 4096  # a kept entry's bytes besides its rows: key and objects
 
 
 def _entry_bytes(table) -> int:
-    return ENTRY_BYTES + (0 if table is None else table.rows.nbytes)
+    return ENTRY_BYTES + (0 if table is None else table.nbytes)
 
 
 class _Offsets(dict):
     """Kept ball offsets, least recently used first.
 
-    (stream seed, n, radius bits) -> a draw of B(-0.0s, radius), whose rows
-    are normal_ij * scale_i, or None for a key seen once: a key's first
-    check draws in place, so a process that checks once pays nothing for
-    the tables.  ``nbytes`` counts every entry's bytes and stays within
-    OFFSET_BYTES.
+    (stream seed, n, radius bits, total) -> a key's read-only
+    ``_kept_offsets``, or None for a key seen once: a key's first check
+    draws in place, so a process that checks once pays nothing for them.
+    ``nbytes`` counts every entry's bytes and stays within OFFSET_BYTES.
     """
 
     nbytes = 0
 
-    def take(self, key, radius: float, total: int):
-        """The key's table of at least ``total`` rows, now the most recently
-        used; None, the key remembered, when the key is new."""
-        seen = key in self
-        table = self._drop(key) if seen else None
-        if seen and (table is None or len(table.rows) < total):
-            table = _BallDraw(np.full(key[1], -0.0), radius, key[0], total,
-                              keep=False)
+    def put(self, key, table):
+        """``table`` as the key's entry, now the most recently used."""
+        if key in self:
+            self.nbytes -= _entry_bytes(self.pop(key))
         self[key] = table
         self.nbytes += _entry_bytes(table)
         while self.nbytes > OFFSET_BYTES:
-            self._drop(next(iter(self)))
-        return table
-
-    def _drop(self, key):
-        table = self.pop(key)
-        self.nbytes -= _entry_bytes(table)
+            self.nbytes -= _entry_bytes(self.pop(next(iter(self))))
         return table
 
 
 _OFFSETS = _Offsets()
-_OFFSETS_LOCK = threading.Lock()  # held while the tables or their rng move
+_OFFSETS_LOCK = threading.Lock()  # held while the entries change
+
+
+def _kept_offsets(seed: int, n: int, radius: float, total: int) -> np.ndarray:
+    """The offsets normal_ij * scale_i of a whole draw of ``total`` rows from
+    stream ``seed``, read-only: a draw of B(-0.0s, radius), as adding -0.0
+    is the identity."""
+    rows, rng = np.empty((total, n)), np.random.default_rng(seed)
+    for block in _row_blocks(rows):
+        sample_ball(np.full(n, -0.0), radius, rng, out=block)
+    rows.flags.writeable = False
+    return rows
 
 
 class _BallDraw:
     """One uniform draw of ``total`` rows of B(center, radius) from stream
     ``seed``, drawn only as far as it is read.
 
-    Each read draws the rows it newly reaches, block by block, from one
-    stream; by ``sample_ball``'s row-prefix property they are the rows of a
-    single draw of all ``total``.  Adding -0.0 is the identity, so a kept
-    draw of -0.0s holds the bare offsets, and a read adds ``center`` to
-    them in this draw's own ``rows``, which a check may overwrite.  A draw
-    without a table (a key's first, or one over the cap) passes each block
-    of ``rows`` to ``sample_ball`` as its ``out``, so it allocates no more
-    than one block's normals.
+    From a key's second draw on, a read adds ``center`` to the key's kept
+    offsets in this draw's own ``rows``, which a check may overwrite.  A
+    draw without them (a key's first, or one over the cap) draws the rows
+    it newly reaches, passing each block of ``rows`` to ``sample_ball`` as
+    its ``out``; by ``sample_ball``'s row-prefix property they are the rows
+    of a single draw of all ``total``.
     """
 
-    def __init__(self, center: Vector, radius: float, seed: int, total: int,
-                 keep: bool = True):
-        self.center, self.radius, self.seed = center, radius, seed
+    def __init__(self, center: Vector, radius: float, seed: int, total: int):
+        self.center, self.radius = center, radius
         self.rows = np.empty((total, center.size))
         self.drawn = 0
         self.offsets = None
-        if keep and _entry_bytes(self) <= OFFSET_BYTES:
+        if _entry_bytes(self.rows) <= OFFSET_BYTES:
             # the radius's bits: 0.0 and -0.0 give offsets of opposite signs
-            key = (seed, center.size, struct.pack("d", radius))
+            key = (seed, center.size, struct.pack("d", radius), total)
             with _OFFSETS_LOCK:
-                self.offsets = _OFFSETS.take(key, radius, total)
+                seen = key in _OFFSETS
+                self.offsets = _OFFSETS.put(key, _OFFSETS.get(key))
+            if seen and self.offsets is None:
+                # drawn outside the lock: a draw that raises keeps nothing
+                offsets = _kept_offsets(seed, center.size, radius, total)
+                with _OFFSETS_LOCK:
+                    self.offsets = _OFFSETS.put(key, offsets)
         if self.offsets is None:
             self.rng = np.random.default_rng(seed)
 
@@ -278,17 +282,7 @@ class _BallDraw:
         """The first ``count`` rows."""
         new = self.rows[self.drawn:count]
         if self.offsets is not None:
-            table = self.offsets
-            with _OFFSETS_LOCK:  # a kept row, once drawn, never changes
-                try:
-                    offsets = table.upto(count)
-                except BaseException:
-                    # its stream may have run past its drawn rows: start it
-                    # again, in a new buffer, as readers may hold the old one
-                    table.rows, table.drawn = np.empty_like(table.rows), 0
-                    table.rng = np.random.default_rng(table.seed)
-                    raise
-            np.add(offsets[self.drawn:count], self.center, out=new)
+            np.add(self.offsets[self.drawn:count], self.center, out=new)
         else:
             for block in _row_blocks(new):
                 sample_ball(self.center, self.radius, self.rng, out=block)
@@ -309,8 +303,9 @@ def goldstein_estimate(anchor, problem: ProblemSpec, delta: float,
     Its points are the gradients at one ``_BallDraw`` of the delta-ball, so
     they are a prefix of any larger run's and the estimate can only shrink
     as n_samples grows.  The verifier's estimate reads prefixes of the same
-    draw (stream seed + 1 there), whose kept offsets it shares (from a
-    key's second draw on), and stops at the first that passes.
+    draw (stream seed + 1 there), sharing its kept offsets: a whole
+    read-only draw, made by a key's second draw.  It stops at the first
+    prefix that passes.
     """
     _check_samples(n_samples, "n_samples")
     sub = Subproblem(problem, anchor)
@@ -534,11 +529,11 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     uniform draw of ``samples`` rows of the delta-ball from stream
     ``seed + 1``, drawn only as far as they read it: the slackness check
     reads every row (none at gamma = 0), and the estimate reads prefixes of
-    64, 128, 256, ... rows until one passes.  From the second check of a
-    (stream, n, delta) key on, the rows' offsets from the anchor are kept,
-    so a later check draws only rows no earlier one read.  Checks run in CHECK_ORDER; with
-    stop_at_first_failure the remaining (possibly expensive) checks are
-    never computed once the headline reason is known.
+    64, 128, 256, ... rows until one passes.  A (stream, n, delta, samples)
+    key's first check draws in place; its second keeps all the rows'
+    offsets from the anchor, read-only, so later checks draw no row.  Checks
+    run in CHECK_ORDER; with stop_at_first_failure the remaining (possibly
+    expensive) checks are never computed once the headline reason is known.
     """
     if seed < 0:
         raise UsageError("seed must be nonnegative")

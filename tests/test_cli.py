@@ -543,6 +543,33 @@ def test_verify_survives_any_one_leaf_mutation(fuzz_targets, which, pick, value)
                                                 EXIT_CORRUPT)
 
 
+@pytest.mark.parametrize("which", [0, 1, 2], ids=["rand", "bisect", "kkt"])
+def test_verify_rejects_every_leaf_of_another_json_type(fuzz_targets, which):
+    # every number written as a string, a `true` weight, a warnings string
+    # and a numeric version, which a decoder that converted with float()
+    # and str(), or never read the leaf, accepted
+    targets, path = fuzz_targets
+    data, leaves, _ = targets[which]
+    mutants = [(["combination", 0], "weight", True),
+               ([], "warnings", "undefined"), (["manifest"], "version", 1.0)]
+    for *parents, last in leaves:
+        node = data
+        for key in parents:
+            node = node[key]
+        if type(node[last]) in (int, float):
+            mutants.append((parents, last, repr(node[last])))
+    assert len(mutants) > 20
+    for parents, last, value in mutants:
+        mutant = json.loads(json.dumps(data))
+        node = mutant
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with open(path, "w") as handle:
+            json.dump(mutant, handle)
+        assert _verify_quietly(path) == (EXIT_USAGE, ""), (parents, last)
+
+
 def test_verify_rejects_weight_fault(solved, tmp_path, capsys):
     def bump(data):
         data["combination"][0]["weight"] += 0.1

@@ -567,49 +567,71 @@ def test_sampled_checks_work_in_about_one_block():
 
 
 def fresh_offsets(monkeypatch) -> None:
-    """An empty table of kept offsets, as in a new process."""
+    """No kept offsets, as in a new process."""
     monkeypatch.setattr(verify, "_OFFSETS", verify._Offsets())
 
 
-def cached_bytes() -> int:
-    """The kept bytes, which the running count must equal."""
-    total = sum(verify._entry_bytes(t) for t in verify._OFFSETS.values())
-    assert verify._OFFSETS.nbytes == total
-    return total
+def kept_tables() -> list[np.ndarray]:
+    """The kept offsets, each read-only; the running byte count equals
+    their recount and stays within the cap."""
+    tables = [t for t in verify._OFFSETS.values() if t is not None]
+    assert not any(t.flags.writeable for t in tables)
+    total = (len(verify._OFFSETS) * verify.ENTRY_BYTES
+             + sum(t.nbytes for t in tables))
+    assert verify._OFFSETS.nbytes == total <= verify.OFFSET_BYTES
+    return tables
+
+
+def offsets_drawn(seed, n, radius, total) -> np.ndarray:
+    """A fresh draw of ``total`` rows of B(-0.0s, radius) from stream seed."""
+    return sample_ball(np.full(n, -0.0), radius, np.random.default_rng(seed),
+                       out=np.empty((total, n)))
 
 
 CENTER_EXTREMES = (0.0, -0.0, 5e-324, -2.2e-310, 1e300, -1e300)
-
-# (total, reads, the table's drawn rows after them) per draw of one key,
-# each draw around its own center
-KEPT_READS = [(15, (5, 15), None),   # new key: drawn in place, no table
-              (33, (8, 20), 20),     # seen: a table of 33, drawn to row 20
-              (33, (11, 33), 33),    # warm to row 20, then past the kept rows
-              (25, (25,), 33),       # a shorter draw reads the table's prefix
-              (40, (3, 40), 40),     # more rows than the table: a new one
-              (40, (40,), 40)]       # all warm
+KEPT_RADII = (0.3, 0.0, -0.0, math.nan)
 
 
-@pytest.mark.parametrize("n", [1, 2, 10])
-def test_kept_rows_are_the_bits_of_one_draw(monkeypatch, n):
-    # small blocks, so reads cross block edges; rows of every center carry
-    # the bits of sample_ball's own draw, cold, warm and past the kept rows
-    monkeypatch.setattr(verify, "SAMPLE_BLOCK", 7)
-    fresh_offsets(monkeypatch)
-    centers = [np.resize(np.array(CENTER_EXTREMES[k:] + CENTER_EXTREMES[:k]), n)
-               for k in range(len(KEPT_READS))]
-    for center, (total, reads, kept) in zip(centers, KEPT_READS):
-        draw = verify._BallDraw(center, 0.3, 9, total)
-        for count in reads:
-            rows = draw.upto(count)
-        one = sample_ball(center, 0.3, np.random.default_rng(9),
-                          out=np.empty((total, n)))
-        assert rows.tobytes() == one[:count].tobytes()
-        (table,) = verify._OFFSETS.values()
-        assert table is draw.offsets
-        if kept is not None:
-            assert table.drawn == kept
-            assert not np.shares_memory(rows, table.rows)
+@settings(max_examples=60, deadline=None)
+@given(draws=st.lists(st.tuples(
+    st.integers(0, 2), st.sampled_from([1, 2, 10]), st.sampled_from(KEPT_RADII),
+    st.integers(1, 30), st.lists(st.integers(0, 30), min_size=1, max_size=3),
+    st.integers(0, len(CENTER_EXTREMES) - 1)), max_size=12))
+@example(draws=[(9, 10, 0.3, 15, [5, 15], shift) for shift in range(3)]
+         + [(9, 10, 0.3, 15, [11, 3], 3), (9, 10, 0.3, 25, [25], 4)])
+def test_kept_rows_are_the_bits_of_one_draw(draws):
+    # small blocks, so reads cross block edges, and a small cap, so tables
+    # are evicted and some draws are too large to keep; rows around every
+    # center carry the bits of sample_ball's own draw, cold and warm
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "SAMPLE_BLOCK", 7)
+        mp.setattr(verify, "ENTRY_BYTES", 64)
+        mp.setattr(verify, "OFFSET_BYTES", 1500)
+        fresh_offsets(mp)
+        drawn = counted_draw_rows(mp)
+        for seed, n, radius, total, reads, shift in draws:
+            center = np.resize(np.roll(CENTER_EXTREMES, shift), n)
+            key = (seed, n, struct.pack("d", radius), total)
+            fits = verify.ENTRY_BYTES + total * n * 8 <= verify.OFFSET_BYTES
+            warm = verify._OFFSETS.get(key) is not None
+            # new or too large: in place; seen once: the whole table
+            expected = (max(min(c, total) for c in reads)
+                        if key not in verify._OFFSETS or not fits
+                        else 0 if warm else total)
+            drawn.clear()
+            draw = verify._BallDraw(center, radius, seed, total)
+            one = sample_ball(center, radius, np.random.default_rng(seed),
+                              out=np.empty((total, n)))
+            for count in reads:
+                rows = draw.upto(min(count, total))
+                assert rows.tobytes() == one[:len(rows)].tobytes()
+            assert sum(drawn) == expected
+            for table in kept_tables():
+                assert not np.shares_memory(rows, table)
+            for (s, k, bits, t), table in verify._OFFSETS.items():
+                if table is not None:
+                    r = struct.unpack("d", bits)[0]
+                    assert table.tobytes() == offsets_drawn(s, k, r, t).tobytes()
 
 
 def test_the_kept_table_survives_an_estimate(monkeypatch):
@@ -622,29 +644,27 @@ def test_the_kept_table_survives_an_estimate(monkeypatch):
     assert first.reason == "stationarity-estimate"
     assert list(verify._OFFSETS.values()) == [None]  # the key, seen once
     assert check_certificate(cert, record.spec, samples=300, seed=3) == first
-    (table,) = verify._OFFSETS.values()
-    assert table.drawn == 300
-    zero = np.full(cert.anchor.size, -0.0)
-    fresh = sample_ball(zero, cert.delta, np.random.default_rng(4),
-                        out=np.empty((300, cert.anchor.size)))
-    assert table.rows[:300].tobytes() == fresh.tobytes()
+    (table,) = kept_tables()
+    fresh = offsets_drawn(4, cert.anchor.size, cert.delta, 300)
+    assert table.tobytes() == fresh.tobytes()
     assert check_certificate(cert, record.spec, samples=300, seed=3) == first
+    assert table.tobytes() == fresh.tobytes()
 
 
 def test_each_seed_dimension_and_delta_has_its_own_table(monkeypatch):
     fresh_offsets(monkeypatch)
-    keys = [(4, 2, 0.3), (5, 2, 0.3), (4, 3, 0.3), (4, 2, 0.25),
-            (4, 2, 0.0), (4, 2, -0.0)]
+    keys = [(4, 2, 0.3, 50), (5, 2, 0.3, 50), (4, 3, 0.3, 50), (4, 2, 0.25, 50),
+            (4, 2, 0.3, 40), (4, 2, 0.0, 50), (4, 2, -0.0, 50),
+            (4, 2, math.nan, 50)]
     for _ in range(2):  # in place, then from each key's table
-        for seed, n, radius in keys:
-            center = np.full(n, -0.0)
-            rows = verify._BallDraw(center, radius, seed, 50).upto(50)
-            one = sample_ball(center, radius, np.random.default_rng(seed),
-                              out=np.empty((50, n)))
+        for seed, n, radius, total in keys:
+            rows = verify._BallDraw(np.full(n, -0.0), radius, seed,
+                                    total).upto(total)
+            one = offsets_drawn(seed, n, radius, total)
             assert rows.tobytes() == one.tobytes()
-    # 0.0 and -0.0 are equal deltas whose offsets differ in sign
-    assert len(verify._OFFSETS) == len(keys)
-    assert None not in verify._OFFSETS.values()
+    # 0.0 and -0.0 are equal deltas whose offsets differ in sign, and a NaN
+    # delta is found again by its bits
+    assert len(kept_tables()) == len(verify._OFFSETS) == len(keys)
 
 
 def test_kept_bytes_never_exceed_the_cap(monkeypatch):
@@ -656,20 +676,20 @@ def test_kept_bytes_never_exceed_the_cap(monkeypatch):
             for total in (100, 400, 1000):
                 draw = verify._BallDraw(np.zeros(n), radius, 1, total)
                 draw.upto(total)
-                assert cached_bytes() <= verify.OFFSET_BYTES
+                kept_tables()
     # 100 rows at n = 50 fill the cap alone; more rows there are not kept
-    assert [t.rows.shape for t in verify._OFFSETS.values()] == [(100, 50)]
+    assert [t.shape for t in verify._OFFSETS.values()] == [(100, 50)]
     # a NaN delta's key is found again by its bits: in place, a table, warm
     for drawn in (10, 10, 0):
         rows.clear()
         nan = verify._BallDraw(np.zeros(1), math.nan, 1, 10).upto(10)
         assert np.isnan(nan).all() and sum(rows) == drawn
-    assert cached_bytes() <= verify.OFFSET_BYTES
+    kept_tables()
     # every entry counts, however small its rows: many keys of 16 rows
     for seed in range(40):
         for _ in range(2):
             verify._BallDraw(np.zeros(1), 0.05, seed, 16).upto(16)
-            assert cached_bytes() <= verify.OFFSET_BYTES
+            kept_tables()
     assert len(verify._OFFSETS) <= verify.OFFSET_BYTES // verify.ENTRY_BYTES
 
 
@@ -687,12 +707,12 @@ def test_the_verifier_draws_every_row_through_sample_ball(monkeypatch):
     rows.clear()
     check_certificate(cert, record.spec, samples=500, seed=1)
     assert sum(rows) == 500
-    assert verify._OFFSETS.keys() == {(1, 2, struct.pack("d", cert.delta))}
+    assert verify._OFFSETS.keys() == {(1, 2, struct.pack("d", cert.delta), 500)}
 
 
 def test_a_table_whose_draw_fails_draws_the_same_rows_again(monkeypatch):
-    # the table's draw stops after its stream has moved past a block it
-    # never kept; later checks of the key still read the rows of one draw
+    # the key's table draw raises after its first block and keeps nothing;
+    # later checks of the key still read the rows of one draw
     monkeypatch.setattr(verify, "SAMPLE_BLOCK", 64)
     fresh_offsets(monkeypatch)
     record, cert = fresh_cert(seed=0)
@@ -702,6 +722,7 @@ def test_a_table_whose_draw_fails_draws_the_same_rows_again(monkeypatch):
     blocks = []
 
     def failing(center, radius, rng, out):
+        assert not verify._OFFSETS_LOCK.locked()  # drawn outside the lock
         blocks.append(len(out))
         draw_block(center, radius, rng, out)
         if len(blocks) == 2:
@@ -711,15 +732,16 @@ def test_a_table_whose_draw_fails_draws_the_same_rows_again(monkeypatch):
     monkeypatch.setattr(verify, "sample_ball", failing)
     with pytest.raises(KeyboardInterrupt):
         check_certificate(cert, record.spec, samples=300)
+    assert list(verify._OFFSETS.values()) == [None]
     monkeypatch.setattr(verify, "sample_ball", draw_block)
-    for _ in range(2):
+    rows = counted_draw_rows(monkeypatch)
+    for drawn in (300, 0):  # the table again, then warm
+        rows.clear()
         assert check_certificate(cert, record.spec, samples=300) == expected
-    (table,) = verify._OFFSETS.values()
-    zero = np.full(cert.anchor.size, -0.0)
-    fresh = sample_ball(zero, cert.delta, np.random.default_rng(1),
-                        out=np.empty((300, cert.anchor.size)))
-    assert table.drawn == 300
-    assert table.rows[:300].tobytes() == fresh.tobytes()
+        assert sum(rows) == drawn
+    (table,) = kept_tables()
+    fresh = offsets_drawn(1, cert.anchor.size, cert.delta, 300)
+    assert table.tobytes() == fresh.tobytes()
 
 
 def test_threads_sharing_a_cold_key_read_the_rows_of_one_draw(monkeypatch):
@@ -881,7 +903,7 @@ def test_a_constraint_free_combination_draws_64_rows(monkeypatch):
     assert report.passed
     assert sum(rows) == 64
     assert report.checks[ESTIMATE].detail.endswith("at 64 of 10000 samples")
-    for drawn in (64, 0):  # the key's table, then warm
+    for drawn in (10_000, 0):  # the key's whole table, then warm
         rows.clear()
         assert check_certificate(cert, record.spec,
                                  stop_at_first_failure=True) == report
