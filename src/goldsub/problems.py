@@ -13,10 +13,12 @@ A pointwise oracle runs on every joint call, and at small n its cost is
 numpy's per-call overhead, so the pointwise callables sum with
 ``np.add.reduce``, take a max as ``a.item(a.argmax())`` and norms with
 ``core._norm``, not ``ndarray.sum``/``.max`` and ``np.linalg.norm``, whose
-Python wrappers cost more: the bits are the same (a NaN max included).  The kinked directional oracles
-read the coordinates once as Python floats and find the max with C-level
-list calls, return ``np.sign(x)`` when no coordinate is 0, and build one
-output array.
+Python wrappers cost more: the bits are the same (a NaN max included).  A
+batch reduction over the coordinate axis of an (N, n) block runs one numpy
+loop per row, so batch maxes run along the sample axis; sums and ``einsum``
+norms stay per row, for their bits.  The kinked directional oracles read the
+coordinates once as Python floats and find the max with C-level list calls,
+return ``np.sign(x)`` when no coordinate is 0, and build one output array.
 """
 
 from __future__ import annotations
@@ -116,6 +118,12 @@ def _linf_grads(z: np.ndarray) -> np.ndarray:
     e = np.zeros(z.shape)
     e[rows, j] = np.where(z[rows, j] >= 0.0, 1.0, -1.0)
     return e
+
+
+def _abs_row_max(z: np.ndarray) -> np.ndarray:
+    """max_j |z_ij| of every row, taken along the sample axis of |z|^T: a max
+    has the same bits in any order, a NaN included."""
+    return np.maximum.reduce(np.abs(z.T, order="C"), axis=0)
 
 
 def _linf_dir_index(x: Vector, v: Vector) -> tuple[int, float]:
@@ -244,6 +252,7 @@ def _l1_ball(dim: int = 2) -> ProblemRecord:
     _positive_int(dim, "dim")
     pad = 0.5
 
+    # the batch sum stays per row: along the samples its bits change from n = 8
     objective = Oracle(value=lambda x: float(np.add.reduce(np.abs(x))),
                        grad=lambda x: _sign_plus(x),
                        dir_grad=lambda x, v: _l1_dir_vector(x, v),
@@ -377,8 +386,8 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
         return out
 
     def f_values(z):
-        a = np.abs(z)
-        return a.max(axis=1) - alpha * a.sum(axis=1)
+        # the sum stays per row: along the samples its bits change from n = 8
+        return _abs_row_max(z) - alpha * np.abs(z).sum(axis=1)
 
     def f_grads(z):
         return _linf_grads(z) - alpha * _sign_plus(z)
@@ -393,7 +402,7 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
                         grad=_linf_grad,
                         dir_grad=lambda x, v: _linf_dir_vector(
                             np.asarray(x, dtype=float), np.asarray(v, dtype=float)),
-                        values=lambda z: np.abs(z).max(axis=1) - 1.0,
+                        values=lambda z: _abs_row_max(z) - 1.0,
                         grads=_linf_grads)
     interior = alpha * dim <= 1.0
     opt = np.zeros(dim) if interior else -np.ones(dim)

@@ -377,6 +377,105 @@ def test_directional_oracles_keep_their_old_output_with_every_coordinate_tied():
     ])
 
 
+# ---------------------------------------------------------- batch oracle bits
+# The batch formulas before the max-norms ran along the sample axis, kept as
+# the reference: every corpus batch oracle must return their bits.
+
+
+def old_sign_plus(z):
+    return np.where(z >= 0.0, 1.0, -1.0)
+
+
+def old_linf_grads(z):
+    rows = np.arange(len(z))
+    j = np.argmax(np.abs(z), axis=1)
+    e = np.zeros(z.shape)
+    e[rows, j] = np.where(z[rows, j] >= 0.0, 1.0, -1.0)
+    return e
+
+
+def batch_oracles(dim, alpha=0.25):
+    """(label, oracle, reference) for every corpus batch callable of a block
+    of ``dim`` columns; the 1-D members only at dim = 1."""
+    e1 = np.zeros(dim)
+    e1[0] = 1.0
+
+    def first(z):
+        return z[:, 0].copy()
+
+    specs = {"ball-linear": get_problem("ball-linear", dim=dim).spec,
+             "l1-ball": get_problem("l1-ball", dim=dim).spec,
+             "pl-nonconvex": get_problem("pl-nonconvex", dim=dim,
+                                         alpha=alpha).spec}
+    old = {
+        "ball-linear": [
+            (first, lambda z: np.tile(e1, (len(z), 1))),
+            (lambda z: np.sqrt(np.einsum("ij,ij->i", z, z)) - 1.0,
+             lambda z: tiled_quotient(z, e1))],
+        "l1-ball": [
+            (lambda z: np.abs(z).sum(axis=1), old_sign_plus),
+            (lambda z: np.einsum("ij,ij->i", z, z) - 1.0, lambda z: 2.0 * z)],
+        "pl-nonconvex": [
+            (lambda z: (np.abs(z).max(axis=1)
+                        - alpha * np.abs(z).sum(axis=1)),
+             lambda z: old_linf_grads(z) - alpha * old_sign_plus(z)),
+            (lambda z: np.abs(z).max(axis=1) - 1.0, old_linf_grads)],
+    }
+    if dim == 1:
+        line = (first, lambda z: np.ones((len(z), 1)))
+        square = (lambda z: z[:, 0] ** 2 - 1.0, lambda z: 2.0 * z)
+        kink = (lambda z: np.where(np.abs(z[:, 0]) <= 1.5,
+                                   np.abs(z[:, 0]) - 1.0, 0.5),
+                lambda z: np.where(np.abs(z) > 1.5, 0.0, old_sign_plus(z)))
+        specs["footnote-1d"] = get_problem("footnote-1d").spec
+        specs["footnote-2c"] = get_problem("footnote-2c").spec
+        old["footnote-1d"] = [line, square]
+        old["footnote-2c"] = [line, square, kink]
+    for name, spec in specs.items():
+        for i, oracle in enumerate((spec.objective, *spec.constraints)):
+            values, grads = old[name][i]
+            yield "%s branch %d values" % (name, i), oracle.values, values
+            yield "%s branch %d grads" % (name, i), oracle.grads, grads
+
+
+# ties, signed zeros, NaN, infinities, subnormals and huge entries
+BATCH_ENTRIES = (0.0, -0.0, 0.5, -0.5, 1.5, math.nan, math.inf, -math.inf,
+                 5e-324, -5e-324, 1e300, -1e300)
+
+
+@st.composite
+def batch_blocks(draw):
+    """An (N, n) block in C order, Fortran order, or as a z[::2, ::2] view."""
+    rows = draw(st.sampled_from([0, 1, 64, 4097]))
+    dim = draw(st.sampled_from([1, 2, 3, 10, 50]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    pool = np.array(draw(st.lists(st.sampled_from(BATCH_ENTRIES) | st.floats(
+        -2.0, 2.0), min_size=1, max_size=5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    big = pool[rng.integers(0, pool.size, (2 * rows, 2 * dim))]
+    # a share of plain normal rows, so that not every row ties
+    plain = rng.random(2 * rows) < draw(st.sampled_from([0.0, 0.5]))
+    big[plain] = rng.standard_normal((int(plain.sum()), 2 * dim))
+    if layout == "strided":
+        return big[::2, ::2]
+    block = big[:rows, :dim]
+    return np.asfortranarray(block) if layout == "F" else block.copy()
+
+
+@settings(max_examples=60, deadline=None)
+@given(z=batch_blocks())
+@example(z=np.array([[math.nan, 1.0], [1.0, math.nan], [-0.0, 0.0]]))
+@example(z=np.asfortranarray(np.tile([0.5, -0.5, math.nan, -math.inf, 5e-324],
+                                     (64, 10))))
+@example(z=np.resize([1e300, -0.0, math.nan, math.inf, -1e300, 5e-324, 0.5],
+                     (8194, 6))[::2, ::2])
+def test_batch_oracles_keep_the_bits_of_their_old_formulas(z):
+    with np.errstate(all="ignore"):  # inf - inf, squares of 1e300, 0 / 0
+        for label, oracle, reference in batch_oracles(z.shape[1]):
+            assert_same_bits(oracle(z), reference(z),
+                             "%s on a %s block" % (label, z.shape))
+
+
 # -------------------------------------------------- finite-difference checks
 
 
