@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import Oracle, ProblemSpec, ReducedConstraint, Vector, _norm
+from .core import Oracle, ProblemSpec, Subproblem, Vector, _norm, sample_ball
 from .errors import UsageError
 
 
@@ -48,19 +48,16 @@ class ProblemRecord:
 def _validate_record(record: ProblemRecord) -> ProblemRecord:
     spec = record.spec
     if spec.p_star is not None and spec.known_optimum is not None:
-        opt = np.asarray(spec.known_optimum, dtype=float)
-        f_opt = float(spec.objective.value(opt))
-        if abs(f_opt - spec.p_star) > 1e-9:
+        opt = Subproblem(spec, spec.known_optimum)
+        if abs(opt.f_anchor - spec.p_star) > 1e-9:
             raise UsageError(
                 "corpus metadata inconsistent for %s: f(optimum) = %.12g "
-                "but p_star = %.12g" % (record.name, f_opt, spec.p_star))
-        g_opt, _ = ReducedConstraint(spec).value(opt)
-        if g_opt > 1e-9:
+                "but p_star = %.12g" % (record.name, opt.f_anchor, spec.p_star))
+        if opt.g_anchor > 1e-9:
             raise UsageError(
                 "corpus metadata inconsistent for %s: optimum infeasible, "
-                "g = %.12g" % (record.name, g_opt))
-    g_start, _ = ReducedConstraint(spec).value(np.asarray(record.start, dtype=float))
-    if g_start > 0.0:
+                "g = %.12g" % (record.name, opt.g_anchor))
+    if Subproblem(spec, record.start).g_anchor > 0.0:
         raise UsageError("corpus start for %s is infeasible" % record.name)
     return record
 
@@ -81,12 +78,6 @@ def _positive_real(value, name: str) -> None:
             or not 0 < value <= sys.float_info.max:
         raise UsageError("%s must be a positive finite real, got %r"
                          % (name, value))
-
-
-def _unit_first(dim: int) -> Vector:
-    e = np.zeros(dim)
-    e[0] = 1.0
-    return e
 
 
 def _sign_plus(x: Vector) -> Vector:
@@ -163,11 +154,22 @@ def _linf_dir_vector(x: Vector, v: Vector) -> Vector:
 
 def _ball_sampler(dim: int, radius: float):
     """Uniform draws from the ball of ``radius`` centred at the origin."""
-    def sampler(rng):
-        u = rng.standard_normal(dim)
-        u /= float(np.linalg.norm(u))
-        return radius * rng.random() ** (1.0 / dim) * u
-    return sampler
+    return lambda rng: sample_ball(np.zeros(dim), radius, rng)
+
+
+def _box_sampler(dim: int, half: float):
+    """Uniform draws from the box [-half, half]^dim."""
+    return lambda rng: rng.uniform(-half, half, size=dim)
+
+
+def _first_coordinate(dim: int) -> Oracle:
+    """f(x) = x_1, the objective of ball-linear and the footnote problems."""
+    e1 = np.eye(1, dim)[0]
+    return Oracle(value=lambda x: float(x[0]),
+                  grad=lambda x: e1.copy(),
+                  dir_grad=lambda x, v: e1.copy(),
+                  values=lambda z: z[:, 0].copy(),
+                  grads=lambda z: np.tile(e1, (len(z), 1)))
 
 
 def constant_constraint(dim: int, level: float = -1.0) -> Oracle:
@@ -181,18 +183,18 @@ def constant_constraint(dim: int, level: float = -1.0) -> Oracle:
                   grads=lambda z: np.zeros((len(z), dim)))
 
 
-def ball_linear_sigma(delta: float, m: float = 1.0) -> float:
+def ball_linear_sigma(delta: float) -> float:
     """Constraint-qualification level for ball-linear at radius delta.
 
     Constraint mass only ever appears at anchors with g(x) >= -2*M*delta,
-    i.e. ||x|| >= 1 - 2*M*delta.  Every constraint subgradient over B(x,
-    delta) is a unit normal y/||y|| within angle arcsin(delta/||x||) of
-    x/||x||, and a hull of unit vectors inside that cone keeps norm at least
-    the cosine, so sigma = sqrt(1 - (delta/(1 - 2*M*delta))^2).
+    i.e. ||x|| >= 1 - 2*M*delta, where M = 1.  Every constraint subgradient
+    over B(x, delta) is a unit normal y/||y|| within angle arcsin(delta/||x||)
+    of x/||x||, and a hull of unit vectors inside that cone keeps norm at
+    least the cosine, so sigma = sqrt(1 - (delta/(1 - 2*delta))^2).
     """
     if not delta > 0:
         raise UsageError("delta must be positive")
-    edge = 1.0 - 2.0 * m * delta
+    edge = 1.0 - 2.0 * delta
     if delta >= edge:
         raise UsageError("delta = %g too large for the cone argument" % delta)
     return math.sqrt(1.0 - (delta / edge) ** 2)
@@ -200,7 +202,7 @@ def ball_linear_sigma(delta: float, m: float = 1.0) -> float:
 
 def _ball_linear(dim: int = 2) -> ProblemRecord:
     _positive_int(dim, "dim")
-    e1 = _unit_first(dim)
+    e1 = np.eye(1, dim)[0]
 
     def g_value(x):
         return _norm(x) - 1.0
@@ -228,17 +230,13 @@ def _ball_linear(dim: int = 2) -> ProblemRecord:
         out[~inside] = e1
         return out
 
-    objective = Oracle(value=lambda x: float(x[0]),
-                       grad=lambda x: e1.copy(),
-                       dir_grad=lambda x, v: e1.copy(),
-                       values=lambda z: z[:, 0].copy(),
-                       grads=lambda z: np.tile(e1, (len(z), 1)))
     constraint = Oracle(value=g_value, grad=g_grad, dir_grad=g_dir,
                         values=g_values, grads=g_grads)
     pad = 0.5
     opt = np.zeros(dim)
     opt[0] = -1.0
-    spec = ProblemSpec(dim=dim, objective=objective, constraints=(constraint,),
+    spec = ProblemSpec(dim=dim, objective=_first_coordinate(dim),
+                       constraints=(constraint,),
                        lipschitz_m=1.0, neighborhood_delta=pad,
                        nonconvexity_f=0.0, nonconvexity_g=0.0,
                        p_star=-1.0, known_optimum=opt)
@@ -278,15 +276,6 @@ def _l1_ball(dim: int = 2) -> ProblemRecord:
         params={"dim": dim}, domain_sampler=_ball_sampler(dim, 1.0 + 0.9 * pad)))
 
 
-def _poly_1d_objective() -> Oracle:
-    one = np.ones(1)
-    return Oracle(value=lambda x: float(x[0]),
-                  grad=lambda x: one.copy(),
-                  dir_grad=lambda x, v: one.copy(),
-                  values=lambda z: z[:, 0].copy(),
-                  grads=lambda z: np.ones((len(z), 1)))
-
-
 def _square_constraint() -> Oracle:
     return Oracle(value=lambda x: float(x[0]) ** 2 - 1.0,
                   grad=lambda x: 2.0 * x,
@@ -296,18 +285,15 @@ def _square_constraint() -> Oracle:
 
 
 def _footnote_1d() -> ProblemRecord:
-    spec = ProblemSpec(dim=1, objective=_poly_1d_objective(),
+    spec = ProblemSpec(dim=1, objective=_first_coordinate(1),
                        constraints=(_square_constraint(),),
                        lipschitz_m=3.0, neighborhood_delta=0.5,
                        nonconvexity_f=0.0, nonconvexity_g=0.0,
                        p_star=-1.0, known_optimum=np.array([-1.0]))
 
-    def sampler(rng):
-        return np.array([rng.uniform(-1.45, 1.45)])
-
     return _validate_record(ProblemRecord(
         name="footnote-1d", spec=spec, start=np.array([0.5]),
-        params={}, domain_sampler=sampler))
+        params={}, domain_sampler=_box_sampler(1, 1.45)))
 
 
 def _footnote_2c() -> ProblemRecord:
@@ -332,7 +318,7 @@ def _footnote_2c() -> ProblemRecord:
             outward = (x[0] > 0.0 and v[0] > 0.0) or (x[0] < 0.0 and v[0] < 0.0)
             if outward:
                 return np.zeros(1)
-        return _l1_dir_vector(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+        return _l1_dir_vector(x, v)
 
     def g2_values(z):
         a = np.abs(z[:, 0])
@@ -343,18 +329,15 @@ def _footnote_2c() -> ProblemRecord:
 
     g2 = Oracle(value=g2_value, grad=g2_grad, dir_grad=g2_dir,
                 values=g2_values, grads=g2_grads)
-    spec = ProblemSpec(dim=1, objective=_poly_1d_objective(),
+    spec = ProblemSpec(dim=1, objective=_first_coordinate(1),
                        constraints=(_square_constraint(), g2),
                        lipschitz_m=3.0, neighborhood_delta=0.4,
                        nonconvexity_f=0.0, nonconvexity_g=0.0,
                        p_star=-1.0, known_optimum=np.array([-1.0]))
 
-    def sampler(rng):
-        return np.array([rng.uniform(-1.35, 1.35)])
-
     return _validate_record(ProblemRecord(
         name="footnote-2c", spec=spec, start=np.array([0.5]),
-        params={}, domain_sampler=sampler))
+        params={}, domain_sampler=_box_sampler(1, 1.35)))
 
 
 def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
@@ -377,8 +360,6 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
         return _linf_grad(x) - alpha * _sign_plus(x)
 
     def f_dir(x, v):
-        x = np.asarray(x, dtype=float)
-        v = np.asarray(v, dtype=float)
         # the bits of e - alpha * s: alpha * s_j is never 0
         out = _l1_dir_vector(x, v) * -alpha
         j, sign = _linf_dir_index(x, v)
@@ -400,8 +381,7 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
                        values=f_values, grads=f_grads)
     constraint = Oracle(value=g_value,
                         grad=_linf_grad,
-                        dir_grad=lambda x, v: _linf_dir_vector(
-                            np.asarray(x, dtype=float), np.asarray(v, dtype=float)),
+                        dir_grad=_linf_dir_vector,
                         values=lambda z: _abs_row_max(z) - 1.0,
                         grads=_linf_grads)
     interior = alpha * dim <= 1.0
@@ -416,12 +396,10 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
     if dim > 1:
         start[1] = -0.7
 
-    def sampler(rng):
-        return rng.uniform(-1.35, 1.35, size=dim)
-
     return _validate_record(ProblemRecord(
         name="pl-nonconvex", spec=spec, start=start,
-        params={"dim": dim, "alpha": alpha}, domain_sampler=sampler))
+        params={"dim": dim, "alpha": alpha},
+        domain_sampler=_box_sampler(dim, 1.35)))
 
 
 _REGISTRY: dict[str, Callable[..., ProblemRecord]] = {

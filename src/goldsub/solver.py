@@ -29,8 +29,8 @@ import numpy as np
 
 # sample_ball is unused here; it exists because perfbench/tracer.py patches
 # solver.sample_ball, and the import goes when that patch does (ROADMAP item 1)
-from .core import (ProblemSpec, ReducedConstraint, Vector, WeightedSubgradient,
-                   _as_vector, _finite_value, _norm, sample_ball)
+from .core import (ProblemSpec, Subproblem, Vector, WeightedSubgradient,
+                   _as_vector, _norm, sample_ball)
 from .errors import (BudgetExceededError, CertificationError,
                      InfeasibleStartError, UsageError)
 from .inner_bisect import C_BISECT, bisect_call_budget, bisect_search
@@ -56,7 +56,8 @@ class SolverConfig:
     In KKT mode it is the KKT accuracy target and the loop runs at the
     tighter eps_effective = sigma * eps / (eps + sigma + M).  ``tau`` is the
     total failure probability granted to the randomized inner search across
-    the whole run; the deterministic search ignores it.
+    the whole run; the deterministic search ignores it.  A solve takes at
+    most ``outer_cap`` descent steps.
     """
 
     delta: float
@@ -201,15 +202,15 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         raise UsageError(
             "delta = %g must be below the problem neighborhood radius %g"
             % (config.delta, problem.neighborhood_delta))
-    x = _as_vector(x0, problem.dim).copy()
+    start = Subproblem(problem, x0)  # validates x0 and reads f, g there
+    x = start.anchor.copy()
     m = problem.lipschitz_m
     eps_t = config.eps_effective(m)
     if not 0.0 < eps_t < math.inf:
         raise UsageError("eps_effective = %g must be positive and finite" % eps_t)
     c_frac = C_RAND if config.inner == RAND else C_BISECT
-    f_x = _finite_value(problem.objective.value(x), 0)
-    g_x, _ = ReducedConstraint(problem).value(x)
-    value_calls = 1  # initial feasibility check
+    f_x, g_x = start.f_anchor, start.g_anchor
+    value_calls = start.value_calls  # the initial feasibility check
     if g_x > 0.0:
         raise InfeasibleStartError("g(x0) = %.17g > 0: start must be feasible" % g_x)
 
@@ -277,6 +278,10 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         })
         if res.outcome == STATIONARY:
             break
+        if k == config.outer_cap:  # the descent found here is not taken
+            raise BudgetExceededError(
+                "outer cap %d exhausted" % config.outer_cap,
+                partial={"trace": partial_trace()})
         x = res.descent_point  # a fresh array that only this loop holds
         f_x, g_x = res.descent_f, res.descent_g
         k += 1
@@ -285,10 +290,6 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
                 "outer step %d exceeds the descent-lemma bound %d: Lipschitz "
                 "metadata or p_star is wrong, or an oracle is broken"
                 % (k, lemma_bound), partial={"trace": partial_trace()})
-        if k > config.outer_cap:
-            raise BudgetExceededError(
-                "outer cap %d exhausted" % config.outer_cap,
-                partial={"trace": partial_trace()})
 
     trace = partial_trace()
     cert = certify(x, res.combination, problem, config, res.zeta, (f_x, g_x))

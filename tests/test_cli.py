@@ -224,6 +224,17 @@ def test_solve_budget_exhaustion_keeps_partial_trace(tmp_path, capsys):
     assert not (tmp_path / "capped.cert.json").exists()
 
 
+def test_solve_outer_cap_exhaustion_keeps_partial_trace(tmp_path, capsys):
+    rc = main(SOLVE + ["--outer-cap", "2", "--out-dir", str(tmp_path),
+                       "--tag", "capped"])
+    assert rc == EXIT_BUDGET
+    assert "outer cap 2 exhausted" in capsys.readouterr().err
+    partial = read_json(str(tmp_path / "capped.partial-trace.json"))
+    assert partial["totals"]["outer_steps"] == 2
+    assert len(partial["records"]) == 3
+    assert not (tmp_path / "capped.cert.json").exists()
+
+
 def test_solve_unknown_problem_is_usage_error(tmp_path, capsys):
     rc = main(["solve", "--problem", "nope", "--out-dir", str(tmp_path)])
     assert rc == EXIT_USAGE

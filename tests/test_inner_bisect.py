@@ -134,6 +134,34 @@ def test_convex_restriction_recurses_into_steeper_half():
     assert np.array_equal(vec, [-1.0])
 
 
+def test_concave_restriction_recurses_into_right_half():
+    # slope 0.6 up to the kink at 0.75, -3 after: the midpoint probe fails
+    # (0.6 - 0.5 >= 0), the right half has the smaller average slope, and
+    # the second probe lands on the kink, whose right slope -3 passes
+    prob = piecewise_problem(_concave_two_slope(0.6, -3.0, 0.75))
+    sub = Subproblem(prob, np.array([1.0]))
+    r, vec, branch, h_m, probes, ties = bisect_negative_slope(
+        sub, UNIT, 1.0, 1.0, l_far=0.3, l_anchor=-0.5)  # f(0) - f(1) = 0.3
+    assert r == 0.75
+    assert np.array_equal(vec, [-3.0])
+    assert probes == 2
+    assert ties == 0
+
+
+def test_probe_slope_of_exactly_half_eps_counts_a_tie():
+    # convex kink at 0.5 with slopes -1 / +0.5: the midpoint's slope along
+    # the ray is exactly eps/2, a tie that fails the probe; the left half
+    # then gives r = 0.25
+    prob = piecewise_problem(two_slope_oracle(-1.0, 0.5, 0.5))
+    sub = Subproblem(prob, np.array([1.0]))
+    r, vec, branch, h_m, probes, ties = bisect_negative_slope(
+        sub, UNIT, 1.0, 1.0, l_far=0.25, l_anchor=-0.5)  # f(0) - f(1) = 0.25
+    assert ties == 1
+    assert r == 0.25
+    assert probes == 2
+    assert np.array_equal(vec, [-1.0])
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_convex_restrictions_return_probe_satisfying_points(seed):
     # random convex max-affine objectives, tilted so the restriction loses

@@ -177,6 +177,35 @@ def test_call_cap_raises_with_partial_state():
     assert float(np.linalg.norm(recombined - partial["zeta"])) <= 1e-12
 
 
+# ------------------------------------------------------------- combination
+
+
+def unit_term(i):
+    """A (point, vector, branch, direction) term told apart by its point."""
+    return np.array([float(i)]), np.array([1.0]), 0, None
+
+
+def test_combination_update_at_t_one_leaves_one_entry():
+    combo = inner_rand._Combination(unit_term(0))
+    combo.segment_update(0.5, unit_term(1))
+    combo.segment_update(1.0, unit_term(2))
+    exported = combo.export()
+    assert len(exported) == 1
+    assert exported[0].weight == 1.0
+    assert exported[0].point[0] == 2.0
+
+
+def test_combination_folds_its_shared_factor_before_underflow():
+    # 0.01^n drops below 1e-250 after about 125 updates
+    combo = inner_rand._Combination(unit_term(0))
+    for i in range(1, 131):
+        combo.segment_update(0.99, unit_term(i))
+    assert combo.scale > 1e-250  # folded: unfolded it would be about 1e-260
+    weights = [w.weight for w in combo.export()]
+    assert min(weights) >= 0.0
+    assert abs(math.fsum(weights) - 1.0) <= 1e-12
+
+
 # ------------------------------------------------------------------ budget
 
 

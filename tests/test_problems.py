@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from goldsub.core import ReducedConstraint
 from goldsub.errors import OracleError, UsageError
 from goldsub.problems import (
+    _validate_record,
     ball_linear_sigma,
     constant_constraint,
     get_problem,
@@ -54,6 +56,17 @@ def test_metadata_consistency(name):
     assert reduced.value(opt)[0] <= 1e-9
     assert reduced.value(np.asarray(record.start, dtype=float))[0] <= 0.0
     assert spec.nonconvexity_f is not None and spec.nonconvexity_g is not None
+
+
+def test_nan_objective_at_the_known_optimum_is_rejected():
+    # |nan - p_star| > 1e-9 is False: a bare read of f(x*) would let it pass
+    record = get_problem("ball-linear")
+    f = record.spec.objective
+    nan_at_opt = dataclasses.replace(
+        f, value=lambda x: math.nan if x[0] == -1.0 else f.value(x))
+    spec = dataclasses.replace(record.spec, objective=nan_at_opt)
+    with pytest.raises(OracleError, match="non-finite value from objective"):
+        _validate_record(dataclasses.replace(record, spec=spec))
 
 
 def test_problem_dimension_parameters():

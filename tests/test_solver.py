@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import dataclasses
 import math
 import re
 import sys
@@ -431,6 +432,25 @@ def test_inner_cap_attaches_partial_trace():
     assert trace.outer_steps == 0
     assert trace.oracle_calls == 10
     assert trace.value_calls == 1 + err.value.partial["value_calls"]
+
+
+@pytest.mark.parametrize("inner", [RAND, BISECT])
+def test_outer_cap_stops_before_the_step_past_it(inner):
+    with pytest.raises(BudgetExceededError, match="outer cap 2 exhausted") as err:
+        solve_ball(inner=inner, outer_cap=2)
+    trace = err.value.partial["trace"]
+    assert trace.outer_steps == 2
+    # the last record is the search whose descent was not taken
+    assert [r["k"] for r in trace.records] == [0, 1, 2]
+    assert trace.records[-1]["inner_outcome"] == inner_rand.DESCENT
+
+
+def test_understated_p_star_exceeds_the_descent_lemma_bound():
+    spec = dataclasses.replace(BALL.spec, p_star=-1e-6)
+    config = SolverConfig(delta=0.05, target_eps=0.05)
+    with pytest.raises(BudgetExceededError,
+                       match="outer step 2 exceeds the descent-lemma bound 1"):
+        solve(spec, config, BALL.start)
 
 
 def test_tau_prime_splits_the_failure_budget():
