@@ -364,13 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--param", action="append",
                     help="problem parameter KEY=VALUE (repeatable)")
     pv.add_argument("--samples", type=int, default=10_000,
-                    help="ball samples of both sampled checks: the slackness "
-                         "check reads all of them, the estimate stops at the "
-                         "first of 64, 128, 256, ... that passes (default "
-                         "10000)")
+                    help="ball samples of the sampled estimate, which stops "
+                         "at the first of 64, 128, 256, ... that passes "
+                         "(default 10000)")
     pv.add_argument("--seed", type=int, default=0,
-                    help="both sampled checks draw from stream SEED + 1 "
-                         "(default 0)")
+                    help="the estimate draws from stream SEED + 1 (default 0)")
     pv.add_argument("--fast", action="store_true",
                     help="stop at the first failed check")
     pv.set_defaults(func=cmd_verify)

@@ -14,8 +14,9 @@ lambda = gamma / gamma0 and, with a constraint-qualification level sigma,
 approximate KKT residuals; gamma0 = 0 still certifies Fritz-John
 stationarity.  The split, the checks, eps_effective and the KKT claims are
 the verifier's own functions.
-Complementary slackness needs no sampling here: the construction bounds
-|gamma * g| by 3*M*delta over the ball, and ``goldsub verify`` re-checks it.
+Complementary slackness needs no check here: the construction bounds
+|gamma * g| by gamma * (|g(anchor)| + M*delta) <= 3*M*delta over the ball,
+and ``goldsub verify`` checks that bound exactly, from M.
 """
 
 from __future__ import annotations
@@ -147,13 +148,14 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
             anchor_values: tuple[float, float]) -> GoldsteinCertificate:
     """Assemble and self-check the certificate for a stationary anchor.
 
-    Runs the verifier's unsampled checks in its order; the first failure
-    raises CertificationError.  The inner-loop contract guarantees them, so
-    a failure means a bug or broken metadata, never a user error.  ``zeta``
-    is the solver's own accumulated sum, so the recombination residual is an
-    honest measurement, and ``anchor_values = (f(anchor), g(anchor))`` are
-    the values the solver read at the anchor: certify calls no oracle.  Each
-    of the KKT claims' warnings is also raised as a UserWarning.
+    Runs the verifier's checks that call no oracle, in its order; the first
+    failure raises CertificationError.  The inner-loop contract guarantees
+    them, so a failure means a bug or broken metadata, never a user error.
+    ``zeta`` is the solver's own accumulated sum, so the recombination
+    residual is an honest measurement, and ``anchor_values = (f(anchor),
+    g(anchor))`` are the values the solver read at the anchor: certify calls
+    no oracle.  Each of the KKT claims' warnings is also raised as a
+    UserWarning.
     """
     anchor = _as_vector(anchor, problem.dim)
     m = problem.lipschitz_m
@@ -221,8 +223,10 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         lemma_bound = _bound("the descent-lemma bound", lambda: max(
             1, math.ceil(gap0 / (c_frac * config.delta * eps_t))))
     if config.inner == RAND:
-        tau_prime = config.tau / (config.outer_cap if lemma_bound is None
-                                  else lemma_bound)
+        # a solve with at most K steps runs at most K + 1 inner searches: one
+        # per step, then the one that certifies or trips the cap
+        tau_prime = config.tau / ((config.outer_cap if lemma_bound is None
+                                   else lemma_bound) + 1)
         budget = _bound("the inner call budget", rand_call_budget,
                         m, eps_t, tau_prime)
     elif problem.nonconvexity_f is None or problem.nonconvexity_g is None:

@@ -9,9 +9,9 @@ stationarity, a large one only fails to prove it.
 
 The certificate type, its checks, the multiplier split and the formulas of
 every derived claim (eps_effective, the KKT residuals and the warnings)
-live here; ``solver.certify`` runs the unsampled checks and builds its
-claims with the same functions, so their arithmetic and tolerances are
-defined once.  Nothing here imports the solver.
+live here; ``solver.certify`` runs the checks that call no oracle and
+builds its claims with the same functions, so their arithmetic and
+tolerances are defined once.  Nothing here imports the solver.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (ProblemSpec, ReducedConstraint, Subproblem, Vector,
-                   WeightedSubgradient, _as_vector, _check_samples, _norm,
-                   sample_ball)
+from .core import (ProblemSpec, Subproblem, Vector, WeightedSubgradient,
+                   _as_vector, _check_samples, _norm, sample_ball)
 from .errors import UsageError
 
 HULL_TOL = 1e-8
@@ -63,8 +62,8 @@ class GoldsteinCertificate:
     ``lam`` is gamma/gamma0, or None when gamma0 = 0 (Fritz-John only).
     The kkt_* fields and ``warnings`` are ``kkt_claims`` of the other
     fields, and ``gcq_sigma`` is set exactly in KKT mode.  By construction
-    |gamma * g(z)| <= 3*M*delta over the ball, which the verifier's
-    complementary-slackness check samples.
+    |gamma * g(z)| <= gamma * (|g_anchor| + M*delta) <= 3*M*delta over the
+    ball, which the verifier's complementary-slackness check bounds exactly.
     """
 
     anchor: Vector
@@ -442,25 +441,24 @@ def multiplier_split(combination: list[WeightedSubgradient]):
     return gamma0, gamma, gamma / gamma0 if gamma0 > 0.0 else None
 
 
-def sampled_slack(reduced: ReducedConstraint, gamma: float,
-                  draw: _BallDraw) -> float:
-    """Largest |gamma * g(z)| over every row z of a ball draw.
+def check_slackness(gamma: float, g_anchor: float, longest: float, m: float,
+                    delta: float) -> CheckResult:
+    """gamma * (|g(anchor)| + M*delta) against ``slack_bound``, and the
+    longest recomputed vector against M.
 
-    With no constraint mass no row is drawn and no oracle runs.  gamma
-    multiplies the largest |g(z)| once: rounding is monotone and
-    sign-symmetric, so that is the largest rounded |gamma * g(z)| (inf if
-    one overflows).
+    g is M-Lipschitz inside neighborhood_delta > delta (claims-recompute),
+    so the product bounds |gamma * g| over the whole ball.  With gamma > 0
+    an entry's branch, re-derived by vector-recompute, is a constraint at a
+    ball point y: g(y) >= f(y) - f(anchor) >= -M*delta, so a feasible
+    anchor has |g(anchor)| <= 2*M*delta and an honest product is at most
+    3*M*delta.  An oracle that breaks M fails the vector half.
     """
-    if not gamma > 0.0:
-        return 0.0
-    return gamma * max(float(np.max(np.abs(reduced.values(points)[0])))
-                       for points in _row_blocks(draw.upto(len(draw.rows))))
-
-
-def check_slackness(slack_max: float, m: float, delta: float) -> CheckResult:
     bound = slack_bound(m, delta)
-    return CheckResult("complementary-slackness", slack_max <= bound,
-                       "max |gamma*g| = %.17g vs bound %.17g" % (slack_max, bound))
+    slack = gamma * (abs(g_anchor) + m * delta) if gamma > 0.0 else 0.0
+    ok = slack <= bound and longest <= m * (1.0 + VECTOR_MATCH_REL)
+    return CheckResult("complementary-slackness", ok,
+                       "gamma*(|g(anchor)| + M*delta) = %.17g vs bound %.17g; "
+                       "max ||v|| = %.17g vs M = %.17g" % (slack, bound, longest, m))
 
 
 # rows of the verifier estimate's first hull; each later one has twice as many
@@ -522,16 +520,16 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
 
     Nothing inside the certificate is trusted: weights, ball membership,
     every stored subgradient, the recombined zeta, the multiplier split, the
-    sampled complementary-slackness and independent stationarity bounds,
-    and every derived claim are all recomputed.  The stated delta,
-    eps_effective and gcq_sigma are the claim checked; ``goldsub verify``
-    binds them to the embedded manifest.  Both sampled checks read one
+    complementary-slackness bound (exact, from M and the verifier's own
+    g(anchor)), an independent sampled stationarity bound, and every
+    derived claim are all recomputed.  The stated delta, eps_effective and
+    gcq_sigma are the claim checked; ``goldsub verify`` binds them to the
+    embedded manifest.  The estimate, the only sampled check, reads one
     uniform draw of ``samples`` rows of the delta-ball from stream
-    ``seed + 1``, drawn only as far as they read it: the slackness check
-    reads every row (none at gamma = 0), and the estimate reads prefixes of
-    64, 128, 256, ... rows until one passes.  A (stream, n, delta, samples)
-    key's first check draws in place; its second keeps all the rows'
-    offsets from the anchor, read-only, so later checks draw no row.  Checks
+    ``seed + 1``, drawn only as far as it reads it: prefixes of 64, 128,
+    256, ... rows until one passes.  A (stream, n, delta, samples) key's
+    first check draws in place; its second keeps all the rows' offsets
+    from the anchor, read-only, so later checks draw no row.  Checks
     run in CHECK_ORDER; with stop_at_first_failure the remaining (possibly
     expensive) checks are never computed once the headline reason is known.
     """
@@ -566,12 +564,13 @@ def _checks(cert, problem, samples, seed):
     yield check_points_in_ball(points, anchor, delta)
 
     sub = Subproblem(problem, anchor)
-    vectors, mismatches = [], []
+    vectors, recomputed, mismatches = [], [], []
     for w, point in zip(combo, points):
         if w.direction is None:
             expected, branch = sub.grad(point)
         else:
             expected, branch, _, _ = sub.dir_grad(point, _as_vector(w.direction, dim))
+        recomputed.append(expected)
         stored = _as_vector(w.vector, dim, finite=False)
         vectors.append(stored)
         # a relabelled branch is as wrong as a wrong vector
@@ -599,11 +598,8 @@ def _checks(cert, problem, samples, seed):
                       "gamma0 %.17g vs stored %.17g" % (gamma0, cert.gamma0))
     yield check_anchor_feasible(sub.g_anchor)
 
-    # one lazily drawn ball serves both sampled checks: the slackness check
-    # reads all of it (none at gamma = 0), the estimate as much as it takes
-    # to pass
+    longest = max(map(_norm, recomputed), default=0.0)
+    yield check_slackness(cert.gamma, sub.g_anchor, longest, m, delta)
     draw = _BallDraw(anchor, delta, seed + 1, samples)
-    slack_max = sampled_slack(ReducedConstraint(problem), cert.gamma, draw)
-    yield check_slackness(slack_max, m, delta)
     yield _staged_estimate(sub, draw, ESTIMATE_FACTOR * cert.eps_effective)
     yield check_claims(cert, problem, zeta_norm, sub, gamma0)

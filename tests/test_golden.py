@@ -33,84 +33,84 @@ EPS = 0.05
 GOLDEN = {
     "ball-linear-rand": (
         "0f320b07cbc9d768e3fc511b9bdee1277e08a6b08e3c0525841f32e3a0b08da4",
-        "726d6f10c323118858a924dcb0a2a545a46aa901a1a24f74e230b2f39ac591ef"),
+        "bd04957a369608398b384923d7a4e7ccff2f70706c1e4dc33866359381ea86b4"),
     "ball-linear-bisect": (
         "608f3a3f2a5985665da5cfc500c3af6ca2db02910daf4104f8738ddda530d0e3",
         "ad7ce65e01dc1c82ee0373159aef39edf2a7ef0b06bd69f286d2010f40f9ad95"),
     "l1-ball-rand": (
         "89c587e56570ec812a6d6f14c2ad07d5784e844f8c55d61b2a14ab2d658efa2c",
-        "72b3c67dfeb72c841f143ff0fa554f4e6ee07e8b9571be8fa52ff9bde6174f50"),
+        "7ac061c810f7365cf6869a9d54fce5e4c1d0b61c0c8d143a1781a29c2eb1b200"),
     "l1-ball-bisect": (
         "c5574f6d852a193f95562221dc75dfcd1be78f1b1cbc6cdd84197f19fa714eca",
         "abdd2aef0d7f77880112fa7b00bf4852962ca4d97dcd468f1326585a2c972f34"),
     "footnote-1d-rand": (
         "a25cf3812c410cb9f7cb2fc772c01eca0b1a57473305aa028086b5a97a490f18",
-        "51346fb48a16f5d94f709b439b6d5a582d6717955b9440e25039137d0d57ee12"),
+        "bb2507ad076237bd1528882f083474fb5d2401eae7dab482165de55af062b843"),
     "footnote-1d-bisect": (
         "2328fee6bc918f49d7cfd15d5dbc489052947d51c08c71a9fd105a754e9d119c",
         "99bea34650106de79a9f0a2d5dfc0fa16f3e79775695614f40d35286abd377c3"),
     "footnote-2c-rand": (
         "77cc49606219aa58e6a1b57c313f7398793a75515730c910014ec5c2388fd0fe",
-        "370900422d31c838bf6c73da373f0dc4b314463652be367f228ba8cfd0038b8b"),
+        "e17fa4f909b3a988fbc75837a5bc99dcc142f63605307b1913f3b983ad775c76"),
     "footnote-2c-bisect": (
         "eb1da6a7fc53ea0619c0bd39804bd92168810a543871b70c610089ffa5fc464e",
         "01051a48682a75831474b8074ee5ded72f912002efa252153d1f7436b6b66753"),
     "pl-nonconvex-rand": (
         "b9d7f6f2fb9afe0e00072671e535fbc8e3c8e8a1eff5a08707b78cb9db0b63ca",
-        "b405aa9077982c112ca488eddebfe3bfd201ab734d952a644a39b12116f651e5"),
+        "ab2e04fb1e7338266dc7f8e0d2e6bee048905de2ef43a6208ed2b635f3b66f04"),
     "pl-nonconvex-bisect": (
         "03fe22be3e785f8e49d312d3ea630e765702a3a8c567b82fb0aba96baa625dc6",
         "49800e5f87ceb95192c1a634c923fe851c3c822d2bbf7e0fb309bdcbffe7e0e4"),
     "ball-linear-n10-rand": (
         "8337fb52fe6107d10c875628857e6a944eae2aea7bc02805b3b02becfadcd3ae",
-        "615d3f433ef7e77bb936879a0981ee64b339385fdb9e75cd81c356267cc918a1"),
+        "b47710aef8d9331d90d3267fc1516393e492b120b4c331e197f22d4337abd467"),
     "ball-linear-n10-bisect": (
         "2cf3cfd6b1443d81c235304c050d4e4898ba39a6848f258cf3756c352f352203",
         "a14f52a2c4427a9cc7c98d5ab39ebb0f2d0496f41c522e0a8e6fe7953fcb73c7"),
     "pl-nonconvex-n10-rand": (
         "138138e560be1c1fb681915e90499372cb30c8694beeb6a394c3d2e623ad2120",
-        "66d6f144d9355b0e5a452287989edd1413c8cfea7bc6fb8c2f135675fe25051f"),
+        "0d16508e9b9f5a2a7fd4d2ddaa85bca0cd8ce40ddd978b6b52e69bfd0d5c19fe"),
     "pl-nonconvex-n10-bisect": (
         "9fbe5644b33f7fc329c008526cedd1afd74fe185ed51dc3391765a7d186638eb",
         "6e66fe6e6a62429889e05975f150e0c112728614d41ed10eafb2281ec0fc68db"),
     "ball-linear-rand-kkt": (
         "be4dc6c322296745345c3e87932b51aaf898aa25928cc961b993e554d29ace5a",
-        "ec8b05a104fb2be773ebde11bfa31c738373a1f22f5c4ca82b4b70ef51061637"),
+        "51591cee85e5843c73faa7f3a27a911feddc35f7bd38a0992fbd0774e28a1551"),
 }
 
 
 # same cells -> digest of the verify report on the decoded certificate
 REPORTS = {
     "ball-linear-rand":
-        "28007835fe929ec70ed6405c0db19654dd676ab8f76686991ce4eba8b7b48c79",
+        "bd6ffce191504059ee1ae5bed2abafca764d4f5a796a8a5c9ad63c96d9026fc4",
     "ball-linear-bisect":
-        "ab514f6473418a943326bea6422c1956937576cd0717b8c9227fda2343ee65fd",
+        "660ee736b2f624eede0fb7626bcc86f81282b07f92800aa777b0464c4da965ef",
     "l1-ball-rand":
-        "7410de9fd305320e98e3f9d8c060935f21880596549b21baf0504bdce03ae10f",
+        "3ee4920141e08312c31f90d4f013d5ec7e9208d4390e16536d895fcc752c95b8",
     "l1-ball-bisect":
-        "3015cc149062b661531ddc0095fd77d9438ebb0335de524a3c7494e17cd8f745",
+        "02291d009dc4be9d1d4a0ff2e4c51ced06cea33a727842d57e8ff21d11356acf",
     "footnote-1d-rand":
-        "1cc7130f5e18d76fa2cddfe83534188ccd891d416cbc6e17b5880a42b87461b1",
+        "8ce9522ccf6564d420267ff518561d20c7ea41d9130b569a94f0ecff1eaaa618",
     "footnote-1d-bisect":
-        "8375d8f256b9fa1619b55ca1a427d0cb7d7bb1a408948fef2ba5f654e3579400",
+        "e1573cb4fdf311c5a764bac63cc1314443ad4a9cda74bc267b3407b6f0e8978e",
     "footnote-2c-rand":
-        "0b230c4decad5cbda5777edca94f5988f09c6f781b206a5274e516b956c2c882",
+        "d1a045677a5557e9b12ac4502e4269c213d92cf10fe89312068e19a26c310a88",
     "footnote-2c-bisect":
-        "6f769825f08215cf7c3c604fdfa063060d3aa424b48a8cc1bd418edfdc920fd2",
+        "75ca64cca8a23ca2d462501f2e722bc9ec5425ee4476387490025f7d77dd1e7b",
     "pl-nonconvex-rand":
-        "8648887e9f0381fbe391ca193e406bd9611565bc1b508dbb862923d66dc6dd09",
+        "de6e7b2532869983b7302b42ddd32cd90dfb87ace9c1b7e95ae673ae6e3cbc33",
     "pl-nonconvex-bisect":
-        "9c20480708abbce2d1513fcd222a75bf607643a4b9233b74435de23d7354c17a",
+        "7b3ac960fbaa80aadb3baf8c2188a49a418a3b238fee8db54a129c45be0e12d1",
     "ball-linear-n10-rand":
-        "19e058f8f0e4b462af9ba5f99f730a04a6b79fe6e1717dc8352e9aabbe681f28",
+        "85b648cd9906af7954ff860fb83eb48101400e660747442a3965a0ae960c48a9",
     "ball-linear-n10-bisect":
-        "c918df16c84bf9549f5d5a4688557f363f6ad7feade2b638496eecd194f40b87",
+        "bbad1011b62aff3b99c8d4dcfa3435fc92292b9b64916e25817bb5dff4bc29a3",
     "pl-nonconvex-n10-rand":
-        "87092dbbd105808152e7f92c42299a416933cdcf745cc47fa89c4f2c66f86f76",
+        "8789e36e00a2c700fe51a390e9e6c8ad92a9394f7d0c124cfa382dfdfe1896e3",
     "pl-nonconvex-n10-bisect":
-        "ca90ddaddebf64bdb44a3c7ee64a0b677cf4888ff46c313856e2ef216009776b",
+        "4bb800cf47262a52a6a4939dbdde2f2e36fe8b8d10b6ef7d73f6f70e718ccc05",
     "ball-linear-rand-kkt":
-        "9a83bda78456290e3dccbce78816f2a90f913bf860cc9e7a338ef559d0d6554c",
+        "c0d494d669ec8b8035529d5e3949caa01e7aa47599a7b07906402b0caae35ee3",
 }
 
 
@@ -167,35 +167,35 @@ def test_verify_reports_keep_their_bytes(cell):
 # each fault of acceptance criterion 10, verified with and without --fast
 REJECTIONS = {
     "ball-linear-rand":
-        "c522702f454c293240be7982924afe5f59626457b11a9f3e3d234698e77dc602",
+        "ff39d5fc064f0799e01c44ac5281b633b647c90782fa12ea04751b08a27a6de9",
     "ball-linear-bisect":
-        "dfc4b27c41c902a34a60a0118e95eb429e6d6f7ee5d6ff7c5f612c660cb8c63f",
+        "039aec9955572b2bc02977b48843ac9061bf7ca001f8dfee898ee20c74f5727e",
     "l1-ball-rand":
-        "78f7ac6e8a54bd923d2dda5f4fe89eb11550279ad90338ada28676b8f0002e45",
+        "d173c0374663cc20e988b9476d53a511408a40f57eb5090ac7ee02206ff3c16d",
     "l1-ball-bisect":
-        "97d603209b83203c80abffb28c389752b253a70b2cccf9dc7520fb6090115a7e",
+        "e65d8a43f025c8927e42a33299282c163ff0f0bdcd9f4eb406b369c958ab602a",
     "footnote-1d-rand":
-        "462195ffeefd19998d17bf9b25d57f788aecb70627051ae8448f73532d025478",
+        "bbb2f18a0dbdaf31de31c4f96fa311a82651bab848c6d5a0288b617ca23e0cc8",
     "footnote-1d-bisect":
-        "aa5761027bdd5df14b741183e3ddccaaba46d6007c05a95920d365eff756b57b",
+        "9ead174b1e1cd1d91d3e30b0282eb547d2d3912c3d9acb7f25e5dd6f975be039",
     "footnote-2c-rand":
-        "8de525631fb9d07f83d4139730cae6a023aa34fdb56ca042f9c742e05eaa55c7",
+        "68ba532f1f68644e03933690c857d96cf0089b205bb349c096115215db3dc33c",
     "footnote-2c-bisect":
-        "8e3c0cc2e0fdaf528f541be677223af58d35db66d6aabc1ef26f5c1d998ba42b",
+        "2f6b2014031b5cf329273b9df23697b36595e6b284fa99aa67c1f727b175b1b7",
     "pl-nonconvex-rand":
-        "39876e2b8ef713ad5f6c5b2ae30892538d3866a800c37aae565adffb32402219",
+        "b454a4ffd1a64f47707fcb9aa088f16fdc1c2767865d6e551eaf55babc947b89",
     "pl-nonconvex-bisect":
-        "37ca30c6fbc45865872a64df8f645dc3755ad7ee15aa4a59246709466a6b66ad",
+        "1ed9990c6101188b1df66f0410acf0e600f03af608aa851ae29e7e94c1376a89",
     "ball-linear-n10-rand":
-        "cc6d206aa0a8723d05399704ec07c80e3cb6c0c79fb9bce7fe04ebf3d205ee90",
+        "3256d55c882dd10ac33e3b9130f94f8ec6af9722205d59126903edb998a7223e",
     "ball-linear-n10-bisect":
-        "815795b3d8e2cacbcd9f50b436551eaf9efedf0458d0fdc496290cc2385cae03",
+        "5ff7659e7325ee85bad8bdf6f4df18b89e7cebacfdc9d12d40e5e632b17661f2",
     "pl-nonconvex-n10-rand":
-        "d4ac2b7e0366abb8b36d3c2805f2acc5204e659cfb49b7e0dc95f15ddf892ade",
+        "1ec2ce6eb1be8fde5c429523cd430a82bb00a006fcb1971cab648b540604cc74",
     "pl-nonconvex-n10-bisect":
-        "b9673f19de5fd530da139c9cefdf1960c65d8bc10f9ea63c14168c27c8c5a5a3",
+        "b26aa8eb5476a6cb82768a801841265f6ada7336b68d893a9f87ca43da10a4ee",
     "ball-linear-rand-kkt":
-        "15c43b5f941c502fa3351e04086b9a0c716bb9263029984c835103e3db979ec5",
+        "131b10ee72ec0f6dd0efc0656c5b45e74e6c124e9144a83636fc5997655c7241",
 }
 
 # criterion 10's faults, in order: (kind, the check that rejects it)

@@ -455,10 +455,26 @@ def test_understated_p_star_exceeds_the_descent_lemma_bound():
 
 def test_tau_prime_splits_the_failure_budget():
     cert, trace = solve_ball(seed=0, tau=0.1)
-    # f(x0) - p_star = 1: ceil(4 * 1 / (0.05 * 0.05)) = 1600 outer slots
-    assert trace.tau_prime == pytest.approx(0.1 / 1600)
+    # f(x0) - p_star = 1: ceil(4 * 1 / (0.05 * 0.05)) = 1600 outer steps at
+    # most, so 1601 inner searches
+    assert trace.tau_prime == pytest.approx(0.1 / 1601)
     _, bise = solve_ball(seed=0, inner=BISECT)
     assert bise.tau_prime is None
+
+
+@pytest.mark.parametrize("p_star", [None, -1e-6])
+def test_the_failure_budget_covers_every_rand_invocation(p_star):
+    # a solve that exhausts its step bound K, outer_cap without p_star and
+    # the descent-lemma bound (1 here) with it, makes K + 1 inner searches,
+    # the most it can: one per step taken, then the one whose step trips K
+    spec = dataclasses.replace(BALL.spec, p_star=p_star)
+    config = SolverConfig(delta=0.05, target_eps=0.05, tau=0.1, outer_cap=3)
+    with pytest.raises(BudgetExceededError) as err:
+        solve(spec, config, BALL.start)
+    trace = err.value.partial["trace"]
+    bound = config.outer_cap if p_star is None else trace.lemma_bound
+    assert len(trace.records) == bound + 1
+    assert len(trace.records) * trace.tau_prime <= config.tau
 
 
 def test_trace_wall_time_positive():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import copy
 import dataclasses
+import functools
 import json
 import math
 import struct
@@ -473,12 +474,10 @@ def test_sampled_checks_are_prefixes_of_one_draw(monkeypatch):
     monkeypatch.setattr(verify, "min_norm_over_hull", kept)
     est = goldstein_estimate(cert.anchor, record.spec, cert.delta, 150, seed=5)
     grads = drawn_grads(cert.anchor, record.spec, cert.delta, 150, seed=5)
-    # the slackness check reads all 150 rows; both read stream seed + 1
+    # the verifier reads stream seed + 1
     hulls.clear()
     report = check_certificate(cert, record.spec, samples=150, seed=4)
     details = {c.name: c.detail for c in report.checks}
-    measured = float(details["complementary-slackness"].split()[3])
-    assert measured == slack_max(cert, record.spec, np.random.default_rng(5), 150)
     # one hull per checkpoint, over growing prefixes of the one draw
     assert [len(h) for h in hulls] == [64, 128, 150]
     assert all(np.array_equal(h, grads[:len(h)]) for h in hulls)
@@ -515,23 +514,12 @@ REAL_EXTREMES = (5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300, 0.0, -0.0)
 @example(values=[1e300, -2e300], gamma=1e300)
 @example(values=[5e-324, -1e-310], gamma=0.3)
 def test_gamma_times_the_largest_value_is_the_largest_product(values, gamma):
-    # sampled_slack multiplies once: rounding is monotone and sign-symmetric
+    # rounding is monotone and sign-symmetric, so slack_max, the largest
+    # |gamma * g| over a draw, is gamma times the largest |g|
     v = np.array(values)
     with np.errstate(over="ignore", under="ignore"):
         largest_product = float(np.max(np.abs(gamma * v)))
     assert gamma * float(np.max(np.abs(v))) == largest_product
-
-
-@pytest.mark.parametrize("name", ["ball-linear", "footnote-2c"])
-def test_sampled_slack_is_the_largest_product(name):
-    record, cert = fresh_cert(seed=0, name=name)
-    assert cert.gamma > 0.0
-    total = 2 * verify.SAMPLE_BLOCK + 17
-    draw = verify._BallDraw(cert.anchor, cert.delta, 5, total)
-    measured = verify.sampled_slack(ReducedConstraint(record.spec), cert.gamma,
-                                    draw)
-    assert measured == slack_max(cert, record.spec, np.random.default_rng(5),
-                                 total)
 
 
 def traced_peak(fn, *args) -> int:
@@ -545,18 +533,14 @@ def traced_peak(fn, *args) -> int:
 
 
 def test_sampled_checks_work_in_about_one_block():
-    # the draw buffer exists before tracing starts; the checks add about one
-    # block of normals to it (slackness) or one block of gradients (estimate)
+    # the drawn rows exist before tracing starts; the estimate adds about
+    # one block of gradients to them
     n = 200
     record = get_problem("ball-linear", dim=n)
     cert, _ = solve(record.spec, SolverConfig(delta=0.05, target_eps=0.05),
                     record.start)
-    assert cert.gamma > 0.0
     draw = verify._BallDraw(cert.anchor, cert.delta, 1, 10_000)
-    peak = traced_peak(verify.sampled_slack, ReducedConstraint(record.spec),
-                       cert.gamma, draw)
-    assert peak <= 1.25 * verify.SAMPLE_BLOCK * (n + 2) * 8
-    assert draw.drawn == 10_000
+    draw.upto(10_000)
     sub = Subproblem(record.spec, cert.anchor)
     peak = traced_peak(verify._grads_over, sub, draw.rows)
     assert peak <= 1.5 * verify.SAMPLE_BLOCK * n * 8
@@ -700,14 +684,15 @@ def test_the_verifier_draws_every_row_through_sample_ball(monkeypatch):
     fresh_offsets(monkeypatch)
     record, cert = fresh_cert(seed=0)
     rows = counted_draw_rows(monkeypatch)
-    for drawn in (500, 500, 0):  # in place, into the table, warm
+    # the estimate's 64 rows in place, the key's whole table, then warm
+    for drawn in (64, 500, 0):
         rows.clear()
         check_certificate(cert, record.spec, samples=500)
         assert sum(rows) == drawn
     monkeypatch.setattr(verify, "OFFSET_BYTES", 0)  # too large to keep
     rows.clear()
     check_certificate(cert, record.spec, samples=500, seed=1)
-    assert sum(rows) == 500
+    assert sum(rows) == 64
     assert verify._OFFSETS.keys() == {(1, 2, struct.pack("d", cert.delta), 500)}
 
 
@@ -717,7 +702,6 @@ def test_a_table_whose_draw_fails_draws_the_same_rows_again(monkeypatch):
     monkeypatch.setattr(verify, "SAMPLE_BLOCK", 64)
     fresh_offsets(monkeypatch)
     record, cert = fresh_cert(seed=0)
-    assert cert.gamma > 0.0  # the slackness check reads all 300 rows
     expected = check_certificate(cert, record.spec, samples=300)
     draw_block = verify.sample_ball
     blocks = []
@@ -848,8 +832,7 @@ def test_stop_at_first_failure_skips_the_rest(monkeypatch):
     bad.combination[0].__dict__["weight"] = bad.combination[0].weight + 0.1
     # no code of a later check runs: no oracle call of the recompute, and no
     # draw of the ball
-    for name in ("Subproblem", "sample_ball", "_BallDraw", "sampled_slack",
-                 "min_norm_over_hull"):
+    for name in ("Subproblem", "sample_ball", "_BallDraw", "min_norm_over_hull"):
         monkeypatch.setattr(verify, name, never_called)
     report = check_certificate(bad, record.spec, samples=10,
                                stop_at_first_failure=True)
@@ -871,24 +854,21 @@ def counted_draw_rows(monkeypatch) -> list[int]:
 
 
 def test_stop_at_a_slackness_failure_computes_no_estimate(monkeypatch):
+    # the bound needs no sample: a slackness failure draws no ball row, and
+    # its key stays unseen, so the next check of the key draws in place
     record, cert = fresh_cert(seed=0)
     assert cert.gamma > 0.0
     fresh_offsets(monkeypatch)  # a cold process
     monkeypatch.setattr(verify, "slack_bound", lambda m, delta: 0.0)
+    for name in ("_BallDraw", "sample_ball", "min_norm_over_hull"):
+        monkeypatch.setattr(verify, name, never_called)
     monkeypatch.setattr(Subproblem, "grads", never_called)
-    monkeypatch.setattr(verify, "min_norm_over_hull", never_called)
-    rows = counted_draw_rows(monkeypatch)
-    report = check_certificate(cert, record.spec, samples=1000,
-                               stop_at_first_failure=True)
-    assert report.reason == "complementary-slackness"
-    assert tuple(c.name for c in report.checks) == CHECK_ORDER[:ESTIMATE]
-    assert sum(rows) == 1000  # the slackness check's rows, and no more
-    # a second verification draws the key's table, a third draws no row
-    for drawn in (1000, 0):
-        rows.clear()
-        assert check_certificate(cert, record.spec, samples=1000,
-                                 stop_at_first_failure=True) == report
-        assert sum(rows) == drawn
+    for _ in range(2):
+        report = check_certificate(cert, record.spec, samples=1000,
+                                   stop_at_first_failure=True)
+        assert report.reason == "complementary-slackness"
+        assert tuple(c.name for c in report.checks) == CHECK_ORDER[:ESTIMATE]
+    assert not verify._OFFSETS
 
 
 def test_a_constraint_free_combination_draws_64_rows(monkeypatch):
@@ -909,6 +889,88 @@ def test_a_constraint_free_combination_draws_64_rows(monkeypatch):
         assert check_certificate(cert, record.spec,
                                  stop_at_first_failure=True) == report
         assert sum(rows) == drawn
+
+
+def test_a_constraint_weighted_combination_draws_64_rows(monkeypatch):
+    # gamma > 0: the slackness bound reads no row either, so a cold check at
+    # the `goldsub verify` defaults draws only the estimate's first 64 rows
+    record, cert = fresh_cert(seed=0)
+    assert cert.gamma > 0.0
+    fresh_offsets(monkeypatch)  # a cold process
+    rows = counted_draw_rows(monkeypatch)
+    report = check_certificate(cert, record.spec)
+    assert report.passed
+    assert sum(rows) == 64
+    assert report.checks[ESTIMATE].detail.endswith("at 64 of 10000 samples")
+
+
+# --------------------------------------------------------------- slackness
+
+SLACKNESS = CHECK_ORDER.index("complementary-slackness")
+
+
+@functools.cache
+def acceptance_cert(member, inner, seed):
+    """(record, certificate) of one solve of an acceptance member."""
+    name, params = ACCEPTANCE_MEMBERS[member]
+    record = get_problem(name, **params)
+    config = SolverConfig(delta=0.05, target_eps=0.05, inner=inner, seed=seed)
+    return record, solve(record.spec, config, record.start)[0]
+
+
+@pytest.mark.parametrize("inner", ["rand", "bisect"])
+@pytest.mark.parametrize("member", ACCEPTANCE_MEMBERS)
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 3), stream=st.integers(0, 2**32 - 1))
+def test_the_exact_slackness_bound_covers_every_drawn_row(member, inner, seed,
+                                                          stream):
+    # whenever M holds, gamma * (|g(anchor)| + M*delta) is at least the
+    # largest |gamma * g| over any draw of the ball, here 10^4 rows
+    record, cert = acceptance_cert(member, inner, seed)
+    check = check_certificate(cert, record.spec, samples=64).checks[SLACKNESS]
+    assert check.passed, check.detail
+    exact = float(check.detail.split()[4])
+    assert exact == cert.gamma * (abs(cert.g_anchor)
+                                  + record.spec.lipschitz_m * cert.delta)
+    drawn = slack_max(cert, record.spec, np.random.default_rng(stream), 10_000)
+    assert exact >= drawn
+
+
+def test_the_slackness_bound_and_the_m_guard_are_inclusive():
+    # the largest |g(anchor)| that passes, then the next double; the same
+    # for the longest recomputed vector against M(1 + VECTOR_MATCH_REL)
+    m, delta = 1.0, 0.05
+    bound = verify.slack_bound(m, delta)
+    g = bound - m * delta
+    while g + m * delta <= bound:
+        g = math.nextafter(g, math.inf)
+    below = math.nextafter(g, 0.0)
+    assert verify.check_slackness(1.0, -below, m, m, delta).passed
+    assert not verify.check_slackness(1.0, -g, m, m, delta).passed
+    longest = m * (1.0 + verify.VECTOR_MATCH_REL)
+    assert verify.check_slackness(1.0, 0.0, longest, m, delta).passed
+    above = math.nextafter(longest, math.inf)
+    check = verify.check_slackness(1.0, 0.0, above, m, delta)
+    assert not check.passed
+    assert check.detail == ("gamma*(|g(anchor)| + M*delta) = %.17g vs bound "
+                            "%.17g; max ||v|| = %.17g vs M = 1"
+                            % (m * delta, bound, above))
+
+
+def test_an_oracle_that_breaks_m_fails_the_slackness_check():
+    # ball-linear's objective gradient has norm 1, twice the stated M; the
+    # product alone stays within 3*M*delta, as a draw of the ball does
+    record, cert = fresh_cert(seed=0)
+    spec = dataclasses.replace(record.spec, lipschitz_m=record.spec.lipschitz_m / 2)
+    for fast in (True, False):
+        report = check_certificate(cert, spec, samples=64,
+                                   stop_at_first_failure=fast)
+        assert report.reason == "complementary-slackness"
+    tokens = report.checks[SLACKNESS].detail.split()
+    assert float(tokens[4]) <= verify.slack_bound(spec.lipschitz_m, cert.delta)
+    assert float(tokens[11]) == 1.0 > spec.lipschitz_m
+    drawn = slack_max(cert, spec, np.random.default_rng(0), 10_000)
+    assert drawn <= verify.slack_bound(spec.lipschitz_m, cert.delta)
 
 
 def test_verification_reads_the_constraints_at_the_anchor_once(monkeypatch):
