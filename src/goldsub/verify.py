@@ -102,7 +102,17 @@ def min_norm_over_hull(points, start: HullEstimate | None = None) -> HullEstimat
     minimizing <x, p> until the duality gap ||x||^2 - min_p <x, p> is at
     most HULL_TOL.  The iterate norm is non-increasing; a failure to
     decrease is a numerical stall and stops with the current (still valid)
-    point.
+    point, support and weights.
+
+    Each projection solves the bordered normal equations [[G, 1], [1^T, 0]]
+    by LU (``np.linalg.solve``), and by ``np.linalg.lstsq``'s SVD only when
+    LU finds that system exactly singular, as with a repeated support row.
+    Above 2^16 the Gram block G is scaled by a power of two near its
+    largest entry, for that fallback: lstsq's rcond would cut a Gram block
+    far above the all-ones border.  A power of two rounds nothing, so the
+    scaling keeps the weights.  The result is always weights @
+    points[support] with weights on the simplex, so a poor solve can only
+    loosen the point, never leave the hull.
 
     The loop begins at the shortest point.  ``start`` (private use) is an
     estimate over a prefix of ``points``; the loop then begins at its point,
@@ -119,20 +129,17 @@ def min_norm_over_hull(points, start: HullEstimate | None = None) -> HullEstimat
     if not np.isfinite(norms_sq).all():
         raise UsageError("points with non-finite squared norms")
     k, n = pts.shape
-    # lstsq's rcond would cut a Gram block far above the all-ones border;
-    # scaling it by a power of two rounds nothing and keeps the weights
     top = float(norms_sq.max())
     shift = -math.frexp(top)[1] if top > 2.0 ** 16 else 0
 
     if start is None:
-        first = int(np.argmin(norms_sq))
-        support = [first]
-        weights = np.array([1.0])
+        first = int(norms_sq.argmin())
+        support, weights = [first], [1.0]
         x = pts[first].copy()
     else:
         support = list(start.support_indices)
-        weights = np.array(start.support_weights)
-        x = start.min_norm_point.copy()
+        weights = list(start.support_weights)
+        x = start.min_norm_point
 
     max_major = 64 * (n + 2) + 2 * k
     for _ in range(max_major):
@@ -140,55 +147,55 @@ def min_norm_over_hull(points, start: HullEstimate | None = None) -> HullEstimat
         if norm_sq == 0.0:
             break
         dots = pts @ x
-        best = int(np.argmin(dots))
+        best = int(dots.argmin())
         if float(dots[best]) > norm_sq - HULL_TOL:
             break
         if best in support:
             break  # stall: the best vertex is already represented
-        support.append(best)
-        weights = np.append(weights, 0.0)
+        active = support + [best]
+        w = np.array(weights + [0.0])
 
         for _minor in range(2 * (n + 2)):
-            sub = pts[support]
-            s = len(support)
+            sub = pts[active]
+            s = len(active)
             # affine minimal-norm point: bordered normal equations
-            border = np.zeros((s + 1, s + 1))
+            border = np.ones((s + 1, s + 1))
             gram = sub @ sub.T
             border[:s, :s] = np.ldexp(gram, shift) if shift else gram
-            border[:s, s] = 1.0
-            border[s, :s] = 1.0
+            border[s, s] = 0.0
             rhs = np.zeros(s + 1)
             rhs[s] = 1.0
-            sol = np.linalg.lstsq(border, rhs, rcond=None)[0]
-            lam = sol[:s]
-            if np.all(lam > 1e-14):
-                weights = lam
+            try:
+                lam = np.linalg.solve(border, rhs)[:s]
+            except np.linalg.LinAlgError:
+                lam = np.linalg.lstsq(border, rhs, rcond=None)[0][:s]
+            if (lam > 1e-14).all():
+                w = lam
                 break
             # step toward lam until the first coordinate hits zero
-            diff = weights - lam
+            diff = w - lam
             mask = diff > 1e-14
-            theta = float(np.min(weights[mask] / diff[mask])) if np.any(mask) else 1.0
+            theta = float((w[mask] / diff[mask]).min()) if mask.any() else 1.0
             theta = min(1.0, max(0.0, theta))
-            weights = (1.0 - theta) * weights + theta * lam
-            weights[weights < 1e-14] = 0.0
-            keep = weights > 0.0
-            if not np.any(keep):
-                keep[int(np.argmax(lam))] = True
-                weights[keep] = 1.0
-            support = [i for i, k_ in zip(support, keep) if k_]
-            weights = weights[keep]
-        total = float(weights.sum())
+            w = (1.0 - theta) * w + theta * lam
+            w[w < 1e-14] = 0.0
+            keep = w > 0.0
+            if not keep.any():
+                keep[int(lam.argmax())] = True
+                w[keep] = 1.0
+            active = [i for i, k_ in zip(active, keep) if k_]
+            w = w[keep]
+        total = float(w.sum())
         if total <= 0.0:
             raise UsageError("degenerate weights in hull projection")
-        weights = weights / total
-        new_x = weights @ pts[support]
-        if float(new_x @ new_x) > norm_sq:
+        w = w / total
+        new_x = w @ pts[active]
+        if not float(new_x @ new_x) <= norm_sq:
             break  # numerical stall; keep the previous, valid point
-        x = new_x
+        x, support, weights = new_x, active, w.tolist()
 
     return HullEstimate(min_norm_point=x, min_norm=_norm(x),
-                        support_indices=list(support),
-                        support_weights=[float(w) for w in weights])
+                        support_indices=support, support_weights=weights)
 
 
 # rows per batch draw in the sampling loops; bounds their working memory
@@ -594,8 +601,14 @@ def _checks(cert, problem, samples, seed):
                 and abs(gamma - cert.gamma) <= 1e-12
                 and (lam is None) == (cert.lam is None)
                 and (lam is None or abs(cert.lam - lam) <= 1e-9 * max(1.0, abs(lam))))
+    # with gamma0 > 0, zeta/gamma0 lies in the Goldstein subdifferential of
+    # f plus lam times g's, and lam*|g| <= 3*M*delta/gamma0 over the ball
+    evidence = ("Fritz-John only" if lam is None else
+                "lam = %.17g, ||zeta||/gamma0 = %.17g, 3*M*delta/gamma0 = %.17g"
+                % (lam, zeta_norm / gamma0, 3.0 * m * delta / gamma0))
     yield CheckResult("multiplier-split", split_ok,
-                      "gamma0 %.17g vs stored %.17g" % (gamma0, cert.gamma0))
+                      "gamma0 %.17g vs stored %.17g; %s"
+                      % (gamma0, cert.gamma0, evidence))
     yield check_anchor_feasible(sub.g_anchor)
 
     longest = max(map(_norm, recomputed), default=0.0)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from goldsub.problems import ball_linear_sigma, get_problem
 from goldsub.serialize import (certificate_data, certificate_from_data, dumps,
                                manifest_data, trace_data)
 from goldsub.solver import BISECT, RAND, SolverConfig, solve
-from goldsub.verify import check_certificate
+from goldsub.verify import (CHECK_ORDER, check_certificate, multiplier_split,
+                            recombine)
 
 DELTA = 0.05
 EPS = 0.05
@@ -82,35 +84,35 @@ GOLDEN = {
 # same cells -> digest of the verify report on the decoded certificate
 REPORTS = {
     "ball-linear-rand":
-        "bd6ffce191504059ee1ae5bed2abafca764d4f5a796a8a5c9ad63c96d9026fc4",
+        "6a38eaddacf016f2aebfb0db4eb633123d5a2d3eeeb920cd79e3443e82f90cf1",
     "ball-linear-bisect":
-        "660ee736b2f624eede0fb7626bcc86f81282b07f92800aa777b0464c4da965ef",
+        "e6c63fdbcae558847eebc9a813731efa430322e16f5e445399d0e5442cc38052",
     "l1-ball-rand":
-        "3ee4920141e08312c31f90d4f013d5ec7e9208d4390e16536d895fcc752c95b8",
+        "1a218e56ec1605fdefecfb3ba0e3a1970046ebe61e1bee9c097b900bba8d9f65",
     "l1-ball-bisect":
-        "02291d009dc4be9d1d4a0ff2e4c51ced06cea33a727842d57e8ff21d11356acf",
+        "f1d1c1df575003c58ed744970e94c65f5c20c8c0a050eecf2e507df2b2e11dc7",
     "footnote-1d-rand":
-        "8ce9522ccf6564d420267ff518561d20c7ea41d9130b569a94f0ecff1eaaa618",
+        "a379cdc1d4626d20e9061f89e6d54970941b65d7b6dec6af02f30024eef2fe65",
     "footnote-1d-bisect":
-        "e1573cb4fdf311c5a764bac63cc1314443ad4a9cda74bc267b3407b6f0e8978e",
+        "740561a85de0d0c4d7010729934f8e47d6e69f6094a15d1cf1a5d80672b42c84",
     "footnote-2c-rand":
-        "d1a045677a5557e9b12ac4502e4269c213d92cf10fe89312068e19a26c310a88",
+        "40a0e4714f4052da528873d3f871a2b5b41993d75ed8690b74974a9951b0accf",
     "footnote-2c-bisect":
-        "75ca64cca8a23ca2d462501f2e722bc9ec5425ee4476387490025f7d77dd1e7b",
+        "ee3028c850450cf69d3e6227e2f5c4fd4f15cdc180ea03239a2d9d4376ca110b",
     "pl-nonconvex-rand":
-        "de6e7b2532869983b7302b42ddd32cd90dfb87ace9c1b7e95ae673ae6e3cbc33",
+        "3fde84f96cbe6d8d3b48c24381e66a4dbf291eed1d4244b8192bfa100d8a5a81",
     "pl-nonconvex-bisect":
-        "7b3ac960fbaa80aadb3baf8c2188a49a418a3b238fee8db54a129c45be0e12d1",
+        "870b3d779690099ea557d3d7474b1df3573d30313c0e7379b999d73cfac76152",
     "ball-linear-n10-rand":
-        "85b648cd9906af7954ff860fb83eb48101400e660747442a3965a0ae960c48a9",
+        "cd94a666f5e361ee92fff8200268a9d480bf370035528ac7c3b3184895cd8f4b",
     "ball-linear-n10-bisect":
-        "bbad1011b62aff3b99c8d4dcfa3435fc92292b9b64916e25817bb5dff4bc29a3",
+        "81ba28cd7ec5660aa3ce284cdcb658bb29de9938b04cd636c2562783fc6ee472",
     "pl-nonconvex-n10-rand":
-        "8789e36e00a2c700fe51a390e9e6c8ad92a9394f7d0c124cfa382dfdfe1896e3",
+        "6b410ee198933cb12da39eab8614c4176d3469913706a73ef8fad34b930d8c13",
     "pl-nonconvex-n10-bisect":
-        "4bb800cf47262a52a6a4939dbdde2f2e36fe8b8d10b6ef7d73f6f70e718ccc05",
+        "6ae836e76d445ed163b204dd3d545d6993e11f9dd2542727bf2ff0b04bce706e",
     "ball-linear-rand-kkt":
-        "c0d494d669ec8b8035529d5e3949caa01e7aa47599a7b07906402b0caae35ee3",
+        "070a1d68ebc27b187a1526d32360220e161e15b30c03f608e7b53a573c36adbd",
 }
 
 
@@ -167,35 +169,35 @@ def test_verify_reports_keep_their_bytes(cell):
 # each fault of acceptance criterion 10, verified with and without --fast
 REJECTIONS = {
     "ball-linear-rand":
-        "ff39d5fc064f0799e01c44ac5281b633b647c90782fa12ea04751b08a27a6de9",
+        "ffe87f8914701007753e3e2be6632e1af1cd87154bfb1cc5918e4f2bff580460",
     "ball-linear-bisect":
-        "039aec9955572b2bc02977b48843ac9061bf7ca001f8dfee898ee20c74f5727e",
+        "abfa4a668e4052b9dd43705f40321bf31f36f8dc4a5ad6f907049062ba19617b",
     "l1-ball-rand":
-        "d173c0374663cc20e988b9476d53a511408a40f57eb5090ac7ee02206ff3c16d",
+        "b56e799f48c8da9a05886df55256a4db2eab41bee1b8d5e9690ff60e3604b5c4",
     "l1-ball-bisect":
-        "e65d8a43f025c8927e42a33299282c163ff0f0bdcd9f4eb406b369c958ab602a",
+        "067451dcfc746995d9fd41b7f485c1a95c0e61d8a23d16efb215b7011dfdb0eb",
     "footnote-1d-rand":
-        "bbb2f18a0dbdaf31de31c4f96fa311a82651bab848c6d5a0288b617ca23e0cc8",
+        "7ea91fb55c5fad42bdc2c867b8d99b300f07dd82ac7272b8a63f0170ff78da56",
     "footnote-1d-bisect":
-        "9ead174b1e1cd1d91d3e30b0282eb547d2d3912c3d9acb7f25e5dd6f975be039",
+        "6b5813adbb42878067563c756c25a403f2d3c2acf052df39676bb03910f4eea1",
     "footnote-2c-rand":
-        "68ba532f1f68644e03933690c857d96cf0089b205bb349c096115215db3dc33c",
+        "9531c04daca7357539845d3b1e96c25648f3da49ea574477a9403189c8761800",
     "footnote-2c-bisect":
-        "2f6b2014031b5cf329273b9df23697b36595e6b284fa99aa67c1f727b175b1b7",
+        "28ed28603a92d369d7c86495122025351311b26124fe6eced3cf896a49e64b18",
     "pl-nonconvex-rand":
-        "b454a4ffd1a64f47707fcb9aa088f16fdc1c2767865d6e551eaf55babc947b89",
+        "46da5f8773e3a4c218b1dc043103e5c883af8e69c0f31c580341545b3d4c4ca3",
     "pl-nonconvex-bisect":
-        "1ed9990c6101188b1df66f0410acf0e600f03af608aa851ae29e7e94c1376a89",
+        "e32255518aebc0245186ea3940575c7c95f115dd3aa39c05fd1b353bf816537d",
     "ball-linear-n10-rand":
-        "3256d55c882dd10ac33e3b9130f94f8ec6af9722205d59126903edb998a7223e",
+        "068108ad5b680092a2bfdfb7ce9d78b601b672ab6ff0452f73aac47942d23460",
     "ball-linear-n10-bisect":
-        "5ff7659e7325ee85bad8bdf6f4df18b89e7cebacfdc9d12d40e5e632b17661f2",
+        "817c9688b1b4f8f8ff54b4ea51c21c8416044dc4dea21b1c1c51f04d7e506f73",
     "pl-nonconvex-n10-rand":
-        "1ec2ce6eb1be8fde5c429523cd430a82bb00a006fcb1971cab648b540604cc74",
+        "bd970beeba8ba61c70063bcdc976793cd3526990d1b442b8218bba7acc9a0c0b",
     "pl-nonconvex-n10-bisect":
-        "b26aa8eb5476a6cb82768a801841265f6ada7336b68d893a9f87ca43da10a4ee",
+        "fe31a70d66eb66f8d23d8a0918710b21bec22276a7af4346df7a1ae2d6d74fa7",
     "ball-linear-rand-kkt":
-        "131b10ee72ec0f6dd0efc0656c5b45e74e6c124e9144a83636fc5997655c7241",
+        "e0c1464af5ac27de48cb8be6c73d7f9f8d4ca72e1c8badde7972aa00c103e3f9",
 }
 
 # criterion 10's faults, in order: (kind, the check that rejects it)
@@ -236,3 +238,43 @@ def test_rejection_reports_keep_their_bytes(cell):
                 for check in report.checks))
     text = "".join(texts)
     assert hashlib.sha256(text.encode()).hexdigest() == REJECTIONS[label(*cell)], text
+
+
+@pytest.mark.parametrize("cell", list(cells()), ids=lambda c: label(*c))
+def test_golden_hulls_never_fall_back_to_lstsq(cell, monkeypatch):
+    # every golden hull's bordered systems are nonsingular: LU solves them
+    cert_doc, _ = documents(*cell)
+    cert, _ = certificate_from_data(json.loads(dumps(cert_doc)))
+    calls, lstsq = [], np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    assert check_certificate(cert, get_problem(cell[0], **cell[1]).spec).passed
+    assert calls == []
+
+
+@pytest.mark.parametrize("cell", list(cells()), ids=lambda c: label(*c))
+def test_the_split_reports_the_certified_kkt_residual(cell):
+    cert_doc, _ = documents(*cell)
+    cert, _ = certificate_from_data(json.loads(dumps(cert_doc)))
+    spec = get_problem(cell[0], **cell[1]).spec
+    report = check_certificate(cert, spec)
+    split = report.checks[CHECK_ORDER.index("multiplier-split")].detail
+    gamma0, _, lam = multiplier_split(cert.combination)
+    assert gamma0 > 0.0  # every golden solve puts weight on the objective
+    found = re.search(r"lam = (\S+), \|\|zeta\|\|/gamma0 = (\S+), "
+                      r"3\*M\*delta/gamma0 = (\S+)$", split)
+    reported_lam, residual, slack = map(float, found.groups())
+    zeta = recombine(cert.combination, [np.asarray(w.vector) for w in
+                                        cert.combination], spec.dim)
+    m = spec.lipschitz_m
+    # the stored zeta, which the report divides, recombines to within 1e-9 M
+    assert residual == pytest.approx(float(np.linalg.norm(zeta)) / gamma0,
+                                     rel=1e-12, abs=1e-9 * m / gamma0)
+    assert reported_lam == lam
+    assert slack == 3.0 * m * cert.delta / gamma0
+    if cell[3]:  # KKT mode: the certificate's own residual meets its claim
+        assert residual <= cert.kkt_eps

@@ -155,6 +155,117 @@ def test_hull_warm_start_from_a_prefix(spec, share):
         from_shortest.support_weights)
 
 
+def lstsq_hull_norm(pts) -> float:
+    """The min-norm hull solver as it was before its LU solve: every
+    bordered system by lstsq (an SVD), the weights kept in an array."""
+    norms_sq = np.einsum("ij,ij->i", pts, pts)
+    k, n = pts.shape
+    top = float(norms_sq.max())
+    shift = -math.frexp(top)[1] if top > 2.0 ** 16 else 0
+    first = int(np.argmin(norms_sq))
+    support, weights, x = [first], np.array([1.0]), pts[first].copy()
+    for _ in range(64 * (n + 2) + 2 * k):
+        norm_sq = float(x @ x)
+        if norm_sq == 0.0:
+            break
+        dots = pts @ x
+        best = int(np.argmin(dots))
+        if float(dots[best]) > norm_sq - HULL_TOL or best in support:
+            break
+        support.append(best)
+        weights = np.append(weights, 0.0)
+        for _minor in range(2 * (n + 2)):
+            sub = pts[support]
+            s = len(support)
+            border = np.zeros((s + 1, s + 1))
+            gram = sub @ sub.T
+            border[:s, :s] = np.ldexp(gram, shift) if shift else gram
+            border[:s, s] = 1.0
+            border[s, :s] = 1.0
+            rhs = np.zeros(s + 1)
+            rhs[s] = 1.0
+            lam = np.linalg.lstsq(border, rhs, rcond=None)[0][:s]
+            if np.all(lam > 1e-14):
+                weights = lam
+                break
+            diff = weights - lam
+            mask = diff > 1e-14
+            theta = float(np.min(weights[mask] / diff[mask])) if np.any(mask) else 1.0
+            theta = min(1.0, max(0.0, theta))
+            weights = (1.0 - theta) * weights + theta * lam
+            weights[weights < 1e-14] = 0.0
+            keep = weights > 0.0
+            if not np.any(keep):
+                keep[int(np.argmax(lam))] = True
+                weights[keep] = 1.0
+            support = [i for i, k_ in zip(support, keep) if k_]
+            weights = weights[keep]
+        weights = weights / float(weights.sum())
+        new_x = weights @ pts[support]
+        if float(new_x @ new_x) > norm_sq:
+            break
+        x = new_x
+    return float(np.linalg.norm(x))
+
+
+# (rows, dim, seed, kind, log10 of the scale): rows below, at and above dim
+degenerate_sets = st.tuples(st.integers(1, 40), st.integers(1, 12),
+                            st.integers(0, 2**32 - 1),
+                            st.sampled_from(["random", "duplicate", "collinear"]),
+                            st.floats(-8.0, 8.0))
+
+
+def degenerate_set(rows, dim, seed, kind, log_scale):
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        base = rng.standard_normal((rows, dim)) + rng.standard_normal(dim)
+    elif kind == "duplicate":  # rows repeated from a few distinct ones
+        distinct = rng.standard_normal((3, dim))
+        base = distinct[rng.integers(3, size=rows)]
+    else:  # every row on one line, which need not pass through 0
+        base = (rng.standard_normal(dim)
+                + rng.standard_normal(rows)[:, None] * rng.standard_normal(dim))
+    return 10.0 ** log_scale * base, 10.0 ** log_scale
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(degenerate_sets)
+@example((6, 3, 0, "duplicate", 8.0))
+@example((6, 3, 1, "collinear", -8.0))
+@example((30, 2, 2, "random", 8.0))
+def test_hull_matches_the_lstsq_solver_on_degenerate_sets(spec):
+    pts, scale = degenerate_set(*spec)
+    est = min_norm_over_hull(pts)
+    x = est.min_norm_point
+    gap = float(x @ x) - float((pts @ x).min())
+    assert gap <= HULL_TOL or est.min_norm <= lstsq_hull_norm(pts) + 1e-12 * (1.0 + scale)
+    weights = np.asarray(est.support_weights)
+    assert np.all(weights >= 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-12
+    assert np.allclose(weights @ pts[est.support_indices], x, rtol=0.0,
+                       atol=1e-12 * (1.0 + float(np.abs(pts).max())))
+
+
+def test_a_singular_bordered_system_falls_back_to_lstsq(monkeypatch):
+    # a warm support of two identical rows: with any third vertex, the
+    # bordered system has two equal rows, singular in exact arithmetic
+    pts = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted)
+    start = verify.HullEstimate(pts[0], 1.0, [0, 1], [0.5, 0.5])
+    est = min_norm_over_hull(pts, start=start)
+    assert calls
+    weights = np.asarray(est.support_weights)
+    assert np.all(weights >= 0.0) and abs(float(weights.sum()) - 1.0) <= 1e-12
+    assert np.array_equal(weights @ pts[est.support_indices], est.min_norm_point)
+    assert est.min_norm == pytest.approx(math.sqrt(0.5), rel=1e-12)
+
+
 # ---------------------------------------------------------------- estimate
 
 
@@ -278,7 +389,20 @@ def test_verifier_reports_the_exact_split_of_objective_only_weights():
     report = check_certificate(cert, record.spec, samples=100)
     assert report.passed, report.reason
     split = report.checks[CHECK_ORDER.index("multiplier-split")]
-    assert split.detail == "gamma0 1 vs stored 1"
+    assert split.detail.startswith("gamma0 1 vs stored 1; lam = 0,")
+
+
+def test_a_split_without_objective_mass_reports_fritz_john_only():
+    record, cert = fresh_cert(seed=0)
+    # only the constraint entries: gamma0 = 0 and no multiplier
+    combo = [w for w in cert.combination if w.branch != 0]
+    assert combo
+    cert = dataclasses.replace(cert, combination=combo, gamma0=0.0, gamma=1.0,
+                               lam=None)
+    report = check_certificate(cert, record.spec, samples=100)
+    split = report.checks[CHECK_ORDER.index("multiplier-split")]
+    assert split.passed
+    assert split.detail == "gamma0 0 vs stored 0; Fritz-John only"
 
 
 # ---------------------------------------------------------- derived claims
