@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -92,6 +93,12 @@ class ProblemSpec:
             raise UsageError("lipschitz_m must be positive and finite")
         if not (self.neighborhood_delta > 0 and np.isfinite(self.neighborhood_delta)):
             raise UsageError("neighborhood_delta must be positive and finite")
+
+    @cached_property
+    def _reduced(self) -> ReducedConstraint:
+        """The reduced constraint, built on first use and kept: the
+        Subproblem of every inner search shares it."""
+        return ReducedConstraint(self)
 
 
 @dataclass(frozen=True)
@@ -204,14 +211,24 @@ class ReducedConstraint:
     """View of ``g(x) = max_i g_i(x)`` over the original constraint list.
 
     Value ties between constraints are broken toward the lowest index.
+    The problem keeps one, whose branch table (the oracle of each branch of
+    h_x) and gradient shape every Subproblem of the problem reads.
     """
 
     def __init__(self, problem: ProblemSpec):
-        self._problem = problem
+        # no reference back to the problem, which keeps this object: the
+        # pair is then freed by reference counting, not by the cycle collector
         self._oracles = problem.constraints
+        # a one-constraint problem reads its oracle without the loop
+        self._only = (problem.constraints[0].value
+                      if len(problem.constraints) == 1 else None)
+        self._branches = (problem.objective, *problem.constraints)
+        self._shape = (problem.dim,)
 
     def value(self, z: Vector) -> tuple[float, int]:
         """Return (g(z), attaining 1-based index)."""
+        if self._only is not None:
+            return _finite_value(self._only(z), 1), 1
         best, best_i = -math.inf, 0
         for i, oracle in enumerate(self._oracles, start=1):
             vi = _finite_value(oracle.value(z), i)
@@ -221,7 +238,7 @@ class ReducedConstraint:
 
     def values(self, z) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``value``: (g of every row of z, attaining 1-based indices)."""
-        z = _as_points(z, self._problem.dim)
+        z = _as_points(z, self._shape[0])
         best = _finite_values(self._oracles[0], z, 1)
         best_i = np.ones(len(z), dtype=int)
         for i, oracle in enumerate(self._oracles[1:], start=2):
@@ -260,13 +277,14 @@ class Subproblem:
     def __init__(self, problem: ProblemSpec, anchor: Vector,
                  anchor_values: tuple[float, float] | None = None):
         self.problem = problem
-        self._oracles = (problem.objective, *problem.constraints)
-        self._g = ReducedConstraint(problem)
+        self._g = g = problem._reduced
+        self._oracles, self._shape = g._branches, g._shape
+        self._f = problem.objective.value
         self.subgrad_calls = 0
         self.value_calls = 0
         if anchor_values is None:
             self.anchor = anchor = _as_vector(anchor, problem.dim)
-            f0 = _finite_value(problem.objective.value(anchor), 0)
+            f0 = _finite_value(self._f(anchor), 0)
             g0, _ = self._g.value(anchor)
             self.value_calls += 1
         else:
@@ -281,21 +299,21 @@ class Subproblem:
 
     def value_full(self, z: Vector) -> tuple[float, float, float]:
         """Return (h(z), f(z), g(z)); one value call."""
-        fz = _finite_value(self.problem.objective.value(z), 0)
+        fz = _finite_value(self._f(z), 0)
         gz, _ = self._g.value(z)
         self.value_calls += 1
-        return max(fz - self.f_anchor, gz), fz, gz
+        fdiff = fz - self.f_anchor
+        return (gz if gz > fdiff else fdiff), fz, gz
 
     # -- subgradient events --------------------------------------------------
 
     def grad(self, z: Vector) -> tuple[Vector, int]:
         """(a.e.-gradient of h at z, its branch index)."""
-        fz = _finite_value(self.problem.objective.value(z), 0)
+        fz = _finite_value(self._f(z), 0)
         gz, b = self._g.value(z)
         if fz - self.f_anchor >= gz:
             b = 0
-        vec = _finite_array(self._oracles[b].grad(z), (self.problem.dim,), b,
-                            "grad")
+        vec = _finite_array(self._oracles[b].grad(z), self._shape, b, "grad")
         self.subgrad_calls += 1
         return vec, b
 
@@ -329,21 +347,26 @@ class Subproblem:
         directional derivative of the max.  At the anchor array itself with
         g(anchor) < 0, the objective alone attains h = 0: no value is read.
         """
-        oracles, dim = self._oracles, self.problem.dim
+        oracles, shape = self._oracles, self._shape
         if oracles[0].dir_grad is None:
             raise UsageError("objective has no directional oracle")
         if z is self.anchor and self.g_anchor < 0.0:
-            fdiff, g, gz = 0.0, [], self.g_anchor
+            fdiff, g, gz = 0.0, (), self.g_anchor
         else:
-            fdiff = _finite_value(oracles[0].value(z), 0) - self.f_anchor
-            g = [_finite_value(o.value(z), i)
-                 for i, o in enumerate(self.problem.constraints, start=1)]
-            gz = max(g)
+            fdiff = _finite_value(self._f(z), 0) - self.f_anchor
+            only = self._g._only
+            if only is not None:
+                gz = _finite_value(only(z), 1)
+                g = (gz,)
+            else:
+                g = [_finite_value(o.value(z), i)
+                     for i, o in enumerate(self.problem.constraints, start=1)]
+                gz = max(g)
         self.subgrad_calls += 1
         best = None
         if fdiff >= gz:
-            vec = _finite_array(oracles[0].dir_grad(z, v), (dim,), 0, "dir_grad")
-            best = vec, 0, fdiff, float(vec @ v)
+            vec = _finite_array(oracles[0].dir_grad(z, v), shape, 0, "dir_grad")
+            best = vec, 0, fdiff, _dot(vec, v)
         if fdiff <= gz:
             for i, gi in enumerate(g, start=1):
                 if gi != gz:
@@ -351,20 +374,31 @@ class Subproblem:
                 oracle = oracles[i]
                 if oracle.dir_grad is None:
                     raise UsageError("constraint %d has no directional oracle" % i)
-                vec = _finite_array(oracle.dir_grad(z, v), (dim,), i, "dir_grad")
-                dd = float(vec @ v)
+                vec = _finite_array(oracle.dir_grad(z, v), shape, i, "dir_grad")
+                dd = _dot(vec, v)
                 if best is None or dd > best[3]:
                     best = vec, i, gz, dd
         return best
 
 
+def _dot(a: Vector, b: Vector) -> float:
+    """``float(a @ b)`` for 1-D float arrays.  When both strides are
+    positive, @ adds the BLAS ``ddot`` of the two to 0.0, and
+    ``ndarray.dot`` returns that ``ddot`` in fewer steps; adding 0.0 makes a
+    -0.0 +0.0, as @ does.  @ sums a view of any other stride in a plain
+    loop, where ``.dot`` would copy it and call ``ddot``: other bits."""
+    if a.strides[0] > 0 and b.strides[0] > 0:
+        return float(a.dot(b)) + 0.0
+    return float(a @ b)
+
+
 def segment_projection_coefficient(a: Vector, b: Vector) -> float:
     """t* in [0, 1] minimizing ||(1 - t) a + t b|| (projection of 0 on [a, b])."""
     d = a - b
-    denom = float(d @ d)
+    denom = _dot(d, d)
     if denom == 0.0:
         return 0.0
-    return min(1.0, max(0.0, float(a @ d) / denom))
+    return min(1.0, max(0.0, _dot(a, d) / denom))
 
 
 # most samples one sampled check may draw: 100x the verifier's default

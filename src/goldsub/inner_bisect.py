@@ -20,6 +20,7 @@ h(anchor) - h(trial) >= delta * eps / 3, and the ray bisection.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -34,7 +35,7 @@ C_BISECT = 1.0 / 3.0
 
 def default_max_steps(delta: float) -> int:
     """Step cap: generous headroom plus the bisection depth float can resolve."""
-    return 64 + int(math.ceil(math.log2(delta / np.spacing(delta))))
+    return 64 + int(math.ceil(math.log2(delta / math.ulp(delta))))
 
 
 def bisect_negative_slope(sub: Subproblem, direction: Vector, delta: float,
@@ -99,6 +100,35 @@ def bisect_call_budget(m_lipschitz: float, eps: float,
         1 + math.floor(12.0 * nonconvexity_total / eps))
 
 
+@lru_cache(maxsize=1)
+def _first_basis_vector(dim: int) -> Vector:
+    """e_1 of R^dim, read-only: the opening direction of every search of
+    a solve, and of the certificate entry it makes, shares it.  Only the
+    last dimension's is kept."""
+    v = np.zeros(dim)
+    v[0] = 1.0
+    v.flags.writeable = False
+    return v
+
+
+def _first(sub: Subproblem, delta: float, rng) -> tuple:
+    v = _first_basis_vector(sub.problem.dim)
+    vec, branch, _, _ = sub.dir_grad(sub.anchor, v)
+    return sub.anchor, vec, branch, v
+
+
+def _descends(descent: float, norm: float, delta: float, eps: float) -> bool:
+    return descent >= delta * eps / 3.0
+
+
+def _step(sub: Subproblem, delta: float, eps: float, rng, zeta: Vector,
+          norm: float, direction: Vector, h_trial: float) -> tuple:
+    # l(0) = h(trial), l(delta) = h(anchor) - eps * delta / 2
+    r, vec, branch, _, _, ties = bisect_negative_slope(
+        sub, direction, delta, eps, h_trial, sub.h_anchor - eps * delta / 2.0)
+    return (sub.anchor + (r - delta) * direction, vec, branch, direction), ties
+
+
 def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
                   call_cap: int,
                   anchor_values: tuple[float, float] | None = None) -> InnerResult:
@@ -110,17 +140,5 @@ def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float
     ``default_max_steps(delta)`` probes.  Equal inputs give bit-identical
     results.
     """
-    def first(sub):
-        v = np.zeros(problem.dim)
-        v[0] = 1.0
-        vec, branch, _, _ = sub.dir_grad(sub.anchor, v)
-        return sub.anchor, vec, branch, v
-
-    def step(sub, zeta, norm, direction, h_trial):
-        # l(0) = h(trial), l(delta) = h(anchor) - eps * delta / 2
-        r, vec, branch, _, _, ties = bisect_negative_slope(
-            sub, direction, delta, eps, h_trial, sub.h_anchor - eps * delta / 2.0)
-        return (sub.anchor + (r - delta) * direction, vec, branch, direction), ties
-
-    return _search(anchor, problem, delta, eps, call_cap, anchor_values, first,
-                   lambda descent, norm: descent >= delta * eps / 3.0, step)
+    return _search(anchor, problem, delta, eps, call_cap, anchor_values,
+                   _first, _descends, _step, None)

@@ -81,6 +81,8 @@ class _Combination:
     are dropped at export.
     """
 
+    __slots__ = ("terms", "raw", "scale")
+
     def __init__(self, term):
         self.terms = [term]
         self.raw = [1.0]
@@ -117,11 +119,13 @@ def rand_call_budget(m_lipschitz: float, eps: float, tau: float) -> int:
 
 def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
             call_cap: int, anchor_values: tuple[float, float] | None,
-            first, descends, step) -> InnerResult:
+            first, descends, step, rng) -> InnerResult:
     """The round loop of both searches.  A term is the (point, vector,
-    branch, direction) of one subgradient; first(sub) gives the opening term,
-    descends(descent, norm) tests a trial step, and step(sub, zeta, norm,
-    direction, h_trial) gives (term, probe ties) after a rejected one."""
+    branch, direction) of one subgradient; first(sub, delta, rng) gives the
+    opening term, descends(descent, norm, delta, eps) tests a trial step,
+    and step(sub, delta, eps, rng, zeta, norm, direction, h_trial) gives
+    (term, probe ties) after a rejected one.  They are module functions, so
+    a search builds no closure; ``rng`` is None for the deterministic one."""
     if not (delta > 0 and eps > 0):
         raise UsageError("delta and eps must be positive")
     sub = Subproblem(problem, anchor, anchor_values)
@@ -129,7 +133,7 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
     if sub.g_anchor > 0.0:
         raise UsageError("infeasible anchor: g(anchor) = %g > 0" % sub.g_anchor)
 
-    term = first(sub)
+    term = first(sub, delta, rng)
     zeta = term[1]
     combo = _Combination(term)
     iterations = 0
@@ -140,17 +144,15 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         if norm <= eps:
             return InnerResult(STATIONARY, zeta, norm, combo,
                                sub.subgrad_calls, sub.value_calls, iterations,
-                               probe_ties=ties_total)
+                               None, None, None, None, ties_total)
         direction = zeta / norm
         trial = anchor - delta * direction
         h_trial, f_trial, g_trial = sub.value_full(trial)
         descent = sub.h_anchor - h_trial
-        if descends(descent, norm):
+        if descends(descent, norm, delta, eps):
             return InnerResult(DESCENT, zeta, norm, combo,
                                sub.subgrad_calls, sub.value_calls, iterations,
-                               descent_amount=descent, descent_point=trial,
-                               descent_f=f_trial, descent_g=g_trial,
-                               probe_ties=ties_total)
+                               descent, trial, f_trial, g_trial, ties_total)
         if sub.subgrad_calls >= call_cap:
             raise BudgetExceededError(
                 "inner call cap %d exhausted at ||zeta|| = %.3g" % (call_cap, norm),
@@ -159,13 +161,36 @@ def _search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
                          "value_calls": sub.value_calls,
                          "iterations": iterations})
 
-        term, ties = step(sub, zeta, norm, direction, h_trial)
+        term, ties = step(sub, delta, eps, rng, zeta, norm, direction, h_trial)
         ties_total += ties
         vec = term[1]
         t = segment_projection_coefficient(zeta, vec)
         zeta = (1.0 - t) * zeta + t * vec
         combo.segment_update(t, term)
         iterations += 1
+
+
+def _first(sub: Subproblem, delta: float, rng) -> tuple:
+    y0 = sample_ball(sub.anchor, delta, rng)
+    return (y0, *sub.grad(y0), None)
+
+
+def _descends(descent: float, norm: float, delta: float, eps: float) -> bool:
+    return descent > delta * norm / 4.0
+
+
+def _step(sub: Subproblem, delta: float, eps: float, rng, zeta: Vector,
+          norm: float, direction: Vector, h_trial: float) -> tuple:
+    # perturb the descent direction inside a gradient-space ball whose
+    # radius keeps the sampled ray aligned with zeta; half the admissible
+    # upper bound
+    m = sub.problem.lipschitz_m
+    u = norm ** 2 / (128.0 * m ** 2)
+    r = 0.5 * norm * math.sqrt(max(0.0, 1.0 - (1.0 - u) ** 2))
+    y = sample_ball(zeta, r, rng)
+    y_norm = math.sqrt(y.dot(y))
+    s = sub.anchor - (delta * rng.random() / y_norm) * y
+    return (s, *sub.grad(s), None), 0
 
 
 def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
@@ -187,22 +212,5 @@ def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         length problem.dim and skips its validation; otherwise anchor is
         validated and one value call is spent here.
     """
-    m = problem.lipschitz_m
-
-    def first(sub):
-        y0 = sample_ball(sub.anchor, delta, rng)
-        return (y0, *sub.grad(y0), None)
-
-    def step(sub, zeta, norm, direction, h_trial):
-        # perturb the descent direction inside a gradient-space ball whose
-        # radius keeps the sampled ray aligned with zeta; half the admissible
-        # upper bound
-        u = norm ** 2 / (128.0 * m ** 2)
-        r = 0.5 * norm * math.sqrt(max(0.0, 1.0 - (1.0 - u) ** 2))
-        y = sample_ball(zeta, r, rng)
-        y_norm = math.sqrt(y.dot(y))
-        s = sub.anchor - (delta * rng.random() / y_norm) * y
-        return (s, *sub.grad(s), None), 0
-
-    return _search(anchor, problem, delta, eps, call_cap, anchor_values, first,
-                   lambda descent, norm: descent > delta * norm / 4.0, step)
+    return _search(anchor, problem, delta, eps, call_cap, anchor_values,
+                   _first, _descends, _step, rng)

@@ -19,6 +19,9 @@ loop per row, so batch maxes run along the sample axis; sums and ``einsum``
 norms stay per row, for their bits.  The kinked directional oracles read the
 coordinates once as Python floats and find the max with C-level list calls,
 return ``np.sign(x)`` when no coordinate is 0, and build one output array.
+A gradient that is a sum of parts is built the same way, as one array: the
+pl-nonconvex objective's is ``np.where(x >= 0, -alpha, alpha)`` plus the
+sign at the max-norm index, the bits of ``e - alpha * s``.
 """
 
 from __future__ import annotations
@@ -351,13 +354,18 @@ def _pl_nonconvex(dim: int = 2, alpha: float = 0.25) -> ProblemRecord:
     """
     _positive_int(dim, "dim")
     _positive_real(alpha, "alpha")
+    alpha_f = float(alpha)  # so an integer alpha gives a float gradient
 
     def f_value(x):
         a = np.abs(x)
         return a.item(a.argmax()) - alpha * float(np.add.reduce(a))
 
     def f_grad(x):
-        return _linf_grad(x) - alpha * _sign_plus(x)
+        # the bits of e - alpha * s in one array, as f_dir builds them
+        out = np.where(x >= 0.0, -alpha_f, alpha_f)
+        j = np.abs(x).argmax()
+        out[j] += 1.0 if x.item(j) >= 0.0 else -1.0
+        return out
 
     def f_dir(x, v):
         # the bits of e - alpha * s: alpha * s_j is never 0

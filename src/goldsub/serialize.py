@@ -65,18 +65,46 @@ _CONVERT = ((np.ndarray, np.ndarray.tolist), (np.floating, float),
             (int, int.__int__), (float, float.__float__))
 
 
+# the sorted (key, '"key": ') pairs of each str key tuple met so far, by
+# the tuple in its own order: at most _KEY_ORDERS_MAX tuples of at most
+# _KEY_ORDER_KEYS keys each, then no more
+_KEY_ORDERS: dict[tuple, list] = {}
+_KEY_ORDERS_MAX = 256
+_KEY_ORDER_KEYS = 32
+
+
+def _key_order(value: dict) -> list:
+    """The sorted keys of a dict with str keys, each with its quoted
+    prefix, from the kept table when its key tuple has been met before."""
+    keys = tuple(value)
+    order = _KEY_ORDERS.get(keys)
+    if order is None:
+        order = [(k, _quote(k) + ": ") for k in sorted(keys)]
+        if len(_KEY_ORDERS) < _KEY_ORDERS_MAX and len(keys) <= _KEY_ORDER_KEYS:
+            _KEY_ORDERS[keys] = order
+    return order
+
+
 def _emit(value, newline: str) -> str:
     """JSON text of ``value`` whose closing bracket follows ``newline``."""
-    leaf = _LEAF.get(type(value))
+    kind = type(value)
+    leaf = _LEAF.get(kind)
     if leaf is not None:
         return leaf(value)
+    if kind is np.ndarray:
+        return _emit(value.tolist(), newline)
     inner = newline + "  "
     if isinstance(value, dict):
+        if not value:
+            return "{}"
         if set(map(type, value)) != {str}:
             value = dict(zip(map(str, value), value.values()))
-        text = ("," + inner).join([_quote(k) + ": " + _emit(v, inner)
-                                   for k, v in sorted(value.items())])
-        return "{" + inner + text + newline + "}" if value else "{}"
+        # a leaf's text comes from _LEAF here, without an _emit call
+        text = ("," + inner).join([
+            prefix + (leaf(v) if (leaf := _LEAF.get(type(v := value[k])))
+                      else _emit(v, inner))
+            for k, prefix in _key_order(value)])
+        return "{" + inner + text + newline + "}"
     if isinstance(value, (list, tuple)):
         try:  # a list of floats, such as a point: one C-level join
             text = _finite(("," + inner).join(map(float.__repr__, value)))
@@ -98,7 +126,8 @@ def _column(cells: list, newline: str) -> tuple[str, list]:
     from ``_emit`` cell by cell."""
     kinds = set(map(type, cells))
     if kinds == {float}:
-        if not all(map(math.isfinite, cells)):
+        # the sum of finite floats is finite unless it overflows
+        if not (math.isfinite(sum(cells)) or all(map(math.isfinite, cells))):
             raise ValueError(_OUT_OF_RANGE)
         return "%r", cells
     if kinds == {int}:
@@ -122,15 +151,18 @@ def _records(rows, newline: str) -> list[str] | None:
         return None
     keys = rows[0].keys()
     if not keys or set(map(type, keys)) != {str} \
-            or not all(map(keys.__eq__, map(dict.keys, rows))):
+            or set(map(len, rows)) != {len(keys)}:
         return None
-    keys = sorted(keys)
+    order = _key_order(rows[0])
+    try:  # every row has every key, so the rows share one key set
+        values = [list(map(operator.itemgetter(k), rows)) for k, _ in order]
+    except KeyError:
+        return None
     inner = newline + "  "
-    columns = [_column(list(map(operator.itemgetter(k), rows)), inner)
-               for k in keys]
+    columns = [_column(column, inner) for column in values]
     template = "{" + inner + ("," + inner).join(
-        [_quote(k).replace("%", "%%") + ": " + conversion
-         for k, (conversion, _) in zip(keys, columns)]) + newline + "}"
+        [prefix.replace("%", "%%") + conversion
+         for (_, prefix), (conversion, _) in zip(order, columns)]) + newline + "}"
     return [template % row for row in zip(*[cells for _, cells in columns])]
 
 

@@ -238,7 +238,9 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         _UNBOUNDED_CAP if budget is None else 4 * budget)
 
     # only the rand search draws; a bisect solve reads no randomness
-    rng = np.random.default_rng(config.seed) if config.inner == RAND else None
+    rand = config.inner == RAND
+    rng = np.random.default_rng(config.seed) if rand else None
+    delta, outer_cap = config.delta, config.outer_cap
     records: list[dict] = []
     oracle_calls = 0
     started = time.perf_counter()
@@ -246,7 +248,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
     def partial_trace() -> SolveTrace:
         return SolveTrace(records=records, outer_steps=k,
                           oracle_calls=oracle_calls, value_calls=value_calls,
-                          eps_effective=eps_t, delta=config.delta,
+                          eps_effective=eps_t, delta=delta,
                           inner=config.inner, descent_fraction=c_frac,
                           lemma_bound=lemma_bound, tau_prime=tau_prime,
                           call_cap=call_cap,
@@ -255,13 +257,13 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
 
     k = 0
     while True:
-        try:
-            if config.inner == RAND:
-                res = rand_search(x, problem, config.delta, eps_t, rng,
-                                  call_cap, anchor_values=(f_x, g_x))
+        try:  # looked up on every step: perfbench/tracer.py patches both
+            if rand:
+                res = rand_search(x, problem, delta, eps_t, rng, call_cap,
+                                  (f_x, g_x))
             else:
-                res = bisect_search(x, problem, config.delta, eps_t, call_cap,
-                                    anchor_values=(f_x, g_x))
+                res = bisect_search(x, problem, delta, eps_t, call_cap,
+                                    (f_x, g_x))
         except BudgetExceededError as err:
             # the totals include the calls of the invocation that hit the cap
             err.partial = dict(err.partial or {})
@@ -269,22 +271,23 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
             value_calls += err.partial["value_calls"]
             err.partial["trace"] = partial_trace()
             raise
-        oracle_calls += res.oracle_calls
-        value_calls += res.value_calls
+        calls, values = res.oracle_calls, res.value_calls
+        oracle_calls += calls
+        value_calls += values
+        outcome = res.outcome
         records.append({
             "k": k, "f": f_x, "g": g_x,
-            "zeta_norm": res.zeta_norm, "inner_outcome": res.outcome,
-            "inner_oracle_calls": res.oracle_calls,
-            "inner_value_calls": res.value_calls,
+            "zeta_norm": res.zeta_norm, "inner_outcome": outcome,
+            "inner_oracle_calls": calls, "inner_value_calls": values,
             "inner_iterations": res.iterations,
             "inner_probe_ties": res.probe_ties,
             "descent_amount": res.descent_amount,
         })
-        if res.outcome == STATIONARY:
+        if outcome == STATIONARY:
             break
-        if k == config.outer_cap:  # the descent found here is not taken
+        if k == outer_cap:  # the descent found here is not taken
             raise BudgetExceededError(
-                "outer cap %d exhausted" % config.outer_cap,
+                "outer cap %d exhausted" % outer_cap,
                 partial={"trace": partial_trace()})
         x = res.descent_point  # a fresh array that only this loop holds
         f_x, g_x = res.descent_f, res.descent_g

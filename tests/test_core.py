@@ -102,6 +102,73 @@ def test_min_norm_on_segment_properties(pair):
     assert np.allclose(out, (1.0 - t) * a + t * b, atol=1e-9 * scale)
 
 
+# ----------------------------------------------------------- dot product bits
+# The formulas that ndarray.dot replaced, kept as the reference: the
+# coefficient and the directional derivative must keep their bits.
+
+
+def old_segment_projection_coefficient(a, b):
+    d = a - b
+    denom = float(d @ d)
+    if denom == 0.0:
+        return 0.0
+    return min(1.0, max(0.0, float(a @ d) / denom))
+
+
+@st.composite
+def strided_vectors(draw):
+    """Three vectors of one dimension at one scale each, every one a
+    contiguous array or a view of step 2 or -1."""
+    dim = draw(st.sampled_from([1, 2, 3, 10, 200]))
+
+    def vector():
+        step = draw(st.sampled_from([1, 2, -1]))
+        scale = 10.0 ** draw(st.integers(-150, 150))
+        if dim < 200:
+            entries = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim,
+                                    max_size=dim))
+        else:  # one drawn seed: shrinking 200-entry lists takes minutes
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            entries = rng.uniform(-1.0, 1.0, dim).tolist()
+        buf = np.full(dim * abs(step), 7.0)  # the entries the view skips
+        buf[::step] = np.array(entries) * scale
+        return buf[::step]
+
+    return vector(), vector(), vector()
+
+
+def as_float_bits(x):
+    assert type(x) is float
+    return np.float64(x).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(vectors=strided_vectors())
+@example(vectors=(np.arange(1.0, 4.0)[::-1], np.array([0.5, 0.25, 3.0]),
+                  np.arange(2.0, 8.0)[::2]))
+@example(vectors=(np.linspace(-1e150, 1e150, 200)[::-1],
+                  np.linspace(1e-150, 2e-150, 200), np.ones(400)[::2]))
+def test_dot_products_keep_the_bits_of_matmul(vectors):
+    a, b, c = vectors
+    assert as_float_bits(segment_projection_coefficient(a, b)) \
+        == as_float_bits(old_segment_projection_coefficient(a, b))
+    # both branches attain h = 0 at z, so dir_grad computes both slopes
+    # along v = a and returns the larger, the objective's on a tie
+    objective = Oracle(value=lambda x: 0.0, grad=lambda x: b,
+                       dir_grad=lambda x, v: b)
+    constraint = Oracle(value=lambda x: 0.0, grad=lambda x: c,
+                        dir_grad=lambda x, v: c)
+    spec = ProblemSpec(dim=a.size, objective=objective,
+                       constraints=(constraint,), lipschitz_m=1.0,
+                       neighborhood_delta=1.0)
+    sub = Subproblem(spec, np.zeros(a.size), anchor_values=(0.0, 0.0))
+    vec, branch, h, dd = sub.dir_grad(np.zeros(a.size), a)
+    slopes = [float(b @ a), float(c @ a)]
+    assert branch == (1 if slopes[1] > slopes[0] else 0)
+    assert vec is (b, c)[branch] and h == 0.0
+    assert as_float_bits(dd) == as_float_bits(float(vec @ a))
+
+
 # ------------------------------------------------------------ h evaluation
 
 

@@ -66,3 +66,26 @@ def test_traced_bisect_solve_counts_every_subgradient_call(tracer_module):
             delta=0.05, target_eps=0.05, inner=BISECT), record.start)
     assert trace.outer_steps > 1
     assert tracer.snapshot_counts()["core.grad"] == trace.oracle_calls
+
+
+@pytest.mark.parametrize("inner", [RAND, BISECT])
+@pytest.mark.parametrize("name, params", [
+    ("ball-linear", {}), ("pl-nonconvex", {"dim": 10}), ("footnote-2c", {})])
+def test_traced_constraint_reads_match_the_trace_counters(tracer_module, inner,
+                                                          name, params):
+    # every constraint read of value_full and grad, and of the start's
+    # feasibility check, goes through ReducedConstraint.value, which the
+    # tracer wraps; dir_grad reads its constraints itself, so a bisect
+    # solve's reads are its value calls alone
+    tracer = tracer_module.Tracer()
+    workloads = sys.modules["workloads"]
+    record = get_problem(name, **params)
+    with tracer.installed():
+        _, trace = workloads.solve(record.spec, SolverConfig(
+            delta=0.05, target_eps=0.05, inner=inner), record.start)
+    reads = tracer.snapshot_counts()["core.constraint_value"]
+    if inner == RAND:
+        assert reads == trace.oracle_calls + trace.value_calls
+    else:
+        assert reads == trace.value_calls
+    assert reads > 0

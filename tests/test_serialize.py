@@ -9,9 +9,10 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import goldsub.serialize as serialize
 from goldsub.errors import UsageError
 from goldsub.problems import get_problem
 from goldsub.serialize import (
@@ -177,8 +178,37 @@ _DOCUMENTS = st.recursive(
 
 @settings(max_examples=400, derandomize=True)
 @given(_DOCUMENTS)
+# a key set that recurs with keys that are not str, and {1: a} and {"1": b}
+# in turn, cold and warm: the kept key order is that of the str keys
+@example({"a": {1: 0.5, 2: True}, "b": {1: 0.25, 2: None}, "c": {2: 1, 1: 2}})
+@example([{1: "a"}, {"1": "b"}, {1: "c"}, {"1": [1.0]}])
+@example([{1: 0.5, "2": 1}, {"1": 1.5, 2: 2}, {1: 2.5, "2": 3}])
+@example({"x": {1: "a"}, "y": {"1": "b"}, "z": {True: 1, 1.5: 2, None: 3}})
+@example([{True: 1.0, 1: 2.0}, {"True": 3.0, "1": 4.0}, {1: 5.0, True: 6.0}])
 def test_dumps_matches_the_stdlib_encoder(stdlib_dumps, data):
-    assert dumps(data) == stdlib_dumps(data)
+    serialize._KEY_ORDERS.clear()
+    cold = dumps(data)
+    assert cold == stdlib_dumps(data)
+    assert dumps(data) == cold  # warm: every key set met before
+
+
+def test_the_kept_key_orders_are_bounded(stdlib_dumps):
+    serialize._KEY_ORDERS.clear()
+    docs = [{"k%d" % i: i, "v": [{"a": 1, "b%d" % i: 0.5}] * 2}
+            for i in range(serialize._KEY_ORDERS_MAX)]
+    for doc in docs:
+        assert dumps(doc) == stdlib_dumps(doc)
+    assert len(serialize._KEY_ORDERS) == serialize._KEY_ORDERS_MAX
+    # a full table keeps what it has and orders new key sets all the same
+    for doc in docs[:3] + [{"new": 1, "keys": [{"z": 1, "y": 2}] * 2}]:
+        assert dumps(doc) == stdlib_dumps(doc)
+    assert len(serialize._KEY_ORDERS) == serialize._KEY_ORDERS_MAX
+    # nor does it keep a key tuple longer than _KEY_ORDER_KEYS
+    serialize._KEY_ORDERS.clear()
+    wide = {"k%03d" % i: i for i in range(serialize._KEY_ORDER_KEYS + 1)}
+    for doc in (wide, dict(list(wide.items())[1:])):
+        assert dumps(doc) == stdlib_dumps(doc)
+    assert list(map(len, serialize._KEY_ORDERS)) == [serialize._KEY_ORDER_KEYS]
 
 
 def test_write_and_read_round_trip(tmp_path):
