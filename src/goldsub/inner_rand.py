@@ -104,8 +104,8 @@ class _Combination:
         return [r * self.scale for r in self.raw]
 
     def export(self) -> list[WeightedSubgradient]:
-        return [WeightedSubgradient(point=p, vector=v, branch=b, weight=w,
-                                    direction=d)
+        # (point, vector, branch, weight, direction), positionally
+        return [WeightedSubgradient(p, v, b, w, d)
                 for (p, v, b, d), w in zip(self.terms, self.weights())
                 if w != 0.0]
 

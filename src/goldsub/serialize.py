@@ -288,13 +288,13 @@ def _entry_data(entry: WeightedSubgradient) -> dict:
 
 def _entry_from(data) -> WeightedSubgradient:
     data = _expect(data, dict, "combination entry")
+    # positional: keyword arguments cost a frozen dataclass's __init__ more
     return WeightedSubgradient(
-        point=_vec(data["point"], "combination point"),
-        vector=_vec(data["vector"], "combination vector"),
-        branch=_branch_from(data["branch"]),
-        weight=_number(data["weight"], "combination weight"),
-        direction=_optional(_vec, data.get("direction"),
-                            "combination direction"))
+        _vec(data["point"], "combination point"),
+        _vec(data["vector"], "combination vector"),
+        _branch_from(data["branch"]),
+        _number(data["weight"], "combination weight"),
+        _optional(_vec, data.get("direction"), "combination direction"))
 
 
 def certificate_data(cert: GoldsteinCertificate, manifest: dict | None = None) -> dict:

@@ -538,7 +538,9 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     first check draws in place; its second keeps all the rows' offsets
     from the anchor, read-only, so later checks draw no row.  Checks
     run in CHECK_ORDER; with stop_at_first_failure the remaining (possibly
-    expensive) checks are never computed once the headline reason is known.
+    expensive) checks are never computed once the headline reason is known,
+    and vector-recompute stops at the first entry it rejects: its detail is
+    then the worst mismatch among the entries it read.
     """
     if seed < 0:
         raise UsageError("seed must be nonnegative")
@@ -547,7 +549,8 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     # a stored number so large that arithmetic on it overflows fails its
     # check with an infinite residual, silently
     with np.errstate(over="ignore"):
-        for check in _checks(cert, problem, samples, seed):
+        for check in _checks(cert, problem, samples, seed,
+                             stop_at_first_failure):
             check.passed = bool(check.passed)  # numpy comparisons give np.bool_
             report.checks.append(check)
             if stop_at_first_failure and not check.passed:
@@ -555,9 +558,13 @@ def check_certificate(cert: GoldsteinCertificate, problem: ProblemSpec,
     return report
 
 
-def _checks(cert, problem, samples, seed):
-    """check_certificate's checks in CHECK_ORDER, each computed on demand."""
+def _checks(cert, problem, samples, seed, stop_at_first_failure):
+    """check_certificate's checks in CHECK_ORDER, each computed on demand.
+    With stop_at_first_failure the caller reads no check after a failed
+    one: a rejected vector-recompute leaves the later checks a part of the
+    combination's vectors."""
     m = problem.lipschitz_m
+    tolerance = VECTOR_MATCH_REL * m
     delta = cert.delta
     dim = problem.dim
     anchor = _as_vector(cert.anchor, dim)
@@ -581,15 +588,17 @@ def _checks(cert, problem, samples, seed):
         stored = _as_vector(w.vector, dim, finite=False)
         vectors.append(stored)
         # a relabelled branch is as wrong as a wrong vector
-        mismatches.append(_norm(expected - stored)
-                          if branch == w.branch else math.inf)
+        mismatch = _norm(expected - stored) if branch == w.branch else math.inf
+        mismatches.append(mismatch)
+        if stop_at_first_failure and not mismatch <= tolerance:
+            break  # this entry already fails the check
     # max() skips a NaN mismatch; a NaN must fail the check instead
     worst = max(mismatches, default=0.0)
     if any(math.isnan(d) for d in mismatches):
         worst = math.nan
-    yield CheckResult("vector-recompute", worst <= VECTOR_MATCH_REL * m,
+    yield CheckResult("vector-recompute", worst <= tolerance,
                       "worst oracle mismatch %.3g (allowed %.3g)"
-                      % (worst, VECTOR_MATCH_REL * m))
+                      % (worst, tolerance))
 
     zeta = _as_vector(cert.zeta, dim)
     yield check_zeta_recompute(combo, vectors, zeta, m)

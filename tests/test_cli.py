@@ -891,6 +891,32 @@ def test_bench_suite_runs_and_summarizes(tmp_path, capsys):
     assert all(0.0 < row["budget_ratio"] <= 1.0 for row in capped_rows)
 
 
+def test_bench_reports_failed_cells_and_goes_on(tmp_path, capsys):
+    # a cap of one call fails both searches' first inner invocation: each
+    # row records the error, and no series is written for either
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({
+        "problems": [{"name": "pl-nonconvex", "params": {"dim": 10}}],
+        "inners": ["rand", "bisect"],
+        "config": {"inner_call_cap": 1},
+    }))
+    out = tmp_path / "out"
+    assert main(["bench", "--suite", str(suite), "--out-dir", str(out)]) \
+        == EXIT_OK
+    rows = read_json(str(out / "bench-summary.json"))["rows"]
+    assert [(row["inner"], row["status"]) for row in rows] == [
+        ("rand", "BudgetExceededError"), ("bisect", "BudgetExceededError")]
+    assert all(row["error"].startswith("inner call cap 1 exhausted at ")
+               for row in rows)
+    assert not list(out.rglob("*.csv"))
+    table = capsys.readouterr().out.splitlines()
+    for line, inner in zip(table[1:3], ("rand", "bisect")):
+        # steps, lemma, calls and budget-ratio
+        assert line.split() == ["pl-nonconvex", inner, "0", "0.05", "0.05",
+                                "-", "-", "-", "-", "BudgetExceededError"]
+    assert table[3].startswith("2 cells, 2 failed; summary in ")
+
+
 def test_bench_cell_ids_name_the_given_params(tmp_path, capsys):
     suite = tmp_path / "suite.json"
     suite.write_text(json.dumps({

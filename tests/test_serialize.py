@@ -112,7 +112,9 @@ def test_records_match_the_stdlib_encoder():
     # subclass: one column of each in one list of same-keyed dicts
     rows = [dict(zip(_COLUMNS_OF_ROWS, cells))
             for cells in zip(*_COLUMNS_OF_ROWS.values())]
-    for data in (rows, {"records": rows, "k": 1}):
+    # equal key counts, other keys: the column read's KeyError fallback
+    unlike = [{"a": 1.0, "b": 2}, {"a": 3.0, "c": 4}]
+    for data in (rows, {"records": rows, "k": 1}, unlike):
         assert dumps(data) == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
@@ -218,6 +220,13 @@ def test_write_and_read_round_trip(tmp_path):
     assert path.read_text() == dumps({"k": [1.0, 2.0], "n": None})
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_writing_onto_a_directory_is_usage_error(tmp_path):
+    (tmp_path / "doc.json").mkdir()
+    with pytest.raises(UsageError, match="Is a directory"):
+        write_json(str(tmp_path / "doc.json"), {"k": 1})
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["doc.json"]
 
 
 def test_manifest_created_stamp_is_opt_in(run):

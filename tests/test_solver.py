@@ -492,6 +492,19 @@ def test_trace_carries_the_inner_budget_the_cap_derives_from():
     assert (capped.inner_budget, capped.call_cap) == (budget, 10**6)
 
 
+def test_a_bisect_solve_without_known_moduli_runs_uncapped_by_a_budget():
+    # an unknown nonconvexity modulus leaves the bisection budget
+    # uncheckable: no budget, and the cap falls back to the unbounded one
+    spec = dataclasses.replace(BALL.spec, nonconvexity_f=None)
+    config = SolverConfig(delta=0.05, target_eps=0.05, inner=BISECT)
+    cert, trace = solve(spec, config, BALL.start)
+    assert trace.inner_budget is None
+    assert trace.call_cap == solver._UNBOUNDED_CAP
+    assert verify.check_certificate(cert, spec).passed
+    known, _ = solve(BALL.spec, config, BALL.start)
+    assert dumps(certificate_data(cert)) == dumps(certificate_data(known))
+
+
 def nan_at_origin(oracle: Oracle) -> Oracle:
     """The oracle, except that its value at the origin is NaN."""
     def value(x):

@@ -964,6 +964,79 @@ def test_stop_at_first_failure_skips_the_rest(monkeypatch):
     assert [c.name for c in report.checks] == ["weights-nonnegative", "weights-sum"]
 
 
+VECTOR = CHECK_ORDER.index("vector-recompute")
+
+
+def counted_recomputes(monkeypatch) -> list[str]:
+    """The name of each ``Subproblem.grad`` or ``dir_grad`` call from now on."""
+    calls = []
+    for name in ("grad", "dir_grad"):
+        def counted(self, *args, _name=name, _oracle=getattr(Subproblem, name)):
+            calls.append(_name)
+            return _oracle(self, *args)
+
+        monkeypatch.setattr(Subproblem, name, counted)
+    return calls
+
+
+def full_and_fast(monkeypatch, record, cert):
+    """(full report, fast report, entries the fast one recomputed)."""
+    calls = counted_recomputes(monkeypatch)
+    full = check_certificate(cert, record.spec, samples=10)
+    assert len(calls) == len(cert.combination)  # the full run reads them all
+    calls.clear()
+    fast = check_certificate(cert, record.spec, samples=10,
+                             stop_at_first_failure=True)
+    assert (fast.reason, fast.corrupt) == (full.reason, full.corrupt) \
+        == ("vector-recompute", True)
+    assert [c.name for c in fast.checks] == list(CHECK_ORDER[:VECTOR + 1])
+    return full, fast, len(calls)
+
+
+@pytest.mark.parametrize("inner", ["rand", "bisect"])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_fast_recompute_stops_at_the_forged_entry(monkeypatch, inner, where):
+    record, cert = acceptance_cert("pl-nonconvex-n10", inner, 0)
+    size = len(cert.combination)
+    i = {"first": 0, "middle": size // 2, "last": size - 1}[where]
+    bad = copy.deepcopy(cert)
+    bad.combination[i].vector[0] += 1e-3 * (i + 1)
+    full, fast, read = full_and_fast(monkeypatch, record, bad)
+    assert read == i + 1
+    # honest entries recompute to a mismatch of exactly 0
+    assert fast.checks[VECTOR] == full.checks[VECTOR]
+
+
+@pytest.mark.parametrize("inner", ["rand", "bisect"])
+def test_fast_recompute_reports_the_first_of_two_forged_entries(monkeypatch,
+                                                                inner):
+    record, cert = acceptance_cert("pl-nonconvex-n10", inner, 0)
+    bad = copy.deepcopy(cert)
+    bad.combination[1].vector[0] += 1e-3
+    bad.combination[-1].vector[0] += 1e-2  # the worse one, read last
+    full, fast, read = full_and_fast(monkeypatch, record, bad)
+    assert read == 2
+    assert full.checks[VECTOR].detail.startswith("worst oracle mismatch 0.01 ")
+    assert fast.checks[VECTOR].detail.startswith("worst oracle mismatch 0.001 ")
+
+
+@pytest.mark.parametrize("inner", ["rand", "bisect"])
+@pytest.mark.parametrize("fault", ["nan", "relabelled"])
+def test_fast_recompute_stops_at_a_nan_or_relabelled_entry(monkeypatch, inner,
+                                                           fault):
+    record, cert = acceptance_cert("pl-nonconvex-n10", inner, 0)
+    bad = copy.deepcopy(cert)
+    entry = bad.combination[2]
+    if fault == "nan":
+        entry.vector[:] = np.nan
+    else:  # the other side of the max: pl-nonconvex has one constraint
+        entry.__dict__["branch"] = 1 - entry.branch
+    full, fast, read = full_and_fast(monkeypatch, record, bad)
+    assert read == 3
+    assert fast.checks[VECTOR] == full.checks[VECTOR]
+    assert ("nan" if fault == "nan" else "inf") in fast.checks[VECTOR].detail
+
+
 def counted_draw_rows(monkeypatch) -> list[int]:
     """Ball rows the verifier draws from now on, one entry per draw."""
     sample_ball = verify.sample_ball
