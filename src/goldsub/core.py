@@ -236,9 +236,9 @@ class ReducedConstraint:
                 best, best_i = vi, i
         return best, best_i
 
-    def values(self, z) -> tuple[np.ndarray, np.ndarray]:
-        """Batch ``value``: (g of every row of z, attaining 1-based indices)."""
-        z = _as_points(z, self._shape[0])
+    def values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Batch ``value``: (g of every row of z, attaining 1-based indices)
+        for rows that ``Subproblem.grads`` has checked; no check here."""
         best = _finite_values(self._oracles[0], z, 1)
         best_i = np.ones(len(z), dtype=int)
         for i, oracle in enumerate(self._oracles[1:], start=2):

@@ -40,8 +40,8 @@ def default_max_steps(delta: float) -> int:
 
 def bisect_negative_slope(sub: Subproblem, direction: Vector, delta: float,
                           eps: float, l_far: float, l_anchor: float):
-    """Find r with directional h-slope below eps/2 at the ray point
-    sub.anchor + (r - delta) * direction.
+    """Find a ray point sub.anchor + (r - delta) * direction whose
+    directional h-slope is below eps/2.
 
     r = 0 is the far end (the rejected trial step), r = delta the anchor.
     ``direction`` is a unit vector and delta, eps are positive, as
@@ -56,10 +56,11 @@ def bisect_negative_slope(sub: Subproblem, direction: Vector, delta: float,
     negative) average l-slope, ties toward the left.  Probe-test equality is
     a failure (bisection continues) and is tallied in the returned tie count.
 
-    Returns (r, vector, branch index, h_at_r, probes, ties), the index as
-    ``Subproblem.dir_grad`` gives it.  Raises ModulusError
-    when the step cap or float resolution is exhausted, which signals
-    understated nonconvexity metadata or a broken directional oracle.
+    Returns (point, vector, branch, ties, probes): the ray point built for
+    the passing ``Subproblem.dir_grad`` probe, its vector and branch index;
+    ``probes`` stays at index 4, where perfbench's tracer reads it.  Raises
+    ModulusError when the step cap or float resolution is exhausted, which
+    signals understated nonconvexity metadata or a broken directional oracle.
     """
     if not l_far > l_anchor:
         raise UsageError(
@@ -75,12 +76,12 @@ def bisect_negative_slope(sub: Subproblem, direction: Vector, delta: float,
         m = 0.5 * (a + b)
         if not a < m < b:  # float resolution exhausted
             break
-        vec, branch, h_m, dd = sub.dir_grad(anchor + (m - delta) * direction,
-                                            direction)
+        point = anchor + (m - delta) * direction
+        vec, branch, h_m, dd = sub.dir_grad(point, direction)
         probes += 1
         slope = dd - half_eps
         if slope < 0.0:
-            return m, vec, branch, h_m, probes, ties
+            return point, vec, branch, ties, probes
         if slope == 0.0:
             ties += 1
         lm = h_m - half_eps * m
@@ -124,9 +125,9 @@ def _descends(descent: float, norm: float, delta: float, eps: float) -> bool:
 def _step(sub: Subproblem, delta: float, eps: float, rng, zeta: Vector,
           norm: float, direction: Vector, h_trial: float) -> tuple:
     # l(0) = h(trial), l(delta) = h(anchor) - eps * delta / 2
-    r, vec, branch, _, _, ties = bisect_negative_slope(
+    point, vec, branch, ties, _ = bisect_negative_slope(
         sub, direction, delta, eps, h_trial, sub.h_anchor - eps * delta / 2.0)
-    return (sub.anchor + (r - delta) * direction, vec, branch, direction), ties
+    return (point, vec, branch, direction), ties
 
 
 def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,

@@ -31,7 +31,7 @@ import numpy as np
 # sample_ball is unused here; it exists because perfbench/tracer.py patches
 # solver.sample_ball, and the import goes when that patch does (ROADMAP item 1)
 from .core import (ProblemSpec, Subproblem, Vector, WeightedSubgradient,
-                   _as_vector, _norm, sample_ball)
+                   _norm, sample_ball)
 from .errors import (BudgetExceededError, CertificationError,
                      InfeasibleStartError, UsageError)
 from .inner_bisect import C_BISECT, bisect_call_budget, bisect_search
@@ -151,13 +151,13 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     Runs the verifier's checks that call no oracle, in its order; the first
     failure raises CertificationError.  The inner-loop contract guarantees
     them, so a failure means a bug or broken metadata, never a user error.
-    ``zeta`` is the solver's own accumulated sum, so the recombination
-    residual is an honest measurement, and ``anchor_values = (f(anchor),
-    g(anchor))`` are the values the solver read at the anchor: certify calls
-    no oracle.  Each of the KKT claims' warnings is also raised as a
-    UserWarning.
+    The anchor, points, vectors and ``zeta`` are taken as the search built
+    them, each already checked where it was made.  ``zeta`` is the solver's
+    own accumulated sum, so the recombination residual is an honest
+    measurement, and ``anchor_values = (f(anchor), g(anchor))`` are the
+    values the solver read at the anchor: certify calls no oracle.  Each of
+    the KKT claims' warnings is also raised as a UserWarning.
     """
-    anchor = _as_vector(anchor, problem.dim)
     m = problem.lipschitz_m
     delta = config.delta
     eps_t = config.eps_effective(m)
@@ -165,11 +165,9 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
     weights = np.array([w.weight for w in combination], dtype=float)
     _require(check_weights_nonnegative(weights))
     _require(check_weights_sum(weights))
-    points = [_as_vector(w.point, problem.dim) for w in combination]
+    points = [w.point for w in combination]
     _require(check_points_in_ball(points, anchor, delta))
-    zeta = _as_vector(zeta, problem.dim)
-    vectors = [_as_vector(w.vector, problem.dim, finite=False)
-               for w in combination]
+    vectors = [w.vector for w in combination]
     _require(check_zeta_recompute(combination, vectors, zeta, m))
     zeta_norm = _norm(zeta)
     _require(check_zeta_norm(zeta_norm, eps_t))
@@ -210,7 +208,8 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
     eps_t = config.eps_effective(m)
     if not 0.0 < eps_t < math.inf:
         raise UsageError("eps_effective = %g must be positive and finite" % eps_t)
-    c_frac = C_RAND if config.inner == RAND else C_BISECT
+    rand = config.inner == RAND
+    c_frac = C_RAND if rand else C_BISECT
     f_x, g_x = start.f_anchor, start.g_anchor
     value_calls = start.value_calls  # the initial feasibility check
     if g_x > 0.0:
@@ -222,7 +221,7 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         gap0 = f_x - problem.p_star
         lemma_bound = _bound("the descent-lemma bound", lambda: max(
             1, math.ceil(gap0 / (c_frac * config.delta * eps_t))))
-    if config.inner == RAND:
+    if rand:
         # a solve with at most K steps runs at most K + 1 inner searches: one
         # per step, then the one that certifies or trips the cap
         tau_prime = config.tau / ((config.outer_cap if lemma_bound is None
@@ -238,7 +237,6 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
         _UNBOUNDED_CAP if budget is None else 4 * budget)
 
     # only the rand search draws; a bisect solve reads no randomness
-    rand = config.inner == RAND
     rng = np.random.default_rng(config.seed) if rand else None
     delta, outer_cap = config.delta, config.outer_cap
     records: list[dict] = []
@@ -256,47 +254,45 @@ def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCert
                           inner_budget=budget)
 
     k = 0
-    while True:
-        try:  # looked up on every step: perfbench/tracer.py patches both
+    try:
+        while True:
+            # looked up on every step: perfbench/tracer.py patches both
             if rand:
                 res = rand_search(x, problem, delta, eps_t, rng, call_cap,
                                   (f_x, g_x))
             else:
                 res = bisect_search(x, problem, delta, eps_t, call_cap,
                                     (f_x, g_x))
-        except BudgetExceededError as err:
-            # the totals include the calls of the invocation that hit the cap
-            err.partial = dict(err.partial or {})
-            oracle_calls += err.partial["oracle_calls"]
-            value_calls += err.partial["value_calls"]
-            err.partial["trace"] = partial_trace()
-            raise
-        calls, values = res.oracle_calls, res.value_calls
-        oracle_calls += calls
-        value_calls += values
-        outcome = res.outcome
-        records.append({
-            "k": k, "f": f_x, "g": g_x,
-            "zeta_norm": res.zeta_norm, "inner_outcome": outcome,
-            "inner_oracle_calls": calls, "inner_value_calls": values,
-            "inner_iterations": res.iterations,
-            "inner_probe_ties": res.probe_ties,
-            "descent_amount": res.descent_amount,
-        })
-        if outcome == STATIONARY:
-            break
-        if k == outer_cap:  # the descent found here is not taken
-            raise BudgetExceededError(
-                "outer cap %d exhausted" % outer_cap,
-                partial={"trace": partial_trace()})
-        x = res.descent_point  # a fresh array that only this loop holds
-        f_x, g_x = res.descent_f, res.descent_g
-        k += 1
-        if lemma_bound is not None and k > lemma_bound:
-            raise BudgetExceededError(
-                "outer step %d exceeds the descent-lemma bound %d: Lipschitz "
-                "metadata or p_star is wrong, or an oracle is broken"
-                % (k, lemma_bound), partial={"trace": partial_trace()})
+            calls, values = res.oracle_calls, res.value_calls
+            oracle_calls += calls
+            value_calls += values
+            outcome = res.outcome
+            records.append({
+                "k": k, "f": f_x, "g": g_x,
+                "zeta_norm": res.zeta_norm, "inner_outcome": outcome,
+                "inner_oracle_calls": calls, "inner_value_calls": values,
+                "inner_iterations": res.iterations,
+                "inner_probe_ties": res.probe_ties,
+                "descent_amount": res.descent_amount,
+            })
+            if outcome == STATIONARY:
+                break
+            if k == outer_cap:  # the descent found here is not taken
+                raise BudgetExceededError("outer cap %d exhausted" % outer_cap)
+            x = res.descent_point  # a fresh array that only this loop holds
+            f_x, g_x = res.descent_f, res.descent_g
+            k += 1
+            if lemma_bound is not None and k > lemma_bound:
+                raise BudgetExceededError(
+                    "outer step %d exceeds the descent-lemma bound %d: "
+                    "Lipschitz metadata or p_star is wrong, or an oracle is "
+                    "broken" % (k, lemma_bound))
+    except BudgetExceededError as err:
+        # the totals include the calls of an inner search that hit its cap
+        oracle_calls += err.partial.get("oracle_calls", 0)
+        value_calls += err.partial.get("value_calls", 0)
+        err.partial["trace"] = partial_trace()
+        raise
 
     trace = partial_trace()
     cert = certify(x, res.combination, problem, config, res.zeta, (f_x, g_x))

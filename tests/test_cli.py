@@ -213,6 +213,14 @@ def test_solve_infeasible_start_writes_nothing(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_x0_that_is_not_reals_is_usage_error(tmp_path, capsys):
+    rc = main(SOLVE + ["--out-dir", str(tmp_path), "--x0", "1,a"])
+    assert rc == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: --x0 expects comma-separated reals, got '1,a'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_solve_budget_exhaustion_keeps_partial_trace(tmp_path, capsys):
     rc = main(["solve", "--problem", "ball-linear", "--delta", "0.05",
                "--eps", "1e-9", "--seed", "0", "--call-cap", "3",
@@ -760,6 +768,26 @@ def test_solve_unallocatable_problem_is_usage_error(tmp_path, capsys):
         assert os.listdir(tmp_path) == []
 
 
+def test_verify_non_json_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    path.write_text("not json\n")
+    assert main(["verify", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: %s does not parse as JSON: " % path)
+
+
+def test_verify_manifest_x0_of_the_wrong_type_is_usage_error(solved, tmp_path,
+                                                             capsys):
+    def set_x0(data):
+        data["manifest"]["x0"] = "abc"
+
+    path = rewrite(solved / "run.cert.json", tmp_path / "x0.json", set_x0)
+    assert main(["verify", path] + FAST_VERIFY) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: malformed certificate document "
+        "(UsageError: manifest x0 must be a list of numbers)\n")
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     assert main(["verify", "/no/such/cert.json"]) == EXIT_USAGE
 
@@ -947,6 +975,28 @@ def test_bench_config_key_set_per_cell_names_its_suite_field(tmp_path, capsys):
         assert capsys.readouterr().err == (
             "error: suite config key %r is set per cell; use the suite's %r\n"
             % (key, field))
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_seed_count_runs_seeds_from_zero(tmp_path, capsys):
+    # "seeds": k is the count form, seeds 0..k-1
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"problems": ["ball-linear"], "seeds": 2,
+                                 "grid": [{"delta": 0.1, "eps": 0.1}]}))
+    assert main(["bench", "--suite", str(suite), "--out-dir", str(tmp_path)]) \
+        == EXIT_OK
+    rows = read_json(str(tmp_path / "bench-summary.json"))["rows"]
+    assert [(row["seed"], row["status"]) for row in rows] == [(0, "ok"),
+                                                              (1, "ok")]
+
+
+def test_bench_problem_entry_of_the_wrong_type_is_usage_error(tmp_path, capsys):
+    suite = tmp_path / "suite.json"
+    suite.write_text(json.dumps({"problems": [42]}))
+    assert main(["bench", "--suite", str(suite),
+                 "--out-dir", str(tmp_path / "out")]) == EXIT_USAGE
+    assert capsys.readouterr().err == \
+        "error: problem entries must be a name or {name, params}\n"
     assert not (tmp_path / "out").exists()
 
 

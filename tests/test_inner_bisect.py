@@ -95,30 +95,34 @@ def test_default_max_steps_covers_float_resolution():
 UNIT = np.array([1.0])
 
 
+def assert_ray_point(point, r):
+    """``point`` is bit for bit the ray point at r, anchor + (r - delta) *
+    direction with anchor 1 and delta 1."""
+    assert point.tobytes() == (np.array([1.0]) + (r - 1.0) * UNIT).tobytes()
+
+
 def test_concave_kink_found_in_one_probe():
     # slope +0.2 then -0.4 along the ray; the midpoint lands on the kink and
     # its right slope -0.4 already beats eps/2
     prob = piecewise_problem(_concave_two_slope(0.2, -0.4, 0.5))
     sub = Subproblem(prob, np.array([1.0]))
-    r, vec, branch, h_m, probes, ties = bisect_negative_slope(
+    point, vec, branch, ties, probes = bisect_negative_slope(
         sub, UNIT, 1.0, 1.0, l_far=0.0, l_anchor=-0.6)
-    assert r == 0.5
+    assert_ray_point(point, 0.5)
     assert np.array_equal(vec, [-0.4])
     assert branch == 0
     assert probes == 1
     assert ties == 0
-    assert h_m == pytest.approx(0.2)  # f(0.5) - f(1.0)
 
 
 def test_flat_restriction_returns_midpoint_immediately():
     prob = piecewise_problem(max_affine_oracle([(0.0, 0.0)]))
     sub = Subproblem(prob, np.array([1.0]))
-    r, vec, branch, h_m, probes, ties = bisect_negative_slope(
+    point, vec, branch, ties, probes = bisect_negative_slope(
         sub, UNIT, 1.0, 1.0, l_far=0.0, l_anchor=-0.5)
-    assert r == 0.5
+    assert_ray_point(point, 0.5)
     assert probes == 1
     assert np.array_equal(vec, [0.0])
-    assert h_m == 0.0
 
 
 def test_convex_restriction_recurses_into_steeper_half():
@@ -127,9 +131,9 @@ def test_convex_restriction_recurses_into_steeper_half():
     # and the second probe at 0.25 succeeds
     prob = piecewise_problem(max_affine_oracle([(-1.0, 0.0), (0.6, -0.8)]))
     sub = Subproblem(prob, np.array([1.0]))
-    r, vec, branch, h_m, probes, ties = bisect_negative_slope(
+    point, vec, branch, ties, probes = bisect_negative_slope(
         sub, UNIT, 1.0, 1.0, l_far=0.2, l_anchor=-0.5)
-    assert r == 0.25
+    assert_ray_point(point, 0.25)
     assert probes == 2
     assert np.array_equal(vec, [-1.0])
 
@@ -140,9 +144,9 @@ def test_concave_restriction_recurses_into_right_half():
     # the second probe lands on the kink, whose right slope -3 passes
     prob = piecewise_problem(_concave_two_slope(0.6, -3.0, 0.75))
     sub = Subproblem(prob, np.array([1.0]))
-    r, vec, branch, h_m, probes, ties = bisect_negative_slope(
+    point, vec, branch, ties, probes = bisect_negative_slope(
         sub, UNIT, 1.0, 1.0, l_far=0.3, l_anchor=-0.5)  # f(0) - f(1) = 0.3
-    assert r == 0.75
+    assert_ray_point(point, 0.75)
     assert np.array_equal(vec, [-3.0])
     assert probes == 2
     assert ties == 0
@@ -154,10 +158,10 @@ def test_probe_slope_of_exactly_half_eps_counts_a_tie():
     # then gives r = 0.25
     prob = piecewise_problem(two_slope_oracle(-1.0, 0.5, 0.5))
     sub = Subproblem(prob, np.array([1.0]))
-    r, vec, branch, h_m, probes, ties = bisect_negative_slope(
+    point, vec, branch, ties, probes = bisect_negative_slope(
         sub, UNIT, 1.0, 1.0, l_far=0.25, l_anchor=-0.5)  # f(0) - f(1) = 0.25
     assert ties == 1
-    assert r == 0.25
+    assert_ray_point(point, 0.25)
     assert probes == 2
     assert np.array_equal(vec, [-1.0])
 
@@ -180,10 +184,10 @@ def test_convex_restrictions_return_probe_satisfying_points(seed):
     l_far = sub.value_full(anchor - delta * UNIT)[0]
     l_anchor = sub.h_anchor - eps * delta / 2.0
     assert l_far > l_anchor
-    r, vec, branch, h_m, probes, ties = bisect_negative_slope(
+    point, vec, branch, ties, probes = bisect_negative_slope(
         sub, UNIT, delta, eps, l_far, l_anchor)
     fresh = Subproblem(prob, anchor)
-    _, _, _, dd = fresh.dir_grad(anchor + (r - delta) * UNIT, UNIT)
+    _, _, _, dd = fresh.dir_grad(point, UNIT)
     assert dd - eps / 2.0 < 0.0
     assert probes <= 32
 

@@ -89,3 +89,23 @@ def test_traced_constraint_reads_match_the_trace_counters(tracer_module, inner,
     else:
         assert reads == trace.value_calls
     assert reads > 0
+
+
+@pytest.mark.parametrize("name, params", [
+    ("pl-nonconvex", {"dim": 10}), ("footnote-2c", {}), ("ball-linear", {})])
+def test_traced_probes_match_the_trace_records(tracer_module, name, params):
+    # the tracer reads the probe count at index 4 of bisect_negative_slope's
+    # tuple: each search makes one opening call and then one call per probe,
+    # and runs one bisection per round
+    tracer = tracer_module.Tracer()
+    workloads = sys.modules["workloads"]
+    record = get_problem(name, **params)
+    with tracer.installed():
+        _, trace = workloads.solve(record.spec, SolverConfig(
+            delta=0.05, target_eps=0.05, inner=BISECT), record.start)
+    counts = tracer.snapshot_counts()
+    assert counts["inner_bisect.probes"] == sum(
+        r["inner_oracle_calls"] - 1 for r in trace.records)
+    assert counts["inner_bisect.bisect_negative_slope"] == sum(
+        r["inner_iterations"] for r in trace.records)
+    assert counts["inner_bisect.probes"] >= 1

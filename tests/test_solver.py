@@ -81,6 +81,15 @@ def test_eps_effective_kkt_formula():
     assert plain.eps_effective(1.0) == verify.eps_effective(0.1, 1.0, None)
 
 
+def test_eps_effective_that_underflows_is_usage_error():
+    # sigma * eps / (eps + sigma + M) = 1e-600 rounds to 0
+    config = SolverConfig(delta=0.05, target_eps=1e-300, kkt_mode=True,
+                          gcq_sigma=1e-300)
+    with pytest.raises(UsageError,
+                       match=r"^eps_effective = 0 must be positive and finite$"):
+        solve(BALL.spec, config, BALL.start)
+
+
 # ----------------------------------------------------------------- certify
 
 
