@@ -148,13 +148,11 @@ def cmd_solve(args) -> int:
 
     try:
         cert, trace = solve(record.spec, config, record.start if x0 is None else x0)
-    except BudgetExceededError as err:
-        partial = err.partial or {}
-        if "trace" in partial:
-            path = os.path.join(out, tag + ".partial-trace.json")
-            write_json(path, trace_data(partial["trace"], manifest))
-            print("budget exhausted; partial trace written to %s" % path,
-                  file=sys.stderr)
+    except BudgetExceededError as err:  # solve attaches its trace to each
+        path = os.path.join(out, tag + ".partial-trace.json")
+        write_json(path, trace_data(err.partial["trace"], manifest))
+        print("budget exhausted; partial trace written to %s" % path,
+              file=sys.stderr)
         raise
 
     cert_path = os.path.join(out, tag + ".cert.json")

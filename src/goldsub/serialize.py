@@ -266,7 +266,10 @@ def _vec(value, what: str) -> Vector:
     if not (type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
             or type(value) is np.ndarray and value.dtype == float):
         raise UsageError("%s must be a list of numbers" % what)
-    return np.asarray(value, dtype=float)
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:  # an integer entry beyond the float range
+        raise UsageError("%s has an integer outside the float range" % what) from None
 
 
 def _number(value, what: str) -> float:
@@ -350,8 +353,9 @@ def certificate_from_data(data: dict) -> tuple[GoldsteinCertificate, dict | None
         return cert, None if manifest is None else dict(manifest)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
             UsageError) as exc:
-        raise UsageError("malformed certificate document (%s: %s)"
-                         % (type(exc).__name__, exc)) from None
+        reason = (exc if isinstance(exc, UsageError)
+                  else "%s: %s" % (type(exc).__name__, exc))
+        raise UsageError("malformed certificate document (%s)" % reason) from None
 
 
 def trace_data(trace: SolveTrace, manifest: dict | None = None) -> dict:
@@ -378,9 +382,10 @@ def _expect(value, kind, what: str):
     if found in kinds or (found is int and float in kinds
                           and abs(value) <= sys.float_info.max):
         return value
-    raise UsageError("%s must be %s, got %s"
-                     % (what, " or ".join(_JSON_NAMES[k] for k in kinds),
-                        _JSON_NAMES.get(found, found.__name__)))
+    raise UsageError("%s must be %s, got %s" % (
+        what, " or ".join(_JSON_NAMES[k] for k in kinds),
+        "an integer outside the float range" if found is int and float in kinds
+        else _JSON_NAMES.get(found, found.__name__)))
 
 
 _CONFIG_TYPES = typing.get_type_hints(SolverConfig)

@@ -100,17 +100,17 @@ class SolverConfig:
 
 @dataclass
 class SolveTrace:
-    """Per-iteration descent record plus run totals.
+    """Per-iteration descent record plus run totals; one per solve.
 
     ``records[k]`` describes iterate x_k and the inner run performed there,
     in scalars: x_0 is the start and later x_k replay from the manifest.
     outer_steps counts the descent steps taken.  Oracle calls count joint
-    (value + subgradient) evaluations; value_calls count value-only
-    evaluations (descent tests and the initial feasibility check), both
-    including those of an inner run that hit its call cap.  wall_time_s is
-    informational; inner_budget is the inner search's per-invocation call
-    budget (None when unknown).  Both are left out of serialized traces so
-    equal manifests give byte-identical files.
+    (value + subgradient) evaluations; value_calls count value-only ones
+    (descent tests and the initial feasibility check), both including those
+    of an inner run that hit its call cap, whose BudgetExceededError carries
+    this same object.  wall_time_s, stamped on every exit, is informational;
+    inner_budget is the inner search's per-invocation call budget (None when
+    unknown).  Neither is serialized: equal manifests give equal trace bytes.
     """
 
     records: list[dict]
@@ -191,109 +191,105 @@ def certify(anchor: Vector, combination: list[WeightedSubgradient],
 
 
 def solve(problem: ProblemSpec, config: SolverConfig, x0) -> tuple[GoldsteinCertificate, SolveTrace]:
-    """Run the feasible-descent loop from x0 until stationarity.
-
+    """Run the feasible-descent loop from x0 until stationarity: validate,
+    read f and g at x0, run one stage at (delta, eps_effective), certify.
     Returns (certificate, trace).  Raises InfeasibleStartError when
-    g(x0) > 0, BudgetExceededError when an inner call cap or the outer cap
-    is exhausted (with partial trace attached), and ModulusError when the
-    deterministic search cannot honor its metadata.
+    g(x0) > 0, BudgetExceededError when an inner call cap, the outer cap or
+    the descent-lemma bound is exhausted (with the run's one trace attached),
+    and ModulusError when the deterministic search cannot honor its metadata.
     """
     if config.delta >= problem.neighborhood_delta:
         raise UsageError(
             "delta = %g must be below the problem neighborhood radius %g"
             % (config.delta, problem.neighborhood_delta))
     start = Subproblem(problem, x0)  # validates x0 and reads f, g there
-    x = start.anchor.copy()
-    m = problem.lipschitz_m
-    eps_t = config.eps_effective(m)
+    eps_t = config.eps_effective(problem.lipschitz_m)
     if not 0.0 < eps_t < math.inf:
         raise UsageError("eps_effective = %g must be positive and finite" % eps_t)
-    rand = config.inner == RAND
-    c_frac = C_RAND if rand else C_BISECT
     f_x, g_x = start.f_anchor, start.g_anchor
-    value_calls = start.value_calls  # the initial feasibility check
     if g_x > 0.0:
         raise InfeasibleStartError("g(x0) = %.17g > 0: start must be feasible" % g_x)
+    # only the rand search draws; a bisect solve reads no randomness
+    rng = np.random.default_rng(config.seed) if config.inner == RAND else None
+    trace, x, f_x, g_x, res = _stage(problem, config, start.anchor.copy(), f_x,
+                                     g_x, config.delta, eps_t, rng,
+                                     start.value_calls)
+    cert = certify(x, res.combination, problem, config, res.zeta, (f_x, g_x))
+    return cert, trace
 
-    lemma_bound = None
-    tau_prime = None
+
+def _stage(problem: ProblemSpec, config: SolverConfig, x: Vector, f_x: float,
+           g_x: float, delta: float, eps_t: float, rng, value_calls: int):
+    """Descend from the feasible x at one (delta, eps_t) until an inner
+    search certifies stationarity; returns (trace, x, f_x, g_x, the
+    stationary InnerResult).  ``rng`` is the randomized search's generator,
+    None for bisection; ``value_calls`` were spent reading (f_x, g_x).  The
+    descent-lemma bound from f_x, tau', the inner budget and the call cap
+    are the stage's own, and so is the trace: built once, stamped on exit.
+    """
+    started = time.perf_counter()
+    m = problem.lipschitz_m
+    c_frac = C_BISECT if rng is None else C_RAND
+    lemma_bound = tau_prime = budget = None
     if problem.p_star is not None:
-        gap0 = f_x - problem.p_star
-        lemma_bound = _bound("the descent-lemma bound", lambda: max(
-            1, math.ceil(gap0 / (c_frac * config.delta * eps_t))))
-    if rand:
+        lemma_bound = _bound("the descent-lemma bound",
+                             lambda gap, step: max(1, math.ceil(gap / step)),
+                             f_x - problem.p_star, c_frac * delta * eps_t)
+    if rng is not None:
         # a solve with at most K steps runs at most K + 1 inner searches: one
         # per step, then the one that certifies or trips the cap
         tau_prime = config.tau / ((config.outer_cap if lemma_bound is None
                                    else lemma_bound) + 1)
         budget = _bound("the inner call budget", rand_call_budget,
                         m, eps_t, tau_prime)
-    elif problem.nonconvexity_f is None or problem.nonconvexity_g is None:
-        budget = None
-    else:
+    elif None not in (problem.nonconvexity_f, problem.nonconvexity_g):
         budget = _bound("the inner call budget", bisect_call_budget, m, eps_t,
                         problem.nonconvexity_f + problem.nonconvexity_g)
     call_cap = config.inner_call_cap or (
         _UNBOUNDED_CAP if budget is None else 4 * budget)
-
-    # only the rand search draws; a bisect solve reads no randomness
-    rng = np.random.default_rng(config.seed) if rand else None
-    delta, outer_cap = config.delta, config.outer_cap
-    records: list[dict] = []
-    oracle_calls = 0
-    started = time.perf_counter()
-
-    def partial_trace() -> SolveTrace:
-        return SolveTrace(records=records, outer_steps=k,
-                          oracle_calls=oracle_calls, value_calls=value_calls,
-                          eps_effective=eps_t, delta=delta,
-                          inner=config.inner, descent_fraction=c_frac,
-                          lemma_bound=lemma_bound, tau_prime=tau_prime,
-                          call_cap=call_cap,
-                          wall_time_s=time.perf_counter() - started,
-                          inner_budget=budget)
-
-    k = 0
+    trace = SolveTrace(
+        records=[], outer_steps=0, oracle_calls=0, value_calls=value_calls,
+        eps_effective=eps_t, delta=delta, inner=config.inner,
+        descent_fraction=c_frac, lemma_bound=lemma_bound, tau_prime=tau_prime,
+        call_cap=call_cap, inner_budget=budget)
     try:
         while True:
             # looked up on every step: perfbench/tracer.py patches both
-            if rand:
+            if rng is not None:
                 res = rand_search(x, problem, delta, eps_t, rng, call_cap,
                                   (f_x, g_x))
             else:
                 res = bisect_search(x, problem, delta, eps_t, call_cap,
                                     (f_x, g_x))
             calls, values = res.oracle_calls, res.value_calls
-            oracle_calls += calls
-            value_calls += values
-            outcome = res.outcome
-            records.append({
-                "k": k, "f": f_x, "g": g_x,
-                "zeta_norm": res.zeta_norm, "inner_outcome": outcome,
+            trace.oracle_calls += calls
+            trace.value_calls += values
+            trace.records.append({
+                "k": trace.outer_steps, "f": f_x, "g": g_x,
+                "zeta_norm": res.zeta_norm, "inner_outcome": res.outcome,
                 "inner_oracle_calls": calls, "inner_value_calls": values,
                 "inner_iterations": res.iterations,
                 "inner_probe_ties": res.probe_ties,
                 "descent_amount": res.descent_amount,
             })
-            if outcome == STATIONARY:
-                break
-            if k == outer_cap:  # the descent found here is not taken
-                raise BudgetExceededError("outer cap %d exhausted" % outer_cap)
+            if res.outcome == STATIONARY:
+                return trace, x, f_x, g_x, res
+            if trace.outer_steps == config.outer_cap:  # descent not taken
+                raise BudgetExceededError(
+                    "outer cap %d exhausted" % config.outer_cap)
             x = res.descent_point  # a fresh array that only this loop holds
             f_x, g_x = res.descent_f, res.descent_g
-            k += 1
-            if lemma_bound is not None and k > lemma_bound:
+            trace.outer_steps += 1
+            if lemma_bound is not None and trace.outer_steps > lemma_bound:
                 raise BudgetExceededError(
                     "outer step %d exceeds the descent-lemma bound %d: "
                     "Lipschitz metadata or p_star is wrong, or an oracle is "
-                    "broken" % (k, lemma_bound))
+                    "broken" % (trace.outer_steps, lemma_bound))
     except BudgetExceededError as err:
         # the totals include the calls of an inner search that hit its cap
-        oracle_calls += err.partial.get("oracle_calls", 0)
-        value_calls += err.partial.get("value_calls", 0)
-        err.partial["trace"] = partial_trace()
+        trace.oracle_calls += err.partial.get("oracle_calls", 0)
+        trace.value_calls += err.partial.get("value_calls", 0)
+        err.partial["trace"] = trace
         raise
-
-    trace = partial_trace()
-    cert = certify(x, res.combination, problem, config, res.zeta, (f_x, g_x))
-    return cert, trace
+    finally:
+        trace.wall_time_s = time.perf_counter() - started

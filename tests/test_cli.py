@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goldsub import solver, verify
+from goldsub import cli, solver, verify
 from goldsub.cli import (
     EXIT_BUDGET,
     EXIT_CORRUPT,
@@ -26,6 +27,7 @@ from goldsub.cli import (
 from goldsub.errors import CertificationError
 from goldsub.problems import ball_linear_sigma
 from goldsub.serialize import read_json
+from goldsub.solver import solve
 
 SOLVE = ["solve", "--problem", "ball-linear", "--delta", "0.05",
          "--eps", "0.05", "--inner", "rand", "--seed", "7"]
@@ -326,28 +328,34 @@ def test_solve_accepts_a_manifest_with_the_retired_slackness_key(
 JOB = {"problem": {"name": "ball-linear"}}
 
 
-@pytest.mark.parametrize("job", [
-    {**JOB, "config": [1]},
-    {**JOB, "x0": "ab"},
-    {**JOB, "x0": 5},
-    {**JOB, "x0": [True, False]},
-    {**JOB, "x0": [10 ** 400, 0]},
-    {**JOB, "config": {"seed": 1.5}},
-    {**JOB, "config": {"seed": True}},
-    {**JOB, "config": {"inner_call_cap": 2.5}},
-    {**JOB, "config": {"outer_cap": 2.5}},
-    [JOB],
+@pytest.mark.parametrize("job,message", [
+    ({**JOB, "config": [1]}, "config must be an object, got a list"),
+    ({**JOB, "x0": "ab"}, "x0 must be a list, got a string"),
+    ({**JOB, "x0": 5}, "x0 must be a list, got an integer"),
+    ({**JOB, "x0": [True, False]}, "x0 entry must be a number, got true or false"),
+    ({**JOB, "x0": [10 ** 400, 0]},
+     "x0 entry must be a number, got an integer outside the float range"),
+    ({**JOB, "config": {"seed": 1.5}},
+     "config seed must be an integer, got a number"),
+    ({**JOB, "config": {"seed": True}},
+     "config seed must be an integer, got true or false"),
+    ({**JOB, "config": {"inner_call_cap": 2.5}},
+     "config inner_call_cap must be an integer or null, got a number"),
+    ({**JOB, "config": {"outer_cap": 2.5}},
+     "config outer_cap must be an integer, got a number"),
+    ([JOB], "config file must be an object, got a list"),
 ], ids=["config-list", "x0-string", "x0-number", "x0-bools", "x0-overflow",
         "seed-float", "seed-bool",
         "inner-call-cap-float", "outer-cap-float", "top-level-list"])
-def test_solve_config_of_the_wrong_type_is_usage_error(tmp_path, job, capsys):
+def test_solve_config_of_the_wrong_type_is_usage_error(tmp_path, job, message,
+                                                       capsys):
     path = tmp_path / "job.json"
     path.write_text(json.dumps(job))
     out = tmp_path / "out"
     rc = main(["solve", "--config", str(path), "--delta", "0.05",
                "--eps", "0.05", "--out-dir", str(out)])
     assert rc == EXIT_USAGE
-    assert "must be" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: %s\n" % message
     assert not out.exists()
 
 
@@ -677,6 +685,18 @@ def test_solve_certification_failure_exits_6(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_prints_each_certificate_warning(tmp_path, monkeypatch, capsys):
+    # no corpus KKT solve ends with gamma0 = 0, so the certificate is given one
+    def no_objective_mass(*args):
+        cert, trace = solve(*args)
+        return dataclasses.replace(
+            cert, warnings=[verify.NO_OBJECTIVE_MASS]), trace
+
+    monkeypatch.setattr(cli, "solve", no_objective_mass)
+    assert main(SOLVE + ["--out-dir", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: %s\n" % verify.NO_OBJECTIVE_MASS
+
+
 def test_verify_fast_stops_at_first_failure(solved, tmp_path, capsys):
     def bump(data):
         data["combination"][0]["weight"] += 0.1
@@ -785,7 +805,24 @@ def test_verify_manifest_x0_of_the_wrong_type_is_usage_error(solved, tmp_path,
     assert main(["verify", path] + FAST_VERIFY) == EXIT_USAGE
     assert capsys.readouterr().err == (
         "error: malformed certificate document "
-        "(UsageError: manifest x0 must be a list of numbers)\n")
+        "(manifest x0 must be a list of numbers)\n")
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda data: data["manifest"].update(x0=[10 ** 400, 0]),
+     "manifest x0 has an integer outside the float range"),
+    (lambda data: data["combination"][0].update(point=[10 ** 400, 0]),
+     "combination point has an integer outside the float range"),
+    (lambda data: data["combination"][0].update(weight=10 ** 400),
+     "combination weight must be a number, got an integer outside the float "
+     "range"),
+], ids=["manifest-x0", "combination-point", "combination-weight"])
+def test_verify_integer_outside_the_float_range_is_usage_error(
+        solved, tmp_path, capsys, mutate, message):
+    path = rewrite(solved / "run.cert.json", tmp_path / "big.json", mutate)
+    assert main(["verify", "--fast", path] + FAST_VERIFY) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: malformed certificate document (%s)\n" % message)
 
 
 def test_verify_missing_file_is_usage_error(capsys):

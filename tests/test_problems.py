@@ -69,6 +69,30 @@ def test_nan_objective_at_the_known_optimum_is_rejected():
         _validate_record(dataclasses.replace(record, spec=spec))
 
 
+BALL = get_problem("ball-linear")
+
+
+def _ball_spec(**changes):
+    return dataclasses.replace(BALL, spec=dataclasses.replace(BALL.spec,
+                                                             **changes))
+
+
+@pytest.mark.parametrize("record,message", [
+    (_ball_spec(p_star=-0.5), "corpus metadata inconsistent for ball-linear: "
+     "f(optimum) = -1 but p_star = -0.5"),
+    # f(x*) is still p_star, but g(x*) = sqrt(2) - 1 > 0
+    (_ball_spec(known_optimum=np.array([-1.0, 1.0])),
+     "corpus metadata inconsistent for ball-linear: optimum infeasible, "
+     "g = 0.414213562373"),
+    (dataclasses.replace(BALL, start=np.array([2.0, 0.0])),
+     "corpus start for ball-linear is infeasible"),
+], ids=["wrong-p-star", "infeasible-optimum", "infeasible-start"])
+def test_inconsistent_corpus_record_is_rejected(record, message):
+    with pytest.raises(UsageError) as err:
+        _validate_record(record)
+    assert str(err.value) == message
+
+
 def test_problem_dimension_parameters():
     rec = get_problem("ball-linear", dim=7)
     assert rec.spec.dim == 7
@@ -175,6 +199,9 @@ def test_footnote_2c_second_constraint_shape():
     assert float(out[0]) * 1.0 == 0.0
     inward = g2.dir_grad(np.array([1.5]), np.array([-1.0]))
     assert float(inward[0]) * -1.0 == -1.0
+    # beyond the outer kinks g2 is flat in every direction
+    for x, v in ((1.7, -1.0), (-1.7, 1.0), (-2.0, -1.0)):
+        assert np.array_equal(g2.dir_grad(np.array([x]), np.array([v])), [0.0])
 
 
 # ------------------------------------------------------ pointwise oracle bits

@@ -93,6 +93,16 @@ def test_dumps_rejects_non_finite_anywhere(bad, wrap):
         dumps(wrap(bad))
 
 
+@pytest.mark.parametrize("value", [object(), {1.0}, b"bytes"],
+                         ids=["object", "set", "bytes"])
+def test_dumps_raises_the_type_error_of_json_dumps(value):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(value)
+    with pytest.raises(TypeError) as err:
+        dumps({"a": [value]})
+    assert str(err.value) == str(expected.value)
+
+
 class _Real(float):
     """A float subclass, which json writes with ``float.__repr__``."""
 

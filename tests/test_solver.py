@@ -454,6 +454,51 @@ def test_outer_cap_stops_before_the_step_past_it(inner):
     assert trace.records[-1]["inner_outcome"] == inner_rand.DESCENT
 
 
+PL = get_problem("pl-nonconvex")
+PL_START = Subproblem(PL.spec, PL.start)
+
+
+@pytest.mark.parametrize("inner", [RAND, BISECT])
+@pytest.mark.parametrize("spec_changes,config_changes,match", [
+    ({}, {}, None),
+    ({}, {"inner_call_cap": 3}, "inner call cap 3 exhausted"),
+    ({}, {"outer_cap": 2}, "outer cap 2 exhausted"),
+    # f(x0) - p_star is tiny: a descent-lemma bound of one step
+    ({"p_star": PL_START.f_anchor - 1e-6}, {},
+     "outer step 2 exceeds the descent-lemma bound 1"),
+], ids=["stationary", "inner-call-cap", "outer-cap", "descent-lemma-bound"])
+def test_solve_builds_one_trace_that_counts_every_call(
+        monkeypatch, inner, spec_changes, config_changes, match):
+    spec = dataclasses.replace(PL.spec, **spec_changes)
+    config = SolverConfig(delta=0.05, target_eps=0.05, inner=inner,
+                          **config_changes)
+    built = []
+
+    def counted(**fields):
+        built.append(SolveTrace(**fields))
+        return built[-1]
+
+    monkeypatch.setattr(solver, "SolveTrace", counted)
+    partial = {}
+    if match is None:
+        _, trace = solve(spec, config, PL.start)
+    else:
+        with pytest.raises(BudgetExceededError, match=match) as err:
+            solve(spec, config, PL.start)
+        partial = err.value.partial
+        trace = partial["trace"]
+    assert len(built) == 1 and built[0] is trace
+    assert trace.records  # each cap trips after some searches ran
+    # the start's value call, every record's calls, the capped search's
+    assert trace.oracle_calls == sum(
+        r["inner_oracle_calls"] for r in trace.records) + partial.get(
+        "oracle_calls", 0)
+    assert trace.value_calls == PL_START.value_calls + sum(
+        r["inner_value_calls"] for r in trace.records) + partial.get(
+        "value_calls", 0)
+    assert trace.wall_time_s > 0.0
+
+
 def test_understated_p_star_exceeds_the_descent_lemma_bound():
     spec = dataclasses.replace(BALL.spec, p_star=-1e-6)
     config = SolverConfig(delta=0.05, target_eps=0.05)
