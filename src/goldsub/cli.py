@@ -350,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="constraint qualification level for KKT mode")
     ps.add_argument("--outer-cap", type=int)
     ps.add_argument("--call-cap", type=int, dest="inner_call_cap",
-                    metavar="CALL_CAP", help="inner oracle-call cap")
+                    metavar="CALL_CAP", help="inner subgradient-call cap, "
+                    "checked before each round: a bisect round may pass it")
     ps.add_argument("--out-dir")
     ps.add_argument("--tag", help="output file basename: no path separator, "
                                    "not . or ..")

@@ -210,9 +210,10 @@ def _finite_grads(oracle: Oracle, z: np.ndarray, dim: int, b: int) -> np.ndarray
 class ReducedConstraint:
     """View of ``g(x) = max_i g_i(x)`` over the original constraint list.
 
-    Value ties between constraints are broken toward the lowest index.
-    The problem keeps one, whose branch table (the oracle of each branch of
-    h_x) and gradient shape every Subproblem of the problem reads.
+    The one reader of the constraint oracles' values: every Subproblem
+    event takes g and the constraints attaining it from here, and a single
+    attaining index is the lowest.  The problem keeps one, whose branch
+    table (each branch's oracle) and gradient shape its Subproblems read.
     """
 
     def __init__(self, problem: ProblemSpec):
@@ -225,16 +226,19 @@ class ReducedConstraint:
         self._branches = (problem.objective, *problem.constraints)
         self._shape = (problem.dim,)
 
-    def value(self, z: Vector) -> tuple[float, int]:
-        """Return (g(z), attaining 1-based index)."""
+    def value(self, z: Vector) -> tuple[float, tuple[int, ...]]:
+        """Return (g(z), the 1-based indices of the constraints attaining
+        it, lowest first); each constraint's ``value`` runs once."""
         if self._only is not None:
-            return _finite_value(self._only(z), 1), 1
-        best, best_i = -math.inf, 0
+            return _finite_value(self._only(z), 1), (1,)
+        best, ties = -math.inf, ()
         for i, oracle in enumerate(self._oracles, start=1):
             vi = _finite_value(oracle.value(z), i)
             if vi > best:
-                best, best_i = vi, i
-        return best, best_i
+                best, ties = vi, (i,)
+            elif vi == best:
+                ties += (i,)
+        return best, ties
 
     def values(self, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Batch ``value``: (g of every row of z, attaining 1-based indices)
@@ -310,9 +314,8 @@ class Subproblem:
     def grad(self, z: Vector) -> tuple[Vector, int]:
         """(a.e.-gradient of h at z, its branch index)."""
         fz = _finite_value(self._f(z), 0)
-        gz, b = self._g.value(z)
-        if fz - self.f_anchor >= gz:
-            b = 0
+        gz, ties = self._g.value(z)
+        b = 0 if fz - self.f_anchor >= gz else ties[0]
         vec = _finite_array(self._oracles[b].grad(z), self._shape, b, "grad")
         self.subgrad_calls += 1
         return vec, b
@@ -342,7 +345,8 @@ class Subproblem:
 
         Returns (vector, branch index, h(z), directional derivative).  Only
         the branches that attain h(z) run ``dir_grad``: the objective first,
-        then the constraints by index.  The largest <vector, v> wins and
+        then the constraints that ``ReducedConstraint.value`` names as
+        attaining g(z), by index.  The largest <vector, v> wins and
         equalities stay with the earlier branch, so <vector, v> is the
         directional derivative of the max.  At the anchor array itself with
         g(anchor) < 0, the objective alone attains h = 0: no value is read.
@@ -351,26 +355,17 @@ class Subproblem:
         if oracles[0].dir_grad is None:
             raise UsageError("objective has no directional oracle")
         if z is self.anchor and self.g_anchor < 0.0:
-            fdiff, g, gz = 0.0, (), self.g_anchor
+            fdiff, gz, ties = 0.0, self.g_anchor, ()
         else:
             fdiff = _finite_value(self._f(z), 0) - self.f_anchor
-            only = self._g._only
-            if only is not None:
-                gz = _finite_value(only(z), 1)
-                g = (gz,)
-            else:
-                g = [_finite_value(o.value(z), i)
-                     for i, o in enumerate(self.problem.constraints, start=1)]
-                gz = max(g)
+            gz, ties = self._g.value(z)
         self.subgrad_calls += 1
         best = None
         if fdiff >= gz:
             vec = _finite_array(oracles[0].dir_grad(z, v), shape, 0, "dir_grad")
             best = vec, 0, fdiff, _dot(vec, v)
         if fdiff <= gz:
-            for i, gi in enumerate(g, start=1):
-                if gi != gz:
-                    continue
+            for i in ties:
                 oracle = oracles[i]
                 if oracle.dir_grad is None:
                     raise UsageError("constraint %d has no directional oracle" % i)

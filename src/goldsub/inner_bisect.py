@@ -138,8 +138,9 @@ def bisect_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float
     Arguments as in ``rand_search``.  The first directional query is at the
     anchor along the first basis vector; the call budget does not depend on
     where the search opens.  Each ray bisection stops after
-    ``default_max_steps(delta)`` probes.  Equal inputs give bit-identical
-    results.
+    ``default_max_steps(delta)`` probes.  ``call_cap`` is checked before
+    each round, not between its probes, so a capped search can end up to
+    that many calls past it.  Equal inputs give bit-identical results.
     """
     return _search(anchor, problem, delta, eps, call_cap, anchor_values,
                    _first, _descends, _step, None)

@@ -206,7 +206,8 @@ def rand_search(anchor: Vector, problem: ProblemSpec, delta: float, eps: float,
         bit-identical results.  Per round the draw order is: direction
         normals + radius uniform for the gradient-space ball, then one
         uniform for the segment point.
-    call_cap : hard cap on subgradient calls; BudgetExceededError beyond it.
+    call_cap : subgradient-call cap, checked before each round; a round here
+        spends one call, so BudgetExceededError comes at exactly call_cap.
     anchor_values : (f(anchor), g(anchor)) if the caller already paid for
         them, which also vouches that anchor is a finite float array of
         length problem.dim and skips its validation; otherwise anchor is

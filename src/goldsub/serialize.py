@@ -250,7 +250,7 @@ def _branch_from(data: dict) -> int:
     if type(index) is int and index >= 1 and len(data) == 2 \
             and data.get("kind") == "constraint":
         return index
-    raise ValueError("branch must be {\"kind\": \"objective\"} or "
+    raise UsageError("branch must be {\"kind\": \"objective\"} or "
                      "{\"kind\": \"constraint\", \"index\": i >= 1}, got %s"
                      % json.dumps(data))
 
@@ -354,6 +354,7 @@ def certificate_from_data(data: dict) -> tuple[GoldsteinCertificate, dict | None
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
             UsageError) as exc:
         reason = (exc if isinstance(exc, UsageError)
+                  else "missing key %s" % exc if isinstance(exc, KeyError)
                   else "%s: %s" % (type(exc).__name__, exc))
         raise UsageError("malformed certificate document (%s)" % reason) from None
 

@@ -825,6 +825,21 @@ def test_verify_integer_outside_the_float_range_is_usage_error(
         "error: malformed certificate document (%s)\n" % message)
 
 
+@pytest.mark.parametrize("mutate,message", [
+    (lambda data: data.pop("gamma0"), "missing key 'gamma0'"),
+    (lambda data: data["combination"][0].pop("point"), "missing key 'point'"),
+    (lambda data: data["combination"][0].update(branch={"kind": "x"}),
+     'branch must be {"kind": "objective"} or {"kind": "constraint", '
+     '"index": i >= 1}, got {"kind": "x"}'),
+], ids=["no-gamma0", "entry-without-point", "unknown-branch-kind"])
+def test_verify_malformed_document_message_names_no_exception_type(
+        solved, tmp_path, capsys, mutate, message):
+    path = rewrite(solved / "run.cert.json", tmp_path / "bad.json", mutate)
+    assert main(["verify", "--fast", path] + FAST_VERIFY) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: malformed certificate document (%s)\n" % message)
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     assert main(["verify", "/no/such/cert.json"]) == EXIT_USAGE
 

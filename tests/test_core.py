@@ -335,13 +335,13 @@ def test_each_value_callable_runs_once_per_point():
     once = {"f": 1, "g1": 1, "g2": 1}
     seen = set()
     for z in np.linspace(-1.35, 1.35, 55)[:, None]:
-        g, g_idx = reduced.value(z)
+        g, g_ties = reduced.value(z)
         counts.clear()
         vec, branch = sub.grad(z)
         assert counts == once
         seen.add(branch)
         if branch:
-            assert branch == g_idx
+            assert branch == g_ties[0]
             assert np.array_equal(vec, base.constraints[branch - 1].grad(z))
 
         counts.clear()
@@ -546,6 +546,11 @@ def test_branch_rule_on_tied_affine_pieces(pieces):
         assert sub.value_full(point)[0] == h
         assert counts == once
 
+        # g and every constraint attaining it, in index order
+        g = max(sides[1:])
+        assert ReducedConstraint(prob).value(point) == (
+            g, tuple(b for b, side in enumerate(sides) if b and side == g))
+
     counts.clear()
     vecs, codes = sub.grads(np.array(zs, dtype=float))
     assert counts == {b: len(zs) for b in once}
@@ -565,10 +570,10 @@ def constraint_side(prob: ProblemSpec) -> Subproblem:
 
 def value_and_grad(prob: ProblemSpec, z):
     """(g(z), gradient of the attaining constraint, its index) at one point."""
-    val, idx = ReducedConstraint(prob).value(z)
+    val, ties = ReducedConstraint(prob).value(z)
     vec, branch = constraint_side(prob).grad(z)
-    assert branch == idx
-    return val, vec, idx
+    assert branch == ties[0]
+    return val, vec, ties[0]
 
 
 def test_reduce_single_constraint_is_identity():
@@ -933,7 +938,7 @@ def test_batch_constraint_values_equal_pointwise(m, batch):
     vals, idx = reduced.values(z)
     point = [reduced.value(row) for row in z]
     assert vals.tobytes() == np.array([p[0] for p in point]).tobytes()
-    assert idx.tolist() == [p[1] for p in point]
+    assert idx.tolist() == [p[1][0] for p in point]
     assert idx[:4].tolist() == [1, 1, 1, m]  # ties go to the lowest index
 
 

@@ -454,6 +454,22 @@ def test_outer_cap_stops_before_the_step_past_it(inner):
     assert trace.records[-1]["inner_outcome"] == inner_rand.DESCENT
 
 
+def test_bisect_round_runs_past_the_inner_cap():
+    # the cap is checked before each round: after 116 one-call searches,
+    # pl-nonconvex n = 10 opens one with a call below the cap, and its first
+    # bisection round spends two probes, 3 calls against a cap of 2
+    record = get_problem("pl-nonconvex", dim=10)
+    config = SolverConfig(delta=0.05, target_eps=0.05, inner=BISECT,
+                          inner_call_cap=2)
+    with pytest.raises(BudgetExceededError,
+                       match="inner call cap 2 exhausted") as err:
+        solve(record.spec, config, record.start)
+    partial = err.value.partial
+    assert partial["oracle_calls"] == 3
+    assert partial["trace"].call_cap == 2
+    assert partial["trace"].oracle_calls == len(partial["trace"].records) + 3
+
+
 PL = get_problem("pl-nonconvex")
 PL_START = Subproblem(PL.spec, PL.start)
 
