@@ -101,7 +101,7 @@ class ProblemSpec:
         return ReducedConstraint(self)
 
 
-@dataclass(frozen=True)
+@dataclass
 class WeightedSubgradient:
     """One term of a convex combination ``zeta = sum_i w_i * vector_i``.
 
@@ -110,6 +110,11 @@ class WeightedSubgradient:
     objective, i for constraint i.  ``direction`` records the query
     direction for directional-mode entries (None in gradient mode) so a
     verifier can re-run the same oracle call.
+
+    A plain record, not a frozen one, because a frozen dataclass pays for
+    each field it stores and a certificate decodes one entry per term: a
+    field can be rebound (goldsub never rebinds one), and an entry is not
+    hashable.
     """
 
     point: Vector
@@ -275,11 +280,14 @@ class Subproblem:
     feasibility (the inner searches do; the plain estimate in verify does
     not).  ``anchor_values = (f(anchor), g(anchor))`` says the caller has
     evaluated the anchor, and so validated it: it is then taken as given,
-    a finite float array of length ``problem.dim``.
+    a finite float array of length ``problem.dim``.  ``_checked`` (private
+    use) says only the validation is done: the anchor is taken as given and
+    its values are still read here.
     """
 
     def __init__(self, problem: ProblemSpec, anchor: Vector,
-                 anchor_values: tuple[float, float] | None = None):
+                 anchor_values: tuple[float, float] | None = None, *,
+                 _checked: bool = False):
         self.problem = problem
         self._g = g = problem._reduced
         self._oracles, self._shape = g._branches, g._shape
@@ -287,7 +295,9 @@ class Subproblem:
         self.subgrad_calls = 0
         self.value_calls = 0
         if anchor_values is None:
-            self.anchor = anchor = _as_vector(anchor, problem.dim)
+            if not _checked:
+                anchor = _as_vector(anchor, problem.dim)
+            self.anchor = anchor
             f0 = _finite_value(self._f(anchor), 0)
             g0, _ = self._g.value(anchor)
             self.value_calls += 1

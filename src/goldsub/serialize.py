@@ -263,24 +263,23 @@ _NUMBER_TYPES = frozenset({float, int, np.float64})
 def _vec(value, what: str) -> Vector:
     """A list of numbers, or a float array as ``certificate_data`` holds
     it, as a vector; anything else (true, a string) is a UsageError."""
-    if not (type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
-            or type(value) is np.ndarray and value.dtype == float):
-        raise UsageError("%s must be a list of numbers" % what)
-    try:
-        return np.asarray(value, dtype=float)
-    except OverflowError:  # an integer entry beyond the float range
-        raise UsageError("%s has an integer outside the float range" % what) from None
+    if type(value) is list and _NUMBER_TYPES.issuperset(map(type, value)):
+        try:
+            return np.asarray(value, dtype=float)
+        except OverflowError:  # an integer entry beyond the float range
+            raise UsageError("%s has an integer outside the float range"
+                             % what) from None
+    if type(value) is np.ndarray and value.dtype == float:
+        return value
+    raise UsageError("%s must be a list of numbers" % what)
 
 
 def _number(value, what: str) -> float:
     """A number as a float: an integer must lie in the float range, and
-    true or a string is a UsageError."""
+    true or a string is a UsageError.  Callers test for an exact float
+    first, the type every real of a parsed document has."""
     return float(value if isinstance(value, float)
                  else _expect(value, float, what))
-
-
-def _optional(convert, value, what: str):
-    return None if value is None else convert(value, what)
 
 
 def _entry_data(entry: WeightedSubgradient) -> dict:
@@ -290,14 +289,18 @@ def _entry_data(entry: WeightedSubgradient) -> dict:
 
 
 def _entry_from(data) -> WeightedSubgradient:
-    data = _expect(data, dict, "combination entry")
-    # positional: keyword arguments cost a frozen dataclass's __init__ more
+    # each leaf in field order, a well-formed one after one type test
+    if type(data) is not dict:
+        _expect(data, dict, "combination entry")
     return WeightedSubgradient(
         _vec(data["point"], "combination point"),
         _vec(data["vector"], "combination vector"),
-        _branch_from(data["branch"]),
-        _number(data["weight"], "combination weight"),
-        _optional(_vec, data.get("direction"), "combination direction"))
+        0 if (branch := data["branch"]) == _OBJECTIVE_DATA
+        else _branch_from(branch),
+        weight if type(weight := data["weight"]) is float
+        else _number(weight, "combination weight"),
+        None if (direction := data.get("direction")) is None
+        else _vec(direction, "combination direction"))
 
 
 def certificate_data(cert: GoldsteinCertificate, manifest: dict | None = None) -> dict:
@@ -323,33 +326,47 @@ def certificate_from_data(data: dict) -> tuple[GoldsteinCertificate, dict | None
         manifest = data.get("manifest")
         if manifest is not None:  # verify reads and types its problem and
             # config; no check reads the rest
-            _expect(manifest, dict, "manifest")
+            if type(manifest) is not dict:
+                _expect(manifest, dict, "manifest")
             for key, kind in _MANIFEST_LEAVES.items():
-                _expect(manifest.get(key, kind()), kind, "manifest " + key)
+                if type(value := manifest.get(key, kind())) is not kind:
+                    _expect(value, kind, "manifest " + key)
             if "x0" in manifest:
                 _vec(manifest["x0"], "manifest x0")
         lam = data["lambda"]
+        # positional, in field order: the leaves are read in that order, so
+        # the first malformed one names the document's fault; a real passes
+        # on its exact float type, anything else goes to _number
         cert = GoldsteinCertificate(
-            anchor=_vec(data["anchor"], "anchor"),
-            zeta=_vec(data["zeta"], "zeta"),
-            zeta_norm=_number(data["zeta_norm"], "zeta_norm"),
-            combination=list(map(_entry_from, _expect(
-                data["combination"], list, "combination"))),
-            gamma0=_number(data["gamma0"], "gamma0"),
-            gamma=_number(data["gamma"], "gamma"),
-            lam=None if lam == UNDEFINED else _number(lam, "lambda"),
-            eps_effective=_number(data["eps_effective"], "eps_effective"),
-            delta=_number(data["delta"], "delta"),
-            f_anchor=_number(data["f_anchor"], "f_anchor"),
-            g_anchor=_number(data["g_anchor"], "g_anchor"),
-            kkt_eps=_optional(_number, data["kkt_eps"], "kkt_eps"),
-            kkt_eta=_optional(_number, data["kkt_eta"], "kkt_eta"),
-            kkt_lambda_bound=_optional(_number, data["kkt_lambda_bound"],
-                                       "kkt_lambda_bound"),
-            gcq_sigma=_optional(_number, data["gcq_sigma"], "gcq_sigma"),
-            warnings=[_expect(warning, str, "warnings entry")
-                      for warning in _expect(data.get("warnings", []), list,
-                                             "warnings")])
+            _vec(data["anchor"], "anchor"),
+            _vec(data["zeta"], "zeta"),
+            x if type(x := data["zeta_norm"]) is float
+            else _number(x, "zeta_norm"),
+            list(map(_entry_from, x)) if type(x := data["combination"]) is list
+            else _expect(x, list, "combination"),
+            x if type(x := data["gamma0"]) is float else _number(x, "gamma0"),
+            x if type(x := data["gamma"]) is float else _number(x, "gamma"),
+            lam if type(lam) is float else None if lam == UNDEFINED
+            else _number(lam, "lambda"),
+            x if type(x := data["eps_effective"]) is float
+            else _number(x, "eps_effective"),
+            x if type(x := data["delta"]) is float else _number(x, "delta"),
+            x if type(x := data["f_anchor"]) is float
+            else _number(x, "f_anchor"),
+            x if type(x := data["g_anchor"]) is float
+            else _number(x, "g_anchor"),
+            x if (x := data["kkt_eps"]) is None or type(x) is float
+            else _number(x, "kkt_eps"),
+            x if (x := data["kkt_eta"]) is None or type(x) is float
+            else _number(x, "kkt_eta"),
+            x if (x := data["kkt_lambda_bound"]) is None or type(x) is float
+            else _number(x, "kkt_lambda_bound"),
+            x if (x := data["gcq_sigma"]) is None or type(x) is float
+            else _number(x, "gcq_sigma"),
+            [w if type(w) is str else _expect(w, str, "warnings entry")
+             for w in x]
+            if type(x := data.get("warnings", [])) is list
+            else _expect(x, list, "warnings"))
         return cert, None if manifest is None else dict(manifest)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError,
             UsageError) as exc:

@@ -349,14 +349,16 @@ class CertificateReport:
         return self.reason in CORRUPT_CHECKS
 
 
+# the weights checks reduce with the ufuncs that ndarray.min and .sum call,
+# for the same bits without their Python-level wrappers
 def check_weights_nonnegative(weights: np.ndarray) -> CheckResult:
-    min_w = float(weights.min()) if weights.size else 0.0
+    min_w = float(np.minimum.reduce(weights)) if weights.size else 0.0
     return CheckResult("weights-nonnegative", weights.size > 0 and min_w >= -1e-12,
                        "min weight %.3g" % min_w)
 
 
 def check_weights_sum(weights: np.ndarray) -> CheckResult:
-    total = float(weights.sum())
+    total = float(np.add.reduce(weights))
     return CheckResult("weights-sum", abs(total - 1.0) <= WEIGHT_SUM_TOL,
                        "sum %.17g" % total)
 
@@ -577,7 +579,7 @@ def _checks(cert, problem, samples, seed, stop_at_first_failure):
     points = [_as_vector(w.point, dim) for w in combo]
     yield check_points_in_ball(points, anchor, delta)
 
-    sub = Subproblem(problem, anchor)
+    sub = Subproblem(problem, anchor, _checked=True)
     vectors, recomputed, mismatches = [], [], []
     for w, point in zip(combo, points):
         if w.direction is None:

@@ -840,6 +840,59 @@ def test_verify_malformed_document_message_names_no_exception_type(
         "error: malformed certificate document (%s)\n" % message)
 
 
+def _malformed_leaves():
+    """(place in the document, wrong value, message) for every typed leaf
+    the certificate decoder reads, each given true and a value of another
+    JSON type: "x", or 1 where a string is expected."""
+    entry = ("combination", 0)
+    vectors = [(("anchor",), "anchor"), (("anchor", 0), "anchor"),
+               (("zeta",), "zeta"), (("zeta", 0), "zeta"),
+               (("manifest", "x0"), "manifest x0")] + [
+        (entry + (key,), "combination " + key)
+        for key in ("point", "vector", "direction")] + [
+        (entry + (key, 0), "combination " + key) for key in ("point", "vector")]
+    reals = [((key,), key) for key in (
+        "zeta_norm", "gamma0", "gamma", "eps_effective", "delta", "f_anchor",
+        "g_anchor", "lambda", "kkt_eps", "kkt_eta", "kkt_lambda_bound",
+        "gcq_sigma")] + [(entry + ("weight",), "combination weight")]
+    for bad, got in ((True, "true or false"), ("x", "a string")):
+        for place, what in vectors:
+            yield place, bad, "%s must be a list of numbers" % what
+        for place, what in reals:
+            yield place, bad, "%s must be a number, got %s" % (what, got)
+        yield ("warnings",), bad, "warnings must be a list, got %s" % got
+        yield entry + ("branch",), bad, (
+            'branch must be {"kind": "objective"} or {"kind": "constraint", '
+            '"index": i >= 1}, got %s' % json.dumps(bad))
+        yield ("manifest", "seed"), bad, (
+            "manifest seed must be an integer, got %s" % got)
+    for bad, got in ((True, "true or false"), (1, "an integer")):
+        yield ("warnings", 0), bad, "warnings entry must be a string, got %s" % got
+        for key in ("schema", "version", "created"):
+            yield ("manifest", key), bad, (
+                "manifest %s must be a string, got %s" % (key, got))
+
+
+@pytest.mark.parametrize("place,bad,message", [
+    pytest.param(*case, id="%s=%s" % (".".join(map(str, case[0])),
+                                      json.dumps(case[1])))
+    for case in _malformed_leaves()])
+def test_verify_names_each_malformed_leaf(solved, tmp_path, capsys, place, bad,
+                                          message):
+    def set_leaf(data):
+        *parents, key = place
+        for parent in parents:
+            data = data[parent]
+        if key == len(data):  # the document has no warning to replace
+            data.append(None)
+        data[key] = bad
+
+    path = rewrite(solved / "run.cert.json", tmp_path / "leaf.json", set_leaf)
+    assert main(["verify", "--fast", path] + FAST_VERIFY) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: malformed certificate document (%s)\n" % message)
+
+
 def test_verify_missing_file_is_usage_error(capsys):
     assert main(["verify", "/no/such/cert.json"]) == EXIT_USAGE
 

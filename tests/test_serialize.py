@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import goldsub.serialize as serialize
 from goldsub.errors import UsageError
-from goldsub.problems import get_problem
+from goldsub.problems import ball_linear_sigma, get_problem
 from goldsub.serialize import (
     CERTIFICATE_SCHEMA,
     MANIFEST_SCHEMA,
@@ -252,18 +252,53 @@ def test_manifest_created_stamp_is_opt_in(run):
     assert stamped == plain
 
 
-def test_certificate_round_trip_is_byte_stable(run):
-    record, config, cert, _ = run
+@pytest.fixture(scope="module", params=["rand", "kkt", "bisect"])
+def certified(request, run):
+    """A ball-linear run: ``run``'s, one in KKT mode, whose four KKT claims
+    are set and distinct, and a bisect one, whose entries store their
+    directions."""
+    if request.param == "rand":
+        return run[:3]
+    record = run[0]
+    config = (SolverConfig(delta=0.05, target_eps=0.05, seed=7, kkt_mode=True,
+                           gcq_sigma=ball_linear_sigma(0.05))
+              if request.param == "kkt" else
+              SolverConfig(delta=0.05, target_eps=0.05, seed=7, inner="bisect"))
+    cert, _ = solve(record.spec, config, record.start)
+    if request.param == "kkt":
+        claims = [cert.kkt_eps, cert.kkt_eta, cert.kkt_lambda_bound,
+                  cert.gcq_sigma]
+        assert None not in claims and len(set(claims)) == 4
+    else:
+        assert all(w.direction is not None for w in cert.combination)
+    return record, config, cert
+
+
+def assert_same_value(decoded, original):
+    if isinstance(original, np.ndarray):
+        assert type(decoded) is np.ndarray and decoded.dtype == float
+        assert np.array_equal(decoded, original)
+    else:
+        assert type(decoded) is type(original) and decoded == original
+
+
+def test_certificate_round_trip_is_byte_stable(certified):
+    record, config, cert = certified
     manifest = manifest_data(record.name, record.params, config, "1.0")
     text = dumps(certificate_data(cert, manifest))
     decoded, decoded_manifest = certificate_from_data(
         read_json_text(text))
     assert decoded_manifest == manifest
     assert dumps(certificate_data(decoded, decoded_manifest)) == text
-    assert np.array_equal(decoded.anchor, cert.anchor)
-    assert np.array_equal(decoded.zeta, cert.zeta)
-    assert decoded.lam == cert.lam
+    for field in dataclasses.fields(cert):
+        if field.name != "combination":
+            assert_same_value(getattr(decoded, field.name),
+                              getattr(cert, field.name))
     assert len(decoded.combination) == len(cert.combination)
+    for entry, original in zip(decoded.combination, cert.combination):
+        for field in dataclasses.fields(original):
+            assert_same_value(getattr(entry, field.name),
+                              getattr(original, field.name))
 
 
 def test_certificate_lambda_undefined_round_trip(run):

@@ -1223,9 +1223,12 @@ def test_verification_converts_each_stored_array_once(monkeypatch, inner):
         stored += [w.point, w.vector] + ([] if w.direction is None
                                          else [w.direction])
     assert (inner == "bisect") == (len(stored) > 2 + 2 * len(cert.combination))
-    seen = counted_conversions(monkeypatch, verify)
+    # core's too: the verifier hands its Subproblem the anchor it validated
+    verify_seen, core_seen = [counted_conversions(monkeypatch, module)
+                              for module in (verify, core)]
     report = check_certificate(cert, record.spec, samples=200)
     assert report.passed and len(report.checks) == len(CHECK_ORDER)
+    seen = verify_seen + core_seen
     assert [seen[id(array)] for array in stored] == [1] * len(stored)
     assert sum(seen.values()) == len(stored)
 
